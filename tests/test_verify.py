@@ -1,5 +1,6 @@
 """Tests for the residual verification harness."""
 
+import hashlib
 import json
 import math
 import random
@@ -333,6 +334,23 @@ def test_suite_deterministic_json(monkeypatch):
     monkeypatch.setenv("KERNEL_VERIFY_THREADS", "1")
     third = reports_to_json(run_suite(**kwargs))
     assert first == third
+
+
+#: sha256 of reports_to_json(run_suite(None, fam, samples=2, seed=20261018))
+#: over the default grid.  These pin the draw order of every sampler and the
+#: arithmetic of every evaluator on this CPython and libm: a reordered draw
+#: or a changed residual changes the digest.
+GOLDEN_SUITE_SHA256 = {
+    "rational": "a7144e2e444edb3d38eaa2a1fb7b1f3a681d569ec50af1ddc1c7459235e8f86c",
+    "trig": "a3e4bd09a4f5d597156b8ba0d286bf33fc96617d39113c7433bbbd2463e37ba9",
+    "elliptic": "7e23425d6fe960200432935bdfb628a7fd5e4fe650f18e7f34555908a881c5cd",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SUITE_SHA256))
+def test_suite_reports_match_golden_digest(families, name):
+    text = reports_to_json(run_suite(None, families[name], samples=2, seed=20261018))
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SUITE_SHA256[name]
 
 
 def test_suite_rejects_nonpositive_tolerance():
