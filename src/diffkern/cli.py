@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -70,7 +69,6 @@ _TOP_KEYS = {
     "tolerances",
     "seed",
     "samples",
-    "threads",
     "params",
 }
 _TRUNC_KEYS = {"max_terms", "term_tol"}
@@ -98,7 +96,6 @@ class Config:
     tolerances: dict[str, float]
     seed: int
     samples: int
-    threads: int | None
     params: dict | None
 
 
@@ -200,15 +197,6 @@ def _validate(data: dict) -> Config:
     if samples < 1:
         raise ConfigError("samples must be at least 1")
 
-    threads = data.get("threads")
-    if threads is not None:
-        try:
-            threads = int(threads)
-        except (TypeError, ValueError):
-            raise ConfigError(f"threads must be an integer or null: {threads!r}")
-        if threads < 1:
-            raise ConfigError("threads must be at least 1")
-
     params = data.get("params")
     if params is not None:
         params = _validate_params_block(params)
@@ -222,7 +210,6 @@ def _validate(data: dict) -> Config:
         tolerances=tolerances,
         seed=seed,
         samples=samples,
-        threads=threads,
         params=params,
     )
 
@@ -325,8 +312,6 @@ def cmd_verify(args, cfg: Config) -> int:
     samples = args.samples if args.samples is not None else cfg.samples
     if samples < 1:
         raise ConfigError("samples must be at least 1")
-    if cfg.threads is not None and "KERNEL_VERIFY_THREADS" not in os.environ:
-        os.environ["KERNEL_VERIFY_THREADS"] = str(cfg.threads)
 
     reports = run_suite(ids=ids, fam=fam, size_grid=grid, samples=samples, seed=seed)
     if args.tol is not None:

@@ -52,6 +52,7 @@ __all__ = [
     "InterpReport",
     "KoornBasis",
     "TheoremKind",
+    "TriangularSolveError",
     "askey_wilson_p",
     "cauchy_check_macdonald",
     "cauchy_series",
@@ -83,6 +84,14 @@ class CollisionError(ValueError):
 
 class DegenerateParameterError(ValueError):
     """A denominator of an explicit formula vanishes at the chosen parameters."""
+
+
+class TriangularSolveError(RuntimeError):
+    """An invariant of the triangular eigen-solve does not hold.
+
+    The theory guarantees each one, so this signals a defect: the solve
+    would otherwise return a wrong polynomial.
+    """
 
 
 class AWBase(Enum):
@@ -141,7 +150,8 @@ def koorn_basis(lam: Partition, m: int) -> KoornBasis:
     # size descending, then parts in descending lex order: a linear extension
     # of dominance, since a strict dominance step forces a lex step
     members.sort(key=lambda mu: (mu.size, mu.parts), reverse=True)
-    assert members[0] == lam
+    if members[0] != lam:
+        raise TriangularSolveError(f"basis for {lam.parts} does not start at lambda")
     return KoornBasis(lam=lam, mu_list=tuple(members), m=m)
 
 
@@ -208,7 +218,8 @@ def _decompose(
         if c:
             coeffs[nu] = c
             rebuilt = rebuilt + basis_poly(nu) * c
-    assert rebuilt == g, "operator action escapes the dominance-closed basis"
+    if rebuilt != g:
+        raise TriangularSolveError("operator action escapes the dominance-closed basis")
     return coeffs
 
 
@@ -220,7 +231,10 @@ def _koorn_column(
     basis = koorn_basis(mu, m)
     image = apply_koorn_mult(ep, orbit_sum(mu, m), m)
     coeffs = _decompose(image, basis.mu_list, lambda nu: orbit_sum(nu, m), m)
-    assert coeffs.get(mu, Fraction(0)) == eigenvalue_d(mu, ep, m)
+    if coeffs.get(mu, Fraction(0)) != eigenvalue_d(mu, ep, m):
+        raise TriangularSolveError(
+            f"koornwinder: diagonal entry for {mu.parts} is not its eigenvalue"
+        )
     return tuple(sorted(coeffs.items(), key=lambda kv: kv[0].parts))
 
 
@@ -241,7 +255,10 @@ def _macdonald_column(
     coeffs = _decompose(
         image, _macdonald_basis(mu, m), lambda nu: sym_orbit_sum(nu, m), m
     )
-    assert coeffs.get(mu, Fraction(0)) == macdonald_eigenvalue(mu, q, t, m)
+    if coeffs.get(mu, Fraction(0)) != macdonald_eigenvalue(mu, q, t, m):
+        raise TriangularSolveError(
+            f"macdonald: diagonal entry for {mu.parts} is not its eigenvalue"
+        )
     return tuple(sorted(coeffs.items(), key=lambda kv: kv[0].parts))
 
 

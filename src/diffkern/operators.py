@@ -423,6 +423,43 @@ def _koorn_pair_factors(m: int, k: int, l: int) -> list[LaurentPoly]:
     ]
 
 
+def _koorn_denominators(
+    m: int, sq: Fraction
+) -> tuple[LaurentPoly, list[tuple[LaurentPoly, LaurentPoly]]]:
+    """Common denominator D_total of the Koornwinder operator and, for each
+    variable i, the complements D_total / den(A_i^+) and D_total / den(A_i^-),
+    signs included."""
+    d_total = LaurentPoly.one(m)
+    for i in range(m):
+        for fac in _koorn_own_factors(m, i, sq):
+            d_total = d_total * fac
+    for k in range(m):
+        for l in range(k + 1, m):
+            for fac in _koorn_pair_factors(m, k, l):
+                d_total = d_total * fac
+
+    complements = []
+    for i in range(m):
+        comp_base = LaurentPoly.one(m)
+        for k in range(m):
+            if k == i:
+                continue
+            for fac in _koorn_own_factors(m, k, sq):
+                comp_base = comp_base * fac
+        for k in range(m):
+            for l in range(k + 1, m):
+                if k == i or l == i:
+                    continue
+                for fac in _koorn_pair_factors(m, k, l):
+                    comp_base = comp_base * fac
+        sign = Fraction(-1) ** i
+        own = _koorn_own_factors(m, i, sq)
+        comp_plus = comp_base * own[2] * sign  # leftover [q z_i^-2]
+        comp_minus = comp_base * own[1] * (-sign)  # leftover [q z_i^2]
+        complements.append((comp_plus, comp_minus))
+    return d_total, complements
+
+
 def apply_koorn_mult(ep: ExactParams, f: LaurentPoly, m: int) -> LaurentPoly:
     """Exact Koornwinder operator in bracket normalization.
 
@@ -444,14 +481,7 @@ def apply_koorn_mult(ep: ExactParams, f: LaurentPoly, m: int) -> LaurentPoly:
     if m < 1:
         raise ValueError("need at least one variable")
     sq = ep.sq
-    d_total = LaurentPoly.one(m)
-    for i in range(m):
-        for fac in _koorn_own_factors(m, i, sq):
-            d_total = d_total * fac
-    for k in range(m):
-        for l in range(k + 1, m):
-            for fac in _koorn_pair_factors(m, k, l):
-                d_total = d_total * fac
+    d_total, complements = _koorn_denominators(m, sq)
 
     numerator = LaurentPoly.zero(m)
     for i in range(m):
@@ -465,24 +495,7 @@ def apply_koorn_mult(ep: ExactParams, f: LaurentPoly, m: int) -> LaurentPoly:
             n_plus = n_plus * _two_term(m, {i: 1, j: 1}, ep.st)
             n_plus = n_plus * _two_term(m, {i: 1, j: -1}, ep.st)
         n_minus = n_plus.invert_all()
-
-        # complements: D_total / (denominator of A_i^{+-}), sign included
-        comp_base = LaurentPoly.one(m)
-        for k in range(m):
-            if k == i:
-                continue
-            for fac in _koorn_own_factors(m, k, sq):
-                comp_base = comp_base * fac
-        for k in range(m):
-            for l in range(k + 1, m):
-                if k == i or l == i:
-                    continue
-                for fac in _koorn_pair_factors(m, k, l):
-                    comp_base = comp_base * fac
-        sign = Fraction(-1) ** i
-        own = _koorn_own_factors(m, i, sq)
-        comp_plus = comp_base * own[2] * sign  # leftover [q z_i^-2]
-        comp_minus = comp_base * own[1] * (-sign)  # leftover [q z_i^2]
+        comp_plus, comp_minus = complements[i]
 
         up = f.substitute(i, sqrt_scale=sq) - f
         down = f.substitute(i, sqrt_scale=1 / sq) - f
@@ -496,14 +509,7 @@ def koorn_denominator_check(ep: ExactParams, m: int, i: int) -> bool:
     """Internal consistency: denominator times complement equals D_total for
     both shift directions (exercised by the test suite on small m)."""
     sq = ep.sq
-    d_total = LaurentPoly.one(m)
-    for k in range(m):
-        for fac in _koorn_own_factors(m, k, sq):
-            d_total = d_total * fac
-    for k in range(m):
-        for l in range(k + 1, m):
-            for fac in _koorn_pair_factors(m, k, l):
-                d_total = d_total * fac
+    d_total, complements = _koorn_denominators(m, sq)
 
     # actual denominators, assembled exactly as the formulas read
     den_plus = _two_term(m, {i: 2}, Fraction(1)) * _two_term(m, {i: 2}, sq)
@@ -514,22 +520,7 @@ def koorn_denominator_check(ep: ExactParams, m: int, i: int) -> bool:
         den_plus = den_plus * _two_term(m, {i: 1, j: -1}, Fraction(1))
     den_minus = den_plus.invert_all()
 
-    comp_base = LaurentPoly.one(m)
-    for k in range(m):
-        if k == i:
-            continue
-        for fac in _koorn_own_factors(m, k, sq):
-            comp_base = comp_base * fac
-    for k in range(m):
-        for l in range(k + 1, m):
-            if k == i or l == i:
-                continue
-            for fac in _koorn_pair_factors(m, k, l):
-                comp_base = comp_base * fac
-    sign = Fraction(-1) ** i
-    own = _koorn_own_factors(m, i, sq)
-    comp_plus = comp_base * own[2] * sign
-    comp_minus = comp_base * own[1] * (-sign)
+    comp_plus, comp_minus = complements[i]
     return den_plus * comp_plus == d_total and den_minus * comp_minus == d_total
 
 

@@ -20,11 +20,10 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from importlib import resources
 from typing import Callable, Mapping, Sequence
 
@@ -143,53 +142,6 @@ class IdentityId(str, Enum):
     QUASI_PERIOD = "quasi-period"
     E_CONST_LEMMA = "e-const-lemma"
     FACTORIZED_C = "factorized-c"
-
-
-_ALL_FAMILIES = (FamilyKind.RATIONAL, FamilyKind.TRIGONOMETRIC, FamilyKind.ELLIPTIC)
-_NO_ELLIPTIC = (FamilyKind.RATIONAL, FamilyKind.TRIGONOMETRIC)
-
-# The balanced statements hold for any sigma satisfying the Riemann relation,
-# so they are checked in all three families; the factorized right-hand sides
-# are stated only where sigma degenerates (trig and rational), and the
-# multiplicative Koornwinder forms only make sense trigonometrically.
-_APPLICABLE: dict[IdentityId, tuple[FamilyKind, ...]] = {
-    IdentityId.RIEMANN: _ALL_FAMILIES,
-    IdentityId.PARTIAL_FRACTION: _ALL_FAMILIES,
-    IdentityId.KEY_IDENTITY_ELLIPTIC: _ALL_FAMILIES,
-    IdentityId.KEY_IDENTITY_TRIG: _NO_ELLIPTIC,
-    IdentityId.THM_AE1: _ALL_FAMILIES,
-    IdentityId.THM_AE2: _ALL_FAMILIES,
-    IdentityId.THM_AT1: _NO_ELLIPTIC,
-    IdentityId.THM_AT2: _NO_ELLIPTIC,
-    IdentityId.PROP_EXP_F: _ALL_FAMILIES,
-    IdentityId.THM_BCE1: _ALL_FAMILIES,
-    IdentityId.THM_BCE2: _ALL_FAMILIES,
-    IdentityId.THM_BCT1: _NO_ELLIPTIC,
-    IdentityId.THM_BCT2: _NO_ELLIPTIC,
-    IdentityId.THM_BCTD1: _NO_ELLIPTIC,
-    IdentityId.THM_BCTD2: _NO_ELLIPTIC,
-    IdentityId.THM41_1: (FamilyKind.TRIGONOMETRIC,),
-    IdentityId.THM41_2: (FamilyKind.TRIGONOMETRIC,),
-    IdentityId.HIGHER_A_KERNEL: _ALL_FAMILIES,
-    IdentityId.DUPLICATION: _ALL_FAMILIES,
-    IdentityId.QUASI_PERIOD: _ALL_FAMILIES,
-    IdentityId.E_CONST_LEMMA: _NO_ELLIPTIC,
-    IdentityId.FACTORIZED_C: _NO_ELLIPTIC,
-}
-
-#: Identities whose statement requires equal variable counts on both sides.
-_NEEDS_SQUARE = frozenset({IdentityId.THM_AE1, IdentityId.HIGHER_A_KERNEL})
-
-
-def applicable_families(ident: IdentityId) -> tuple[FamilyKind, ...]:
-    return _APPLICABLE[ident]
-
-
-def _check_applicable(ident: IdentityId, fam: SigmaFamily) -> None:
-    if fam.kind not in _APPLICABLE[ident]:
-        raise DomainError(
-            f"identity {ident.value!r} is not stated for the {fam.kind.value} family"
-        )
 
 
 # ======================================================================
@@ -411,365 +363,281 @@ def _draw_coupling(fam: SigmaFamily, rng: random.Random, shrink: float = 1.0) ->
     return k * _period_scale(fam)
 
 
-#: Identities whose kernel is a product of O(m n) gamma-function ratios;
-#: their coupling shrinks with the grid so the kernel magnitude stays flat.
-_GAMMA_KERNEL_IDS = frozenset(
-    {
-        IdentityId.THM_AE1,
-        IdentityId.THM_AT1,
-        IdentityId.HIGHER_A_KERNEL,
-        IdentityId.THM_BCE1,
-        IdentityId.THM_BCT1,
-        IdentityId.THM_BCTD1,
-        IdentityId.THM41_1,
-    }
-)
-
-#: Identities whose kernel is an entire sigma product; they get the low
-#: step range instead.
-_PSI_KERNEL_IDS = frozenset(
-    {
-        IdentityId.THM_AE2,
-        IdentityId.THM_AT2,
-        IdentityId.THM_BCE2,
-        IdentityId.THM_BCT2,
-        IdentityId.THM_BCTD2,
-        IdentityId.THM41_2,
-    }
-)
-
-
-def _coupling_shrink(ident: IdentityId, m: int, n: int) -> float:
-    return 3.0 / max(3, m * n) if ident in _GAMMA_KERNEL_IDS else 1.0
-
-
 # ======================================================================
-# balancing conditions
+# balancing completions
 # ======================================================================
+#
+# Each completion solves one identity's balancing condition for the last
+# free parameter, in place on a copy made by solve_balancing.
 
 
-def solve_balancing(
-    ident: IdentityId,
-    fam: SigmaFamily,
-    m: int,
-    n: int,
-    free_params: Mapping[str, object],
-) -> dict:
-    """Complete free_params so the identity's balancing condition holds.
+def _balance_ae2(fam: SigmaFamily, m: int, n: int, params: dict) -> None:
+    if m == 0:
+        raise BalancingError("cannot solve m*kappa + n*delta = 0 with m = 0")
+    params["kappa"] = -n * params["delta"] / m
 
-    Identities without a constraint are returned unchanged.  Raises
-    :class:`BalancingError` when no completion exists for the given sizes.
-    """
-    params = dict(free_params)
-    if ident in _NEEDS_SQUARE:
-        if m != n:
-            raise BalancingError(
-                f"identity {ident.value!r} requires m == n, got m={m}, n={n}"
-            )
-        return params
-    if ident is IdentityId.THM_AE2:
-        if m == 0:
-            raise BalancingError("cannot solve m*kappa + n*delta = 0 with m = 0")
-        params["kappa"] = -n * params["delta"] / m
-        return params
-    if ident in (IdentityId.THM_BCE1, IdentityId.THM_BCE2):
-        mu = list(params["mu"])
-        delta = params["delta"]
-        kappa = params["kappa"]
-        if len(mu) != 2 * fam.rho:
-            raise BalancingError(f"expected {2 * fam.rho} parameters mu, got {len(mu)}")
-        if ident is IdentityId.THM_BCE1:
-            imbalance = 2 * (m - n) * kappa
-        else:
-            imbalance = 2 * m * kappa + 2 * n * delta
-        # Solve imbalance + c = 0 for the last mu, where
-        # c = sum(mu) - (rho/2)(delta + kappa) + sum(omegas).
-        mu[-1] = (
-            -imbalance
-            - sum(mu[:-1])
-            + (fam.rho / 2) * (delta + kappa)
-            - sum(fam.omegas)
-        )
-        params["mu"] = tuple(mu)
-        return params
-    if ident is IdentityId.KEY_IDENTITY_ELLIPTIC:
-        cs = list(params["cs"])
-        cs[-1] = -sum(cs[:-1])
-        params["cs"] = tuple(cs)
-        return params
-    return params
+
+def _balance_mu(fam: SigmaFamily, params: dict, imbalance: complex) -> None:
+    mu = list(params["mu"])
+    if len(mu) != 2 * fam.rho:
+        raise BalancingError(f"expected {2 * fam.rho} parameters mu, got {len(mu)}")
+    # Solve imbalance + c = 0 for the last mu, where
+    # c = sum(mu) - (rho/2)(delta + kappa) + sum(omegas).
+    mu[-1] = (
+        -imbalance
+        - sum(mu[:-1])
+        + (fam.rho / 2) * (params["delta"] + params["kappa"])
+        - sum(fam.omegas)
+    )
+    params["mu"] = tuple(mu)
+
+
+def _balance_bce1(fam: SigmaFamily, m: int, n: int, params: dict) -> None:
+    _balance_mu(fam, params, 2 * (m - n) * params["kappa"])
+
+
+def _balance_bce2(fam: SigmaFamily, m: int, n: int, params: dict) -> None:
+    _balance_mu(fam, params, 2 * m * params["kappa"] + 2 * n * params["delta"])
+
+
+def _balance_key_elliptic(fam: SigmaFamily, m: int, n: int, params: dict) -> None:
+    cs = list(params["cs"])
+    cs[-1] = -sum(cs[:-1])
+    params["cs"] = tuple(cs)
 
 
 # ======================================================================
 # parameter samplers (one record per report)
 # ======================================================================
+#
+# Every sampler takes (spec, fam, m, n, rng) and raises _Reject when a
+# guard fails.  Where a guard sits among the draws decides how much of the
+# task's random stream a rejected attempt consumes, so reordering draws or
+# moving a guard past a draw changes every later record.
 
 
-def sample_params(
-    ident: IdentityId,
-    fam: SigmaFamily,
-    m: int,
-    n: int,
-    rng: random.Random,
-    max_tries: int = 200,
-) -> dict:
-    """Draw one admissible parameter record for the identity."""
-    _check_applicable(ident, fam)
-    for _ in range(max_tries):
-        try:
-            return _params_once(ident, fam, m, n, rng)
-        except _Reject:
-            continue
-    raise RuntimeError(
-        f"no admissible parameters for {ident.value} after {max_tries} tries"
-    )
+def _no_draws(*_args) -> dict:
+    # A statement without parameters, or without a point, draws nothing.
+    return {}
 
 
-def _params_once(ident: IdentityId, fam: SigmaFamily, m: int, n: int, rng) -> dict:
-    if ident in (IdentityId.RIEMANN, IdentityId.QUASI_PERIOD, IdentityId.DUPLICATION):
-        return {}
-    if ident in (
-        IdentityId.PARTIAL_FRACTION,
-        IdentityId.KEY_IDENTITY_TRIG,
-        IdentityId.KEY_IDENTITY_ELLIPTIC,
-    ):
-        count = max(2, m + n)
-        cs = tuple(_draw(rng, 0.25, 0.1) * _period_scale(fam) for _ in range(count))
-        params = {"cs": cs}
-        if ident is IdentityId.KEY_IDENTITY_ELLIPTIC:
-            params = solve_balancing(ident, fam, m, n, params)
-        elif ident is IdentityId.PARTIAL_FRACTION:
-            _guard(fam, sum(cs))
-        for c in params["cs"]:
-            _guard(fam, c)
-        return params
-    if ident in (IdentityId.THM_AE1, IdentityId.THM_AT1, IdentityId.HIGHER_A_KERNEL):
-        params = {
-            "delta": _draw_step(fam, rng),
-            "kappa": _draw_coupling(fam, rng, _coupling_shrink(ident, m, n)),
-            "v": _draw_var(fam, rng),
-        }
-        _guard(fam, params["kappa"])
-        if ident is IdentityId.HIGHER_A_KERNEL:
-            params["r"] = None
-        if ident in _NEEDS_SQUARE:
-            params = solve_balancing(ident, fam, m, n, params)
-        return params
-    if ident in (IdentityId.THM_AE2, IdentityId.THM_AT2):
-        delta = _draw_step(fam, rng, low=True)
-        if ident is IdentityId.THM_AE2:
-            params = solve_balancing(
-                ident, fam, m, n, {"delta": delta, "v": _draw_var(fam, rng)}
-            )
-        else:
-            params = {"delta": delta, "kappa": _draw_coupling(fam, rng), "v": _draw_var(fam, rng)}
-        _guard(fam, params["kappa"], delta)
-        return params
-    if ident is IdentityId.PROP_EXP_F:
-        delta = _draw_step(fam, rng)
-        kappa = _draw_coupling(fam, rng)
-        lam = _draw_coupling(fam, rng)
-        mu = tuple(_draw(rng, 0.3, 0.12) * _period_scale(fam) for _ in range(2 * fam.rho))
-        _guard_bc_params(fam, delta, kappa)
-        _guard_bc_params(fam, kappa + lam - delta, lam)
-        return {"mu": mu, "delta": delta, "kappa": kappa, "lambda": lam}
-    if ident in (
-        IdentityId.THM_BCE1,
-        IdentityId.THM_BCE2,
-        IdentityId.THM_BCT1,
-        IdentityId.THM_BCT2,
-        IdentityId.THM_BCTD1,
-        IdentityId.THM_BCTD2,
-        IdentityId.E_CONST_LEMMA,
-    ):
-        delta = _draw_step(fam, rng, low=ident in _PSI_KERNEL_IDS)
-        kappa = _draw_coupling(fam, rng, _coupling_shrink(ident, m, n))
-        mu = tuple(_draw(rng, 0.3, 0.12) * _period_scale(fam) for _ in range(2 * fam.rho))
-        params = {"mu": mu, "delta": delta, "kappa": kappa}
-        if ident in (IdentityId.THM_BCE1, IdentityId.THM_BCE2):
-            params = solve_balancing(ident, fam, m, n, params)
-        _guard_bc_params(fam, delta, kappa)
-        if ident in (IdentityId.THM_BCE2, IdentityId.THM_BCT2, IdentityId.THM_BCTD2):
-            # The second operator runs with shift kappa coupled by delta.
-            _guard_bc_params(fam, kappa, delta)
-        if ident is IdentityId.E_CONST_LEMMA:
-            p = ParamsBC(tuple(params["mu"]), delta, kappa, fam)
-            _guard(fam, 2 * m * kappa + p.c_const)
-        return params
-    if ident in (IdentityId.THM41_1, IdentityId.THM41_2):
-        params = {
-            "mu": tuple(_draw(rng, 0.3, 0.12) * _period_scale(fam) for _ in range(4)),
-            "delta": _draw_step(fam, rng, low=ident in _PSI_KERNEL_IDS),
-            "kappa": _draw_coupling(fam, rng, _coupling_shrink(ident, m, n)),
-        }
-        _guard(fam, params["kappa"], params["delta"])
-        return params
-    if ident is IdentityId.FACTORIZED_C:
-        params = {
-            "kappa": _draw_coupling(fam, rng),
-            "lambda": _draw_coupling(fam, rng),
-            "c": _draw(rng, 0.3, 0.2) * _period_scale(fam),
-        }
-        _guard(fam, params["kappa"], params["lambda"], params["c"])
-        return params
-    raise DomainError(f"no parameter sampler for {ident!r}")
+def _params_cs(spec, fam, m, n, rng) -> dict:
+    count = max(2, m + n)
+    cs = tuple(_draw(rng, 0.25, 0.1) * _period_scale(fam) for _ in range(count))
+    params = spec.complete(fam, m, n, {"cs": cs})
+    for c in params["cs"]:
+        _guard(fam, c)
+    return params
+
+
+def _params_partial_fraction(spec, fam, m, n, rng) -> dict:
+    params = _params_cs(spec, fam, m, n, rng)
+    _guard(fam, sum(params["cs"]))
+    return params
+
+
+def _params_a(spec, fam, m, n, rng) -> dict:
+    params = {"delta": spec.draw_step(fam, rng)}
+    # A balanced statement gets its coupling from the completion instead.
+    if spec.balance is None:
+        params["kappa"] = spec.draw_coupling(fam, rng, m, n)
+    params["v"] = _draw_var(fam, rng)
+    params = spec.complete(fam, m, n, params)
+    _guard(fam, params["kappa"])
+    if spec.kernel is _Kernel.PSI:
+        _guard(fam, params["delta"])
+    return params
+
+
+def _params_higher_a(spec, fam, m, n, rng) -> dict:
+    params = _params_a(spec, fam, m, n, rng)
+    params["r"] = None
+    return params
+
+
+def _params_prop_exp_f(spec, fam, m, n, rng) -> dict:
+    delta = spec.draw_step(fam, rng)
+    kappa = spec.draw_coupling(fam, rng, m, n)
+    lam = spec.draw_coupling(fam, rng, m, n)
+    mu = tuple(_draw(rng, 0.3, 0.12) * _period_scale(fam) for _ in range(2 * fam.rho))
+    _guard_bc_params(fam, delta, kappa)
+    _guard_bc_params(fam, kappa + lam - delta, lam)
+    return {"mu": mu, "delta": delta, "kappa": kappa, "lambda": lam}
+
+
+def _params_bc(spec, fam, m, n, rng) -> dict:
+    delta = spec.draw_step(fam, rng)
+    kappa = spec.draw_coupling(fam, rng, m, n)
+    mu = tuple(_draw(rng, 0.3, 0.12) * _period_scale(fam) for _ in range(2 * fam.rho))
+    params = spec.complete(fam, m, n, {"mu": mu, "delta": delta, "kappa": kappa})
+    _guard_bc_params(fam, delta, kappa)
+    if spec.kernel is _Kernel.PSI:
+        # The second operator runs with shift kappa coupled by delta.
+        _guard_bc_params(fam, kappa, delta)
+    return params
+
+
+def _params_e_const(spec, fam, m, n, rng) -> dict:
+    params = _params_bc(spec, fam, m, n, rng)
+    p = ParamsBC(tuple(params["mu"]), params["delta"], params["kappa"], fam)
+    _guard(fam, 2 * m * params["kappa"] + p.c_const)
+    return params
+
+
+def _params_koorn(spec, fam, m, n, rng) -> dict:
+    params = {
+        "mu": tuple(_draw(rng, 0.3, 0.12) * _period_scale(fam) for _ in range(4)),
+        "delta": spec.draw_step(fam, rng),
+        "kappa": spec.draw_coupling(fam, rng, m, n),
+    }
+    _guard(fam, params["kappa"], params["delta"])
+    return params
+
+
+def _params_factorized_c(spec, fam, m, n, rng) -> dict:
+    params = {
+        "kappa": spec.draw_coupling(fam, rng, m, n),
+        "lambda": spec.draw_coupling(fam, rng, m, n),
+        "c": _draw(rng, 0.3, 0.2) * _period_scale(fam),
+    }
+    _guard(fam, params["kappa"], params["lambda"], params["c"])
+    return params
 
 
 # ======================================================================
 # point samplers (one per sample)
 # ======================================================================
+#
+# Every sampler takes (spec, fam, m, n, params, rng); the rules for the
+# parameter samplers apply.
 
 
-def sample_point(
-    ident: IdentityId,
-    fam: SigmaFamily,
-    m: int,
-    n: int,
-    params: Mapping[str, object],
-    rng: random.Random,
-    max_tries: int = 400,
-) -> dict:
-    """Draw one evaluation point clear of the identity's pole loci."""
-    for _ in range(max_tries):
-        try:
-            return _point_once(ident, fam, m, n, params, rng)
-        except _Reject:
-            continue
-    raise RuntimeError(
-        f"no admissible point for {ident.value} after {max_tries} tries"
-    )
+def _point_riemann(spec, fam, m, n, params, rng) -> dict:
+    return {
+        "x": _draw_var(fam, rng),
+        "y": _draw_var(fam, rng),
+        "u": _draw_var(fam, rng),
+        "v": _draw_var(fam, rng),
+    }
 
 
-def _point_once(ident, fam, m, n, params, rng) -> dict:
-    if ident is IdentityId.RIEMANN:
-        return {
-            "x": _draw_var(fam, rng),
-            "y": _draw_var(fam, rng),
-            "u": _draw_var(fam, rng),
-            "v": _draw_var(fam, rng),
-        }
-    if ident is IdentityId.QUASI_PERIOD:
-        return {"u": _draw_var(fam, rng)}
-    if ident is IdentityId.DUPLICATION:
-        u = _draw_var(fam, rng)
-        c = _draw_var(fam, rng)
-        _guard(fam, 2 * u)
-        for w in fam.omegas:
-            _guard(fam, u - w / 2)
-        return {"u": u, "c": c}
-    if ident in (
-        IdentityId.PARTIAL_FRACTION,
-        IdentityId.KEY_IDENTITY_ELLIPTIC,
-        IdentityId.KEY_IDENTITY_TRIG,
-    ):
-        xs = _draw_vars(fam, rng, len(params["cs"]))
-        _guard_a_coeffs(fam, xs)
-        point = {"xs": xs}
-        if ident is IdentityId.PARTIAL_FRACTION:
-            z = _draw_var(fam, rng)
-            for xj in xs:
-                _guard(fam, z - xj)
-            point["z"] = z
-        return point
-    if ident in (IdentityId.THM_AE1, IdentityId.THM_AT1, IdentityId.HIGHER_A_KERNEL):
+def _point_quasi_period(spec, fam, m, n, params, rng) -> dict:
+    return {"u": _draw_var(fam, rng)}
+
+
+def _point_duplication(spec, fam, m, n, params, rng) -> dict:
+    u = _draw_var(fam, rng)
+    c = _draw_var(fam, rng)
+    _guard(fam, 2 * u)
+    for w in fam.omegas:
+        _guard(fam, u - w / 2)
+    return {"u": u, "c": c}
+
+
+def _point_xs(spec, fam, m, n, params, rng) -> dict:
+    xs = _draw_vars(fam, rng, len(params["cs"]))
+    _guard_a_coeffs(fam, xs)
+    return {"xs": xs}
+
+
+def _point_partial_fraction(spec, fam, m, n, params, rng) -> dict:
+    point = _point_xs(spec, fam, m, n, params, rng)
+    z = _draw_var(fam, rng)
+    for xj in point["xs"]:
+        _guard(fam, z - xj)
+    point["z"] = z
+    return point
+
+
+def _point_a(spec, fam, m, n, params, rng) -> dict:
+    x = _draw_vars(fam, rng, m)
+    y = _draw_vars(fam, rng, n)
+    _guard_a_coeffs(fam, x)
+    _guard_a_coeffs(fam, y)
+    # The dual kernel is entire; only a gamma kernel has a pole ladder.
+    if spec.kernel is _Kernel.GAMMA:
         delta, kappa, v = params["delta"], params["kappa"], params["v"]
-        x = _draw_vars(fam, rng, m)
-        y = _draw_vars(fam, rng, n)
-        _guard_a_coeffs(fam, x)
-        _guard_a_coeffs(fam, y)
         bases = [xj + yl + v for xj in x for yl in y]
         bases += [b - kappa for b in bases]
         _guard_gamma_ladder(fam, delta, *bases)
-        return {"x": x, "y": y}
-    if ident in (IdentityId.THM_AE2, IdentityId.THM_AT2):
-        x = _draw_vars(fam, rng, m)
-        y = _draw_vars(fam, rng, n)
-        _guard_a_coeffs(fam, x)
-        _guard_a_coeffs(fam, y)
-        # The dual kernel is entire; only coefficient denominators matter.
-        return {"x": x, "y": y}
-    if ident is IdentityId.PROP_EXP_F:
-        mu = params["mu"]
-        delta, kappa, lam = params["delta"], params["kappa"], params["lambda"]
-        v = (delta - lam) / 2
-        tau = kappa + lam - delta
-        x = _draw_vars(fam, rng, m)
-        y = _draw_vars(fam, rng, n)
-        z = _draw_var(fam, rng)
-        _guard_bc_coeffs(fam, delta, x)
-        _guard_bc_coeffs(fam, tau, y)
-        for xj in x:
-            _guard(fam, z - xj, z + xj)
+    return {"x": x, "y": y}
+
+
+def _point_prop_exp_f(spec, fam, m, n, params, rng) -> dict:
+    mu = params["mu"]
+    delta, kappa, lam = params["delta"], params["kappa"], params["lambda"]
+    v = (delta - lam) / 2
+    tau = kappa + lam - delta
+    x = _draw_vars(fam, rng, m)
+    y = _draw_vars(fam, rng, n)
+    z = _draw_var(fam, rng)
+    _guard_bc_coeffs(fam, delta, x)
+    _guard_bc_coeffs(fam, tau, y)
+    for xj in x:
+        _guard(fam, z - xj, z + xj)
+    for yl in y:
+        _guard(fam, z - yl + v, z + yl + v)
+    for w in fam.omegas:
+        _guard(fam, z + (delta - w) / 2, z + (kappa - w) / 2)
+    for xj in x:
         for yl in y:
-            _guard(fam, z - yl + v, z + yl + v)
-        for w in fam.omegas:
-            _guard(fam, z + (delta - w) / 2, z + (kappa - w) / 2)
-        for xj in x:
-            for yl in y:
-                for e1 in (1, -1):
-                    for e2 in (1, -1):
-                        _guard(fam, e1 * xj + e2 * yl + v)
-        c = 2 * m * kappa + 2 * n * lam + ParamsBC(tuple(mu), delta, kappa, fam).c_const
-        _guard(fam, c)
-        return {"x": x, "y": y, "z": z}
-    if ident in (
-        IdentityId.THM_BCE1,
-        IdentityId.THM_BCE2,
-        IdentityId.THM_BCT1,
-        IdentityId.THM_BCT2,
-        IdentityId.THM_BCTD1,
-        IdentityId.THM_BCTD2,
-    ):
-        delta, kappa = params["delta"], params["kappa"]
-        x = _draw_vars(fam, rng, m)
-        y = _draw_vars(fam, rng, n)
-        _guard_bc_coeffs(fam, delta, x)
-        if ident in (IdentityId.THM_BCE2, IdentityId.THM_BCT2, IdentityId.THM_BCTD2):
-            _guard_bc_coeffs(fam, kappa, y)
-            return {"x": x, "y": y}
+            for e1 in (1, -1):
+                for e2 in (1, -1):
+                    _guard(fam, e1 * xj + e2 * yl + v)
+    c = 2 * m * kappa + 2 * n * lam + ParamsBC(tuple(mu), delta, kappa, fam).c_const
+    _guard(fam, c)
+    return {"x": x, "y": y, "z": z}
+
+
+def _guard_bc_ladder(fam: SigmaFamily, delta: complex, kappa: complex, x, y) -> None:
+    """Gamma ladders of the hyperoctahedral kernel phi(x, y)."""
+    bases = [
+        e1 * xj + e2 * yl + (delta + e3 * kappa) / 2
+        for xj in x
+        for yl in y
+        for e1 in (1, -1)
+        for e2 in (1, -1)
+        for e3 in (1, -1)
+    ]
+    _guard_gamma_ladder(fam, delta, *bases)
+
+
+def _point_bc(spec, fam, m, n, params, rng) -> dict:
+    delta, kappa = params["delta"], params["kappa"]
+    x = _draw_vars(fam, rng, m)
+    y = _draw_vars(fam, rng, n)
+    _guard_bc_coeffs(fam, delta, x)
+    if spec.kernel is _Kernel.PSI:
+        _guard_bc_coeffs(fam, kappa, y)
+    else:
         _guard_bc_coeffs(fam, delta, y)
-        bases = [
-            e1 * xj + e2 * yl + (delta + e3 * kappa) / 2
-            for xj in x
-            for yl in y
-            for e1 in (1, -1)
-            for e2 in (1, -1)
-            for e3 in (1, -1)
-        ]
-        _guard_gamma_ladder(fam, delta, *bases)
-        return {"x": x, "y": y}
-    if ident in (IdentityId.THM41_1, IdentityId.THM41_2):
-        delta, kappa = params["delta"], params["kappa"]
-        # Tighter box: the multiplicative kernels are high-degree products
-        # in e(x_j), and modest arguments keep their magnitude near unity.
-        x = tuple(_draw(rng, 0.12, 0.05) * fam.omega1 for _ in range(m))
-        y = tuple(_draw(rng, 0.12, 0.05) * fam.omega1 for _ in range(n))
-        y_step = kappa if ident is IdentityId.THM41_2 else delta
-        for xs, step in ((x, delta), (y, y_step)):
-            for i in range(len(xs)):
-                for j in range(i + 1, len(xs)):
-                    _guard(fam, xs[i] - xs[j], xs[i] + xs[j], margin=_SEPARATION_MARGIN)
-            for xi in xs:
-                _guard(fam, 2 * xi, 2 * xi + step, margin=_SEPARATION_MARGIN)
-        if ident is IdentityId.THM41_1:
-            bases = [
-                e1 * xj + e2 * yl + (delta + e3 * kappa) / 2
-                for xj in x
-                for yl in y
-                for e1 in (1, -1)
-                for e2 in (1, -1)
-                for e3 in (1, -1)
-            ]
-            _guard_gamma_ladder(fam, delta, *bases)
-        return {"x": x, "y": y}
-    if ident is IdentityId.E_CONST_LEMMA:
-        x = _draw_vars(fam, rng, m)
-        _guard_bc_coeffs(fam, params["delta"], x)
-        return {"x": x}
-    if ident is IdentityId.FACTORIZED_C:
-        # The statement involves only the parameters; nothing to draw.
-        return {}
-    raise DomainError(f"no point sampler for {ident!r}")
+        _guard_bc_ladder(fam, delta, kappa, x, y)
+    return {"x": x, "y": y}
+
+
+def _point_koorn(spec, fam, m, n, params, rng) -> dict:
+    delta, kappa = params["delta"], params["kappa"]
+    # Tighter box: the multiplicative kernels are high-degree products
+    # in e(x_j), and modest arguments keep their magnitude near unity.
+    x = tuple(_draw(rng, 0.12, 0.05) * fam.omega1 for _ in range(m))
+    y = tuple(_draw(rng, 0.12, 0.05) * fam.omega1 for _ in range(n))
+    psi = spec.kernel is _Kernel.PSI
+    y_step = kappa if psi else delta
+    for xs, step in ((x, delta), (y, y_step)):
+        for i in range(len(xs)):
+            for j in range(i + 1, len(xs)):
+                _guard(fam, xs[i] - xs[j], xs[i] + xs[j], margin=_SEPARATION_MARGIN)
+        for xi in xs:
+            _guard(fam, 2 * xi, 2 * xi + step, margin=_SEPARATION_MARGIN)
+    if not psi:
+        _guard_bc_ladder(fam, delta, kappa, x, y)
+    return {"x": x, "y": y}
+
+
+def _point_e_const(spec, fam, m, n, params, rng) -> dict:
+    x = _draw_vars(fam, rng, m)
+    _guard_bc_coeffs(fam, params["delta"], x)
+    return {"x": x}
 
 
 # ======================================================================
@@ -847,7 +715,7 @@ def _phi_a_spec(pa: ParamsA, m: int, n: int, v: complex) -> KernelSpec:
     return KernelSpec(KernelKind.PHI_A, m=m, n=n, v=v, params=pa)
 
 
-def _res_thm_a_phi(fam, m, n, params, pt, factorized: bool):
+def _res_thm_a_phi(fam, m, n, params, pt, factorized=False):
     delta, kappa, v = params["delta"], params["kappa"], params["v"]
     pa = ParamsA(delta, kappa, fam)
     spec = _phi_a_spec(pa, m, n, v)
@@ -861,15 +729,7 @@ def _res_thm_a_phi(fam, m, n, params, pt, factorized: bool):
     return abs(lhs - rhs)
 
 
-def _res_thm_ae1(fam, m, n, params, pt):
-    return _res_thm_a_phi(fam, m, n, params, pt, factorized=False)
-
-
-def _res_thm_at1(fam, m, n, params, pt):
-    return _res_thm_a_phi(fam, m, n, params, pt, factorized=True)
-
-
-def _res_thm_a_psi(fam, m, n, params, pt, factorized: bool):
+def _res_thm_a_psi(fam, m, n, params, pt, factorized=False):
     delta, kappa, v = params["delta"], params["kappa"], params["v"]
     pa_x = ParamsA(delta, kappa, fam)
     pa_y = ParamsA(kappa, delta, fam)
@@ -882,14 +742,6 @@ def _res_thm_a_psi(fam, m, n, params, pt, factorized: bool):
     )
     rhs = sigma_eval(fam, m * kappa + n * delta) * psi_A(x, y, v, fam) if factorized else 0j
     return abs(lhs - rhs)
-
-
-def _res_thm_ae2(fam, m, n, params, pt):
-    return _res_thm_a_psi(fam, m, n, params, pt, factorized=False)
-
-
-def _res_thm_at2(fam, m, n, params, pt):
-    return _res_thm_a_psi(fam, m, n, params, pt, factorized=True)
 
 
 def _res_higher_a(fam, m, n, params, pt):
@@ -906,7 +758,7 @@ def _res_higher_a(fam, m, n, params, pt):
     return worst
 
 
-def _res_thm_bc_phi(fam, m, n, params, pt, factorized: bool, difference: bool):
+def _res_thm_bc_phi(fam, m, n, params, pt, factorized=False, difference=False):
     mu, delta, kappa = params["mu"], params["delta"], params["kappa"]
     work = _pinned(fam) if factorized else fam
     p_x = ParamsBC(tuple(mu), delta, kappa, work)
@@ -935,19 +787,7 @@ def _res_thm_bc_phi(fam, m, n, params, pt, factorized: bool, difference: bool):
     return abs(lhs - rhs)
 
 
-def _res_thm_bce1(fam, m, n, params, pt):
-    return _res_thm_bc_phi(fam, m, n, params, pt, factorized=False, difference=False)
-
-
-def _res_thm_bct1(fam, m, n, params, pt):
-    return _res_thm_bc_phi(fam, m, n, params, pt, factorized=True, difference=False)
-
-
-def _res_thm_bctd1(fam, m, n, params, pt):
-    return _res_thm_bc_phi(fam, m, n, params, pt, factorized=True, difference=True)
-
-
-def _res_thm_bc_psi(fam, m, n, params, pt, factorized: bool, difference: bool):
+def _res_thm_bc_psi(fam, m, n, params, pt, factorized=False, difference=False):
     mu, delta, kappa = params["mu"], params["delta"], params["kappa"]
     work = _pinned(fam) if factorized else fam
     p_x = ParamsBC(tuple(mu), delta, kappa, work)
@@ -973,18 +813,6 @@ def _res_thm_bc_psi(fam, m, n, params, pt, factorized: bool, difference: bool):
     else:
         rhs = 0j
     return abs(lhs - rhs)
-
-
-def _res_thm_bce2(fam, m, n, params, pt):
-    return _res_thm_bc_psi(fam, m, n, params, pt, factorized=False, difference=False)
-
-
-def _res_thm_bct2(fam, m, n, params, pt):
-    return _res_thm_bc_psi(fam, m, n, params, pt, factorized=True, difference=False)
-
-
-def _res_thm_bctd2(fam, m, n, params, pt):
-    return _res_thm_bc_psi(fam, m, n, params, pt, factorized=True, difference=True)
 
 
 def _res_prop_exp_f(fam, m, n, params, pt):
@@ -1218,30 +1046,219 @@ def _res_thm41_2(fam, m, n, params, pt):
     return abs(lhs - rhs)
 
 
-_EVALUATORS: dict[IdentityId, Callable] = {
-    IdentityId.RIEMANN: _res_riemann,
-    IdentityId.PARTIAL_FRACTION: _res_partial_fraction,
-    IdentityId.KEY_IDENTITY_ELLIPTIC: _res_key_elliptic,
-    IdentityId.KEY_IDENTITY_TRIG: _res_key_trig,
-    IdentityId.THM_AE1: _res_thm_ae1,
-    IdentityId.THM_AE2: _res_thm_ae2,
-    IdentityId.THM_AT1: _res_thm_at1,
-    IdentityId.THM_AT2: _res_thm_at2,
-    IdentityId.PROP_EXP_F: _res_prop_exp_f,
-    IdentityId.THM_BCE1: _res_thm_bce1,
-    IdentityId.THM_BCE2: _res_thm_bce2,
-    IdentityId.THM_BCT1: _res_thm_bct1,
-    IdentityId.THM_BCT2: _res_thm_bct2,
-    IdentityId.THM_BCTD1: _res_thm_bctd1,
-    IdentityId.THM_BCTD2: _res_thm_bctd2,
-    IdentityId.THM41_1: _res_thm41_1,
-    IdentityId.THM41_2: _res_thm41_2,
-    IdentityId.HIGHER_A_KERNEL: _res_higher_a,
-    IdentityId.DUPLICATION: _res_duplication,
-    IdentityId.QUASI_PERIOD: _res_quasi_period,
-    IdentityId.E_CONST_LEMMA: _res_e_const_lemma,
-    IdentityId.FACTORIZED_C: _res_factorized_c,
+# ======================================================================
+# identity table
+# ======================================================================
+
+
+class _Kernel(Enum):
+    """How an identity's kernel shapes its step and coupling draws."""
+
+    #: A product of O(m n) gamma-function ratios: the coupling shrinks with
+    #: the grid so the kernel magnitude stays flat, and the points keep
+    #: clear of the gamma ladders.
+    GAMMA = "gamma"
+    #: An entire sigma product: the step comes from the low range.  These
+    #: statements pair the operator with its step-swapped partner.
+    PSI = "psi"
+
+
+@dataclass(frozen=True)
+class _IdentitySpec:
+    """Everything the harness knows about one identity."""
+
+    families: tuple[FamilyKind, ...]
+    params: Callable[..., dict]
+    point: Callable[..., dict]
+    residual: Callable[..., float]
+    #: The statement requires equal variable counts on both sides.
+    square: bool = False
+    kernel: _Kernel | None = None
+    balance: Callable[[SigmaFamily, int, int, dict], None] | None = None
+
+    def draw_step(self, fam: SigmaFamily, rng: random.Random) -> complex:
+        return _draw_step(fam, rng, low=self.kernel is _Kernel.PSI)
+
+    def draw_coupling(self, fam: SigmaFamily, rng: random.Random, m: int, n: int) -> complex:
+        shrink = 3.0 / max(3, m * n) if self.kernel is _Kernel.GAMMA else 1.0
+        return _draw_coupling(fam, rng, shrink)
+
+    def complete(self, fam: SigmaFamily, m: int, n: int, params: dict) -> dict:
+        if self.balance is not None:
+            self.balance(fam, m, n, params)
+        return params
+
+
+_GAMMA, _PSI = _Kernel.GAMMA, _Kernel.PSI
+_ALL_FAMILIES = (FamilyKind.RATIONAL, FamilyKind.TRIGONOMETRIC, FamilyKind.ELLIPTIC)
+_NO_ELLIPTIC = (FamilyKind.RATIONAL, FamilyKind.TRIGONOMETRIC)
+_TRIG_ONLY = (FamilyKind.TRIGONOMETRIC,)
+
+# The balanced statements hold for any sigma satisfying the Riemann relation,
+# so they are checked in all three families; the factorized right-hand sides
+# are stated only where sigma degenerates (trig and rational), and the
+# multiplicative Koornwinder forms only make sense trigonometrically.
+# Adding an identity takes an IdentityId member, its samplers and evaluator,
+# and one row here: families, parameter sampler, point sampler, residual.
+_SPECS: dict[IdentityId, _IdentitySpec] = {
+    IdentityId.RIEMANN: _IdentitySpec(
+        _ALL_FAMILIES, _no_draws, _point_riemann, _res_riemann
+    ),
+    IdentityId.PARTIAL_FRACTION: _IdentitySpec(
+        _ALL_FAMILIES, _params_partial_fraction, _point_partial_fraction,
+        _res_partial_fraction,
+    ),
+    IdentityId.KEY_IDENTITY_ELLIPTIC: _IdentitySpec(
+        _ALL_FAMILIES, _params_cs, _point_xs, _res_key_elliptic,
+        balance=_balance_key_elliptic,
+    ),
+    IdentityId.KEY_IDENTITY_TRIG: _IdentitySpec(
+        _NO_ELLIPTIC, _params_cs, _point_xs, _res_key_trig
+    ),
+    IdentityId.THM_AE1: _IdentitySpec(
+        _ALL_FAMILIES, _params_a, _point_a, _res_thm_a_phi, square=True, kernel=_GAMMA
+    ),
+    IdentityId.THM_AE2: _IdentitySpec(
+        _ALL_FAMILIES, _params_a, _point_a, _res_thm_a_psi,
+        kernel=_PSI, balance=_balance_ae2,
+    ),
+    IdentityId.THM_AT1: _IdentitySpec(
+        _NO_ELLIPTIC, _params_a, _point_a, partial(_res_thm_a_phi, factorized=True),
+        kernel=_GAMMA,
+    ),
+    IdentityId.THM_AT2: _IdentitySpec(
+        _NO_ELLIPTIC, _params_a, _point_a, partial(_res_thm_a_psi, factorized=True),
+        kernel=_PSI,
+    ),
+    IdentityId.PROP_EXP_F: _IdentitySpec(
+        _ALL_FAMILIES, _params_prop_exp_f, _point_prop_exp_f, _res_prop_exp_f
+    ),
+    IdentityId.THM_BCE1: _IdentitySpec(
+        _ALL_FAMILIES, _params_bc, _point_bc, _res_thm_bc_phi,
+        kernel=_GAMMA, balance=_balance_bce1,
+    ),
+    IdentityId.THM_BCE2: _IdentitySpec(
+        _ALL_FAMILIES, _params_bc, _point_bc, _res_thm_bc_psi,
+        kernel=_PSI, balance=_balance_bce2,
+    ),
+    IdentityId.THM_BCT1: _IdentitySpec(
+        _NO_ELLIPTIC, _params_bc, _point_bc, partial(_res_thm_bc_phi, factorized=True),
+        kernel=_GAMMA,
+    ),
+    IdentityId.THM_BCT2: _IdentitySpec(
+        _NO_ELLIPTIC, _params_bc, _point_bc, partial(_res_thm_bc_psi, factorized=True),
+        kernel=_PSI,
+    ),
+    IdentityId.THM_BCTD1: _IdentitySpec(
+        _NO_ELLIPTIC, _params_bc, _point_bc,
+        partial(_res_thm_bc_phi, factorized=True, difference=True), kernel=_GAMMA,
+    ),
+    IdentityId.THM_BCTD2: _IdentitySpec(
+        _NO_ELLIPTIC, _params_bc, _point_bc,
+        partial(_res_thm_bc_psi, factorized=True, difference=True), kernel=_PSI,
+    ),
+    IdentityId.THM41_1: _IdentitySpec(
+        _TRIG_ONLY, _params_koorn, _point_koorn, _res_thm41_1, kernel=_GAMMA
+    ),
+    IdentityId.THM41_2: _IdentitySpec(
+        _TRIG_ONLY, _params_koorn, _point_koorn, _res_thm41_2, kernel=_PSI
+    ),
+    IdentityId.HIGHER_A_KERNEL: _IdentitySpec(
+        _ALL_FAMILIES, _params_higher_a, _point_a, _res_higher_a,
+        square=True, kernel=_GAMMA,
+    ),
+    IdentityId.DUPLICATION: _IdentitySpec(
+        _ALL_FAMILIES, _no_draws, _point_duplication, _res_duplication
+    ),
+    IdentityId.QUASI_PERIOD: _IdentitySpec(
+        _ALL_FAMILIES, _no_draws, _point_quasi_period, _res_quasi_period
+    ),
+    IdentityId.E_CONST_LEMMA: _IdentitySpec(
+        _NO_ELLIPTIC, _params_e_const, _point_e_const, _res_e_const_lemma
+    ),
+    IdentityId.FACTORIZED_C: _IdentitySpec(
+        _NO_ELLIPTIC, _params_factorized_c, _no_draws, _res_factorized_c
+    ),
 }
+
+
+def applicable_families(ident: IdentityId) -> tuple[FamilyKind, ...]:
+    return _SPECS[ident].families
+
+
+def _check_applicable(ident: IdentityId, fam: SigmaFamily) -> _IdentitySpec:
+    spec = _SPECS[ident]
+    if fam.kind not in spec.families:
+        raise DomainError(
+            f"identity {ident.value!r} is not stated for the {fam.kind.value} family"
+        )
+    return spec
+
+
+def _check_square(ident: IdentityId, spec: _IdentitySpec, m: int, n: int) -> None:
+    if spec.square and m != n:
+        raise BalancingError(
+            f"identity {ident.value!r} requires m == n, got m={m}, n={n}"
+        )
+
+
+def solve_balancing(
+    ident: IdentityId,
+    fam: SigmaFamily,
+    m: int,
+    n: int,
+    free_params: Mapping[str, object],
+) -> dict:
+    """Complete free_params so the identity's balancing condition holds.
+
+    Identities without a constraint are returned unchanged.  Raises
+    :class:`BalancingError` when no completion exists for the given sizes.
+    """
+    spec = _SPECS[ident]
+    _check_square(ident, spec, m, n)
+    return spec.complete(fam, m, n, dict(free_params))
+
+
+def sample_params(
+    ident: IdentityId,
+    fam: SigmaFamily,
+    m: int,
+    n: int,
+    rng: random.Random,
+    max_tries: int = 200,
+) -> dict:
+    """Draw one admissible parameter record for the identity."""
+    spec = _check_applicable(ident, fam)
+    _check_square(ident, spec, m, n)
+    for _ in range(max_tries):
+        try:
+            return spec.params(spec, fam, m, n, rng)
+        except _Reject:
+            continue
+    raise RuntimeError(
+        f"no admissible parameters for {ident.value} after {max_tries} tries"
+    )
+
+
+def sample_point(
+    ident: IdentityId,
+    fam: SigmaFamily,
+    m: int,
+    n: int,
+    params: Mapping[str, object],
+    rng: random.Random,
+    max_tries: int = 400,
+) -> dict:
+    """Draw one evaluation point clear of the identity's pole loci."""
+    spec = _SPECS[ident]
+    for _ in range(max_tries):
+        try:
+            return spec.point(spec, fam, m, n, params, rng)
+        except _Reject:
+            continue
+    raise RuntimeError(
+        f"no admissible point for {ident.value} after {max_tries} tries"
+    )
 
 
 def residual(
@@ -1253,20 +1270,12 @@ def residual(
     point: Mapping[str, object],
 ) -> float:
     """Absolute residual of the identity at one parameter record and point."""
-    _check_applicable(ident, fam)
-    return _EVALUATORS[ident](fam, m, n, params, point)
+    return _check_applicable(ident, fam).residual(fam, m, n, params, point)
 
 
 # ======================================================================
 # suite runner
 # ======================================================================
-
-
-def _thread_count() -> int:
-    env = os.environ.get("KERNEL_VERIFY_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(8, os.cpu_count() or 1)
 
 
 def _task_rng(seed: int, ident: IdentityId, fam: SigmaFamily, m: int, n: int) -> random.Random:
@@ -1280,6 +1289,24 @@ def _default_grid(fam: SigmaFamily) -> list[tuple[int, int]]:
     return [(m, n) for m in (1, 2, 3) for n in (1, 2, 3)]
 
 
+def _point_residual(seed, ident, fam, m, n, params, point, idx) -> float:
+    try:
+        return residual(ident, fam, m, n, params, point)
+    except PoleError:
+        pass
+    # A guard can miss a configuration that an operator shift lands near a
+    # pole anyway.  Such a point is redrawn from a stream of its own, keyed
+    # by its index, so the task's stream and every other point are unchanged.
+    retry = random.Random(f"{seed}|retry|{ident.value}|{fam.kind.value}|{m}|{n}|{idx}")
+    for _ in range(60):
+        try:
+            point = sample_point(ident, fam, m, n, params, retry)
+            return residual(ident, fam, m, n, params, point)
+        except PoleError:
+            continue
+    raise RuntimeError(f"persistent pole encounters for {ident.value} at m={m}, n={n}")
+
+
 def run_suite(
     ids: Sequence[IdentityId | str] | None = None,
     fam: SigmaFamily | None = None,
@@ -1290,85 +1317,48 @@ def run_suite(
 ) -> list[Report]:
     """Check identities over a size grid and return one report per task.
 
-    Deterministic for a fixed seed: parameters and points come from
-    per-task streams keyed by (seed, id, family, m, n), and reports come
-    back sorted by (id, m, n) regardless of thread scheduling.  Residual
-    exceedances are returned as data; compare against ``tol`` (or the
-    family tolerance) with :func:`first_failure`.
+    Runs serially and is deterministic for a fixed seed: parameters and
+    points come from per-task streams keyed by (seed, id, family, m, n), a
+    point that hits a pole is redrawn from a stream keyed by its index as
+    well, and reports come back sorted by (id, m, n).  Residual exceedances
+    are returned as data; compare against ``tol`` (or the family tolerance)
+    with :func:`first_failure`.
     """
     if tol is not None and not tol > 0:
         raise ValueError("tol must be positive")
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
     if fam is None:
         fam = SigmaFamily.trigonometric()
     wanted = list(IdentityId) if ids is None else [IdentityId(i) for i in ids]
-    wanted = [i for i in wanted if fam.kind in _APPLICABLE[i]]
     grid = list(size_grid) if size_grid is not None else _default_grid(fam)
 
-    tasks = []
+    reports = []
     for ident in wanted:
+        spec = _SPECS[ident]
+        if fam.kind not in spec.families:
+            continue
         for m, n in grid:
-            if ident in _NEEDS_SQUARE and m != n:
+            if spec.square and m != n:
                 continue
             rng = _task_rng(seed, ident, fam, m, n)
             params = sample_params(ident, fam, m, n, rng)
-            points = [sample_point(ident, fam, m, n, params, rng) for _ in range(samples)]
-            tasks.append((ident, m, n, params, points))
-
-    jobs = [
-        (ident, m, n, params, idx, point)
-        for ident, m, n, params, points in tasks
-        for idx, point in enumerate(points)
-    ]
-
-    def eval_point(job):
-        ident, m, n, params, idx, point = job
-        try:
-            return residual(ident, fam, m, n, params, point)
-        except PoleError:
-            return None
-
-    with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
-        results = list(pool.map(eval_point, jobs))
-
-    # A guard can miss a configuration that an operator shift lands near a
-    # pole anyway; those points are redrawn from a dedicated deterministic
-    # stream so the final report does not depend on thread scheduling.
-    for pos, value in enumerate(results):
-        if value is not None:
-            continue
-        ident, m, n, params, idx, _ = jobs[pos]
-        retry = random.Random(
-            f"{seed}|retry|{ident.value}|{fam.kind.value}|{m}|{n}|{idx}"
-        )
-        for _ in range(60):
-            try:
-                point = sample_point(ident, fam, m, n, params, retry)
-                results[pos] = residual(ident, fam, m, n, params, point)
-                break
-            except PoleError:
-                continue
-        else:
-            raise RuntimeError(
-                f"persistent pole encounters for {ident.value} at m={m}, n={n}"
+            worst = 0.0
+            for idx in range(samples):
+                point = sample_point(ident, fam, m, n, params, rng)
+                value = _point_residual(seed, ident, fam, m, n, params, point, idx)
+                worst = max(worst, value)
+            reports.append(
+                Report(
+                    id=ident,
+                    family=fam.kind,
+                    m=m,
+                    n=n,
+                    seed=seed,
+                    samples=samples,
+                    max_residual=worst,
+                    params_used=dict(params),
+                )
             )
-
-    worst: dict[tuple, float] = {}
-    for (ident, m, n, params, idx, point), value in zip(jobs, results):
-        key = (ident, m, n)
-        worst[key] = max(worst.get(key, 0.0), value)
-
-    reports = [
-        Report(
-            id=ident,
-            family=fam.kind,
-            m=m,
-            n=n,
-            seed=seed,
-            samples=samples,
-            max_residual=worst[(ident, m, n)],
-            params_used=dict(params),
-        )
-        for ident, m, n, params, points in tasks
-    ]
     reports.sort(key=lambda r: (r.id.value, r.m, r.n))
     return reports

@@ -178,11 +178,13 @@ def test_verify_deterministic_output(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
-def test_verify_thread_cap_comes_from_environment(monkeypatch):
-    from diffkern.verify import _thread_count
-
-    monkeypatch.setenv("KERNEL_VERIFY_THREADS", "2")
-    assert _thread_count() == 2
+def test_verify_rejects_threads_key(capsys, tmp_path):
+    # verify runs serially; a config that still sets the removed thread
+    # count is a usage error, not silently ignored
+    path = write_json(tmp_path, "threads.json", {"threads": 2})
+    code = main(["verify", "--ids", "riemann", "--params-file", path])
+    assert code == 2
+    assert "'threads'" in capsys.readouterr().err
 
 
 # ======================================================================

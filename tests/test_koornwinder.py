@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+import diffkern.koornwinder as kw
 from diffkern.koornwinder import (
     CollisionError,
     DegenerateParameterError,
     InterpKind,
+    TriangularSolveError,
     askey_wilson_p,
     cauchy_check_macdonald,
     cauchy_series,
@@ -186,6 +188,16 @@ def test_eigen_equation_at_alternate_parameters():
     P = koornwinder_poly((2, 1), EP_ALT, 2)
     d = eigenvalue_d((2, 1), EP_ALT, 2)
     assert apply_koorn_mult(EP_ALT, P, 2) == P * d
+
+
+def test_wrong_diagonal_raises_typed_error(monkeypatch):
+    # the guard must survive python -O, so it cannot be an assert
+    real = kw.eigenvalue_d
+    monkeypatch.setattr(kw, "eigenvalue_d", lambda lam, ep, m: real(lam, ep, m) + 1)
+    # parameters used nowhere else, so no cached column or polynomial is hit
+    fresh = EP_ALT.replace(sa=Fraction(11, 13))
+    with pytest.raises(TriangularSolveError, match="diagonal"):
+        koornwinder_poly((2, 1), fresh, 2)
 
 
 def test_one_variable_P1_is_askey_wilson():

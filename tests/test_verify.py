@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import diffkern.verify as verify
 from diffkern.operators import ParamsBC
 from diffkern.sigma import DomainError, FamilyKind, PoleError, SigmaFamily
 from diffkern.verify import (
@@ -326,14 +327,33 @@ def test_suite_filters_inapplicable_and_nonsquare():
     assert [(r.m, r.n) for r in reports] == [(2, 2)]
 
 
-def test_suite_deterministic_json(monkeypatch):
+def test_suite_deterministic_json():
     kwargs = dict(ids=SUBSET[:3], fam=SigmaFamily.trigonometric(), samples=4, seed=99)
     first = reports_to_json(run_suite(**kwargs))
     second = reports_to_json(run_suite(**kwargs))
     assert first == second
-    monkeypatch.setenv("KERNEL_VERIFY_THREADS", "1")
-    third = reports_to_json(run_suite(**kwargs))
-    assert first == third
+
+
+def test_suite_redraws_a_pole_point_from_its_retry_stream(monkeypatch):
+    ident, fam = IdentityId.RIEMANN, SigmaFamily.trigonometric()
+    real = verify.residual
+    seen = []
+
+    def pole_on_second_call(*args):
+        seen.append(args[5])
+        if len(seen) == 2:
+            raise PoleError("forced pole", where="test")
+        return real(*args)
+
+    monkeypatch.setattr(verify, "residual", pole_on_second_call)
+    run_suite(ids=[ident], fam=fam, size_grid=[(1, 1)], samples=3, seed=7)
+
+    rng = task_rng(7, ident, fam, 1, 1)
+    params = sample_params(ident, fam, 1, 1, rng)
+    points = [sample_point(ident, fam, 1, 1, params, rng) for _ in range(3)]
+    retry = random.Random(f"7|retry|{ident.value}|{fam.kind.value}|1|1|1")
+    redrawn = sample_point(ident, fam, 1, 1, params, retry)
+    assert seen == [points[0], points[1], redrawn, points[2]]
 
 
 #: sha256 of reports_to_json(run_suite(None, fam, samples=2, seed=20261018))
@@ -356,6 +376,12 @@ def test_suite_reports_match_golden_digest(families, name):
 def test_suite_rejects_nonpositive_tolerance():
     with pytest.raises(ValueError):
         run_suite(ids=[IdentityId.RIEMANN], samples=1, tol=0.0)
+
+
+def test_suite_rejects_zero_samples():
+    # with no points there is no residual to report
+    with pytest.raises(ValueError):
+        run_suite(ids=[IdentityId.RIEMANN], samples=0)
 
 
 def test_report_json_shape():
