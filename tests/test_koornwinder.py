@@ -1,5 +1,6 @@
 """Tests for exact Koornwinder and Macdonald polynomials."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -44,6 +45,7 @@ from diffkern.laurent import (
     is_W_invariant,
     orbit_sum,
     partitions_in_box,
+    poly_dumps,
     sym_orbit_sum,
 )
 from diffkern.operators import apply_koorn_mult, apply_macdonald_mult
@@ -556,3 +558,31 @@ def test_koornwinder_json_is_deterministic():
     one = json.dumps(koornwinder_json((2,), EP, 2), sort_keys=True)
     two = json.dumps(koornwinder_json((2,), EP, 2), sort_keys=True)
     assert one == two
+
+
+# ======================================================================
+# golden exact corpus
+# ======================================================================
+
+# sha256 over "<parts> <poly_dumps(P_lam)>\n" for every lam in
+# partitions_in_box(m, 3), in that order.  Any change to an exact
+# coefficient or to the JSON text of a polynomial in the 3 x 3 box shows
+# up here.
+GOLDEN_BOX_DIGESTS = {
+    ("EP", 1): "2657c587df6c6b74a2493f2357bae20d41832f465b16339c79572f932d541c88",
+    ("EP", 2): "535a5f1d81d4d813cb07b80bd1b77ab6c7c36fa734a23dd3f08fa820237a47f0",
+    ("EP", 3): "e4e3bdea04f6354331b6e3688db5eaf90e317ebde5ec11a60a16c620d08bdfcf",
+    ("EP_ALT", 1): "5dc78e222b9a23ea660c3d96df8b3835b01afce792aea7bd4615cf44c31eb321",
+    ("EP_ALT", 2): "13a5773c0c40a35d016969d894d780d9bf86a647a541e562451a39e155226a1e",
+    ("EP_ALT", 3): "40cfdc3c7702db4f4286adee33661f9a2873eb86353fe43d5bd8b34de24df12b",
+}
+
+
+@pytest.mark.parametrize("name,m", sorted(GOLDEN_BOX_DIGESTS))
+def test_box_polynomials_match_golden_digest(name, m):
+    ep = {"EP": EP, "EP_ALT": EP_ALT}[name]
+    digest = hashlib.sha256()
+    for lam in partitions_in_box(m, 3):
+        text = poly_dumps(koornwinder_poly(lam, ep, m))
+        digest.update(f"{list(lam.parts)} {text}\n".encode())
+    assert digest.hexdigest() == GOLDEN_BOX_DIGESTS[name, m]

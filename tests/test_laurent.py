@@ -45,9 +45,17 @@ small_fraction = st.builds(
 )
 
 
-def polys(m: int = 2, max_terms: int = 4):
+# numerators and denominators far past machine words
+wide_fraction = st.builds(
+    Fraction,
+    st.integers(min_value=-(10**30), max_value=10**30),
+    st.integers(min_value=1, max_value=10**20),
+)
+
+
+def polys(m: int = 2, max_terms: int = 4, coeffs=small_fraction):
     exps = st.tuples(*([st.integers(min_value=-4, max_value=4)] * m))
-    return st.dictionaries(exps, small_fraction, max_size=max_terms).map(
+    return st.dictionaries(exps, coeffs, max_size=max_terms).map(
         lambda d: LaurentPoly(m, d)
     )
 
@@ -154,6 +162,17 @@ def test_division_recovers_factor(f, g):
     if g.is_zero():
         return
     assert divide_exact(f * g, g) == f
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    polys(m=3, max_terms=5, coeffs=wide_fraction),
+    polys(m=3, max_terms=4, coeffs=wide_fraction),
+)
+def test_division_recovers_wide_rational_factor(a, b):
+    if b.is_zero():
+        return
+    assert divide_exact(a * b, b) == a
 
 
 def test_division_detects_inexact():
