@@ -108,6 +108,18 @@ class KernelSpec:
             raise TypeError(f"{kind.value} needs an ExactParams bundle")
 
 
+def _params_of(spec: KernelSpec, *expected: type):
+    """``spec.params``, checked against the bundle classes the caller needs."""
+    p = spec.params
+    if not isinstance(p, expected):
+        names = " or ".join(cls.__name__ for cls in expected)
+        raise TypeError(
+            f"expected a {names} bundle, got {type(p).__name__} "
+            f"(kernel kind {spec.kind.value})"
+        )
+    return p
+
+
 def default_gamma_sign(fam: SigmaFamily) -> GammaSign:
     """G_minus in the trigonometric case, G_plus otherwise."""
     if fam.kind is FamilyKind.TRIGONOMETRIC:
@@ -128,8 +140,7 @@ def phi_A(
     spec: KernelSpec, x: Sequence[complex], y: Sequence[complex]
 ) -> complex:
     """prod_{j,l} G(x_j + y_l + v - kappa | delta) / G(x_j + y_l + v | delta)."""
-    p = spec.params
-    assert isinstance(p, ParamsA)
+    p = _params_of(spec, ParamsA)
     sign = _resolve_sign(spec, p.fam)
     out = 1 + 0j
     for xj in x:
@@ -163,8 +174,7 @@ def phi_BC(
     The two differ by a factor that is delta-periodic in every variable, so
     they satisfy the same first-order system.
     """
-    p = spec.params
-    assert isinstance(p, ParamsBC)
+    p = _params_of(spec, ParamsBC)
     fam = p.fam
     sign = _resolve_sign(spec, fam)
     half_minus = (p.delta - p.kappa) / 2
@@ -361,20 +371,15 @@ def phi_minus_k(m: int, n: int, q: Fraction, k: int) -> LaurentPoly:
     out = LaurentPoly.one(total)
     if k == 0:
         return out
-    if (1 - k) % 2 == 0:
-        sq = None  # integer exponents only
-    else:
-        sq = sqrt_fraction(q)
+    # e2 = 1 - k + 2i below has the parity of 1 - k for every i: odd
+    # (genuine half powers of q) exactly when k is even
+    sq = sqrt_fraction(q) if k % 2 == 0 else None
     for j in range(m):
         for l in range(n):
             for i in range(k):
                 # a = q^((1-k)/2 + i) z_j; factor w + 1/w - a - 1/a
                 e2 = 1 - k + 2 * i
-                if e2 % 2 == 0:
-                    aval = q ** (e2 // 2)
-                else:
-                    assert sq is not None
-                    aval = sq**e2
+                aval = q ** (e2 // 2) if sq is None else sq**e2
                 factor = LaurentPoly(
                     total,
                     {
@@ -407,18 +412,15 @@ def kernel_value(
     if kind is KernelKind.PHI_A:
         return phi_A(spec, x, y)
     if kind is KernelKind.PSI_A:
-        p = spec.params
-        assert isinstance(p, ParamsA)
+        p = _params_of(spec, ParamsA)
         return psi_A(x, y, spec.v, p.fam)
     if kind in (KernelKind.PHI_BC_RATIO, KernelKind.PHI_BC_PRODUCT):
         return phi_BC(spec, x, y)
     if kind is KernelKind.PSI_BC:
-        p = spec.params
-        assert isinstance(p, ParamsBC)
+        p = _params_of(spec, ParamsBC)
         return psi_BC(x, y, p.fam)
     if kind in (KernelKind.PHI_ZERO, KernelKind.PHI_PLUS, KernelKind.PHI_MINUS):
-        p = spec.params
-        assert isinstance(p, (ParamsA, ParamsBC))
+        p = _params_of(spec, ParamsA, ParamsBC)
         variant = {
             KernelKind.PHI_ZERO: "zero",
             KernelKind.PHI_PLUS: "plus",
@@ -428,8 +430,7 @@ def kernel_value(
             x, y, p.delta, p.kappa, p.fam.omega1, variant, p.fam.trunc
         )
     if kind is KernelKind.PI_MACDONALD:
-        p = spec.params
-        assert isinstance(p, (ParamsA, ParamsBC))
+        p = _params_of(spec, ParamsA, ParamsBC)
         w1 = p.fam.omega1
         q = phase(p.delta / w1)
         t = phase(p.kappa / w1)

@@ -5,7 +5,7 @@ hyperoctahedral orbit sums with known diagonal entries, so P_lambda is
 obtained by building the exact operator matrix on the basis of all
 mu <= lambda (dominance) and back-substituting the triangular
 eigen-system.  No inner product is needed, and every coefficient stays an
-exact Fraction on the doubled exponent lattice of :mod:`diffkern.laurent`.
+exact rational on the doubled exponent lattice of :mod:`diffkern.laurent`.
 
 Explicit route: the elementary family E_r(z;a|t) built from two-variable
 brackets [z;w] = z + 1/z - w - 1/w, the row family H_l(z;a|q,t), the monic
@@ -191,6 +191,14 @@ def macdonald_eigenvalue(lam, q, t, m: int) -> Fraction:
 # triangular eigen-solve
 # ======================================================================
 
+# Capacities of the parameter-keyed solve caches.  Unbounded, they would
+# keep every polynomial and column solved for as long as the process lives,
+# so a caller sweeping parameters would grow without limit.  64 polynomials
+# hold the whole 3 x 3 box for m = 1..3 at one parameter set (34 labels);
+# a solve of P_lam reads one column per basis label (20 at most there).
+_POLY_CACHE_SIZE = 64
+_COLUMN_CACHE_SIZE = 256
+
 
 def _rep_exponent(mu: Partition, m: int) -> tuple[int, ...]:
     """Doubled-lattice exponent of the dominant monomial z^mu."""
@@ -223,7 +231,7 @@ def _decompose(
     return coeffs
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_COLUMN_CACHE_SIZE)
 def _koorn_column(
     ep: ExactParams, m: int, mu: Partition
 ) -> tuple[tuple[Partition, Fraction], ...]:
@@ -247,7 +255,7 @@ def _macdonald_basis(lam: Partition, m: int) -> tuple[Partition, ...]:
     return tuple(members)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_COLUMN_CACHE_SIZE)
 def _macdonald_column(
     q: Fraction, t: Fraction, m: int, mu: Partition
 ) -> tuple[tuple[Partition, Fraction], ...]:
@@ -299,7 +307,7 @@ def _triangular_eigen_solve(
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_POLY_CACHE_SIZE)
 def _koornwinder_cached(lam: Partition, ep: ExactParams, m: int) -> LaurentPoly:
     basis = koorn_basis(lam, m)
     return _triangular_eigen_solve(
@@ -323,7 +331,7 @@ def koornwinder_poly(lam, ep: ExactParams, m: int) -> LaurentPoly:
     return _koornwinder_cached(_as_partition(lam), ep, m)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_POLY_CACHE_SIZE)
 def _macdonald_cached(
     lam: Partition, q: Fraction, t: Fraction, m: int
 ) -> LaurentPoly:

@@ -4,12 +4,18 @@ Everything downstream (difference operators in multiplicative variables,
 Koornwinder and Macdonald polynomials, kernel expansions) is built on the
 algebra in this module:
 
-  * ``LaurentPoly``     sparse Laurent polynomials in m variables with
-                        ``fractions.Fraction`` coefficients.  Exponents live on
-                        a DOUBLED lattice: the stored integer vector ``e``
-                        represents the monomial ``prod_i z_i**(e_i/2)``, so
-                        half-integer powers such as z**(1/2) - z**(-1/2) are
-                        exact lattice points.
+  * ``LaurentPoly``     sparse Laurent polynomials in m variables with exact
+                        rational coefficients, stored as integer numerators
+                        over one common denominator (the primitive-part form
+                        of Geddes, Czapor and Labahn, *Algorithms for
+                        Computer Algebra*, ch. 2), so products and sums run
+                        on plain integers and pay one content gcd each.
+                        ``terms`` reads the coefficients back as
+                        ``fractions.Fraction``.  Exponents live on a DOUBLED
+                        lattice: the stored integer vector ``e`` represents
+                        the monomial ``prod_i z_i**(e_i/2)``, so half-integer
+                        powers such as z**(1/2) - z**(-1/2) are exact
+                        lattice points.
   * ``Partition``       weakly decreasing integer tuples with containment,
                         conjugation and (BC) dominance order.
   * ``ExactParams``     Askey-Wilson parameter bundle (a,b,c,d,q,t) stored via
@@ -27,9 +33,11 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from math import gcd, lcm
+from operator import add, sub
 
 Exponent = tuple[int, ...]
 Scalar = Fraction | int
@@ -68,14 +76,65 @@ def _as_fraction(c: Scalar) -> Fraction:
     raise TypeError(f"exact scalar expected, got {type(c).__name__}")
 
 
+def _gcd_with(g: int, values: Iterable[int]) -> int:
+    """gcd of ``g`` and every value, stopping as soon as it reaches 1."""
+    for n in values:
+        if g == 1:
+            break
+        g = gcd(g, n)
+    return g
+
+
+def _pack(exp: Exponent, shift: int, radix: int) -> int:
+    key = 0
+    for e in exp:
+        key = key * radix + e + shift
+    return key
+
+
+def _unpack(key: int, shift: int, radix: int, m: int) -> Exponent:
+    digits = [0] * m
+    for i in range(m - 1, -1, -1):
+        key, digits[i] = divmod(key, radix)
+        digits[i] -= shift
+    return tuple(digits)
+
+
+class _Terms(Mapping):
+    """Read-only view of a polynomial's coefficients as ``Fraction``s.
+
+    A coefficient is built only when it is read, so ``len`` and iteration
+    over the exponents cost no rational arithmetic.
+    """
+
+    __slots__ = ("_num", "_den")
+
+    def __init__(self, num: dict[Exponent, int], den: int):
+        self._num = num
+        self._den = den
+
+    def __getitem__(self, exp: Exponent) -> Fraction:
+        return Fraction(self._num[exp], self._den)
+
+    def __iter__(self) -> Iterator[Exponent]:
+        return iter(self._num)
+
+    def __len__(self) -> int:
+        return len(self._num)
+
+
 class LaurentPoly:
     """Sparse exact Laurent polynomial in ``m`` variables (doubled lattice).
 
-    Instances are immutable by convention: every operation returns a new
-    polynomial and ``terms`` must not be mutated by callers.
+    Stored as ``_num``, a dict from exponent to nonzero integer numerator,
+    over one integer denominator ``_den``.  The form is canonical:
+    ``_den > 0`` and the gcd of ``_den`` with every numerator is 1, so
+    equal polynomials have equal fields and ``==`` and ``hash`` compare
+    them directly.  Instances are immutable: every operation returns a new
+    polynomial, and ``terms`` is a read-only view.
     """
 
-    __slots__ = ("m", "_terms")
+    __slots__ = ("m", "_num", "_den")
 
     def __init__(self, m: int, terms: Mapping[Exponent, Scalar] | None = None):
         if m < 0:
@@ -92,7 +151,35 @@ class LaurentPoly:
                 val = _as_fraction(coeff)
                 if val:
                     clean[key] = val
-        self._terms = clean
+        # over the lcm of reduced denominators, every prime of the lcm misses
+        # the numerator whose denominator carries its full power: canonical
+        den = lcm(*(c.denominator for c in clean.values()))
+        self._num = {e: c.numerator * (den // c.denominator) for e, c in clean.items()}
+        self._den = den
+
+    @classmethod
+    def _from_parts(cls, m: int, num: dict[Exponent, int], den: int) -> "LaurentPoly":
+        """Wrap numerators that are already nonzero and canonical over ``den``."""
+        res = cls.__new__(cls)
+        res.m = m
+        res._num = num
+        res._den = den
+        return res
+
+    @classmethod
+    def _reduced(
+        cls, m: int, num: dict[Exponent, int], den: int, bound: int
+    ) -> "LaurentPoly":
+        """Canonical polynomial num/den from nonzero numerators and ``den > 0``.
+
+        ``bound`` is a multiple of gcd(content, den) that divides ``den``;
+        ``den`` itself always qualifies, a smaller one saves gcd work.
+        """
+        g = _gcd_with(bound, num.values())
+        if g != 1:
+            num = {e: n // g for e, n in num.items()}
+            den //= g
+        return cls._from_parts(m, num, den)
 
     # -- constructors ---------------------------------------------------
 
@@ -124,43 +211,48 @@ class LaurentPoly:
 
     @property
     def terms(self) -> Mapping[Exponent, Fraction]:
-        return self._terms
+        """Read-only mapping from (doubled) exponent to ``Fraction`` coefficient."""
+        return _Terms(self._num, self._den)
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._num)
 
     def coefficient(self, exps: Sequence[int]) -> Fraction:
-        return self._terms.get(tuple(exps), Fraction(0))
+        return Fraction(self._num.get(tuple(exps), 0), self._den)
 
     def constant_term(self) -> Fraction:
         return self.coefficient((0,) * self.m)
 
     def integral_lattice(self) -> bool:
         """True when every stored (doubled) exponent is even."""
-        return all(all(e % 2 == 0 for e in exp) for exp in self._terms)
+        return all(all(e % 2 == 0 for e in exp) for exp in self._num)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, LaurentPoly):
-            return self.m == other.m and self._terms == other._terms
+            return (
+                self.m == other.m
+                and self._den == other._den
+                and self._num == other._num
+            )
         if isinstance(other, (int, Fraction)):
             return self == LaurentPoly.const(self.m, other)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.m, frozenset(self._terms.items())))
+        return hash((self.m, self._den, frozenset(self._num.items())))
 
     def __repr__(self) -> str:
-        if not self._terms:
+        if not self._num:
             return "LaurentPoly(0)"
         bits = []
-        for exp in sorted(self._terms):
+        for exp in sorted(self._num):
             mono = "*".join(
                 f"z{i}^({e}/2)" for i, e in enumerate(exp) if e
             ) or "1"
-            bits.append(f"{self._terms[exp]}*{mono}")
+            bits.append(f"{Fraction(self._num[exp], self._den)}*{mono}")
         return "LaurentPoly(" + " + ".join(bits) + ")"
 
     # -- ring operations ------------------------------------------------
@@ -177,23 +269,24 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._check_m(other)
-        out = dict(self._terms)
-        for exp, coeff in other._terms.items():
-            new = out.get(exp, Fraction(0)) + coeff
-            if new:
-                out[exp] = new
-            else:
-                out.pop(exp, None)
-        res = LaurentPoly(self.m)
-        res._terms = out
-        return res
+        d1, d2 = self._den, other._den
+        # only a prime with equal powers in both denominators can divide
+        # the content of the sum, so the reduction divides g = gcd(d1, d2)
+        g = gcd(d1, d2)
+        s1, s2 = d2 // g, d1 // g
+        out = {e: n * s1 for e, n in self._num.items()}
+        get = out.get
+        for exp, n in other._num.items():
+            out[exp] = get(exp, 0) + n * s2
+        out = {e: n for e, n in out.items() if n}
+        return LaurentPoly._reduced(self.m, out, d1 * s1, g)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        res = LaurentPoly(self.m)
-        res._terms = {exp: -c for exp, c in self._terms.items()}
-        return res
+        return LaurentPoly._from_parts(
+            self.m, {exp: -n for exp, n in self._num.items()}, self._den
+        )
 
     def __sub__(self, other: "LaurentPoly | Scalar") -> "LaurentPoly":
         if isinstance(other, (int, Fraction)):
@@ -203,35 +296,61 @@ class LaurentPoly:
     def __rsub__(self, other: Scalar) -> "LaurentPoly":
         return (-self) + other
 
+    def _scaled(self, c: Fraction) -> "LaurentPoly":
+        """``c * self`` for a nonzero rational ``c``."""
+        p, q = c.numerator, c.denominator
+        # gcd(content * p, den * q) = gcd(content, q) * gcd(p, den)
+        g_q = _gcd_with(q, self._num.values())
+        g_p = gcd(p, self._den)
+        scale = p // g_p
+        num = {exp: n // g_q * scale for exp, n in self._num.items()}
+        return LaurentPoly._from_parts(self.m, num, self._den // g_p * (q // g_q))
+
     def __mul__(self, other: "LaurentPoly | Scalar") -> "LaurentPoly":
         if isinstance(other, (int, Fraction)):
             c = _as_fraction(other)
             if not c:
                 return LaurentPoly.zero(self.m)
-            res = LaurentPoly(self.m)
-            res._terms = {exp: coeff * c for exp, coeff in self._terms.items()}
-            return res
+            return self._scaled(c)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._check_m(other)
-        # plain sparse convolution; desk-scale inputs make this plenty fast
-        out: dict[Exponent, Fraction] = {}
-        small, large = (
-            (self._terms, other._terms)
-            if len(self._terms) <= len(other._terms)
-            else (other._terms, self._terms)
-        )
-        for e1, c1 in small.items():
-            for e2, c2 in large.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                new = out.get(key, Fraction(0)) + c1 * c2
-                if new:
-                    out[key] = new
-                else:
-                    out.pop(key, None)
-        res = LaurentPoly(self.m)
-        res._terms = out
-        return res
+        a, b = self._num, other._num
+        if not a or not b:
+            return LaurentPoly.zero(self.m)
+        # By Gauss's lemma the content of a product is the product of the
+        # contents, so with gcd(content_a, den_a) = gcd(content_b, den_b) = 1
+        # the product reduces by exactly gcd(content_a, den_b) *
+        # gcd(content_b, den_a).  Cancel both in the operands, before the
+        # convolution, rather than in the larger product.
+        g_a = _gcd_with(other._den, a.values())
+        g_b = _gcd_with(self._den, b.values())
+        if g_a != 1:
+            a = {e: n // g_a for e, n in a.items()}
+        if g_b != 1:
+            b = {e: n // g_b for e, n in b.items()}
+        den = (self._den // g_b) * (other._den // g_a)
+        if len(a) > len(b):
+            a, b = b, a
+        # Kronecker packing: exponent e of an operand whose entries are
+        # bounded by s in absolute value becomes the base-r integer with
+        # digits e_i + s.  With r above every digit sum, adding two packed
+        # keys adds the exponents, so the inner loop adds ints, not tuples.
+        s_a = max(map(abs, itertools.chain.from_iterable(a)), default=0)
+        s_b = max(map(abs, itertools.chain.from_iterable(b)), default=0)
+        radix = 2 * (s_a + s_b) + 1
+        small = [(_pack(e, s_a, radix), c) for e, c in a.items()]
+        large = [(_pack(e, s_b, radix), c) for e, c in b.items()]
+        out: dict[int, int] = {}
+        get = out.get
+        for k1, c1 in small:
+            for k2, c2 in large:
+                key = k1 + k2
+                out[key] = get(key, 0) + c1 * c2
+        offset = s_a + s_b
+        m = self.m
+        num = {_unpack(k, offset, radix, m): n for k, n in out.items() if n}
+        return LaurentPoly._from_parts(m, num, den)
 
     __rmul__ = __mul__
 
@@ -261,49 +380,57 @@ class LaurentPoly:
 
         The scale is passed through its square root so that odd points of the
         doubled lattice (genuine half powers of z_i) pick up the exact factor
-        ``sqrt_scale**e`` with no root extraction.
+        ``sqrt_scale**e`` with no root extraction.  With ``sqrt_scale = p/q``
+        and ``e`` ranging over ``lo..hi``, the term at ``e`` is multiplied by
+        the integer ``p**(e - lo) * q**(hi - e)`` and the whole polynomial by
+        the one rational ``p**lo / q**hi``; a single content gcd then makes
+        the result canonical.
         """
         s = _as_fraction(sqrt_scale)
         if not s:
             raise ValueError("substitution scale must be nonzero")
-        out: dict[Exponent, Fraction] = {}
-        for exp, coeff in self._terms.items():
+        if not self._num:
+            return self
+        p, q = s.numerator, s.denominator
+        lo = min(exp[i] for exp in self._num)
+        hi = max(exp[i] for exp in self._num)
+        scale = Fraction(p) ** lo / Fraction(q) ** hi
+        p_pow = [scale.numerator]
+        q_pow = [1]
+        for _ in range(hi - lo):
+            p_pow.append(p_pow[-1] * p)
+            q_pow.append(q_pow[-1] * q)
+        out: dict[Exponent, int] = {}
+        # e -> e and e -> -e are both one-to-one, so no two terms collide
+        for exp, n in self._num.items():
             e = exp[i]
-            factor = s**e
-            new_exp = list(exp)
             if invert:
+                new_exp = list(exp)
                 new_exp[i] = -e
-            key = tuple(new_exp)
-            new = out.get(key, Fraction(0)) + coeff * factor
-            if new:
-                out[key] = new
-            else:
-                out.pop(key, None)
-        res = LaurentPoly(self.m)
-        res._terms = out
-        return res
+                exp = tuple(new_exp)
+            out[exp] = n * p_pow[e - lo] * q_pow[hi - e]
+        den = self._den * scale.denominator
+        return LaurentPoly._reduced(self.m, out, den, den)
 
     def invert_all(self) -> "LaurentPoly":
         """``z_i -> 1/z_i`` for every variable simultaneously."""
-        res = LaurentPoly(self.m)
-        res._terms = {
-            tuple(-e for e in exp): coeff for exp, coeff in self._terms.items()
-        }
-        return res
+        return LaurentPoly._from_parts(
+            self.m,
+            {tuple(-e for e in exp): n for exp, n in self._num.items()},
+            self._den,
+        )
 
     def permute(self, perm: Sequence[int]) -> "LaurentPoly":
         """Relabel variables: output variable ``perm[i]`` carries old ``z_i``."""
         if sorted(perm) != list(range(self.m)):
             raise ValueError(f"not a permutation of 0..{self.m - 1}: {perm}")
-        out: dict[Exponent, Fraction] = {}
-        for exp, coeff in self._terms.items():
+        out: dict[Exponent, int] = {}
+        for exp, n in self._num.items():
             new_exp = [0] * self.m
             for i, e in enumerate(exp):
                 new_exp[perm[i]] = e
-            out[tuple(new_exp)] = coeff
-        res = LaurentPoly(self.m)
-        res._terms = out
-        return res
+            out[tuple(new_exp)] = n
+        return LaurentPoly._from_parts(self.m, out, self._den)
 
     # -- numeric evaluation ---------------------------------------------
 
@@ -321,9 +448,11 @@ class LaurentPoly:
         for s in sqrt_point:
             if s == 0:
                 raise ZeroDivisionError("zero coordinate in Laurent evaluation")
+        den = self._den
         total = 0j
-        for exp, coeff in self._terms.items():
-            value = complex(coeff)
+        for exp, n in self._num.items():
+            # integer true division rounds n/den correctly, as float(Fraction) does
+            value = complex(n / den)
             for s, e in zip(sqrt_point, exp):
                 if e:
                     value *= complex(s) ** e
@@ -341,16 +470,29 @@ def eval_numeric(f: LaurentPoly, sqrt_point: Sequence[complex]) -> complex:
 # ======================================================================
 
 
+def _primitive(num: dict[Exponent, int]) -> tuple[int, dict[Exponent, int]]:
+    """Content (positive gcd of the numerators) and primitive part."""
+    c = gcd(*num.values())
+    if c == 1:
+        return 1, num
+    return c, {e: n // c for e, n in num.items()}
+
+
 def divide_exact(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     """Exact quotient ``f / g``; raises ``InexactDivisionError`` otherwise.
 
-    Lex leading-term cancellation.  Every quotient exponent of an exact
-    division lies in the per-coordinate box
+    Lex leading-term cancellation on the primitive integer parts of f and g.
+    By Gauss's lemma an exact quotient of primitive integer polynomials has
+    integer coefficients, so each step is one ``divmod`` by g's leading
+    integer, and a nonzero remainder certifies that the division is not
+    exact.  Every quotient exponent of an exact division also lies in the
+    per-coordinate box
 
         min_i(f) - max_i(g) <= e_i <= max_i(f) - min_i(g),
 
-    so stepping outside the box certifies the division is not exact; inside
-    the box the strictly lex-decreasing remainder leads force termination.
+    so stepping outside the box certifies it too; inside the box the
+    strictly lex-decreasing remainder leads force termination.  The quotient
+    of the primitive parts is finally scaled by the ratio of the contents.
     """
     if g.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
@@ -361,43 +503,51 @@ def divide_exact(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
             f"operand variable counts differ: {f.m} vs {g.m}"
         )
     m = f.m
-    f_exps = list(f.terms)
-    g_exps = list(g.terms)
     lo = tuple(
-        min(e[i] for e in f_exps) - max(e[i] for e in g_exps) for i in range(m)
+        min(e[i] for e in f._num) - max(e[i] for e in g._num) for i in range(m)
     )
     hi = tuple(
-        max(e[i] for e in f_exps) - min(e[i] for e in g_exps) for i in range(m)
+        max(e[i] for e in f._num) - min(e[i] for e in g._num) for i in range(m)
     )
+    f_content, remainder = _primitive(f._num)
+    g_content, g_prim = _primitive(g._num)
+    remainder = dict(remainder)
 
-    g_lead = max(g_exps)
-    g_lead_coeff = g.terms[g_lead]
-    g_rest = [(e, c) for e, c in g.terms.items() if e != g_lead]
+    g_lead = max(g_prim)
+    g_lead_coeff = g_prim[g_lead]
+    g_rest = [(e, c) for e, c in g_prim.items() if e != g_lead]
 
-    remainder = dict(f.terms)
-    quotient: dict[Exponent, Fraction] = {}
+    def inexact(q_exp: Exponent, why: str) -> InexactDivisionError:
+        return InexactDivisionError(
+            f"{why}; division of {len(f._num)}-term by {len(g._num)}-term "
+            "polynomial is not exact",
+            offending_exponent=q_exp,
+        )
+
+    quotient: dict[Exponent, int] = {}
     while remainder:
         r_lead = max(remainder)
-        q_exp = tuple(a - b for a, b in zip(r_lead, g_lead))
+        q_exp = tuple(map(sub, r_lead, g_lead))
         if any(not (lo[i] <= q_exp[i] <= hi[i]) for i in range(m)):
-            raise InexactDivisionError(
-                "quotient exponent escapes the exact-division box; "
-                f"division of {len(f.terms)}-term by {len(g.terms)}-term "
-                "polynomial is not exact",
-                offending_exponent=q_exp,
-            )
-        q_coeff = remainder.pop(r_lead) / g_lead_coeff
+            raise inexact(q_exp, "quotient exponent escapes the exact-division box")
+        q_coeff, rest = divmod(remainder.pop(r_lead), g_lead_coeff)
+        if rest:
+            raise inexact(q_exp, "quotient coefficient is not an integer")
         quotient[q_exp] = q_coeff
         for e, c in g_rest:
-            key = tuple(a + b for a, b in zip(q_exp, e))
-            new = remainder.get(key, Fraction(0)) - q_coeff * c
+            key = tuple(map(add, q_exp, e))
+            new = remainder.get(key, 0) - q_coeff * c
             if new:
                 remainder[key] = new
             else:
                 remainder.pop(key, None)
-    out = LaurentPoly(m)
-    out._terms = quotient  # already canonical
-    return out
+    # f / g = (f_content / f_den) / (g_content / g_den) * quotient, and the
+    # quotient is primitive, so the reduced ratio leaves it canonical
+    ratio = Fraction(f_content * g._den, f._den * g_content)
+    scale = ratio.numerator
+    if scale != 1:
+        quotient = {e: n * scale for e, n in quotient.items()}
+    return LaurentPoly._from_parts(m, quotient, ratio.denominator)
 
 
 def sqrt_fraction(x: Fraction | int) -> Fraction:
@@ -535,16 +685,15 @@ def orbit_sum(mu: Partition | Sequence[int], m: int) -> LaurentPoly:
     """
     part = mu if isinstance(mu, Partition) else Partition(mu)
     padded = part.padded(m)
-    terms: dict[Exponent, Fraction] = {}
-    one = Fraction(1)
+    terms: dict[Exponent, int] = {}
     for perm in set(itertools.permutations(padded)):
         nonzero = [i for i, e in enumerate(perm) if e]
         for signs in itertools.product((1, -1), repeat=len(nonzero)):
             exps = list(perm)
             for pos, s in zip(nonzero, signs):
                 exps[pos] *= s
-            terms[tuple(2 * e for e in exps)] = one
-    return LaurentPoly(m, terms)
+            terms[tuple(2 * e for e in exps)] = 1
+    return LaurentPoly._from_parts(m, terms, 1)
 
 
 def orbit_size(mu: Partition, m: int) -> int:
@@ -587,11 +736,10 @@ def sym_orbit_sum(mu: Partition | Sequence[int], m: int) -> LaurentPoly:
     """Symmetric-group orbit sum (no sign flips), for the type-A theory."""
     part = mu if isinstance(mu, Partition) else Partition(mu)
     padded = part.padded(m)
-    terms: dict[Exponent, Fraction] = {}
-    one = Fraction(1)
-    for perm in set(itertools.permutations(padded)):
-        terms[tuple(2 * e for e in perm)] = one
-    return LaurentPoly(m, terms)
+    terms = {
+        tuple(2 * e for e in perm): 1 for perm in set(itertools.permutations(padded))
+    }
+    return LaurentPoly._from_parts(m, terms, 1)
 
 
 # ======================================================================
@@ -761,18 +909,12 @@ def bracket_factorial_const(sqrt_a: Fraction, sqrt_t: Fraction, l: int) -> Fract
 
 def poly_to_json(f: LaurentPoly) -> dict:
     """Schema: {vars, lattice: "half", terms: [{exp, num, den}]}, terms lex-sorted."""
-    return {
-        "vars": f.m,
-        "lattice": "half",
-        "terms": [
-            {
-                "exp": list(exp),
-                "num": str(f.terms[exp].numerator),
-                "den": str(f.terms[exp].denominator),
-            }
-            for exp in sorted(f.terms)
-        ],
-    }
+    coeffs = f.terms
+    terms = []
+    for exp in sorted(coeffs):
+        c = coeffs[exp]
+        terms.append({"exp": list(exp), "num": str(c.numerator), "den": str(c.denominator)})
+    return {"vars": f.m, "lattice": "half", "terms": terms}
 
 
 def poly_from_json(obj: Mapping) -> LaurentPoly:

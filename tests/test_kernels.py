@@ -92,6 +92,14 @@ def test_spec_rejects_mismatched_bundles(families):
         KernelSpec(kind=KernelKind.PHI_A, m=-1, n=1, params=pa)
 
 
+def test_kernel_rejects_wrong_bundle_class_with_type_error(families):
+    # a valid BC spec handed to the type-A kernel; the check must survive
+    # python -O, so it is a raise, not an assert
+    spec = bc_spec(families["trig"])
+    with pytest.raises(TypeError, match="ParamsA"):
+        phi_A(spec, (0.1, 0.2), (0.05, -0.1))
+
+
 def test_default_gamma_signs(families):
     assert default_gamma_sign(families["trig"]) is GammaSign.MINUS
     assert default_gamma_sign(families["elliptic"]) is GammaSign.PLUS

@@ -561,6 +561,39 @@ def test_koornwinder_json_is_deterministic():
 
 
 # ======================================================================
+# solve caches
+# ======================================================================
+
+
+def test_solve_caches_stay_within_their_bounds():
+    # more fresh parameter sets than either Koornwinder cache holds:
+    # a solve of P_(2) in one variable reads the columns of (2) and (1)
+    for k in range(140):
+        koornwinder_poly((2,), EP.replace(sa=Fraction(100 + k, 7)), 1)
+    assert kw._koornwinder_cached.cache_info().currsize == kw._POLY_CACHE_SIZE
+    assert kw._koorn_column.cache_info().currsize == kw._COLUMN_CACHE_SIZE
+    # and for Macdonald: P_(3) in three variables reads the columns of
+    # (3) and (2, 1)
+    for k in range(140):
+        macdonald_poly((3,), Fraction(1, 3), Fraction(2, 7 + k), 3)
+    assert kw._macdonald_cached.cache_info().currsize == kw._POLY_CACHE_SIZE
+    assert kw._macdonald_column.cache_info().currsize == kw._COLUMN_CACHE_SIZE
+
+
+def test_cached_polynomial_terms_are_read_only():
+    poly = koornwinder_poly((2, 1), EP, 2)
+    before = poly_dumps(poly)
+    head = (4, 2)
+    with pytest.raises(TypeError):
+        poly.terms[head] = Fraction(7)
+    with pytest.raises(TypeError):
+        del poly.terms[head]
+    again = koornwinder_poly((2, 1), EP, 2)
+    assert again.terms[head] == 1
+    assert poly_dumps(again) == before
+
+
+# ======================================================================
 # golden exact corpus
 # ======================================================================
 

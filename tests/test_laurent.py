@@ -183,6 +183,16 @@ def test_division_detects_inexact():
         divide_exact(z**2 + 1, z + 1)
 
 
+def test_division_trips_integer_remainder_check_first():
+    # (z^2 + 1) / (2z + 1): the leading step z^2 / 2z leaves 1 mod 2 on the
+    # primitive integer parts, so the division fails at quotient exponent
+    # z^1, well inside the exponent box
+    z = LaurentPoly(1, {(2,): Fraction(1)})
+    with pytest.raises(InexactDivisionError, match="not an integer") as info:
+        divide_exact(z**2 + 1, 2 * z + 1)
+    assert info.value.offending_exponent == (2,)
+
+
 def test_division_by_zero():
     with pytest.raises(ZeroDivisionError):
         divide_exact(LaurentPoly.one(1), LaurentPoly.zero(1))
