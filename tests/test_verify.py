@@ -373,6 +373,34 @@ def test_suite_reports_match_golden_digest(families, name):
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SUITE_SHA256[name]
 
 
+#: sha256 of reports_to_json(run_suite(None, fam, samples=3, seed=s)) for a
+#: few seeds, on the default elliptic lattice and on a skewed one, so the
+#: elliptic guards and theta products are pinned beyond the single seed above.
+WIDE_ELLIPTIC_SHA256 = {
+    ("default", 1): "ea7a4d79673c1cd2a40a88f90291452faa7501e81f3d1112ff89f8d267b4e9ed",
+    ("default", 2): "82b4281c8c4c936ae9bf82d56c22c7257b9fdbbb2cb2f4fe07446d2d201f015b",
+    ("default", 3): "8e4124253e2cd6f7aa49a70b1b35821019df240a29835ef60bb56c07f9e37351",
+    ("skewed", 1): "99f1fa71abe9d9cbc1c676c17e9b040a6333cc1deb0c6cb1fed3c0240afcb711",
+    ("skewed", 2): "95c03c8496759822d95214edeba04a7e7d786429943849729421ad22937a581b",
+    ("skewed", 3): "4724e8602087ca8bb9c6695b8068a982273cd99f13e76c38c6c73bd9128f818b",
+}
+
+ELLIPTIC_LATTICES = {
+    "default": SigmaFamily.elliptic(),
+    "skewed": SigmaFamily.elliptic(omega2=2.3 + 0.45j),
+}
+
+
+@pytest.mark.parametrize(
+    "lattice,seed", sorted(WIDE_ELLIPTIC_SHA256), ids=lambda v: str(v)
+)
+def test_elliptic_reports_match_wide_golden_digest(lattice, seed):
+    fam = ELLIPTIC_LATTICES[lattice]
+    text = reports_to_json(run_suite(None, fam, samples=3, seed=seed))
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == WIDE_ELLIPTIC_SHA256[(lattice, seed)]
+
+
 def test_suite_rejects_nonpositive_tolerance():
     with pytest.raises(ValueError):
         run_suite(ids=[IdentityId.RIEMANN], samples=1, tol=0.0)
