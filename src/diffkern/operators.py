@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -423,9 +424,16 @@ def _koorn_pair_factors(m: int, k: int, l: int) -> list[LaurentPoly]:
     ]
 
 
+#: A solve applies the operator once per basis column at one (m, sq), so
+#: only the current pair need stay; one m = 2 and one m = 3 entry hold
+#: about 110 KiB.
+_DENOMINATOR_CACHE_SIZE = 4
+
+
+@lru_cache(maxsize=_DENOMINATOR_CACHE_SIZE)
 def _koorn_denominators(
     m: int, sq: Fraction
-) -> tuple[LaurentPoly, list[tuple[LaurentPoly, LaurentPoly]]]:
+) -> tuple[LaurentPoly, tuple[tuple[LaurentPoly, LaurentPoly], ...]]:
     """Common denominator D_total of the Koornwinder operator and, for each
     variable i, the complements D_total / den(A_i^+) and D_total / den(A_i^-),
     signs included."""
@@ -457,7 +465,7 @@ def _koorn_denominators(
         comp_plus = comp_base * own[2] * sign  # leftover [q z_i^-2]
         comp_minus = comp_base * own[1] * (-sign)  # leftover [q z_i^2]
         complements.append((comp_plus, comp_minus))
-    return d_total, complements
+    return d_total, tuple(complements)
 
 
 def apply_koorn_mult(ep: ExactParams, f: LaurentPoly, m: int) -> LaurentPoly:

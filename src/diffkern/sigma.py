@@ -97,7 +97,7 @@ def binom2(x: complex) -> complex:
 
 def _require_finite(name: str, *values: complex) -> None:
     for v in values:
-        if not cmath.isfinite(complex(v)):
+        if not cmath.isfinite(v):
             raise DomainError(f"{name}: non-finite input {v!r}")
 
 
@@ -131,6 +131,7 @@ class SigmaFamily:
     etas: tuple[complex, ...] = field(init=False, default=())
     epsilons: tuple[int, ...] = field(init=False, default=())
     trunc: Truncation = DEFAULT_TRUNCATION
+    _nome: complex | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
         if self.scale == 0:
@@ -156,6 +157,7 @@ class SigmaFamily:
                 (0.0, -1 / self.omega1, 1 / self.omega1, 0.0),
                 (-1, -1, -1, 1),
             )
+            object.__setattr__(self, "_nome", phase(tau))
         else:  # pragma: no cover - enum is closed
             raise ValueError(f"unknown family kind {self.kind}")
         object.__setattr__(self, "rho", tables[0])
@@ -195,7 +197,7 @@ class SigmaFamily:
         """p = e(omega2/omega1); only meaningful for the elliptic family."""
         if self.kind is not FamilyKind.ELLIPTIC:
             raise DomainError("nome is defined only for the elliptic family")
-        return phase(self.omega2 / self.omega1)
+        return self._nome
 
     def sigma(self, u: complex) -> complex:
         return sigma_eval(self, u)
@@ -225,12 +227,18 @@ def qpoch(
         return out
     if abs(q) >= 1:
         raise DomainError(f"(z;q)_infinity diverges for |q| = {abs(q)} >= 1")
+    return _qpoch_inf(z, q, tr)
+
+
+def _qpoch_inf(z: complex, q: complex, tr: Truncation) -> complex:
+    """(z;q)_inf for finite z and |q| < 1, which the caller has checked."""
+    term_tol = tr.term_tol
     out = 1 + 0j
     factor = complex(z)
     for _ in range(tr.max_terms):
         out *= 1 - factor
         factor *= q
-        if abs(factor) < tr.term_tol:
+        if abs(factor) < term_tol:
             break
     return out
 
@@ -249,12 +257,15 @@ def theta_eval(
     cap: sum of |p^i z| + |p^(i+1)/z| over the tail, times |value|.
     """
     _require_finite("theta_eval", z, p)
-    if abs(p) >= 1:
-        raise DomainError(f"theta needs |p| < 1, got |p| = {abs(p)}")
+    ap = abs(p)
+    if ap >= 1:
+        raise DomainError(f"theta needs |p| < 1, got |p| = {ap}")
     if z == 0:
         raise DomainError("theta needs z != 0")
-    value = qpoch(z, p, None, tr) * qpoch(p / z, p, None, tr)
-    ap = abs(p)
+    p_over_z = p / z
+    if not cmath.isfinite(p_over_z):
+        raise DomainError(f"theta_eval: p/z = {p_over_z!r} overflows for z = {z!r}")
+    value = _qpoch_inf(z, p, tr) * _qpoch_inf(p_over_z, p, tr)
     tail = ap**tr.max_terms * (abs(z) + ap / abs(z)) / (1 - ap) if ap else 0.0
     return ThetaValue(value, tail * abs(value))
 
@@ -272,6 +283,8 @@ def elliptic_gamma(
     if z == 0:
         raise DomainError("elliptic gamma needs z != 0")
     depth = tr.max_terms
+    term_tol = tr.term_tol
+    pole = POLE_THRESHOLD
     num = 1 + 0j
     den = 1 + 0j
     pq_over_z = p * q / z
@@ -282,7 +295,7 @@ def elliptic_gamma(
             base = p_i * q_j
             num_factor = 1 - base * pq_over_z
             den_factor = 1 - base * z
-            if abs(den_factor) < POLE_THRESHOLD:
+            if abs(den_factor) < pole:
                 raise PoleError(
                     f"elliptic gamma pole: factor (1 - p^{i} q^{j} z) = "
                     f"{den_factor} with z = {z}",
@@ -291,10 +304,10 @@ def elliptic_gamma(
             num *= num_factor
             den *= den_factor
             q_j *= q
-            if abs(base) < tr.term_tol:
+            if abs(base) < term_tol:
                 break
         p_i *= p
-        if abs(p_i) < tr.term_tol:
+        if abs(p_i) < term_tol:
             break
     return num / den
 
@@ -315,7 +328,7 @@ def sigma_eval(fam: SigmaFamily, u: complex) -> complex:
     # the branch is consistent by construction
     z = phase(u / fam.omega1)
     z_inv_half = phase(-u / (2 * fam.omega1))
-    theta = theta_eval(z, fam.nome, fam.trunc).value
+    theta = theta_eval(z, fam._nome, fam.trunc).value
     return fam.scale * (-z_inv_half * theta)
 
 

@@ -23,7 +23,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import partial
+from functools import lru_cache, partial
 from importlib import resources
 from typing import Callable, Mapping, Sequence
 
@@ -229,8 +229,32 @@ def _unit(fam: SigmaFamily) -> float:
     return abs(fam.omega1) if fam.kind is not FamilyKind.RATIONAL else 1.0
 
 
+@lru_cache(maxsize=16)
+def _rounded_node_suffices(w1: complex, w2: complex) -> bool:
+    """Whether every lattice node within the widest guard margin of a point
+    is the node its rounded lattice coordinates name.
+
+    The coordinates of u in the basis (w1, w2) are B^-1 u, where B is the
+    basis matrix.  A node within L of u moves each coordinate by at most
+    L*||B^-1|| (the norm from the plane to the larger coordinate), which is
+    L*max(|w1|, |w2|)/|det B|.  Below 1/2, rounding the coordinates of u
+    lands on that node, so no other node can be within L.
+    """
+    det = w1.real * w2.imag - w1.imag * w2.real
+    limit = _SEPARATION_MARGIN * abs(w1)
+    return limit * max(abs(w1), abs(w2)) < 0.5 * abs(det)
+
+
 def _lattice_dist(fam: SigmaFamily, u: complex) -> float:
-    """Distance from u to the zero lattice of the family's sigma."""
+    """Distance from u to the zero lattice of the family's sigma.
+
+    The guards only ask whether it is below a margin of at most
+    ``_SEPARATION_MARGIN`` * |omega1|.  Below that the elliptic value is
+    exact; above it, it may be the distance to a node other than the
+    nearest, which is farther still.  A lattice too skewed for its rounded
+    coordinates to find the nearby node falls back to a 3x3 window of nodes
+    around them.
+    """
     if fam.kind is FamilyKind.RATIONAL:
         return abs(u)
     w1 = fam.omega1
@@ -241,6 +265,8 @@ def _lattice_dist(fam: SigmaFamily, u: complex) -> float:
     det = w1.real * w2.imag - w1.imag * w2.real
     a = (u.real * w2.imag - u.imag * w2.real) / det
     b = (w1.real * u.imag - w1.imag * u.real) / det
+    if _rounded_node_suffices(w1, w2):
+        return abs(u - (round(a) * w1 + round(b) * w2))
     best = math.inf
     for da in (-1, 0, 1):
         for db in (-1, 0, 1):

@@ -13,6 +13,7 @@ from diffkern.laurent import (
     orbit_sum,
     sym_orbit_sum,
 )
+import diffkern.operators as operators
 from diffkern.operators import (
     ParamsA,
     ParamsBC,
@@ -339,6 +340,21 @@ def test_koorn_denominator_complements(m):
     ep = ExactParams.default()
     for i in range(m):
         assert koorn_denominator_check(ep, m, i)
+
+
+def test_koorn_denominator_cache_stays_within_its_bound():
+    # fresh sq values, each with every m, evict older entries; the cached
+    # complements still multiply the independently assembled denominators
+    # back to D_total
+    ep = ExactParams.default()
+    for k in range(8):
+        fresh = ep.replace(sq=Fraction(11 + k, 7))
+        for m in (1, 2, 3):
+            for i in range(m):
+                assert koorn_denominator_check(fresh, m, i)
+    info = operators._koorn_denominators.cache_info()
+    assert info.currsize <= operators._DENOMINATOR_CACHE_SIZE <= 4
+    assert info.hits > 0
 
 
 def test_koorn_kills_constants():

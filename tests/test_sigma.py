@@ -105,6 +105,25 @@ def test_elliptic_family_validates_nome():
         SigmaFamily.elliptic(omega1=1.0, omega2=0.5 - 0.2j)
 
 
+def test_nome_is_phase_of_tau():
+    for omega2 in (0.31 + 1.2j, 2.3 + 0.45j):
+        fam = SigmaFamily.elliptic(omega1=1.0, omega2=omega2)
+        assert fam.nome == phase(fam.omega2 / fam.omega1)
+    with pytest.raises(DomainError):
+        SigmaFamily.trigonometric().nome
+
+
+def test_elliptic_sigma_is_bit_exact_theta_product():
+    for omega2 in (0.31 + 1.2j, 2.3 + 0.45j):
+        fam = SigmaFamily.elliptic(omega1=1.0, omega2=omega2)
+        p = phase(fam.omega2 / fam.omega1)
+        for u in _random_points(40, box=1.5):
+            z = phase(u / fam.omega1)
+            theta = qpoch(z, p) * qpoch(p / z, p)
+            expected = fam.scale * (-phase(-u / (2 * fam.omega1)) * theta)
+            assert sigma_eval(fam, u) == expected
+
+
 # ----------------------------------------------------------------------
 # quasi-periodicity and the classical identities
 # ----------------------------------------------------------------------
@@ -186,6 +205,30 @@ def test_theta_basics():
 def test_theta_rejects_bad_nome():
     with pytest.raises(DomainError):
         theta_eval(0.5, 1.0)
+
+
+def test_theta_is_product_of_public_qpoch_with_its_tail_bound():
+    # theta_eval forms both products without the public qpoch; the floats and
+    # the truncation-error estimate must stay those of the two-qpoch form
+    # (the values are those the two-qpoch form gave).
+    cases = [
+        (0.7 + 0.2j, 0.15, Truncation(max_terms=8), 6.925455867003038e-08),
+        (0.7 + 0.2j, 0.15, DEFAULT_TRUNCATION, 5.0298931050142486e-54),
+        (1.3 - 0.4j, 0.2 + 0.5j, Truncation(max_terms=12), 0.0016702606300535358),
+    ]
+    for z, p, tr, trunc_error in cases:
+        out = theta_eval(z, p, tr)
+        assert out.value == qpoch(z, p, None, tr) * qpoch(p / z, p, None, tr)
+        assert out.trunc_error == trunc_error
+
+
+def test_theta_rejects_zero_and_non_finite():
+    with pytest.raises(DomainError):
+        theta_eval(0.0, 0.3)
+    with pytest.raises(DomainError):
+        theta_eval(float("nan"), 0.3)
+    with pytest.raises(DomainError):
+        theta_eval(0.5, complex(float("inf"), 0.0))
 
 
 def test_elliptic_gamma_inversion_and_shift():

@@ -1,5 +1,6 @@
 """Tests for the residual verification harness."""
 
+import cmath
 import hashlib
 import json
 import math
@@ -257,6 +258,60 @@ def test_pole_error_names_the_subexpression(families):
     with pytest.raises(PoleError) as err:
         residual(IdentityId.PARTIAL_FRACTION, fam, 1, 1, params, pt)
     assert "z - x" in str(err.value)
+
+
+# ======================================================================
+# pole guards
+# ======================================================================
+
+
+def window_dist(fam, u, radius):
+    """Distance from u to the nearest node in a (2r+1)x(2r+1) window of the
+    elliptic lattice, centred on the node u's rounded coordinates name."""
+    w1, w2 = fam.omega1, fam.omega2
+    det = w1.real * w2.imag - w1.imag * w2.real
+    a = (u.real * w2.imag - u.imag * w2.real) / det
+    b = (w1.real * u.imag - w1.imag * u.real) / det
+    span = range(-radius, radius + 1)
+    return min(
+        abs(u - ((round(a) + da) * w1 + (round(b) + db) * w2)) for da in span for db in span
+    )
+
+
+def guard_points(fam, limit, rng, count=300):
+    """Points within ``limit`` of a lattice node, just outside it, and anywhere."""
+    points = []
+    for k in range(count):
+        node = rng.randint(-3, 3) * fam.omega1 + rng.randint(-3, 3) * fam.omega2
+        reach = (rng.uniform(0.0, 0.999), rng.uniform(1.001, 1.05), rng.uniform(1.05, 40.0))[k % 3]
+        points.append(node + cmath.rect(reach * limit, rng.uniform(0.0, 2 * math.pi)))
+    return points
+
+
+GUARD_LATTICES = {
+    "default": (0.31 + 1.2j, True),
+    "skewed": (2.3 + 0.45j, True),
+    "degenerate": (10 + 0.01j, False),
+}
+
+
+@pytest.mark.parametrize("lattice", sorted(GUARD_LATTICES))
+def test_lattice_guard_matches_window_scan(lattice):
+    omega2, single_node = GUARD_LATTICES[lattice]
+    fam = SigmaFamily.elliptic(omega2=omega2)
+    assert verify._rounded_node_suffices(fam.omega1, fam.omega2) is single_node
+    rng = random.Random(f"guard|{lattice}")
+    for margin in (verify.POLE_MARGIN, verify._SEPARATION_MARGIN):
+        limit = margin * abs(fam.omega1)
+        for u in guard_points(fam, limit, rng):
+            near = verify._lattice_dist(fam, u) < limit
+            if single_node:
+                assert near == (window_dist(fam, u, 2) < limit)
+            else:
+                # too skewed for rounding: the 3x3 window is kept as it was
+                assert verify._lattice_dist(fam, u) == window_dist(fam, u, 1)
+                if margin == verify.POLE_MARGIN:
+                    assert near == (window_dist(fam, u, 2) < limit)
 
 
 # ======================================================================
