@@ -424,9 +424,9 @@ def _koorn_pair_factors(m: int, k: int, l: int) -> list[LaurentPoly]:
     ]
 
 
-#: A solve applies the operator once per basis column at one (m, sq), so
-#: only the current pair need stay; one m = 2 and one m = 3 entry hold
-#: about 110 KiB.
+#: A solve applies the operator once per basis column at one (m, sq), so a
+#: few entries serve every column; one m = 2 and one m = 3 entry hold about
+#: 110 KiB (tracemalloc).
 _DENOMINATOR_CACHE_SIZE = 4
 
 

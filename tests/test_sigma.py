@@ -229,6 +229,8 @@ def test_theta_rejects_zero_and_non_finite():
         theta_eval(float("nan"), 0.3)
     with pytest.raises(DomainError):
         theta_eval(0.5, complex(float("inf"), 0.0))
+    with pytest.raises(DomainError):
+        theta_eval(1e-320, 0.5)  # p/z overflows
 
 
 def test_elliptic_gamma_inversion_and_shift():
