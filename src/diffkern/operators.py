@@ -424,10 +424,10 @@ def _koorn_pair_factors(m: int, k: int, l: int) -> list[LaurentPoly]:
     ]
 
 
-#: A solve applies the operator once per basis column at one (m, sq), so a
-#: few entries serve every column; one m = 2 and one m = 3 entry hold about
-#: 110 KiB (tracemalloc).
-_DENOMINATOR_CACHE_SIZE = 4
+#: A solve applies the operator once per basis column at one (m, sq), so
+#: one entry serves all its columns.  Holding no more keeps peak memory at
+#: what building them per call needed (an m = 3 entry is about 100 KiB).
+_DENOMINATOR_CACHE_SIZE = 1
 
 
 @lru_cache(maxsize=_DENOMINATOR_CACHE_SIZE)
