@@ -619,3 +619,17 @@ def test_box_polynomials_match_golden_digest(name, m):
         text = poly_dumps(koornwinder_poly(lam, ep, m))
         digest.update(f"{list(lam.parts)} {text}\n".encode())
     assert digest.hexdigest() == GOLDEN_BOX_DIGESTS[name, m]
+
+
+# sha256 of poly_dumps(P_lam) for two labels in four variables, where the
+# solve has most unknowns per coefficient.
+GOLDEN_M4_DIGESTS = {
+    (1, 1, 1, 1): "2c9cf7164cde745c81610a713d331fc14e6e3238ac681e96f020db365e932baf",
+    (2, 1, 1, 1): "d1b468ecd7b14f13960dcd0798659d231772fc7201df05b6bcf529cc86c3089e",
+}
+
+
+@pytest.mark.parametrize("lam", sorted(GOLDEN_M4_DIGESTS))
+def test_four_variable_polynomials_match_golden_digest(lam):
+    text = poly_dumps(koornwinder_poly(lam, EP, 4))
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_M4_DIGESTS[lam]
