@@ -4,7 +4,17 @@ Eigen-solve route: the Koornwinder operator acts triangularly on
 hyperoctahedral orbit sums with known diagonal entries, so P_lambda is
 obtained by building the exact operator matrix on the basis of all
 mu <= lambda (dominance) and back-substituting the triangular
-eigen-system.  No inner product is needed, and every coefficient stays an
+eigen-system.  The matrix comes from exact evaluation and interpolation:
+at k + 1 integer points (k the size of the basis) the orbit sums and the
+operator images D m_mu take rational values, with rational coefficients
+A_i^(+-) and shifts s_i -> sq^(+-1) s_i of the square-root coordinates,
+and one fraction-free solve (Bareiss 1968) of the k x k orbit-sum system
+gives every column at once.  The last point, the diagonal (the known
+eigenvalues) and the dominance support of each column are checked
+exactly, so the solve never calls the symbolic operator of
+:mod:`diffkern.operators`, which stays an independent oracle.  The
+Macdonald polynomials take the same route with the first Macdonald
+operator.  No inner product is needed, and every coefficient stays an
 exact rational on the doubled exponent lattice of :mod:`diffkern.laurent`.
 
 Explicit route: the elementary family E_r(z;a|t) built from two-variable
@@ -22,10 +32,13 @@ instance [ab], alpha = (abcd/q)^(1/2), or (qt)^(1/2)/a) is again rational.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache, partial
+from itertools import islice
+from math import gcd, lcm
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .laurent import (
@@ -42,7 +55,6 @@ from .laurent import (
     poly_to_json,
     sym_orbit_sum,
 )
-from .operators import apply_koorn_mult, apply_macdonald_mult
 
 __all__ = [
     "AWBase",
@@ -191,59 +203,309 @@ def macdonald_eigenvalue(lam, q, t, m: int) -> Fraction:
 # triangular eigen-solve
 # ======================================================================
 
-# Capacities of the parameter-keyed solve caches.  Unbounded, they would
-# keep every polynomial and column solved for as long as the process lives,
-# so a caller sweeping parameters would grow without limit.  64 polynomials
-# hold the whole 3 x 3 box for m = 1..3 at one parameter set (34 labels);
-# a solve of P_lam reads one column per basis label (20 at most there).
+# Capacity of the parameter-keyed polynomial caches.  Unbounded, they would
+# keep every polynomial solved for as long as the process lives, so a
+# caller sweeping parameters would grow without limit.  64 polynomials hold
+# the whole 3 x 3 box for m = 1..3 at one parameter set (34 labels).
 _POLY_CACHE_SIZE = 64
-_COLUMN_CACHE_SIZE = 256
+
+# Point streams drawn for one solve before it gives up.  A stream is
+# abandoned only when the interpolation matrix of its points is singular or
+# when more than half its points hit a pole of the operator; either is
+# rare, so a solve that exhausts its streams points at a defect rather than
+# at bad luck.
+_POINT_DRAWS = 8
 
 
-def _rep_exponent(mu: Partition, m: int) -> tuple[int, ...]:
-    """Doubled-lattice exponent of the dominant monomial z^mu."""
-    return tuple(2 * e for e in mu.padded(m))
+class _Pole(Exception):
+    """Internal: an operator coefficient has a pole at a drawn point."""
 
 
-def _decompose(
-    g: LaurentPoly,
-    candidates: Sequence[Partition],
-    basis_poly: Callable[[Partition], LaurentPoly],
-    m: int,
-) -> dict[Partition, Fraction]:
-    """Write g as a combination of the candidate orbit sums, exactly.
+def _point_stream(
+    lam: Partition, m: int, count: int, attempt: int
+) -> Iterator[tuple[int, ...]]:
+    """Distinct sorted integer points 2 <= s_1 < ... < s_m, in random order.
 
-    Each orbit sum contains its dominant monomial exactly once with
-    coefficient 1, and distinct orbits are disjoint, so the coefficients
-    read off directly.  The reassembled combination must reproduce g on
-    the nose; a mismatch means the operator action escaped the
-    dominance-closed basis, which the triangular theory forbids.
+    The coordinates are the square roots s_i = z_i^(1/2).  Orbit sums are
+    invariant under permutations, so a point is a sorted set; drawing the
+    sets at random keeps them in general position, where runs of
+    neighbouring sets (which share coordinates) can make the orbit-sum
+    matrix singular.  The stream is keyed by (lam, m, attempt) alone, so
+    a solve is reproducible.  The coordinates run over 2 (m + count)
+    integers, so at most half of the points contain any one of them and
+    there are more than 2 count points to draw.
     """
-    coeffs: dict[Partition, Fraction] = {}
-    rebuilt = LaurentPoly.zero(m)
-    for nu in candidates:
-        c = g.coefficient(_rep_exponent(nu, m))
-        if c:
-            coeffs[nu] = c
-            rebuilt = rebuilt + basis_poly(nu) * c
-    if rebuilt != g:
-        raise TriangularSolveError("operator action escapes the dominance-closed basis")
-    return coeffs
+    rng = random.Random(f"{lam.parts} {m} {attempt}")
+    coords = range(2, 2 + 2 * (m + count))
+    seen: set[tuple[int, ...]] = set()
+    while True:
+        point = tuple(sorted(rng.sample(coords, m)))
+        if point not in seen:
+            seen.add(point)
+            yield point
 
 
-@lru_cache(maxsize=_COLUMN_CACHE_SIZE)
-def _koorn_column(
-    ep: ExactParams, m: int, mu: Partition
-) -> tuple[tuple[Partition, Fraction], ...]:
-    """Decomposition of the operator image of the orbit sum m_mu."""
-    basis = koorn_basis(mu, m)
-    image = apply_koorn_mult(ep, orbit_sum(mu, m), m)
-    coeffs = _decompose(image, basis.mu_list, lambda nu: orbit_sum(nu, m), m)
-    if coeffs.get(mu, Fraction(0)) != eigenvalue_d(mu, ep, m):
-        raise TriangularSolveError(
-            f"koornwinder: diagonal entry for {mu.parts} is not its eigenvalue"
+def _laurent_table(n: int, d: int, top: int) -> tuple[list[int], int]:
+    """Values of x^v + x^-v (1 at v = 0) for v = 0..top at x = n/d, all
+    times the scale (n d)^top, with that scale."""
+    nd = n * d
+    scale = nd**top
+    values = [scale]
+    for v in range(1, top + 1):
+        values.append((n ** (2 * v) + d ** (2 * v)) * nd ** (top - v))
+    return values, scale
+
+
+def _power_table(n: int, d: int, top: int) -> tuple[list[int], int]:
+    """Values of x^v for v = 0..top at x = n/d, times the scale d^top."""
+    return [n**v * d ** (top - v) for v in range(top + 1)], d**top
+
+
+def _bracket_ratio(
+    top: Sequence[tuple[int, int]], bottom: Sequence[tuple[int, int]]
+) -> Fraction:
+    """prod [x] over ``top`` divided by prod [x] over ``bottom``.
+
+    Each bracket [x] = x^(1/2) - x^(-1/2) is given by its square root as an
+    integer pair (u, v), so [x] = (u^2 - v^2) / (u v).
+    """
+    num = den = 1
+    for u, v in top:
+        num *= u * u - v * v
+        den *= u * v
+    for u, v in bottom:
+        value = u * u - v * v
+        if not value:
+            raise _Pole
+        num *= u * v
+        den *= value
+    return Fraction(num, den)
+
+
+def _koorn_moves(ep: ExactParams, point: Sequence[int]):
+    """Koornwinder operator at a point: sum_i A_i^+ (T_i - 1) + A_i^- (T_i^-1 - 1).
+
+    Returns the weight of the unshifted value and, for every shift, the
+    variable it moves, the moved value z_i q^(+-1) as an integer pair and
+    its weight A_i^(+-), with A_i^- (z) = A_i^+ (1/z) as in
+    :func:`diffkern.operators.apply_koorn_mult`.
+    """
+    roots = [(r.numerator, r.denominator) for r in (ep.sa, ep.sb, ep.sc, ep.sd)]
+    qn, qd = ep.sq.numerator, ep.sq.denominator
+    tn, td = ep.st.numerator, ep.st.denominator
+    moves = []
+    total = Fraction(0)
+    for up in (True, False):
+        # square roots of z_j (up) or of 1/z_j (down) as integer pairs
+        coords = [(s, 1) if up else (1, s) for s in point]
+        for i, (u, v) in enumerate(coords):
+            top = [(rn * u, rd * v) for rn, rd in roots]
+            bottom = [(u * u, v * v), (qn * u * u, qd * v * v)]
+            for j, (x, y) in enumerate(coords):
+                if j != i:
+                    top += [(tn * u * x, td * v * y), (tn * u * y, td * v * x)]
+                    bottom += [(u * x, v * y), (u * y, v * x)]
+            weight = _bracket_ratio(top, bottom)
+            z = point[i] ** 2
+            moved = (z * qn * qn, qd * qd) if up else (z * qd * qd, qn * qn)
+            moves.append((i, moved, weight))
+            total += weight
+    return -total, moves
+
+
+def _macdonald_moves(q: Fraction, t: Fraction, point: Sequence[int]):
+    """First Macdonald operator at a point: sum_i prod_(j != i)
+    (t z_i - z_j) / (z_i - z_j) T_(q, z_i); same shape as :func:`_koorn_moves`."""
+    z = [s * s for s in point]
+    moves = []
+    for i, zi in enumerate(z):
+        num = den = 1
+        for j, zj in enumerate(z):
+            if j != i:
+                num *= t.numerator * zi - t.denominator * zj
+                den *= t.denominator * (zi - zj)
+        moves.append((i, (zi * q.numerator, q.denominator), Fraction(num, den)))
+    return Fraction(0), moves
+
+
+def _splits(padded: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
+    """(v, rest) for each distinct entry v of a padded label: its orbit sum
+    is sum_v phi_v(z_i) * (orbit sum of rest in the other variables)."""
+    return [
+        (v, padded[:at] + padded[at + 1 :])
+        for at, v in enumerate(padded)
+        if not at or padded[at - 1] != v
+    ]
+
+
+def _orbit_values(tables: Sequence[Sequence[int]]) -> Callable[[tuple[int, ...]], int]:
+    """Orbit sums over the variables of ``tables``: rho -> the sum over the
+    distinct orderings pi of rho of prod_j tables[j][pi_j], memoized."""
+    memo: dict[tuple[int, ...], int] = {(): 1}
+
+    def value(rho: tuple[int, ...]) -> int:
+        got = memo.get(rho)
+        if got is None:
+            row = tables[len(tables) - len(rho)]
+            got = 0
+            for v, rest in _splits(rho):
+                got += row[v] * value(rest)
+            memo[rho] = got
+        return got
+
+    return value
+
+
+def _interpolation_row(splits, point, top, table, moves) -> tuple[list[int], list[int]]:
+    """One integer row [m_nu(point) ... | (D m_mu)(point) ...], both halves
+    scaled by one positive factor and then divided by their content.
+
+    Every value is expanded along one variable i: the shifts of i change
+    only the one-variable factor, and the orbit sums over the other
+    variables are shared.  The operator weights go over one common
+    denominator, so the row is built from integers alone.
+    """
+    identity, moved = moves(point)
+    base = [table(s * s, 1, top) for s in point]
+    # per variable: (weight, one-variable values) pairs, weights already
+    # carrying the ratio of the moved variable's scale to its base scale
+    parts: list[list[tuple[Fraction, list[int]]]] = [[] for _ in point]
+    parts[0].append((identity, base[0][0]))
+    for i, (n, d), weight in moved:
+        values, scale = table(n, d, top)
+        parts[i].append((weight * base[i][1] / scale, values))
+    common = lcm(*(w.denominator for part in parts for w, _ in part))
+    mixed = []
+    for part in parts:
+        acc = [0] * (top + 1)
+        for w, values in part:
+            factor = w.numerator * (common // w.denominator)
+            for v in range(top + 1):
+                acc[v] += factor * values[v]
+        mixed.append(acc)
+
+    tables = [values for values, _ in base]
+    others = [_orbit_values(tables[:i] + tables[i + 1 :]) for i in range(len(point))]
+    own = tables[0]
+    m_row = [common * sum(own[v] * others[0](rest) for v, rest in sp) for sp in splits]
+    b_row = [
+        sum(
+            mix[v] * other(rest)
+            for mix, other in zip(mixed, others)
+            for v, rest in sp
         )
-    return tuple(sorted(coeffs.items(), key=lambda kv: kv[0].parts))
+        for sp in splits
+    ]
+    content = gcd(*m_row, *b_row)
+    return [e // content for e in m_row], [e // content for e in b_row]
+
+
+def _bareiss_solve(rows: list[list[int]], k: int) -> tuple[int, list[list[int]]] | None:
+    """Solve A X = B for integer k x k A, given the rows [A | B].
+
+    Fraction-free elimination (Bareiss 1968): every division is exact, so
+    the entries stay integers no larger than minors of [A | B].  Returns
+    (D, Y) with D = +-det A and Y = D A^-1 B, which is integral; None when A
+    is singular.
+    """
+    a = [list(row) for row in rows]
+    width = len(a[0])
+    prev = 1
+    for p in range(k):
+        if not a[p][p]:
+            swap = next((r for r in range(p + 1, k) if a[r][p]), None)
+            if swap is None:
+                return None
+            a[p], a[swap] = a[swap], a[p]
+        pivot_row = a[p]
+        pivot = pivot_row[p]
+        for r in range(p + 1, k):
+            row = a[r]
+            lead = row[p]
+            for c in range(p + 1, width):
+                row[c] = (row[c] * pivot - lead * pivot_row[c]) // prev
+            row[p] = 0
+        prev = pivot
+    det = prev
+    y = [[0] * (width - k) for _ in range(k)]
+    for i in range(k - 1, -1, -1):
+        row = a[i]
+        for j in range(width - k):
+            acc = det * row[k + j] - sum(row[l] * y[l][j] for l in range(i + 1, k))
+            y[i][j], rem = divmod(acc, row[i])
+            if rem:
+                raise TriangularSolveError("fraction-free back-substitution is inexact")
+    return det, y
+
+
+def _operator_columns(
+    basis: Sequence[Partition],
+    m: int,
+    table: Callable[[int, int, int], tuple[list[int], int]],
+    moves: Callable[[Sequence[int]], tuple],
+    eig: Callable[[Partition], Fraction],
+    what: str,
+) -> dict[Partition, dict[Partition, Fraction]]:
+    """Operator image of every orbit sum of the basis, by interpolation.
+
+    D m_mu = sum_nu C[nu, mu] m_nu over the dominance-closed basis, so k =
+    len(basis) points s_p give M C = B with M[p, nu] = m_nu(s_p) and
+    B[p, mu] = (D m_mu)(s_p), both exact rationals; one fraction-free
+    solve gives every column.  A (k+1)-th point must satisfy the solved
+    equations exactly, each column must stay inside the basis of its label
+    and its diagonal entry must be the eigenvalue; a failure raises
+    :class:`TriangularSolveError`.  A point where the operator has a pole
+    is replaced by the next one of the stream, and a singular M starts a
+    new stream.
+    """
+    k = len(basis)
+    top = basis[0].part(0)
+    splits = [_splits(mu.padded(m)) for mu in basis]
+    for attempt in range(_POINT_DRAWS):
+        # a point where a coefficient has a pole is replaced by the next
+        # one; an attempt that meets more poles than it needs points fails
+        rows = []
+        for point in islice(_point_stream(basis[0], m, k + 1, attempt), 2 * (k + 1)):
+            try:
+                rows.append(_interpolation_row(splits, point, top, table, moves))
+            except _Pole:
+                continue
+            if len(rows) > k:
+                break
+        if len(rows) <= k:
+            continue
+        solved = _bareiss_solve([m_row + b_row for m_row, b_row in rows[:k]], k)
+        if solved is None:
+            continue
+        det, y = solved
+        check_m, check_b = rows[k]
+        columns: dict[Partition, dict[Partition, Fraction]] = {}
+        for j, mu in enumerate(basis):
+            if sum(e * y[i][j] for i, e in enumerate(check_m)) != det * check_b[j]:
+                raise TriangularSolveError(
+                    f"{what}: the column of {mu.parts} fails at the check point; "
+                    "the operator image is not in the span of the basis"
+                )
+            column = {}
+            for i, nu in enumerate(basis):
+                if y[i][j]:
+                    if not dominance_leq(nu, mu):
+                        raise TriangularSolveError(
+                            f"{what}: the image of {mu.parts} escapes the "
+                            "dominance-closed basis"
+                        )
+                    column[nu] = Fraction(y[i][j], det)
+            if column.get(mu, Fraction(0)) != eig(mu):
+                raise TriangularSolveError(
+                    f"{what}: diagonal entry for {mu.parts} is not its eigenvalue"
+                )
+            columns[mu] = column
+        return columns
+    raise TriangularSolveError(
+        f"{what}: each of {_POINT_DRAWS} point streams for {basis[0].parts} in "
+        f"{m} variables gave a singular interpolation matrix or more poles "
+        "than points"
+    )
 
 
 @lru_cache(maxsize=None)
@@ -253,21 +515,6 @@ def _macdonald_basis(lam: Partition, m: int) -> tuple[Partition, ...]:
     ]
     members.sort(key=lambda mu: mu.parts, reverse=True)
     return tuple(members)
-
-
-@lru_cache(maxsize=_COLUMN_CACHE_SIZE)
-def _macdonald_column(
-    q: Fraction, t: Fraction, m: int, mu: Partition
-) -> tuple[tuple[Partition, Fraction], ...]:
-    image = apply_macdonald_mult(q, t, 1, sym_orbit_sum(mu, m), m)
-    coeffs = _decompose(
-        image, _macdonald_basis(mu, m), lambda nu: sym_orbit_sum(nu, m), m
-    )
-    if coeffs.get(mu, Fraction(0)) != macdonald_eigenvalue(mu, q, t, m):
-        raise TriangularSolveError(
-            f"macdonald: diagonal entry for {mu.parts} is not its eigenvalue"
-        )
-    return tuple(sorted(coeffs.items(), key=lambda kv: kv[0].parts))
 
 
 def _triangular_eigen_solve(
@@ -307,12 +554,40 @@ def _triangular_eigen_solve(
     return out
 
 
+def _koorn_columns(
+    basis: Sequence[Partition], ep: ExactParams, m: int
+) -> dict[Partition, dict[Partition, Fraction]]:
+    return _operator_columns(
+        basis,
+        m,
+        _laurent_table,
+        partial(_koorn_moves, ep),
+        lambda mu: eigenvalue_d(mu, ep, m),
+        "koornwinder",
+    )
+
+
+def _macdonald_columns(
+    basis: Sequence[Partition], q: Fraction, t: Fraction, m: int
+) -> dict[Partition, dict[Partition, Fraction]]:
+    return _operator_columns(
+        basis,
+        m,
+        _power_table,
+        partial(_macdonald_moves, q, t),
+        lambda mu: macdonald_eigenvalue(mu, q, t, m),
+        "macdonald",
+    )
+
+
 @lru_cache(maxsize=_POLY_CACHE_SIZE)
 def _koornwinder_cached(lam: Partition, ep: ExactParams, m: int) -> LaurentPoly:
-    basis = koorn_basis(lam, m)
+    basis = koorn_basis(lam, m).mu_list
+    # solved on the first read, so a collision is reported before the work
+    columns = cache(partial(_koorn_columns, basis, ep, m))
     return _triangular_eigen_solve(
-        basis.mu_list,
-        lambda mu: dict(_koorn_column(ep, m, mu)),
+        basis,
+        lambda mu: columns()[mu],
         lambda mu: eigenvalue_d(mu, ep, m),
         lambda mu: orbit_sum(mu, m),
         m,
@@ -336,9 +611,10 @@ def _macdonald_cached(
     lam: Partition, q: Fraction, t: Fraction, m: int
 ) -> LaurentPoly:
     basis = _macdonald_basis(lam, m)
+    columns = cache(partial(_macdonald_columns, basis, q, t, m))
     return _triangular_eigen_solve(
         basis,
-        lambda mu: dict(_macdonald_column(q, t, m, mu)),
+        lambda mu: columns()[mu],
         lambda mu: macdonald_eigenvalue(mu, q, t, m),
         lambda mu: sym_orbit_sum(mu, m),
         m,

@@ -1,6 +1,7 @@
 """Tests for exact Koornwinder and Macdonald polynomials."""
 
 import hashlib
+import itertools
 import json
 from fractions import Fraction
 
@@ -200,6 +201,115 @@ def test_wrong_diagonal_raises_typed_error(monkeypatch):
     fresh = EP_ALT.replace(sa=Fraction(11, 13))
     with pytest.raises(TriangularSolveError, match="diagonal"):
         koornwinder_poly((2, 1), fresh, 2)
+
+
+# ----------------------------------------------------------------------
+# operator columns by interpolation
+
+
+def _koorn_columns(lam, ep, m):
+    return kw._koorn_columns(koorn_basis(Partition(lam), m).mu_list, ep, m)
+
+
+@pytest.mark.parametrize("lam,m", [((3,), 1), ((2, 1), 2), ((1, 1, 1), 3)])
+def test_interpolated_columns_match_the_operator(lam, m):
+    # the independent oracle: the operator applied to each orbit sum
+    for mu, column in _koorn_columns(lam, EP_ALT, m).items():
+        rebuilt = LaurentPoly.zero(m)
+        for nu, c in column.items():
+            rebuilt = rebuilt + orbit_sum(nu, m) * c
+        assert rebuilt == apply_koorn_mult(EP_ALT, orbit_sum(mu, m), m), mu
+
+
+def test_interpolated_macdonald_columns_match_the_operator():
+    q, t = Fraction(1, 3), Fraction(2, 7)
+    basis = kw._macdonald_basis(Partition((2, 1, 1)), 3)
+    for mu, column in kw._macdonald_columns(basis, q, t, 3).items():
+        rebuilt = LaurentPoly.zero(3)
+        for nu, c in column.items():
+            rebuilt = rebuilt + sym_orbit_sum(nu, 3) * c
+        image = apply_macdonald_mult(q, t, 1, sym_orbit_sum(mu, 3), 3)
+        assert rebuilt == image, mu
+
+
+def _recorded_points(monkeypatch):
+    """Log every point a solve evaluates, with whether it hit a pole."""
+    log = []
+    real = kw._interpolation_row
+
+    def row(splits, point, *rest):
+        try:
+            out = real(splits, point, *rest)
+        except kw._Pole:
+            log.append((point, "pole"))
+            raise
+        log.append((point, "ok"))
+        return out
+
+    monkeypatch.setattr(kw, "_interpolation_row", row)
+    return log
+
+
+def test_pole_point_is_replaced_deterministically(monkeypatch):
+    # sq = 1/4 puts a pole of [q z^2] at s = 2: such points are skipped
+    ep = EP.replace(sq=Fraction(1, 4))
+    lam = Partition((1, 1))
+    log = _recorded_points(monkeypatch)
+    first = kw._koornwinder_cached.__wrapped__(lam, ep, 2)
+    runs = [list(log)]
+    log.clear()
+    assert kw._koornwinder_cached.__wrapped__(lam, ep, 2) == first
+    runs.append(list(log))
+    assert runs[0] == runs[1]
+    assert [p for p, what in runs[0] if what == "pole"]
+    assert all((2 in p) == (what == "pole") for p, what in runs[0])
+    k = len(koorn_basis(lam, 2).mu_list)
+    assert sum(what == "ok" for _, what in runs[0]) == k + 1
+    assert apply_koorn_mult(ep, first, 2) == first * eigenvalue_d(lam, ep, 2)
+
+
+def test_singular_interpolation_matrix_draws_a_new_stream(monkeypatch):
+    attempts = []
+    real = kw._point_stream
+
+    def stream(lam, m, count, attempt):
+        attempts.append(attempt)
+        if attempt == 0:
+            # one point over and over: equal rows, so M is singular
+            return itertools.repeat(next(real(lam, m, count, attempt)))
+        return real(lam, m, count, attempt)
+
+    monkeypatch.setattr(kw, "_point_stream", stream)
+    got = kw._koornwinder_cached.__wrapped__(Partition((2, 1)), EP, 2)
+    assert attempts == [0, 1]
+    assert poly_dumps(got) == poly_dumps(koornwinder_poly((2, 1), EP, 2))
+
+
+@pytest.mark.parametrize("cause", ["singular", "poles"])
+def test_exhausted_point_streams_raise_typed_error(monkeypatch, cause):
+    # the give-up must survive python -O, so it cannot be an assert
+    attempts = []
+    ep = EP.replace(sq=Fraction(1, 4))
+
+    def stream(lam, m, count, attempt):
+        attempts.append(attempt)
+        if cause == "singular":
+            return itertools.repeat((3, 5))
+        return ((2, s) for s in itertools.count(3))  # every point has s = 2
+
+    monkeypatch.setattr(kw, "_point_stream", stream)
+    with pytest.raises(TriangularSolveError, match="point streams"):
+        kw._koornwinder_cached.__wrapped__(Partition((2, 1)), ep, 2)
+    assert attempts == list(range(kw._POINT_DRAWS))
+
+
+def test_missing_basis_label_fails_the_check_point():
+    # without the constant orbit the k points fit a wrong column, which the
+    # (k+1)-th point exposes
+    basis = koorn_basis(Partition((2,)), 1).mu_list
+    assert basis[-1] == Partition(())
+    with pytest.raises(TriangularSolveError, match="check point"):
+        kw._koorn_columns(basis[:-1], EP, 1)
 
 
 def test_one_variable_P1_is_askey_wilson():
@@ -566,18 +676,13 @@ def test_koornwinder_json_is_deterministic():
 
 
 def test_solve_caches_stay_within_their_bounds():
-    # more fresh parameter sets than either Koornwinder cache holds:
-    # a solve of P_(2) in one variable reads the columns of (2) and (1)
+    # more fresh parameter sets than either polynomial cache holds
     for k in range(140):
         koornwinder_poly((2,), EP.replace(sa=Fraction(100 + k, 7)), 1)
     assert kw._koornwinder_cached.cache_info().currsize == kw._POLY_CACHE_SIZE
-    assert kw._koorn_column.cache_info().currsize == kw._COLUMN_CACHE_SIZE
-    # and for Macdonald: P_(3) in three variables reads the columns of
-    # (3) and (2, 1)
     for k in range(140):
         macdonald_poly((3,), Fraction(1, 3), Fraction(2, 7 + k), 3)
     assert kw._macdonald_cached.cache_info().currsize == kw._POLY_CACHE_SIZE
-    assert kw._macdonald_column.cache_info().currsize == kw._COLUMN_CACHE_SIZE
 
 
 def test_cached_polynomial_terms_are_read_only():
