@@ -256,6 +256,15 @@ def theta_eval(
     The estimate bounds the relative error of dropping all factors past the
     cap: sum of |p^i z| + |p^(i+1)/z| over the tail, times |value|.
     """
+    value = _theta_value(z, p, tr)
+    ap = abs(p)
+    tail = ap**tr.max_terms * (abs(z) + ap / abs(z)) / (1 - ap) if ap else 0.0
+    return ThetaValue(value, tail * abs(value))
+
+
+def _theta_value(z: complex, p: complex, tr: Truncation) -> complex:
+    """theta(z;p) alone, with every check of :func:`theta_eval` but no
+    tail bound, for callers that read only the value."""
     _require_finite("theta_eval", z, p)
     ap = abs(p)
     if ap >= 1:
@@ -265,9 +274,7 @@ def theta_eval(
     p_over_z = p / z
     if not cmath.isfinite(p_over_z):
         raise DomainError(f"theta_eval: p/z = {p_over_z!r} overflows for z = {z!r}")
-    value = _qpoch_inf(z, p, tr) * _qpoch_inf(p_over_z, p, tr)
-    tail = ap**tr.max_terms * (abs(z) + ap / abs(z)) / (1 - ap) if ap else 0.0
-    return ThetaValue(value, tail * abs(value))
+    return _qpoch_inf(z, p, tr) * _qpoch_inf(p_over_z, p, tr)
 
 
 def elliptic_gamma(
@@ -328,7 +335,7 @@ def sigma_eval(fam: SigmaFamily, u: complex) -> complex:
     # the branch is consistent by construction
     z = phase(u / fam.omega1)
     z_inv_half = phase(-u / (2 * fam.omega1))
-    theta = theta_eval(z, fam._nome, fam.trunc).value
+    theta = _theta_value(z, fam._nome, fam.trunc)
     return fam.scale * (-z_inv_half * theta)
 
 

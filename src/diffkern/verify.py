@@ -245,6 +245,25 @@ def _rounded_node_suffices(w1: complex, w2: complex) -> bool:
     return limit * max(abs(w1), abs(w2)) < 0.5 * abs(det)
 
 
+@lru_cache(maxsize=16)
+def _reduced_basis(w1: complex, w2: complex) -> tuple[complex, complex]:
+    """A shortest basis of the lattice spanned by w1 and w2.
+
+    Lagrange-Gauss reduction (Cohen, *A Course in Computational Algebraic
+    Number Theory*, Alg. 1.3.14): subtract the nearest integer multiple of
+    the shorter vector from the longer until the longer one stays longer.
+    In a reduced basis the node nearest a point is in the 3x3 window
+    around its rounded coordinates, however skewed the given basis is.
+    """
+    long, short = (w1, w2) if abs(w1) >= abs(w2) else (w2, w1)
+    while True:
+        k = round((long * short.conjugate()).real / abs(short) ** 2)
+        long -= k * short
+        if abs(long) >= abs(short):
+            return short, long
+        long, short = short, long
+
+
 def _lattice_dist(fam: SigmaFamily, u: complex) -> float:
     """Distance from u to the zero lattice of the family's sigma.
 
@@ -252,8 +271,8 @@ def _lattice_dist(fam: SigmaFamily, u: complex) -> float:
     ``_SEPARATION_MARGIN`` * |omega1|.  Below that the elliptic value is
     exact; above it, it may be the distance to a node other than the
     nearest, which is farther still.  A lattice too skewed for its rounded
-    coordinates to find the nearby node falls back to a 3x3 window of nodes
-    around them.
+    coordinates to find the nearby node is searched in a 3x3 window around
+    the rounded coordinates in its reduced basis.
     """
     if fam.kind is FamilyKind.RATIONAL:
         return abs(u)
@@ -262,16 +281,19 @@ def _lattice_dist(fam: SigmaFamily, u: complex) -> float:
         t = u / w1
         return abs(t - round(t.real)) * abs(w1)
     w2 = fam.omega2
-    det = w1.real * w2.imag - w1.imag * w2.real
-    a = (u.real * w2.imag - u.imag * w2.real) / det
-    b = (w1.real * u.imag - w1.imag * u.real) / det
     if _rounded_node_suffices(w1, w2):
+        det = w1.real * w2.imag - w1.imag * w2.real
+        a = (u.real * w2.imag - u.imag * w2.real) / det
+        b = (w1.real * u.imag - w1.imag * u.real) / det
         return abs(u - (round(a) * w1 + round(b) * w2))
+    r1, r2 = _reduced_basis(w1, w2)
+    det = r1.real * r2.imag - r1.imag * r2.real
+    a = round((u.real * r2.imag - u.imag * r2.real) / det)
+    b = round((r1.real * u.imag - r1.imag * u.real) / det)
     best = math.inf
     for da in (-1, 0, 1):
         for db in (-1, 0, 1):
-            node = (round(a) + da) * w1 + (round(b) + db) * w2
-            best = min(best, abs(u - node))
+            best = min(best, abs(u - ((a + da) * r1 + (b + db) * r2)))
     return best
 
 
@@ -1339,7 +1361,6 @@ def run_suite(
     size_grid: Sequence[tuple[int, int]] | None = None,
     samples: int = DEFAULT_SAMPLES,
     seed: int = DEFAULT_SEED,
-    tol: float | None = None,
 ) -> list[Report]:
     """Check identities over a size grid and return one report per task.
 
@@ -1347,11 +1368,9 @@ def run_suite(
     points come from per-task streams keyed by (seed, id, family, m, n), a
     point that hits a pole is redrawn from a stream keyed by its index as
     well, and reports come back sorted by (id, m, n).  Residual exceedances
-    are returned as data; compare against ``tol`` (or the family tolerance)
-    with :func:`first_failure`.
+    are returned as data; compare them against a tolerance with
+    :func:`first_failure`.
     """
-    if tol is not None and not tol > 0:
-        raise ValueError("tol must be positive")
     if samples < 1:
         raise ValueError("samples must be at least 1")
     if fam is None:

@@ -233,6 +233,26 @@ def test_theta_rejects_zero_and_non_finite():
         theta_eval(1e-320, 0.5)  # p/z overflows
 
 
+def test_value_only_theta_keeps_the_value_and_every_check():
+    # sigma_eval reads only the value; it must be theta_eval's, bit for bit
+    from diffkern.sigma import _theta_value
+
+    rng = random.Random(11)
+    for _ in range(40):
+        z = cmath.rect(rng.uniform(0.2, 3.0), rng.uniform(-math.pi, math.pi))
+        p = cmath.rect(rng.uniform(0.0, 0.6), rng.uniform(-math.pi, math.pi))
+        assert _theta_value(z, p, DEFAULT_TRUNCATION) == theta_eval(z, p).value
+    for z, p in (
+        (0.0, 0.3),
+        (float("nan"), 0.3),
+        (0.5, complex(float("inf"), 0.0)),
+        (1e-320, 0.5),
+        (0.5, 1.0),
+    ):
+        with pytest.raises(DomainError):
+            _theta_value(z, p, DEFAULT_TRUNCATION)
+
+
 def test_elliptic_gamma_inversion_and_shift():
     p, q = 0.15, 0.2 + 0.1j
     rng = random.Random(3)

@@ -295,6 +295,15 @@ GUARD_LATTICES = {
 }
 
 
+def scan_radius(fam, limit):
+    """Smallest window radius (at least 2, a 5x5 scan) that holds every node
+    within ``limit`` of a point: a node that close moves each rounded
+    coordinate by at most limit * max(|w1|, |w2|) / |det|."""
+    w1, w2 = fam.omega1, fam.omega2
+    det = abs(w1.real * w2.imag - w1.imag * w2.real)
+    return max(2, math.ceil(limit * max(abs(w1), abs(w2)) / det) + 1)
+
+
 @pytest.mark.parametrize("lattice", sorted(GUARD_LATTICES))
 def test_lattice_guard_matches_window_scan(lattice):
     omega2, single_node = GUARD_LATTICES[lattice]
@@ -303,15 +312,28 @@ def test_lattice_guard_matches_window_scan(lattice):
     rng = random.Random(f"guard|{lattice}")
     for margin in (verify.POLE_MARGIN, verify._SEPARATION_MARGIN):
         limit = margin * abs(fam.omega1)
+        # 5x5 everywhere but on the degenerate lattice at the wider margin,
+        # where a node within it can sit 20 steps of omega1 from the
+        # rounded coordinates (and a 5x5 scan misses it)
+        radius = scan_radius(fam, limit)
         for u in guard_points(fam, limit, rng):
             near = verify._lattice_dist(fam, u) < limit
-            if single_node:
-                assert near == (window_dist(fam, u, 2) < limit)
-            else:
-                # too skewed for rounding: the 3x3 window is kept as it was
-                assert verify._lattice_dist(fam, u) == window_dist(fam, u, 1)
-                if margin == verify.POLE_MARGIN:
-                    assert near == (window_dist(fam, u, 2) < limit)
+            assert near == (window_dist(fam, u, radius) < limit), (margin, u)
+
+
+@pytest.mark.parametrize("omega2", [10 + 0.01j, 2.3 + 0.45j, -3.7 + 0.2j])
+def test_reduced_basis_is_a_short_basis_of_the_same_lattice(omega2):
+    w1, w2 = 1.0 + 0j, omega2
+    r1, r2 = verify._reduced_basis(w1, w2)
+    det = w1.real * w2.imag - w1.imag * w2.real
+    assert math.isclose(abs(r1.real * r2.imag - r1.imag * r2.real), abs(det))
+    assert abs(r1) <= abs(r2)
+    assert abs((r2 * r1.conjugate()).real) <= abs(r1) ** 2 / 2 + 1e-12
+    # each reduced vector is an integer combination of the given basis
+    for r in (r1, r2):
+        a = (r.real * w2.imag - r.imag * w2.real) / det
+        b = (w1.real * r.imag - w1.imag * r.real) / det
+        assert abs(a - round(a)) < 1e-9 and abs(b - round(b)) < 1e-9
 
 
 # ======================================================================
@@ -456,9 +478,10 @@ def test_elliptic_reports_match_wide_golden_digest(lattice, seed):
     assert digest == WIDE_ELLIPTIC_SHA256[(lattice, seed)]
 
 
-def test_suite_rejects_nonpositive_tolerance():
-    with pytest.raises(ValueError):
-        run_suite(ids=[IdentityId.RIEMANN], samples=1, tol=0.0)
+def test_suite_takes_no_tolerance():
+    # tolerances apply in first_failure; the suite only measures
+    with pytest.raises(TypeError):
+        run_suite(ids=[IdentityId.RIEMANN], samples=1, tol=1e-9)
 
 
 def test_suite_rejects_zero_samples():
