@@ -282,7 +282,10 @@ def _bracket_ratio(
     return Fraction(num, den)
 
 
-def _koorn_moves(ep: ExactParams, point: Sequence[int]):
+_Moves = tuple[Fraction, list[tuple[int, tuple[int, int], Fraction]]]
+
+
+def _koorn_moves(ep: ExactParams, point: Sequence[int]) -> _Moves:
     """Koornwinder operator at a point: sum_i A_i^+ (T_i - 1) + A_i^- (T_i^-1 - 1).
 
     Returns the weight of the unshifted value and, for every shift, the
@@ -313,7 +316,7 @@ def _koorn_moves(ep: ExactParams, point: Sequence[int]):
     return -total, moves
 
 
-def _macdonald_moves(q: Fraction, t: Fraction, point: Sequence[int]):
+def _macdonald_moves(q: Fraction, t: Fraction, point: Sequence[int]) -> _Moves:
     """First Macdonald operator at a point: sum_i prod_(j != i)
     (t z_i - z_j) / (z_i - z_j) T_(q, z_i); same shape as :func:`_koorn_moves`."""
     z = [s * s for s in point]
@@ -356,7 +359,13 @@ def _orbit_values(tables: Sequence[Sequence[int]]) -> Callable[[tuple[int, ...]]
     return value
 
 
-def _interpolation_row(splits, point, top, table, moves) -> tuple[list[int], list[int]]:
+def _interpolation_row(
+    splits: Sequence[list[tuple[int, tuple[int, ...]]]],
+    point: tuple[int, ...],
+    top: int,
+    table: Callable[[int, int, int], tuple[list[int], int]],
+    moves: Callable[[Sequence[int]], _Moves],
+) -> tuple[list[int], list[int]]:
     """One integer row [m_nu(point) ... | (D m_mu)(point) ...], both halves
     scaled by one positive factor and then divided by their content.
 
@@ -403,8 +412,8 @@ def _interpolation_row(splits, point, top, table, moves) -> tuple[list[int], lis
 def _bareiss_solve(rows: list[list[int]], k: int) -> tuple[int, list[list[int]]] | None:
     """Solve A X = B for integer k x k A, given the rows [A | B].
 
-    Fraction-free elimination (Bareiss 1968): every division is exact, so
-    the entries stay integers no larger than minors of [A | B].  Returns
+    Fraction-free elimination (Bareiss 1968): every division is exact and
+    every entry stays an integer minor of [A | B].  Returns
     (D, Y) with D = +-det A and Y = D A^-1 B, which is integral; None when A
     is singular.
     """
@@ -442,7 +451,7 @@ def _operator_columns(
     basis: Sequence[Partition],
     m: int,
     table: Callable[[int, int, int], tuple[list[int], int]],
-    moves: Callable[[Sequence[int]], tuple],
+    moves: Callable[[Sequence[int]], _Moves],
     eig: Callable[[Partition], Fraction],
     what: str,
 ) -> dict[Partition, dict[Partition, Fraction]]:

@@ -197,7 +197,7 @@ def test_wrong_diagonal_raises_typed_error(monkeypatch):
     # the guard must survive python -O, so it cannot be an assert
     real = kw.eigenvalue_d
     monkeypatch.setattr(kw, "eigenvalue_d", lambda lam, ep, m: real(lam, ep, m) + 1)
-    # parameters used nowhere else, so no cached column or polynomial is hit
+    # parameters used nowhere else, so no cached polynomial is hit
     fresh = EP_ALT.replace(sa=Fraction(11, 13))
     with pytest.raises(TriangularSolveError, match="diagonal"):
         koornwinder_poly((2, 1), fresh, 2)
