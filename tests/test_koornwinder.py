@@ -46,6 +46,7 @@ from diffkern.laurent import (
     is_W_invariant,
     orbit_sum,
     partitions_in_box,
+    partitions_of,
     poly_dumps,
     sym_orbit_sum,
 )
@@ -731,6 +732,7 @@ def test_box_polynomials_match_golden_digest(name, m):
 GOLDEN_M4_DIGESTS = {
     (1, 1, 1, 1): "2c9cf7164cde745c81610a713d331fc14e6e3238ac681e96f020db365e932baf",
     (2, 1, 1, 1): "d1b468ecd7b14f13960dcd0798659d231772fc7201df05b6bcf529cc86c3089e",
+    (2, 2, 2, 2): "48cfde25c36a4b76bbc84dadb1cf73240cdbd7f66a8336efdcad4e48a0576c1d",
 }
 
 
@@ -738,3 +740,22 @@ GOLDEN_M4_DIGESTS = {
 def test_four_variable_polynomials_match_golden_digest(lam):
     text = poly_dumps(koornwinder_poly(lam, EP, 4))
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_M4_DIGESTS[lam]
+
+
+# sha256 over "<m> <parts> <poly_dumps(P_lam)>\n" for every Macdonald P_lam
+# with |lam| <= 4 in m = 1..3 variables at (q, t) = (1/3, 2/7), in the order
+# of the loops below.
+GOLDEN_MACDONALD_DIGEST = (
+    "f38f3279c44981d680f6bb7619443af80d75e2baa55ff35fafc1875679e5ec13"
+)
+
+
+def test_macdonald_polynomials_match_golden_digest():
+    q, t = Fraction(1, 3), Fraction(2, 7)
+    digest = hashlib.sha256()
+    for m in (1, 2, 3):
+        for size in range(5):
+            for lam in partitions_of(size, m):
+                text = poly_dumps(macdonald_poly(lam, q, t, m))
+                digest.update(f"{m} {list(lam.parts)} {text}\n".encode())
+    assert digest.hexdigest() == GOLDEN_MACDONALD_DIGEST
