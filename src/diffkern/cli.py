@@ -247,8 +247,11 @@ def _family_from(cfg: Config, args) -> SigmaFamily:
         omega2 = cfg.params.get("omega2", omega2)
         scale = cfg.params.get("scale", scale)
     trunc = cfg.truncation
-    if getattr(args, "trunc", None):
-        trunc = Truncation(max_terms=args.trunc, term_tol=trunc.term_tol)
+    if getattr(args, "trunc", None) is not None:
+        try:
+            trunc = Truncation(max_terms=args.trunc, term_tol=trunc.term_tol)
+        except ValueError as exc:
+            raise ConfigError(f"bad --trunc {args.trunc}: {exc}")
     try:
         if name == "rational":
             return SigmaFamily.rational(scale=scale)
@@ -321,12 +324,7 @@ def cmd_verify(args, cfg: Config) -> int:
     else:
         tol = {kind: cfg.tolerances[name] for name, kind in _FAMILY_KINDS.items()}
     fail = first_failure(reports, tol)
-    failures = sum(
-        1
-        for rep in reports
-        if not rep.max_residual
-        <= (tol if isinstance(tol, float) else tol[rep.family])
-    )
+    failures = sum(first_failure([rep], tol) is not None for rep in reports)
     payload = {
         "command": "verify",
         "family": fam.kind.value,
@@ -356,6 +354,8 @@ def cmd_koornwinder(args, cfg: Config) -> int:
         raise ConfigError("need at least one variable")
     if len(lam) > m:
         raise ConfigError(f"partition {list(lam.parts)} does not fit in {m} variables")
+    if args.retries < 0:
+        raise ConfigError(f"--retries must be nonnegative, got {args.retries}")
     ep = _exact_params(cfg)
     try:
         _, used, log = compute_with_resampling(lam, ep, m, retries=args.retries)

@@ -1,19 +1,18 @@
 """Koornwinder and Macdonald polynomials, computed exactly.
 
-Eigen-solve route: the Koornwinder operator acts triangularly on
-hyperoctahedral orbit sums with known diagonal entries, so P_lambda is
-obtained by building the exact operator matrix on the basis of all
-mu <= lambda (dominance) and back-substituting the triangular
-eigen-system.  The matrix comes from exact evaluation and interpolation:
-at k + 1 integer points (k the size of the basis) the orbit sums and the
-operator images D m_mu take rational values, with rational coefficients
-A_i^(+-) and shifts s_i -> sq^(+-1) s_i of the square-root coordinates,
-and one fraction-free solve (Bareiss 1968) of the k x k orbit-sum system
-gives every column at once.  The last point, the diagonal (the known
-eigenvalues) and the dominance support of each column are checked
-exactly, so the solve never calls the symbolic operator of
-:mod:`diffkern.operators`, which stays an independent oracle.  The
-Macdonald polynomials take the same route with the first Macdonald
+Eigen-solve route: the Koornwinder operator D maps the span of the
+hyperoctahedral orbit sums m_mu, mu <= lambda (dominance), into itself,
+triangularly with known diagonal entries d_mu.  So P_lambda, with unit
+coefficient on m_lambda, is fixed by the eigen-equation (D - d_lambda) P = 0,
+whose left side lies in the span of the k - 1 orbit sums below lambda (k
+the size of the basis).  The solve evaluates that equation exactly at
+k - 1 integer points, where the orbit sums and the operator, with rational
+coefficients A_i^(+-) and shifts s_i -> sq^(+-1) s_i of the square-root
+coordinates, take rational values, and finds the k - 1 unknown
+coefficients by one fraction-free solve (Bareiss 1968).  A k-th point
+checks the eigen-equation exactly, so the solve never calls the symbolic
+operator of :mod:`diffkern.operators`, which stays an independent oracle.
+The Macdonald polynomials take the same route with the first Macdonald
 operator.  No inner product is needed, and every coefficient stays an
 exact rational on the doubled exponent lattice of :mod:`diffkern.laurent`.
 
@@ -36,10 +35,10 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cache, lru_cache, partial
+from functools import lru_cache, partial
 from itertools import islice
 from math import gcd, lcm
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .laurent import (
     ExactParams,
@@ -365,21 +364,23 @@ def _interpolation_row(
     top: int,
     table: Callable[[int, int, int], tuple[list[int], int]],
     moves: Callable[[Sequence[int]], _Moves],
-) -> tuple[list[int], list[int]]:
-    """One integer row [m_nu(point) ... | (D m_mu)(point) ...], both halves
-    scaled by one positive factor and then divided by their content.
+    eig: Fraction,
+) -> list[int]:
+    """One integer row [((D - eig) m_nu)(point) ...], scaled by a positive
+    factor and then divided by its content.
 
     Every value is expanded along one variable i: the shifts of i change
     only the one-variable factor, and the orbit sums over the other
-    variables are shared.  The operator weights go over one common
-    denominator, so the row is built from integers alone.
+    variables are shared.  The operator weights, -eig folded into the
+    weight of the unshifted value, go over one common denominator, so the
+    row is built from integers alone.
     """
     identity, moved = moves(point)
     base = [table(s * s, 1, top) for s in point]
     # per variable: (weight, one-variable values) pairs, weights already
     # carrying the ratio of the moved variable's scale to its base scale
     parts: list[list[tuple[Fraction, list[int]]]] = [[] for _ in point]
-    parts[0].append((identity, base[0][0]))
+    parts[0].append((identity - eig, base[0][0]))
     for i, (n, d), weight in moved:
         values, scale = table(n, d, top)
         parts[i].append((weight * base[i][1] / scale, values))
@@ -395,9 +396,7 @@ def _interpolation_row(
 
     tables = [values for values, _ in base]
     others = [_orbit_values(tables[:i] + tables[i + 1 :]) for i in range(len(point))]
-    own = tables[0]
-    m_row = [common * sum(own[v] * others[0](rest) for v, rest in sp) for sp in splits]
-    b_row = [
+    row = [
         sum(
             mix[v] * other(rest)
             for mix, other in zip(mixed, others)
@@ -405,113 +404,111 @@ def _interpolation_row(
         )
         for sp in splits
     ]
-    content = gcd(*m_row, *b_row)
-    return [e // content for e in m_row], [e // content for e in b_row]
+    content = gcd(*row) or 1
+    return [e // content for e in row]
 
 
-def _bareiss_solve(rows: list[list[int]], k: int) -> tuple[int, list[list[int]]] | None:
-    """Solve A X = B for integer k x k A, given the rows [A | B].
+def _bareiss_solve(rows: list[list[int]], n: int) -> tuple[int, list[int]] | None:
+    """Solve A x = b for integer n x n A, given the rows [A | b].
 
     Fraction-free elimination (Bareiss 1968): every division is exact and
-    every entry stays an integer minor of [A | B].  Returns
-    (D, Y) with D = +-det A and Y = D A^-1 B, which is integral; None when A
-    is singular.
+    every entry stays an integer minor of [A | b].  Returns (D, y) with
+    D = +-det A and y = D A^-1 b, which is integral; None when A is
+    singular.
     """
     a = [list(row) for row in rows]
-    width = len(a[0])
     prev = 1
-    for p in range(k):
+    for p in range(n):
         if not a[p][p]:
-            swap = next((r for r in range(p + 1, k) if a[r][p]), None)
+            swap = next((r for r in range(p + 1, n) if a[r][p]), None)
             if swap is None:
                 return None
             a[p], a[swap] = a[swap], a[p]
         pivot_row = a[p]
         pivot = pivot_row[p]
-        for r in range(p + 1, k):
+        for r in range(p + 1, n):
             row = a[r]
             lead = row[p]
-            for c in range(p + 1, width):
+            for c in range(p + 1, n + 1):
                 row[c] = (row[c] * pivot - lead * pivot_row[c]) // prev
             row[p] = 0
         prev = pivot
-    det = prev
-    y = [[0] * (width - k) for _ in range(k)]
-    for i in range(k - 1, -1, -1):
+    y = [0] * n
+    for i in range(n - 1, -1, -1):
         row = a[i]
-        for j in range(width - k):
-            acc = det * row[k + j] - sum(row[l] * y[l][j] for l in range(i + 1, k))
-            y[i][j], rem = divmod(acc, row[i])
-            if rem:
-                raise TriangularSolveError("fraction-free back-substitution is inexact")
-    return det, y
+        acc = prev * row[n] - sum(row[l] * y[l] for l in range(i + 1, n))
+        y[i], rem = divmod(acc, row[i])
+        if rem:
+            raise TriangularSolveError("fraction-free back-substitution is inexact")
+    return prev, y
 
 
-def _operator_columns(
+def _eigen_solve(
     basis: Sequence[Partition],
     m: int,
     table: Callable[[int, int, int], tuple[list[int], int]],
     moves: Callable[[Sequence[int]], _Moves],
     eig: Callable[[Partition], Fraction],
+    basis_poly: Callable[[Partition], LaurentPoly],
     what: str,
-) -> dict[Partition, dict[Partition, Fraction]]:
-    """Operator image of every orbit sum of the basis, by interpolation.
+) -> LaurentPoly:
+    """Unit-leading eigenfunction P = sum_nu c_nu m_nu of D, by interpolation.
 
-    D m_mu = sum_nu C[nu, mu] m_nu over the dominance-closed basis, so k =
-    len(basis) points s_p give M C = B with M[p, nu] = m_nu(s_p) and
-    B[p, mu] = (D m_mu)(s_p), both exact rationals; one fraction-free
-    solve gives every column.  A (k+1)-th point must satisfy the solved
-    equations exactly, each column must stay inside the basis of its label
-    and its diagonal entry must be the eigenvalue; a failure raises
-    :class:`TriangularSolveError`.  A point where the operator has a pole
-    is replaced by the next one of the stream, and a singular M starts a
-    new stream.
+    D maps the span of the dominance-closed basis into itself,
+    triangularly with diagonal eig(nu), so with c_lam = 1 the image
+    (D - d_lam) P lies in the span of the k - 1 orbit sums below lam.  It
+    vanishes once it vanishes at k - 1 points where those orbit sums are
+    independent, which is exactly where the (k - 1) x (k - 1) system for
+    the c_nu is regular; equal eigenvalues d_nu = d_lam would make it
+    singular everywhere, so they are reported first as a collision.  A
+    k-th point must satisfy the eigen-equation exactly, or
+    :class:`TriangularSolveError` is raised.  A point where the operator
+    has a pole is replaced by the next one of the stream, and a singular
+    system starts a new stream.
     """
+    lam = basis[0]
+    d_lam = eig(lam)
+    for mu in basis[1:]:
+        if eig(mu) == d_lam:
+            raise CollisionError(
+                f"{what}: eigenvalue of {mu.parts} collides with {lam.parts} at "
+                "the supplied parameters; perturb one square root "
+                "(ExactParams.replace) and retry"
+            )
     k = len(basis)
-    top = basis[0].part(0)
+    top = lam.part(0)
     splits = [_splits(mu.padded(m)) for mu in basis]
     for attempt in range(_POINT_DRAWS):
         # a point where a coefficient has a pole is replaced by the next
         # one; an attempt that meets more poles than it needs points fails
         rows = []
-        for point in islice(_point_stream(basis[0], m, k + 1, attempt), 2 * (k + 1)):
+        for point in islice(_point_stream(lam, m, k, attempt), 2 * k):
             try:
-                rows.append(_interpolation_row(splits, point, top, table, moves))
+                rows.append(_interpolation_row(splits, point, top, table, moves, d_lam))
             except _Pole:
                 continue
-            if len(rows) > k:
+            if len(rows) == k:
                 break
-        if len(rows) <= k:
+        if len(rows) < k:
             continue
-        solved = _bareiss_solve([m_row + b_row for m_row, b_row in rows[:k]], k)
+        solved = _bareiss_solve([row[1:] + [-row[0]] for row in rows[:-1]], k - 1)
         if solved is None:
             continue
         det, y = solved
-        check_m, check_b = rows[k]
-        columns: dict[Partition, dict[Partition, Fraction]] = {}
-        for j, mu in enumerate(basis):
-            if sum(e * y[i][j] for i, e in enumerate(check_m)) != det * check_b[j]:
-                raise TriangularSolveError(
-                    f"{what}: the column of {mu.parts} fails at the check point; "
-                    "the operator image is not in the span of the basis"
-                )
-            column = {}
-            for i, nu in enumerate(basis):
-                if y[i][j]:
-                    if not dominance_leq(nu, mu):
-                        raise TriangularSolveError(
-                            f"{what}: the image of {mu.parts} escapes the "
-                            "dominance-closed basis"
-                        )
-                    column[nu] = Fraction(y[i][j], det)
-            if column.get(mu, Fraction(0)) != eig(mu):
-                raise TriangularSolveError(
-                    f"{what}: diagonal entry for {mu.parts} is not its eigenvalue"
-                )
-            columns[mu] = column
-        return columns
+        check = rows[-1]
+        if det * check[0] + sum(e * c for e, c in zip(check[1:], y)):
+            raise TriangularSolveError(
+                f"{what}: P_{lam.parts} fails the eigen-equation at the check "
+                "point; the eigenvalue is wrong or the operator image is not "
+                "in the span of the basis"
+            )
+        out = basis_poly(lam)
+        for nu, c in zip(basis[1:], y):
+            if c:
+                out = out + basis_poly(nu) * Fraction(c, det)
+        return out
     raise TriangularSolveError(
-        f"{what}: each of {_POINT_DRAWS} point streams for {basis[0].parts} in "
+        f"{what}: each of {_POINT_DRAWS} point streams for {lam.parts} in "
         f"{m} variables gave a singular interpolation matrix or more poles "
         "than points"
     )
@@ -526,80 +523,15 @@ def _macdonald_basis(lam: Partition, m: int) -> tuple[Partition, ...]:
     return tuple(members)
 
 
-def _triangular_eigen_solve(
-    basis_list: Sequence[Partition],
-    column_of: Callable[[Partition], Mapping[Partition, Fraction]],
-    eig: Callable[[Partition], Fraction],
-    basis_poly: Callable[[Partition], LaurentPoly],
-    m: int,
-    what: str,
-) -> LaurentPoly:
-    """Unit-leading eigenvector through back-substitution.
-
-    The eigen-system (d_lam - D) P = 0 on a dominance-ordered basis is
-    triangular, so once c_lam = 1 each remaining coefficient is a single
-    division by d_lam - d_nu; equality of those eigenvalues is exactly the
-    collision case the parameters must avoid.
-    """
-    lam = basis_list[0]
-    d_lam = eig(lam)
-    for mu in basis_list[1:]:
-        if eig(mu) == d_lam:
-            raise CollisionError(
-                f"{what}: eigenvalue of {mu.parts} collides with {lam.parts} at "
-                "the supplied parameters; perturb one square root "
-                "(ExactParams.replace) and retry"
-            )
-    coeffs: dict[Partition, Fraction] = {lam: Fraction(1)}
-    for nu in basis_list[1:]:
-        s = Fraction(0)
-        for mu, c_mu in coeffs.items():
-            s += column_of(mu).get(nu, Fraction(0)) * c_mu
-        coeffs[nu] = s / (d_lam - eig(nu))
-    out = LaurentPoly.zero(m)
-    for mu, c in coeffs.items():
-        if c:
-            out = out + basis_poly(mu) * c
-    return out
-
-
-def _koorn_columns(
-    basis: Sequence[Partition], ep: ExactParams, m: int
-) -> dict[Partition, dict[Partition, Fraction]]:
-    return _operator_columns(
-        basis,
+@lru_cache(maxsize=_POLY_CACHE_SIZE)
+def _koornwinder_cached(lam: Partition, ep: ExactParams, m: int) -> LaurentPoly:
+    return _eigen_solve(
+        koorn_basis(lam, m).mu_list,
         m,
         _laurent_table,
         partial(_koorn_moves, ep),
         lambda mu: eigenvalue_d(mu, ep, m),
-        "koornwinder",
-    )
-
-
-def _macdonald_columns(
-    basis: Sequence[Partition], q: Fraction, t: Fraction, m: int
-) -> dict[Partition, dict[Partition, Fraction]]:
-    return _operator_columns(
-        basis,
-        m,
-        _power_table,
-        partial(_macdonald_moves, q, t),
-        lambda mu: macdonald_eigenvalue(mu, q, t, m),
-        "macdonald",
-    )
-
-
-@lru_cache(maxsize=_POLY_CACHE_SIZE)
-def _koornwinder_cached(lam: Partition, ep: ExactParams, m: int) -> LaurentPoly:
-    basis = koorn_basis(lam, m).mu_list
-    # solved on the first read, so a collision is reported before the work
-    columns = cache(partial(_koorn_columns, basis, ep, m))
-    return _triangular_eigen_solve(
-        basis,
-        lambda mu: columns()[mu],
-        lambda mu: eigenvalue_d(mu, ep, m),
         lambda mu: orbit_sum(mu, m),
-        m,
         "koornwinder",
     )
 
@@ -619,14 +551,13 @@ def koornwinder_poly(lam, ep: ExactParams, m: int) -> LaurentPoly:
 def _macdonald_cached(
     lam: Partition, q: Fraction, t: Fraction, m: int
 ) -> LaurentPoly:
-    basis = _macdonald_basis(lam, m)
-    columns = cache(partial(_macdonald_columns, basis, q, t, m))
-    return _triangular_eigen_solve(
-        basis,
-        lambda mu: columns()[mu],
+    return _eigen_solve(
+        _macdonald_basis(lam, m),
+        m,
+        _power_table,
+        partial(_macdonald_moves, q, t),
         lambda mu: macdonald_eigenvalue(mu, q, t, m),
         lambda mu: sym_orbit_sum(mu, m),
-        m,
         "macdonald",
     )
 
@@ -669,6 +600,8 @@ def compute_with_resampling(
     Returns (polynomial, parameters actually used, retry log); the log
     carries one line per collision hit so callers can surface it.
     """
+    if retries < 0:
+        raise ValueError(f"retries must be nonnegative, got {retries}")
     part = _as_partition(lam)
     log: list[str] = []
     current = ep

@@ -424,9 +424,9 @@ def _koorn_pair_factors(m: int, k: int, l: int) -> list[LaurentPoly]:
     ]
 
 
-#: A solve applies the operator once per basis column at one (m, sq), so
-#: one entry serves all its columns.  Holding no more keeps peak memory at
-#: what building them per call needed (an m = 3 entry is about 100 KiB).
+#: One entry serves repeated applications at one (m, sq).  Holding no
+#: more keeps peak memory at what building them per call needed (an m = 3
+#: entry is about 100 KiB).
 _DENOMINATOR_CACHE_SIZE = 1
 
 

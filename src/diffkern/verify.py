@@ -39,6 +39,7 @@ from .kernels import (
 from .operators import (
     ParamsA,
     ParamsBC,
+    _sigma_ratio,
     apply_A,
     apply_A_higher,
     apply_D_BC,
@@ -693,13 +694,6 @@ def _point_e_const(spec, fam, m, n, params, rng) -> dict:
 # ======================================================================
 
 
-def _ratio(fam: SigmaFamily, num: complex, den: complex, where: str) -> complex:
-    d = sigma_eval(fam, den)
-    if abs(d) < POLE_THRESHOLD:
-        raise PoleError(f"denominator sigma({where}) vanishes", where=where)
-    return sigma_eval(fam, num) / d
-
-
 def _pinned(fam: SigmaFamily) -> SigmaFamily:
     """Copy of the family normalized as the factorized statements require."""
     if fam.kind is FamilyKind.TRIGONOMETRIC:
@@ -728,13 +722,13 @@ def _res_partial_fraction(fam, m, n, params, pt):
     c = sum(cs)
     lhs = sigma_eval(fam, c)
     for xj, cj in zip(xs, cs):
-        lhs *= _ratio(fam, z - xj + cj, z - xj, "z - x_j")
+        lhs *= _sigma_ratio(fam, z - xj + cj, z - xj, "z - x_j")
     rhs = 0j
     for i, (xi, ci) in enumerate(zip(xs, cs)):
-        term = sigma_eval(fam, ci) * _ratio(fam, z - xi + c, z - xi, "z - x_i")
+        term = sigma_eval(fam, ci) * _sigma_ratio(fam, z - xi + c, z - xi, "z - x_i")
         for j, (xj, cj) in enumerate(zip(xs, cs)):
             if j != i:
-                term *= _ratio(fam, xi - xj + cj, xi - xj, "x_i - x_j")
+                term *= _sigma_ratio(fam, xi - xj + cj, xi - xj, "x_i - x_j")
         rhs += term
     return abs(lhs - rhs)
 
@@ -745,7 +739,7 @@ def _key_sum(fam, cs, xs):
         term = sigma_eval(fam, ci)
         for j, (xj, cj) in enumerate(zip(xs, cs)):
             if j != i:
-                term *= _ratio(fam, xi - xj + cj, xi - xj, "x_i - x_j")
+                term *= _sigma_ratio(fam, xi - xj + cj, xi - xj, "x_i - x_j")
         total += term
     return total
 
@@ -771,7 +765,7 @@ def _res_thm_a_phi(fam, m, n, params, pt, factorized=False):
     lhs = apply_A(pa, lambda xs: phi_A(spec, xs, y), x)
     lhs -= apply_A(pa, lambda ys: phi_A(spec, x, ys), y)
     if factorized:
-        rhs = _ratio(fam, (m - n) * kappa, kappa, "kappa") * phi_A(spec, x, y)
+        rhs = _sigma_ratio(fam, (m - n) * kappa, kappa, "kappa") * phi_A(spec, x, y)
     else:
         rhs = 0j
     return abs(lhs - rhs)
@@ -887,10 +881,12 @@ def _res_prop_exp_f(fam, m, n, params, pt):
             f_val /= den
     for xj in x:
         for e in (1, -1):
-            f_val *= _ratio(fam, z + e * xj + kappa, z + e * xj, "z +- x_j")
+            f_val *= _sigma_ratio(fam, z + e * xj + kappa, z + e * xj, "z +- x_j")
     for yl in y:
         for e in (1, -1):
-            f_val *= _ratio(fam, z + e * yl + v + lam, z + e * yl + v, "z +- y_l + v")
+            f_val *= _sigma_ratio(
+                fam, z + e * yl + v + lam, z + e * yl + v, "z +- y_l + v"
+            )
     lhs = sigma_eval(fam, c) * f_val
 
     half_dl = (delta + lam) / 2
@@ -901,14 +897,14 @@ def _res_prop_exp_f(fam, m, n, params, pt):
             extra = 1 + 0j
             for yl in y:
                 for e2 in (1, -1):
-                    extra *= _ratio(
+                    extra *= _sigma_ratio(
                         fam,
                         e * x[i] + e2 * yl + half_dl,
                         e * x[i] + e2 * yl + v,
                         "x_i +- y_l + v",
                     )
             group += (
-                _ratio(fam, z - e * x[i] + c, z - e * x[i], "z - x_i")
+                _sigma_ratio(fam, z - e * x[i] + c, z - e * x[i], "z - x_i")
                 * coeff_BC(p_x, x, i, e)
                 * extra
             )
@@ -916,7 +912,7 @@ def _res_prop_exp_f(fam, m, n, params, pt):
         base = (delta - fam.omegas[r]) / 2
         group += (
             phase(c * fam.etas[r] / 2)
-            * _ratio(fam, z + base + c, z + base, "z + (delta - omega_r)/2")
+            * _sigma_ratio(fam, z + base + c, z + base, "z + (delta - omega_r)/2")
             * coeff_BC_zero(p_x, x, r)
         )
     rhs = sigma_eval(fam, kappa) * group
@@ -927,14 +923,14 @@ def _res_prop_exp_f(fam, m, n, params, pt):
             extra = 1 + 0j
             for xj in x:
                 for e2 in (1, -1):
-                    extra *= _ratio(
+                    extra *= _sigma_ratio(
                         fam,
                         e * y[k] + e2 * xj + half_tk,
                         e * y[k] + e2 * xj - v,
                         "y_k +- x_j - v",
                     )
             group += (
-                _ratio(fam, z - e * y[k] + v + c, z - e * y[k] + v, "z - y_k + v")
+                _sigma_ratio(fam, z - e * y[k] + v + c, z - e * y[k] + v, "z - y_k + v")
                 * coeff_BC(p_y, y, k, e)
                 * extra
             )
@@ -942,7 +938,7 @@ def _res_prop_exp_f(fam, m, n, params, pt):
         base = (kappa - fam.omegas[r]) / 2
         group += (
             phase(c * fam.etas[r] / 2)
-            * _ratio(fam, z + base + c, z + base, "z + (kappa - omega_r)/2")
+            * _sigma_ratio(fam, z + base + c, z + base, "z + (kappa - omega_r)/2")
             * coeff_BC_zero(p_y, y, r)
         )
     rhs += sigma_eval(fam, lam) * group

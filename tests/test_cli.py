@@ -146,6 +146,15 @@ def test_verify_unreachable_tolerance_fails_with_dump(capsys):
     assert payload["first_failure"]["id"] == "riemann"
 
 
+@pytest.mark.parametrize("value", ["-1", "0"])
+def test_verify_rejects_nonpositive_trunc(capsys, value):
+    code = main(["verify", "--ids", "riemann", "--family", "trig", "--trunc", value])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "--trunc" in captured.err
+    assert captured.out == ""
+
+
 def test_verify_rejects_square_rational_params(capsys, tmp_path):
     path = write_json(
         tmp_path, "sq.json", {"params": {"mode": "square-rational", "sa": "2/3"}}
@@ -283,6 +292,13 @@ def test_koornwinder_collision_without_retries_fails(capsys, tmp_path):
     )
     assert code == 1
     assert "error" in payload
+
+
+def test_koornwinder_rejects_negative_retries(capsys):
+    assert main(["koornwinder", "--lambda", "2", "--retries", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert "--retries" in captured.err
+    assert captured.out == ""
 
 
 def test_koornwinder_rejects_bad_partition(capsys):

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -194,43 +195,39 @@ def test_eigen_equation_at_alternate_parameters():
     assert apply_koorn_mult(EP_ALT, P, 2) == P * d
 
 
-def test_wrong_diagonal_raises_typed_error(monkeypatch):
+@pytest.mark.parametrize("lam,m", [((3,), 1), ((1, 1, 1), 3)])
+def test_eigen_equation_holds_at_alternate_parameters(lam, m):
+    # the independent oracle: the symbolic operator applied to P
+    P = koornwinder_poly(lam, EP_ALT, m)
+    assert apply_koorn_mult(EP_ALT, P, m) == P * eigenvalue_d(lam, EP_ALT, m)
+
+
+def test_wrong_eigenvalue_raises_typed_error(monkeypatch):
     # the guard must survive python -O, so it cannot be an assert
     real = kw.eigenvalue_d
     monkeypatch.setattr(kw, "eigenvalue_d", lambda lam, ep, m: real(lam, ep, m) + 1)
     # parameters used nowhere else, so no cached polynomial is hit
     fresh = EP_ALT.replace(sa=Fraction(11, 13))
-    with pytest.raises(TriangularSolveError, match="diagonal"):
+    with pytest.raises(TriangularSolveError, match="check point"):
         koornwinder_poly((2, 1), fresh, 2)
 
 
+def test_corrupted_operator_weight_fails_the_check_point(monkeypatch):
+    # a wrong weight makes the image leave the span of the basis
+    real = kw._koorn_moves
+
+    def moves(ep, point):
+        identity, moved = real(ep, point)
+        (i, shift, weight), *rest = moved
+        return identity, [(i, shift, weight * Fraction(1001, 1000)), *rest]
+
+    monkeypatch.setattr(kw, "_koorn_moves", moves)
+    with pytest.raises(TriangularSolveError, match="check point"):
+        kw._koornwinder_cached.__wrapped__(Partition((2, 1)), EP, 2)
+
+
 # ----------------------------------------------------------------------
-# operator columns by interpolation
-
-
-def _koorn_columns(lam, ep, m):
-    return kw._koorn_columns(koorn_basis(Partition(lam), m).mu_list, ep, m)
-
-
-@pytest.mark.parametrize("lam,m", [((3,), 1), ((2, 1), 2), ((1, 1, 1), 3)])
-def test_interpolated_columns_match_the_operator(lam, m):
-    # the independent oracle: the operator applied to each orbit sum
-    for mu, column in _koorn_columns(lam, EP_ALT, m).items():
-        rebuilt = LaurentPoly.zero(m)
-        for nu, c in column.items():
-            rebuilt = rebuilt + orbit_sum(nu, m) * c
-        assert rebuilt == apply_koorn_mult(EP_ALT, orbit_sum(mu, m), m), mu
-
-
-def test_interpolated_macdonald_columns_match_the_operator():
-    q, t = Fraction(1, 3), Fraction(2, 7)
-    basis = kw._macdonald_basis(Partition((2, 1, 1)), 3)
-    for mu, column in kw._macdonald_columns(basis, q, t, 3).items():
-        rebuilt = LaurentPoly.zero(3)
-        for nu, c in column.items():
-            rebuilt = rebuilt + sym_orbit_sum(nu, 3) * c
-        image = apply_macdonald_mult(q, t, 1, sym_orbit_sum(mu, 3), 3)
-        assert rebuilt == image, mu
+# the interpolation solve
 
 
 def _recorded_points(monkeypatch):
@@ -265,7 +262,7 @@ def test_pole_point_is_replaced_deterministically(monkeypatch):
     assert [p for p, what in runs[0] if what == "pole"]
     assert all((2 in p) == (what == "pole") for p, what in runs[0])
     k = len(koorn_basis(lam, 2).mu_list)
-    assert sum(what == "ok" for _, what in runs[0]) == k + 1
+    assert sum(what == "ok" for _, what in runs[0]) == k
     assert apply_koorn_mult(ep, first, 2) == first * eigenvalue_d(lam, ep, 2)
 
 
@@ -305,12 +302,20 @@ def test_exhausted_point_streams_raise_typed_error(monkeypatch, cause):
 
 
 def test_missing_basis_label_fails_the_check_point():
-    # without the constant orbit the k points fit a wrong column, which the
-    # (k+1)-th point exposes
+    # without the constant orbit the solve points fit a wrong polynomial,
+    # which the check point exposes
     basis = koorn_basis(Partition((2,)), 1).mu_list
     assert basis[-1] == Partition(())
     with pytest.raises(TriangularSolveError, match="check point"):
-        kw._koorn_columns(basis[:-1], EP, 1)
+        kw._eigen_solve(
+            basis[:-1],
+            1,
+            kw._laurent_table,
+            partial(kw._koorn_moves, EP),
+            lambda mu: eigenvalue_d(mu, EP, 1),
+            lambda mu: orbit_sum(mu, 1),
+            "koornwinder",
+        )
 
 
 def test_one_variable_P1_is_askey_wilson():
@@ -358,6 +363,11 @@ def test_resampling_with_no_retries_propagates():
         compute_with_resampling((2,), EP_COLLIDING, 1, retries=0)
 
 
+def test_resampling_rejects_negative_retries():
+    with pytest.raises(ValueError, match="retries"):
+        compute_with_resampling((2,), EP, 1, retries=-1)
+
+
 # ======================================================================
 # Macdonald polynomials
 # ======================================================================
@@ -378,7 +388,7 @@ def test_macdonald_minimal_partitions_are_pure_orbits():
 
 def test_macdonald_eigen_equation():
     q, t = Fraction(1, 3), Fraction(2, 7)
-    for lam, m in (((2, 1), 2), ((2, 1), 3), ((3,), 2)):
+    for lam, m in (((2, 1), 2), ((2, 1), 3), ((3,), 2), ((2, 1, 1), 3)):
         P = macdonald_poly(lam, q, t, m)
         d = macdonald_eigenvalue(lam, q, t, m)
         assert apply_macdonald_mult(q, t, 1, P, m) == P * d, lam
