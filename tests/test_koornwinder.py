@@ -230,6 +230,60 @@ def test_corrupted_operator_weight_fails_the_check_point(monkeypatch):
 # the interpolation solve
 
 
+def _assert_rows_match_the_operator(basis, m, table, moves, eig, image):
+    """Each interpolation row is a positive multiple of the values of
+    (D - eig) m_mu at its point, with D the symbolic operator ``image``."""
+    splits = [kw._splits(mu.padded(m)) for mu in basis]
+    images = [image(mu) for mu in basis]
+    checked = 0
+    stream = kw._point_stream(basis[0], m, len(basis), 0)
+    for point in itertools.islice(stream, 2 * len(basis)):
+        try:
+            row = kw._interpolation_row(
+                splits, point, basis[0].part(0), table, moves, eig
+            )
+        except kw._Pole:
+            continue
+        exact = [kw._eval_exact(f, point) for f in images]
+        # a one-label basis is the eigenfunction itself: its row vanishes
+        scale = next((Fraction(r, e) for r, e in zip(row, exact) if e), 1)
+        assert scale > 0, point
+        assert row == [scale * e for e in exact], point
+        checked += 1
+    assert checked >= len(basis)
+
+
+@pytest.mark.parametrize("lam,m", [((3,), 1), ((2, 1), 2), ((1, 1, 1), 3)])
+def test_interpolated_columns_match_the_operator(lam, m):
+    # the independent oracle: the operator applied to each orbit sum
+    basis = koorn_basis(Partition(lam), m).mu_list
+    d = eigenvalue_d(lam, EP_ALT, m)
+    _assert_rows_match_the_operator(
+        basis,
+        m,
+        kw._laurent_table,
+        partial(kw._koorn_moves, EP_ALT),
+        d,
+        lambda mu: apply_koorn_mult(EP_ALT, orbit_sum(mu, m), m)
+        - orbit_sum(mu, m) * d,
+    )
+
+
+def test_interpolated_macdonald_columns_match_the_operator():
+    q, t = Fraction(1, 3), Fraction(2, 7)
+    for lam in ((2, 1, 1), (2, 1)):
+        d = macdonald_eigenvalue(lam, q, t, 3)
+        _assert_rows_match_the_operator(
+            kw._macdonald_basis(Partition(lam), 3),
+            3,
+            kw._power_table,
+            partial(kw._macdonald_moves, q, t),
+            d,
+            lambda mu, d=d: apply_macdonald_mult(q, t, 1, sym_orbit_sum(mu, 3), 3)
+            - sym_orbit_sum(mu, 3) * d,
+        )
+
+
 def _recorded_points(monkeypatch):
     """Log every point a solve evaluates, with whether it hit a pole."""
     log = []
