@@ -12,10 +12,15 @@ algebra in this module:
                         on plain integers and pay one content gcd each.
                         ``terms`` reads the coefficients back as
                         ``fractions.Fraction``.  Exponents live on a DOUBLED
-                        lattice: the stored integer vector ``e`` represents
-                        the monomial ``prod_i z_i**(e_i/2)``, so half-integer
+                        lattice: the integer vector ``e`` represents the
+                        monomial ``prod_i z_i**(e_i/2)``, so half-integer
                         powers such as z**(1/2) - z**(-1/2) are exact
-                        lattice points.
+                        lattice points.  Each vector is stored packed into
+                        one integer key of balanced 20-bit digits (see
+                        ``LaurentPoly``), so a product adds keys and never
+                        builds a tuple.  Every exponent entry must satisfy
+                        |e| < 2**19; one that would not fit raises
+                        ``ExponentOverflowError``.
   * ``Partition``       weakly decreasing integer tuples with containment,
                         conjugation and (BC) dominance order.
   * ``ExactParams``     Askey-Wilson parameter bundle (a,b,c,d,q,t) stored via
@@ -63,6 +68,68 @@ class InexactDivisionError(ArithmeticError):
         self.offending_exponent = offending_exponent
 
 
+class ExponentOverflowError(OverflowError):
+    """Raised when a (doubled) exponent would leave the packed-key digit range.
+
+    Every exponent entry must satisfy ``|e| < 2**19``; see ``LaurentPoly``.
+    """
+
+
+# ======================================================================
+# packed exponent keys
+# ======================================================================
+
+# An exponent vector (e_0, ..., e_{m-1}) is stored as the integer
+# sum_i e_i * 2**(20*(m-1-i)): balanced (signed) digits, most significant
+# first, one fixed radix.  With every |e_i| < 2**19 the packing is one to
+# one, integer order is lex order, and adding two keys adds the exponents.
+_DIGIT_BITS = 20
+_MASK = (1 << _DIGIT_BITS) - 1
+_HALF = 1 << (_DIGIT_BITS - 1)
+
+
+def _bias(m: int) -> int:
+    """The key whose m digits all equal 2**19; adding it leaves each digit
+    e_i + 2**19 in 1 .. 2**20 - 1, readable by shift and mask."""
+    return _HALF * (((1 << (_DIGIT_BITS * m)) - 1) // _MASK)
+
+
+def _check_bound(bound: int) -> int:
+    """``bound`` (an upper bound on every |exponent|) when it fits a digit."""
+    if bound >= _HALF:
+        raise ExponentOverflowError(
+            f"exponents up to {bound} in absolute value do not fit the packed "
+            f"digit range |e| < {_HALF}"
+        )
+    return bound
+
+
+def _pack(exp: Iterable[int]) -> int:
+    key = 0
+    for e in exp:
+        key = (key << _DIGIT_BITS) + e
+    return key
+
+
+def _unpack_all(keys: Iterable[int], m: int) -> Iterator[Exponent]:
+    bias = _bias(m)
+    shifts = range(_DIGIT_BITS * (m - 1), -1, -_DIGIT_BITS)
+    for key in keys:
+        key += bias
+        yield tuple(((key >> s) & _MASK) - _HALF for s in shifts)
+
+
+def _unpack(key: int, m: int) -> Exponent:
+    return next(_unpack_all((key,), m))
+
+
+def _key_of(exp: Sequence[int], m: int) -> int | None:
+    """Key of ``exp``, or None when no stored term can have that exponent."""
+    if len(exp) != m or any(not -_HALF < e < _HALF for e in exp):
+        return None
+    return _pack(exp)
+
+
 # ======================================================================
 # LaurentPoly
 # ======================================================================
@@ -85,39 +152,29 @@ def _gcd_with(g: int, values: Iterable[int]) -> int:
     return g
 
 
-def _pack(exp: Exponent, shift: int, radix: int) -> int:
-    key = 0
-    for e in exp:
-        key = key * radix + e + shift
-    return key
-
-
-def _unpack(key: int, shift: int, radix: int, m: int) -> Exponent:
-    digits = [0] * m
-    for i in range(m - 1, -1, -1):
-        key, digits[i] = divmod(key, radix)
-        digits[i] -= shift
-    return tuple(digits)
-
-
 class _Terms(Mapping):
     """Read-only view of a polynomial's coefficients as ``Fraction``s.
 
-    A coefficient is built only when it is read, so ``len`` and iteration
-    over the exponents cost no rational arithmetic.
+    Keys are exponent tuples, unpacked from the stored keys as they are
+    read.  A coefficient is built only when it is read, so ``len`` costs
+    no rational arithmetic.
     """
 
-    __slots__ = ("_num", "_den")
+    __slots__ = ("_num", "_den", "_m")
 
-    def __init__(self, num: dict[Exponent, int], den: int):
+    def __init__(self, num: dict[int, int], den: int, m: int):
         self._num = num
         self._den = den
+        self._m = m
 
     def __getitem__(self, exp: Exponent) -> Fraction:
-        return Fraction(self._num[exp], self._den)
+        key = _key_of(exp, self._m)
+        if key not in self._num:
+            raise KeyError(exp)
+        return Fraction(self._num[key], self._den)
 
     def __iter__(self) -> Iterator[Exponent]:
-        return iter(self._num)
+        return _unpack_all(self._num, self._m)
 
     def __len__(self) -> int:
         return len(self._num)
@@ -126,15 +183,23 @@ class _Terms(Mapping):
 class LaurentPoly:
     """Sparse exact Laurent polynomial in ``m`` variables (doubled lattice).
 
-    Stored as ``_num``, a dict from exponent to nonzero integer numerator,
-    over one integer denominator ``_den``.  The form is canonical:
-    ``_den > 0`` and the gcd of ``_den`` with every numerator is 1, so
-    equal polynomials have equal fields and ``==`` and ``hash`` compare
-    them directly.  Instances are immutable: every operation returns a new
-    polynomial, and ``terms`` is a read-only view.
+    Stored as ``_num``, a dict from packed exponent key to nonzero integer
+    numerator, over one integer denominator ``_den``.  A key holds the
+    exponent vector as balanced 20-bit digits, most significant first
+    (``e_0 * 2**(20*(m-1)) + ... + e_{m-1}``), so a product adds keys and
+    ``max`` over keys is the lex-leading term.  Every exponent entry must
+    satisfy ``|e| < 2**19``: ``_exp_bound``, an upper bound on every |entry|
+    (the exact maximum at construction, the sum of the operands' bounds
+    under a product and the larger of them under a sum), is checked before
+    any key could leave that range, and ``ExponentOverflowError`` is raised
+    instead.  The form is canonical: ``_den > 0`` and the gcd of ``_den``
+    with every numerator is 1, so equal polynomials have equal fields and
+    ``==`` and ``hash`` compare them directly.  Instances are immutable:
+    every operation returns a new polynomial, and ``terms`` is a read-only
+    view keyed by exponent tuples.
     """
 
-    __slots__ = ("m", "_num", "_den")
+    __slots__ = ("m", "_num", "_den", "_exp_bound")
 
     def __init__(self, m: int, terms: Mapping[Exponent, Scalar] | None = None):
         if m < 0:
@@ -151,24 +216,33 @@ class LaurentPoly:
                 val = _as_fraction(coeff)
                 if val:
                     clean[key] = val
+        self._exp_bound = _check_bound(
+            max(map(abs, itertools.chain.from_iterable(clean)), default=0)
+        )
         # over the lcm of reduced denominators, every prime of the lcm misses
         # the numerator whose denominator carries its full power: canonical
         den = lcm(*(c.denominator for c in clean.values()))
-        self._num = {e: c.numerator * (den // c.denominator) for e, c in clean.items()}
+        self._num = {
+            _pack(e): c.numerator * (den // c.denominator) for e, c in clean.items()
+        }
         self._den = den
 
     @classmethod
-    def _from_parts(cls, m: int, num: dict[Exponent, int], den: int) -> "LaurentPoly":
-        """Wrap numerators that are already nonzero and canonical over ``den``."""
+    def _from_parts(
+        cls, m: int, num: dict[int, int], den: int, exp_bound: int
+    ) -> "LaurentPoly":
+        """Wrap numerators that are already nonzero and canonical over ``den``;
+        ``exp_bound`` bounds every |exponent| and is below 2**19."""
         res = cls.__new__(cls)
         res.m = m
         res._num = num
         res._den = den
+        res._exp_bound = exp_bound
         return res
 
     @classmethod
     def _reduced(
-        cls, m: int, num: dict[Exponent, int], den: int, bound: int
+        cls, m: int, num: dict[int, int], den: int, bound: int, exp_bound: int
     ) -> "LaurentPoly":
         """Canonical polynomial num/den from nonzero numerators and ``den > 0``.
 
@@ -179,7 +253,7 @@ class LaurentPoly:
         if g != 1:
             num = {e: n // g for e, n in num.items()}
             den //= g
-        return cls._from_parts(m, num, den)
+        return cls._from_parts(m, num, den, exp_bound)
 
     # -- constructors ---------------------------------------------------
 
@@ -212,7 +286,7 @@ class LaurentPoly:
     @property
     def terms(self) -> Mapping[Exponent, Fraction]:
         """Read-only mapping from (doubled) exponent to ``Fraction`` coefficient."""
-        return _Terms(self._num, self._den)
+        return _Terms(self._num, self._den, self.m)
 
     def is_zero(self) -> bool:
         return not self._num
@@ -221,14 +295,17 @@ class LaurentPoly:
         return bool(self._num)
 
     def coefficient(self, exps: Sequence[int]) -> Fraction:
-        return Fraction(self._num.get(tuple(exps), 0), self._den)
+        return Fraction(self._num.get(_key_of(exps, self.m), 0), self._den)
 
     def constant_term(self) -> Fraction:
-        return self.coefficient((0,) * self.m)
+        return Fraction(self._num.get(0, 0), self._den)
 
     def integral_lattice(self) -> bool:
         """True when every stored (doubled) exponent is even."""
-        return all(all(e % 2 == 0 for e in exp) for exp in self._num)
+        # 2**19 is even, so a biased digit has the parity of its exponent
+        bias = _bias(self.m)
+        low_bits = bias // _HALF
+        return not any((key + bias) & low_bits for key in self._num)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, LaurentPoly):
@@ -248,11 +325,12 @@ class LaurentPoly:
         if not self._num:
             return "LaurentPoly(0)"
         bits = []
-        for exp in sorted(self._num):
+        keys = sorted(self._num)
+        for key, exp in zip(keys, _unpack_all(keys, self.m)):
             mono = "*".join(
                 f"z{i}^({e}/2)" for i, e in enumerate(exp) if e
             ) or "1"
-            bits.append(f"{Fraction(self._num[exp], self._den)}*{mono}")
+            bits.append(f"{Fraction(self._num[key], self._den)}*{mono}")
         return "LaurentPoly(" + " + ".join(bits) + ")"
 
     # -- ring operations ------------------------------------------------
@@ -276,16 +354,20 @@ class LaurentPoly:
         s1, s2 = d2 // g, d1 // g
         out = {e: n * s1 for e, n in self._num.items()}
         get = out.get
-        for exp, n in other._num.items():
-            out[exp] = get(exp, 0) + n * s2
+        for key, n in other._num.items():
+            out[key] = get(key, 0) + n * s2
         out = {e: n for e, n in out.items() if n}
-        return LaurentPoly._reduced(self.m, out, d1 * s1, g)
+        exp_bound = max(self._exp_bound, other._exp_bound)
+        return LaurentPoly._reduced(self.m, out, d1 * s1, g, exp_bound)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly._from_parts(
-            self.m, {exp: -n for exp, n in self._num.items()}, self._den
+            self.m,
+            {key: -n for key, n in self._num.items()},
+            self._den,
+            self._exp_bound,
         )
 
     def __sub__(self, other: "LaurentPoly | Scalar") -> "LaurentPoly":
@@ -303,8 +385,10 @@ class LaurentPoly:
         g_q = _gcd_with(q, self._num.values())
         g_p = gcd(p, self._den)
         scale = p // g_p
-        num = {exp: n // g_q * scale for exp, n in self._num.items()}
-        return LaurentPoly._from_parts(self.m, num, self._den // g_p * (q // g_q))
+        num = {key: n // g_q * scale for key, n in self._num.items()}
+        return LaurentPoly._from_parts(
+            self.m, num, self._den // g_p * (q // g_q), self._exp_bound
+        )
 
     def __mul__(self, other: "LaurentPoly | Scalar") -> "LaurentPoly":
         if isinstance(other, (int, Fraction)):
@@ -318,6 +402,7 @@ class LaurentPoly:
         a, b = self._num, other._num
         if not a or not b:
             return LaurentPoly.zero(self.m)
+        exp_bound = _check_bound(self._exp_bound + other._exp_bound)
         # By Gauss's lemma the content of a product is the product of the
         # contents, so with gcd(content_a, den_a) = gcd(content_b, den_b) = 1
         # the product reduces by exactly gcd(content_a, den_b) *
@@ -332,25 +417,15 @@ class LaurentPoly:
         den = (self._den // g_b) * (other._den // g_a)
         if len(a) > len(b):
             a, b = b, a
-        # Kronecker packing: exponent e of an operand whose entries are
-        # bounded by s in absolute value becomes the base-r integer with
-        # digits e_i + s.  With r above every digit sum, adding two packed
-        # keys adds the exponents, so the inner loop adds ints, not tuples.
-        s_a = max(map(abs, itertools.chain.from_iterable(a)), default=0)
-        s_b = max(map(abs, itertools.chain.from_iterable(b)), default=0)
-        radix = 2 * (s_a + s_b) + 1
-        small = [(_pack(e, s_a, radix), c) for e, c in a.items()]
-        large = [(_pack(e, s_b, radix), c) for e, c in b.items()]
+        large = list(b.items())
         out: dict[int, int] = {}
         get = out.get
-        for k1, c1 in small:
+        for k1, c1 in a.items():
             for k2, c2 in large:
                 key = k1 + k2
                 out[key] = get(key, 0) + c1 * c2
-        offset = s_a + s_b
-        m = self.m
-        num = {_unpack(k, offset, radix, m): n for k, n in out.items() if n}
-        return LaurentPoly._from_parts(m, num, den)
+        num = {key: n for key, n in out.items() if n}
+        return LaurentPoly._from_parts(self.m, num, den, exp_bound)
 
     __rmul__ = __mul__
 
@@ -392,45 +467,46 @@ class LaurentPoly:
         if not self._num:
             return self
         p, q = s.numerator, s.denominator
-        lo = min(exp[i] for exp in self._num)
-        hi = max(exp[i] for exp in self._num)
+        # digit i of each key, read by shift and mask
+        shift = _DIGIT_BITS * (self.m - 1 - i)
+        bias = _bias(self.m)
+        digits = [((key + bias) >> shift & _MASK) - _HALF for key in self._num]
+        lo = min(digits)
+        hi = max(digits)
         scale = Fraction(p) ** lo / Fraction(q) ** hi
         p_pow = [scale.numerator]
         q_pow = [1]
         for _ in range(hi - lo):
             p_pow.append(p_pow[-1] * p)
             q_pow.append(q_pow[-1] * q)
-        out: dict[Exponent, int] = {}
+        out: dict[int, int] = {}
         # e -> e and e -> -e are both one-to-one, so no two terms collide
-        for exp, n in self._num.items():
-            e = exp[i]
-            if invert:
-                new_exp = list(exp)
-                new_exp[i] = -e
-                exp = tuple(new_exp)
-            out[exp] = n * p_pow[e - lo] * q_pow[hi - e]
+        unit = -2 << shift if invert else 0
+        for (key, n), e in zip(self._num.items(), digits):
+            out[key + e * unit] = n * p_pow[e - lo] * q_pow[hi - e]
         den = self._den * scale.denominator
-        return LaurentPoly._reduced(self.m, out, den, den)
+        return LaurentPoly._reduced(self.m, out, den, den, self._exp_bound)
 
     def invert_all(self) -> "LaurentPoly":
         """``z_i -> 1/z_i`` for every variable simultaneously."""
         return LaurentPoly._from_parts(
             self.m,
-            {tuple(-e for e in exp): n for exp, n in self._num.items()},
+            {-key: n for key, n in self._num.items()},
             self._den,
+            self._exp_bound,
         )
 
     def permute(self, perm: Sequence[int]) -> "LaurentPoly":
         """Relabel variables: output variable ``perm[i]`` carries old ``z_i``."""
         if sorted(perm) != list(range(self.m)):
             raise ValueError(f"not a permutation of 0..{self.m - 1}: {perm}")
-        out: dict[Exponent, int] = {}
-        for exp, n in self._num.items():
-            new_exp = [0] * self.m
+        out: dict[int, int] = {}
+        new_exp = [0] * self.m
+        for exp, n in zip(_unpack_all(self._num, self.m), self._num.values()):
             for i, e in enumerate(exp):
                 new_exp[perm[i]] = e
-            out[tuple(new_exp)] = n
-        return LaurentPoly._from_parts(self.m, out, self._den)
+            out[_pack(new_exp)] = n
+        return LaurentPoly._from_parts(self.m, out, self._den, self._exp_bound)
 
     # -- numeric evaluation ---------------------------------------------
 
@@ -450,7 +526,7 @@ class LaurentPoly:
                 raise ZeroDivisionError("zero coordinate in Laurent evaluation")
         den = self._den
         total = 0j
-        for exp, n in self._num.items():
+        for exp, n in zip(_unpack_all(self._num, self.m), self._num.values()):
             # integer true division rounds n/den correctly, as float(Fraction) does
             value = complex(n / den)
             for s, e in zip(sqrt_point, exp):
@@ -470,12 +546,23 @@ def eval_numeric(f: LaurentPoly, sqrt_point: Sequence[complex]) -> complex:
 # ======================================================================
 
 
-def _primitive(num: dict[Exponent, int]) -> tuple[int, dict[Exponent, int]]:
+def _primitive(num: dict[int, int]) -> tuple[int, dict[int, int]]:
     """Content (positive gcd of the numerators) and primitive part."""
     c = gcd(*num.values())
     if c == 1:
         return 1, num
     return c, {e: n // c for e, n in num.items()}
+
+
+def _digit_ranges(num: dict[int, int], m: int) -> list[tuple[int, int]]:
+    """(min, max) of each exponent coordinate, read by shift and mask."""
+    bias = _bias(m)
+    biased = [key + bias for key in num]
+    ranges = []
+    for shift in range(_DIGIT_BITS * (m - 1), -1, -_DIGIT_BITS):
+        digits = [(key >> shift) & _MASK for key in biased]
+        ranges.append((min(digits) - _HALF, max(digits) - _HALF))
+    return ranges
 
 
 def divide_exact(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
@@ -503,11 +590,21 @@ def divide_exact(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
             f"operand variable counts differ: {f.m} vs {g.m}"
         )
     m = f.m
-    lo = tuple(
-        min(e[i] for e in f._num) - max(e[i] for e in g._num) for i in range(m)
-    )
-    hi = tuple(
-        max(e[i] for e in f._num) - min(e[i] for e in g._num) for i in range(m)
+    # a quotient exponent inside the box is at most bound_f + bound_g, a
+    # remainder exponent bound_f + 2 bound_g and their difference with g's
+    # lead bound_f + 3 bound_g: below 2**19, every key below stays exact
+    _check_bound(f._exp_bound + 3 * g._exp_bound)
+    f_ranges = _digit_ranges(f._num, m)
+    g_ranges = _digit_ranges(g._num, m)
+    lo = [f_lo - g_hi for (f_lo, _), (_, g_hi) in zip(f_ranges, g_ranges)]
+    hi = [f_hi - g_lo for (_, f_hi), (g_lo, _) in zip(f_ranges, g_ranges)]
+    # an exact quotient spans min_i(f) - min_i(g) .. max_i(f) - max_i(g)
+    q_bound = max(
+        (
+            max(abs(f_lo - g_lo), abs(f_hi - g_hi))
+            for (f_lo, f_hi), (g_lo, g_hi) in zip(f_ranges, g_ranges)
+        ),
+        default=0,
     )
     f_content, remainder = _primitive(f._num)
     g_content, g_prim = _primitive(g._num)
@@ -524,18 +621,19 @@ def divide_exact(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
             offending_exponent=q_exp,
         )
 
-    quotient: dict[Exponent, int] = {}
+    quotient: dict[int, int] = {}
     while remainder:
         r_lead = max(remainder)
-        q_exp = tuple(map(sub, r_lead, g_lead))
-        if any(not (lo[i] <= q_exp[i] <= hi[i]) for i in range(m)):
+        q_key = r_lead - g_lead
+        q_exp = _unpack(q_key, m)
+        if any(not lo[i] <= e <= hi[i] for i, e in enumerate(q_exp)):
             raise inexact(q_exp, "quotient exponent escapes the exact-division box")
         q_coeff, rest = divmod(remainder.pop(r_lead), g_lead_coeff)
         if rest:
             raise inexact(q_exp, "quotient coefficient is not an integer")
-        quotient[q_exp] = q_coeff
+        quotient[q_key] = q_coeff
         for e, c in g_rest:
-            key = tuple(map(add, q_exp, e))
+            key = q_key + e
             new = remainder.get(key, 0) - q_coeff * c
             if new:
                 remainder[key] = new
@@ -547,7 +645,7 @@ def divide_exact(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     scale = ratio.numerator
     if scale != 1:
         quotient = {e: n * scale for e, n in quotient.items()}
-    return LaurentPoly._from_parts(m, quotient, ratio.denominator)
+    return LaurentPoly._from_parts(m, quotient, ratio.denominator, q_bound)
 
 
 def sqrt_fraction(x: Fraction | int) -> Fraction:
@@ -685,15 +783,15 @@ def orbit_sum(mu: Partition | Sequence[int], m: int) -> LaurentPoly:
     """
     part = mu if isinstance(mu, Partition) else Partition(mu)
     padded = part.padded(m)
-    terms: dict[Exponent, int] = {}
+    terms: dict[int, int] = {}
     for perm in set(itertools.permutations(padded)):
         nonzero = [i for i, e in enumerate(perm) if e]
         for signs in itertools.product((1, -1), repeat=len(nonzero)):
             exps = list(perm)
             for pos, s in zip(nonzero, signs):
                 exps[pos] *= s
-            terms[tuple(2 * e for e in exps)] = 1
-    return LaurentPoly._from_parts(m, terms, 1)
+            terms[_pack(2 * e for e in exps)] = 1
+    return LaurentPoly._from_parts(m, terms, 1, _check_bound(2 * part.part(0)))
 
 
 def orbit_size(mu: Partition, m: int) -> int:
@@ -737,9 +835,9 @@ def sym_orbit_sum(mu: Partition | Sequence[int], m: int) -> LaurentPoly:
     part = mu if isinstance(mu, Partition) else Partition(mu)
     padded = part.padded(m)
     terms = {
-        tuple(2 * e for e in perm): 1 for perm in set(itertools.permutations(padded))
+        _pack(2 * e for e in perm): 1 for perm in set(itertools.permutations(padded))
     }
-    return LaurentPoly._from_parts(m, terms, 1)
+    return LaurentPoly._from_parts(m, terms, 1, _check_bound(2 * part.part(0)))
 
 
 # ======================================================================
@@ -909,10 +1007,10 @@ def bracket_factorial_const(sqrt_a: Fraction, sqrt_t: Fraction, l: int) -> Fract
 
 def poly_to_json(f: LaurentPoly) -> dict:
     """Schema: {vars, lattice: "half", terms: [{exp, num, den}]}, terms lex-sorted."""
-    coeffs = f.terms
+    keys = sorted(f._num)  # integer order of the keys is lex order
     terms = []
-    for exp in sorted(coeffs):
-        c = coeffs[exp]
+    for key, exp in zip(keys, _unpack_all(keys, f.m)):
+        c = Fraction(f._num[key], f._den)
         terms.append({"exp": list(exp), "num": str(c.numerator), "den": str(c.denominator)})
     return {"vars": f.m, "lattice": "half", "terms": terms}
 

@@ -27,13 +27,15 @@ sum_i [alpha t^(m-i) q^(lambda_i); alpha t^(m-i)]) and the Macdonald
 operators of order r.  Both are computed over an explicit product common
 denominator followed by exact multivariate division; a nonzero remainder
 (possible only on non-invariant input) surfaces as InexactDivisionError.
+In the Koornwinder operator the complements of both shift directions of
+variable i share one signed factor S_i, so each variable's two shifted
+terms are combined first and multiplied by S_i once.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -424,48 +426,50 @@ def _koorn_pair_factors(m: int, k: int, l: int) -> list[LaurentPoly]:
     ]
 
 
-#: One entry serves repeated applications at one (m, sq).  Holding no
-#: more keeps peak memory at what building them per call needed (an m = 3
-#: entry is about 100 KiB).
-_DENOMINATOR_CACHE_SIZE = 1
+def _product(factors: Sequence[LaurentPoly], m: int) -> LaurentPoly:
+    """The product of ``factors``, one for none."""
+    out = LaurentPoly.one(m)
+    for fac in factors:
+        out = out * fac
+    return out
 
 
-@lru_cache(maxsize=_DENOMINATOR_CACHE_SIZE)
 def _koorn_denominators(
     m: int, sq: Fraction
-) -> tuple[LaurentPoly, tuple[tuple[LaurentPoly, LaurentPoly], ...]]:
+) -> tuple[LaurentPoly, tuple[LaurentPoly, ...]]:
     """Common denominator D_total of the Koornwinder operator and, for each
-    variable i, the complements D_total / den(A_i^+) and D_total / den(A_i^-),
-    signs included."""
-    d_total = LaurentPoly.one(m)
-    for i in range(m):
-        for fac in _koorn_own_factors(m, i, sq):
-            d_total = d_total * fac
-    for k in range(m):
-        for l in range(k + 1, m):
-            for fac in _koorn_pair_factors(m, k, l):
-                d_total = d_total * fac
+    variable i, the signed part S_i it shares with both shift directions:
 
-    complements = []
+        D_total / den(A_i^+) =  S_i [q z_i^-2],
+        D_total / den(A_i^-) = -S_i [q z_i^2],
+
+    S_i = (-1)^i prod_{k != i} [z_k^2][q z_k^2][q z_k^-2]
+                 prod_{k < l, i not in (k, l)} [z_k z_l][z_k / z_l].
+
+    The sign counts the pair brackets [z_j / z_i], j < i, that D_total
+    holds in the orientation opposite to den(A_i^+).
+    """
+    own = [_product(_koorn_own_factors(m, i, sq), m) for i in range(m)]
+    pair = {
+        (k, l): _product(_koorn_pair_factors(m, k, l), m)
+        for k in range(m)
+        for l in range(k + 1, m)
+    }
+    shared = []
     for i in range(m):
-        comp_base = LaurentPoly.one(m)
+        s_i = LaurentPoly.const(m, (-1) ** i)
         for k in range(m):
-            if k == i:
-                continue
-            for fac in _koorn_own_factors(m, k, sq):
-                comp_base = comp_base * fac
-        for k in range(m):
-            for l in range(k + 1, m):
-                if k == i or l == i:
-                    continue
-                for fac in _koorn_pair_factors(m, k, l):
-                    comp_base = comp_base * fac
-        sign = Fraction(-1) ** i
-        own = _koorn_own_factors(m, i, sq)
-        comp_plus = comp_base * own[2] * sign  # leftover [q z_i^-2]
-        comp_minus = comp_base * own[1] * (-sign)  # leftover [q z_i^2]
-        complements.append((comp_plus, comp_minus))
-    return d_total, tuple(complements)
+            if k != i:
+                s_i = s_i * own[k]
+        for (k, l), fac in pair.items():
+            if i not in (k, l):
+                s_i = s_i * fac
+        shared.append(s_i)
+    # D_total = own_0 * prod_l pair_(0, l) * S_0, the small factors first
+    d_total = own[0]
+    for l in range(1, m):
+        d_total = d_total * pair[0, l]
+    return d_total * shared[0], tuple(shared)
 
 
 def apply_koorn_mult(ep: ExactParams, f: LaurentPoly, m: int) -> LaurentPoly:
@@ -479,8 +483,15 @@ def apply_koorn_mult(ep: ExactParams, f: LaurentPoly, m: int) -> LaurentPoly:
 
     Eigenvalues on P_lambda are sum_i [alpha t^(m-i) q^(lambda_i); alpha t^(m-i)].
     Computed over the common denominator
-        prod_i [z_i^2][q z_i^2][q z_i^-2] * prod_{k<l} [z_k z_l][z_k/z_l]
-    with exact division; the division is exact precisely on inputs the
+        D_total = prod_i [z_i^2][q z_i^2][q z_i^-2] * prod_{k<l} [z_k z_l][z_k/z_l]
+    with exact division.  Both complements D_total / den(A_i^+-) share one
+    signed factor S_i (see ``_koorn_denominators``), so variable i adds
+
+        S_i (n_i^+ (T_i - 1) f [q z_i^-2] - n_i^- (T_i^-1 - 1) f [q z_i^2])
+
+    to the numerator, with T_i = T_{q,z_i} and n_i^+- the numerator
+    brackets of A_i^+-: one product by S_i per variable instead of one per
+    shift direction.  The division is exact precisely on inputs the
     operator maps to Laurent polynomials (W-invariant f in particular), and
     raises InexactDivisionError otherwise.
     """
@@ -489,7 +500,7 @@ def apply_koorn_mult(ep: ExactParams, f: LaurentPoly, m: int) -> LaurentPoly:
     if m < 1:
         raise ValueError("need at least one variable")
     sq = ep.sq
-    d_total, complements = _koorn_denominators(m, sq)
+    d_total, shared = _koorn_denominators(m, sq)
 
     numerator = LaurentPoly.zero(m)
     for i in range(m):
@@ -503,21 +514,21 @@ def apply_koorn_mult(ep: ExactParams, f: LaurentPoly, m: int) -> LaurentPoly:
             n_plus = n_plus * _two_term(m, {i: 1, j: 1}, ep.st)
             n_plus = n_plus * _two_term(m, {i: 1, j: -1}, ep.st)
         n_minus = n_plus.invert_all()
-        comp_plus, comp_minus = complements[i]
+        _, q_up, q_down = _koorn_own_factors(m, i, sq)  # [q z_i^2], [q z_i^-2]
 
-        up = f.substitute(i, sqrt_scale=sq) - f
-        down = f.substitute(i, sqrt_scale=1 / sq) - f
-        numerator = numerator + n_plus * up * comp_plus
-        numerator = numerator + n_minus * down * comp_minus
+        up = (f.substitute(i, sqrt_scale=sq) - f) * q_down
+        down = (f.substitute(i, sqrt_scale=1 / sq) - f) * q_up
+        numerator = numerator + (n_plus * up - n_minus * down) * shared[i]
 
     return divide_exact(numerator, d_total)
 
 
 def koorn_denominator_check(ep: ExactParams, m: int, i: int) -> bool:
     """Internal consistency: denominator times complement equals D_total for
-    both shift directions (exercised by the test suite on small m)."""
+    both shift directions, each complement formed from the shared S_i
+    (exercised by the test suite on small m)."""
     sq = ep.sq
-    d_total, complements = _koorn_denominators(m, sq)
+    d_total, shared = _koorn_denominators(m, sq)
 
     # actual denominators, assembled exactly as the formulas read
     den_plus = _two_term(m, {i: 2}, Fraction(1)) * _two_term(m, {i: 2}, sq)
@@ -528,7 +539,9 @@ def koorn_denominator_check(ep: ExactParams, m: int, i: int) -> bool:
         den_plus = den_plus * _two_term(m, {i: 1, j: -1}, Fraction(1))
     den_minus = den_plus.invert_all()
 
-    comp_plus, comp_minus = complements[i]
+    _, q_up, q_down = _koorn_own_factors(m, i, sq)
+    comp_plus = shared[i] * q_down
+    comp_minus = -(shared[i] * q_up)
     return den_plus * comp_plus == d_total and den_minus * comp_minus == d_total
 
 

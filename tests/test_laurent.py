@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diffkern import laurent
 from diffkern.laurent import (
     ExactParams,
+    ExponentOverflowError,
     InexactDivisionError,
     LaurentPoly,
     Partition,
@@ -149,6 +151,108 @@ def test_eval_rejects_zero_coordinate():
     p = LaurentPoly(1, {(-2,): Fraction(1)})
     with pytest.raises(ZeroDivisionError):
         p.eval_at([0.0])
+
+
+# ----------------------------------------------------------------------
+# packed exponent keys
+# ----------------------------------------------------------------------
+
+DIGIT = 2**19 - 1  # the largest |exponent| a packed key holds
+digits = st.integers(min_value=-DIGIT, max_value=DIGIT)
+# extremes and near-zero entries, where a borrow between digits would show
+edge_digits = st.one_of(digits, st.sampled_from([-DIGIT, -1, 0, 1, DIGIT]))
+
+
+def exponents(m: int):
+    return st.tuples(*([edge_digits] * m))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=5).flatmap(exponents))
+def test_pack_unpack_round_trip(exp):
+    key = laurent._pack(exp)
+    assert laurent._unpack(key, len(exp)) == exp
+    assert LaurentPoly(len(exp), {exp: 3}).terms == {exp: 3}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=5).flatmap(
+        lambda m: st.tuples(exponents(m), exponents(m))
+    )
+)
+def test_key_order_is_lex_order(pair):
+    a, b = pair
+    ka, kb = laurent._pack(a), laurent._pack(b)
+    assert (ka < kb) == (a < b)
+    assert (ka == kb) == (a == b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=4).flatmap(
+        lambda m: st.tuples(exponents(m), exponents(m))
+    )
+)
+def test_adding_keys_adds_exponents(pair):
+    a, b = pair
+    total = tuple(x + y for x, y in zip(a, b))
+    if max(map(abs, total)) > DIGIT:
+        return
+    assert laurent._unpack(laurent._pack(a) + laurent._pack(b), len(a)) == total
+
+
+def test_out_of_range_exponent_never_aliases_a_stored_term():
+    # (0, 2**20) would pack to the key of (1, 0) if digits could spill over
+    p = LaurentPoly(2, {(1, 0): Fraction(5)})
+    assert p.coefficient((1, 0)) == 5
+    assert p.coefficient((0, 2**20)) == 0
+    assert p.coefficient((1,)) == 0
+    assert (0, 2**20) not in p.terms
+    for bad in ((0, 2**20), (1,), (1, 0, 0), (2**19, 0)):
+        with pytest.raises(KeyError):
+            p.terms[bad]
+    assert dict(p.terms.items()) == {(1, 0): Fraction(5)}
+
+
+def test_exponent_overflow_at_construction():
+    LaurentPoly(1, {(DIGIT,): 1})
+    LaurentPoly(2, {(-DIGIT, DIGIT): 1})
+    for e in (2**19, -(2**19)):
+        with pytest.raises(ExponentOverflowError):
+            LaurentPoly(1, {(e,): 1})
+        with pytest.raises(ExponentOverflowError):
+            LaurentPoly.var_power(2, 1, e)
+
+
+def test_exponent_overflow_from_a_product():
+    near = LaurentPoly.var_power(1, 0, 2**18 - 1)
+    assert (near * near).terms == {(2**19 - 2,): 1}
+    big = LaurentPoly.var_power(1, 0, 2**18)
+    with pytest.raises(ExponentOverflowError):
+        big * big
+    with pytest.raises(ExponentOverflowError):
+        big**2
+    with pytest.raises(ExponentOverflowError):
+        big.invert_all() * big.invert_all()
+
+
+def test_exponent_overflow_from_a_division():
+    # a remainder key can reach bound(f) + 3 bound(g) before the box check
+    # rejects it, so such a division raises instead of reading a wrong digit
+    z = LaurentPoly.var_power(1, 0, 2**16)
+    assert divide_exact(z**4, z) == z**3  # 4 + 3 bounds of 2**16 fit
+    with pytest.raises(ExponentOverflowError):
+        divide_exact(z**5, z)  # 5 + 3 of them reach 2**19
+
+
+def test_inexact_division_reports_a_tuple_exponent():
+    z = LaurentPoly.var_power(2, 1, 2)
+    w = LaurentPoly.var_power(2, 0, -2)
+    with pytest.raises(InexactDivisionError, match="escapes") as info:
+        divide_exact(z * w + 1, z + 2)
+    # quotient exponents (0, -2) and (-2, 0) pass; (0, -4) leaves the box
+    assert info.value.offending_exponent == (0, -4)
 
 
 # ----------------------------------------------------------------------

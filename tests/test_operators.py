@@ -13,7 +13,6 @@ from diffkern.laurent import (
     orbit_sum,
     sym_orbit_sum,
 )
-import diffkern.operators as operators
 from diffkern.operators import (
     ParamsA,
     ParamsBC,
@@ -342,9 +341,9 @@ def test_koorn_denominator_complements(m):
         assert koorn_denominator_check(ep, m, i)
 
 
-def test_koorn_denominator_cache_stays_within_its_bound():
-    # fresh sq values, each with every m, evict older entries; the cached
-    # complements still multiply the independently assembled denominators
+def test_koorn_shared_complements_at_fresh_sq():
+    # at fresh sq values and every m, each shared factor S_i times
+    # [q z_i^-+2] still multiplies the independently assembled denominators
     # back to D_total
     ep = ExactParams.default()
     for k in range(8):
@@ -352,9 +351,6 @@ def test_koorn_denominator_cache_stays_within_its_bound():
         for m in (1, 2, 3):
             for i in range(m):
                 assert koorn_denominator_check(fresh, m, i)
-    info = operators._koorn_denominators.cache_info()
-    assert info.currsize <= operators._DENOMINATOR_CACHE_SIZE <= 4
-    assert info.hits > 0
 
 
 def test_koorn_kills_constants():
@@ -423,6 +419,26 @@ def test_koorn_non_invariant_input_fails_structurally():
     bad = LaurentPoly.var_power(2, 0, 2)  # z_1 alone, not W-invariant
     with pytest.raises(InexactDivisionError):
         apply_koorn_mult(ep, bad, 2)
+
+
+def test_koorn_non_invariant_input_fails_structurally_at_m3():
+    # the shared S_i leaves the numerator unchanged, so a non-invariant
+    # input still leaves a nonzero remainder over D_total
+    ep = ExactParams.default()
+    bad = orbit_sum((1,), 3) + LaurentPoly.var_power(3, 1, 2, Fraction(2, 3))
+    with pytest.raises(InexactDivisionError) as info:
+        apply_koorn_mult(ep, bad, 3)
+    assert isinstance(info.value.offending_exponent, tuple)
+    assert len(info.value.offending_exponent) == 3
+
+
+def test_koorn_eigen_equation_at_m4():
+    from diffkern.koornwinder import eigenvalue_d, koornwinder_poly
+
+    ep = ExactParams.default()
+    lam = (1, 1, 1, 1)
+    p = koornwinder_poly(lam, ep, 4)
+    assert apply_koorn_mult(ep, p, 4) == p * eigenvalue_d(lam, ep, 4)
 
 
 # ======================================================================
