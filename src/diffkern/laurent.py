@@ -42,7 +42,6 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, sub
 
 Exponent = tuple[int, ...]
 Scalar = Fraction | int
@@ -295,7 +294,7 @@ class LaurentPoly:
         return bool(self._num)
 
     def coefficient(self, exps: Sequence[int]) -> Fraction:
-        return Fraction(self._num.get(_key_of(exps, self.m), 0), self._den)
+        return Fraction(self._num.get(_key_of(tuple(exps), self.m), 0), self._den)
 
     def constant_term(self) -> Fraction:
         return Fraction(self._num.get(0, 0), self._den)
@@ -598,14 +597,6 @@ def divide_exact(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     g_ranges = _digit_ranges(g._num, m)
     lo = [f_lo - g_hi for (f_lo, _), (_, g_hi) in zip(f_ranges, g_ranges)]
     hi = [f_hi - g_lo for (_, f_hi), (g_lo, _) in zip(f_ranges, g_ranges)]
-    # an exact quotient spans min_i(f) - min_i(g) .. max_i(f) - max_i(g)
-    q_bound = max(
-        (
-            max(abs(f_lo - g_lo), abs(f_hi - g_hi))
-            for (f_lo, f_hi), (g_lo, g_hi) in zip(f_ranges, g_ranges)
-        ),
-        default=0,
-    )
     f_content, remainder = _primitive(f._num)
     g_content, g_prim = _primitive(g._num)
     remainder = dict(remainder)
@@ -645,6 +636,8 @@ def divide_exact(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     scale = ratio.numerator
     if scale != 1:
         quotient = {e: n * scale for e, n in quotient.items()}
+    # every quotient exponent passed the box check
+    q_bound = max(map(abs, lo + hi), default=0)
     return LaurentPoly._from_parts(m, quotient, ratio.denominator, q_bound)
 
 
