@@ -51,6 +51,7 @@ from diffkern.laurent import (
     poly_dumps,
     sym_orbit_sum,
 )
+from diffkern.kernels import kern_psi_mult, phi_minus_k
 from diffkern.operators import apply_koorn_mult, apply_macdonald_mult
 
 EP = ExactParams.default()
@@ -823,3 +824,74 @@ def test_macdonald_polynomials_match_golden_digest():
                 text = poly_dumps(macdonald_poly(lam, q, t, m))
                 digest.update(f"{m} {list(lam.parts)} {text}\n".encode())
     assert digest.hexdigest() == GOLDEN_MACDONALD_DIGEST
+
+
+# Parameter sets for the explicit-route pin: two generic sets, two with
+# negative square roots (a negative sq included), and two degenerate ones
+# (abcd = 1, and t q = 1), where the formulas raise.
+ROUTE_PARAMS = {
+    "EP": EP,
+    "EP_ALT": EP_ALT,
+    "NEG": EP.replace(sa=-EP.sa, sq=-EP.sq),
+    "NEG_ALT": EP_ALT.replace(sq=Fraction(-1, 3), sd=Fraction(-6, 7)),
+    "ABCD_1": EP.replace(sd=1 / (EP.sa * EP.sb * EP.sc)),
+    "TQ_1": EP.replace(st=1 / EP.sq),
+}
+
+
+def _route_calls(ep):
+    """(label, thunk) for every explicit-route output pinned at ``ep``."""
+    for base in ("q", "t"):
+        for r in range(5):
+            yield f"aw {base} {r}", partial(askey_wilson_p, r, ep, base)
+            yield f"conn {base} {r}", partial(connection_bracket_to_AW, r, ep, base)
+    for m in (1, 2, 3):
+        for r in range(m + 1):
+            yield f"E {r} {m}", partial(poly_E, r, ep, m)
+            yield f"col {r} {m}", partial(column_formula, r, ep, m)
+            yield f"thm col {r} {m}", partial(theorem_equality, "Column", r, m, ep)
+        for l in range(4):
+            yield f"H {l} {m}", partial(poly_H, l, ep, m)
+            yield f"row {l} {m}", partial(row_formula, l, ep, m)
+            yield f"thm row {l} {m}", partial(theorem_equality, "Row", l, m, ep)
+        yield f"expE {m}", partial(expansion_check_E, m, ep)
+        for kind in ("ColumnE", "RowH"):
+            yield f"interp {kind} {m}", partial(interpolation_checks, kind, m, ep)
+    for k, m in ((1, 1), (2, 1), (1, 2), (2, 2)):
+        yield f"expH {k} {m}", partial(expansion_check_H, m, k, ep.replace(st=ep.sq**-k))
+    for m, n in ((1, 1), (2, 1), (1, 2)):
+        yield f"dual {m} {n}", partial(dual_cauchy_check, m, n, ep)
+    for m, n in itertools.product((1, 2), repeat=2):
+        yield f"psi {m} {n}", partial(kern_psi_mult, m, n)
+        for k in range(4):
+            yield f"phik {m} {n} {k}", partial(phi_minus_k, m, n, ep.q, k)
+
+
+def _route_text(thunk) -> str:
+    """The polynomial's JSON, the repr of any other value, or the class
+    of the exception raised."""
+    try:
+        value = thunk()
+    except (ValueError, ArithmeticError, RuntimeError) as exc:
+        return type(exc).__name__
+    return poly_dumps(value) if isinstance(value, LaurentPoly) else repr(value)
+
+
+# sha256 over "<label> <text>\n" for every (label, thunk) of _route_calls,
+# in that order, with the text of _route_text.
+GOLDEN_ROUTE_DIGESTS = {
+    "EP": "ee6505fb5a295f760a7c44180231c6f84714833f626b9b26dc46fa1157e6a7c1",
+    "EP_ALT": "5cd651ebc5a5c745c164c6ed03f57db426bd9c0d283cc3550fb325517d6ab75b",
+    "NEG": "efa5ab0739fb843e1f8db0086c978d0bfa14ad79e6fb936f31e0b2dfb76124fd",
+    "NEG_ALT": "094573d152ba55fd1985fe8d9dc35c4ca560dc049ee24ce3528aa3e0880451de",
+    "ABCD_1": "50640ba61595861f52dfcb5c15d2405ba95177ba72526ed984d1e57b6bc2554a",
+    "TQ_1": "aada2e60d1564b9778e17c348648fd2a5cf46517b529e36336a5ec5d103cf027",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_ROUTE_DIGESTS))
+def test_explicit_route_matches_golden_digest(name):
+    digest = hashlib.sha256()
+    for label, thunk in _route_calls(ROUTE_PARAMS[name]):
+        digest.update(f"{label} {_route_text(thunk)}\n".encode())
+    assert digest.hexdigest() == GOLDEN_ROUTE_DIGESTS[name]
