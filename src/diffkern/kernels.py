@@ -23,7 +23,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
-from .laurent import ExactParams, LaurentPoly, sqrt_fraction
+from .laurent import ExactParams, LaurentPoly, bracket_zw, sqrt_fraction
 from .operators import ParamsA, ParamsBC
 from .sigma import (
     DEFAULT_TRUNCATION,
@@ -343,16 +343,7 @@ def kern_psi_mult(m: int, n: int) -> LaurentPoly:
     out = LaurentPoly.one(total)
     for j in range(m):
         for l in range(n):
-            factor = LaurentPoly(
-                total,
-                {
-                    _unit(total, j, 2): Fraction(1),
-                    _unit(total, j, -2): Fraction(1),
-                    _unit(total, m + l, 2): Fraction(-1),
-                    _unit(total, m + l, -2): Fraction(-1),
-                },
-            )
-            out = out * factor
+            out = out * bracket_zw(total, j, m + l)
     return out
 
 
@@ -377,26 +368,10 @@ def phi_minus_k(m: int, n: int, q: Fraction, k: int) -> LaurentPoly:
     for j in range(m):
         for l in range(n):
             for i in range(k):
-                # a = q^((1-k)/2 + i) z_j; factor w + 1/w - a - 1/a
                 e2 = 1 - k + 2 * i
                 aval = q ** (e2 // 2) if sq is None else sq**e2
-                factor = LaurentPoly(
-                    total,
-                    {
-                        _unit(total, m + l, 2): Fraction(1),
-                        _unit(total, m + l, -2): Fraction(1),
-                        _unit(total, j, 2): -aval,
-                        _unit(total, j, -2): -1 / aval,
-                    },
-                )
-                out = out * factor
+                out = out * bracket_zw(total, m + l, j, aval)
     return out
-
-
-def _unit(total: int, i: int, e2: int) -> tuple[int, ...]:
-    exps = [0] * total
-    exps[i] = e2
-    return tuple(exps)
 
 
 # ======================================================================

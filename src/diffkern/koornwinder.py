@@ -32,7 +32,7 @@ instance [ab], alpha = (abcd/q)^(1/2), or (qt)^(1/2)/a) is again rational.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -40,13 +40,16 @@ from itertools import islice
 from math import gcd, lcm
 from typing import Callable, Iterator, Sequence
 
+from .kernels import kern_psi_mult
 from .laurent import (
     ExactParams,
     LaurentPoly,
     Partition,
     bracket_pair_const,
     bracket_factorial_const,
+    bracket_factorial_poly,
     bracket_za,
+    bracket_zw,
     dominance_leq,
     orbit_sum,
     partitions_in_box,
@@ -574,9 +577,6 @@ def macdonald_poly(lam, q, t, m: int) -> LaurentPoly:
 # collision-retry harness
 
 
-_ROOT_NAMES = ("sa", "sb", "sc", "sd", "sq", "st")
-
-
 def perturbed_params(ep: ExactParams, attempt: int) -> ExactParams:
     """One-square-root perturbation used by the retry harness.
 
@@ -584,7 +584,8 @@ def perturbed_params(ep: ExactParams, attempt: int) -> ExactParams:
     rational that shrinks with the attempt number, always starting from
     the original parameters.
     """
-    name = _ROOT_NAMES[attempt % len(_ROOT_NAMES)]
+    roots = fields(ep)
+    name = roots[attempt % len(roots)].name
     bump = Fraction(1, 101 + 6 * attempt)
     value = getattr(ep, name) + bump
     if not value:
@@ -626,14 +627,38 @@ def _sqrt_base(ep: ExactParams, base) -> Fraction:
     return ep.sq if _coerce(base, AWBase) is AWBase.Q else ep.st
 
 
-def _bracket_factorial_on(
-    mv: int, var: int, ref: Fraction, base: Fraction, l: int
-) -> LaurentPoly:
-    """[z_var; ref]_{base,l} as a polynomial in an mv-variable ring."""
-    out = LaurentPoly.one(mv)
-    for i in range(l):
-        out = out * bracket_za(mv, var, ref * base**i)
-    return out
+def _aw_top(ep: ExactParams, x: Fraction, first: Fraction) -> tuple[Fraction, ...]:
+    """Square roots (x first, x ab, x ac, x ad) of the Askey-Wilson
+    numerator entries, given x = base^(s/2) and first = base^(1/2)."""
+    return (x * first, x * ep.sa * ep.sb, x * ep.sa * ep.sc, x * ep.sa * ep.sd)
+
+
+def _factorial_ratio(
+    top: Sequence[Fraction],
+    bottom: Sequence[Fraction],
+    sbase: Fraction,
+    length: int,
+    what: str,
+) -> Fraction:
+    """prod_{x in top} [x]_{base,length} / prod_{x in bottom} [x]_{base,length}.
+
+    Entries are square roots, as :func:`bracket_factorial_const` takes
+    them.  A vanishing denominator raises
+    :class:`DegenerateParameterError` naming ``what``.
+    """
+    den = Fraction(1)
+    for root in bottom:
+        factor = bracket_factorial_const(root, sbase, length)
+        if not factor:
+            raise DegenerateParameterError(
+                f"vanishing bracket factorial of length {length} in {what}; "
+                "parameters are degenerate"
+            )
+        den *= factor
+    num = Fraction(1)
+    for root in top:
+        num *= bracket_factorial_const(root, sbase, length)
+    return num / den
 
 
 def askey_wilson_p(r: int, ep: ExactParams, base="q") -> LaurentPoly:
@@ -652,31 +677,19 @@ def askey_wilson_p(r: int, ep: ExactParams, base="q") -> LaurentPoly:
     if r < 0:
         raise ValueError("degree must be nonnegative")
     sbase = _sqrt_base(ep, base)
-    base_val = sbase**2
     sabcd = ep.sa * ep.sb * ep.sc * ep.sd
+    what = f"the degree-{r} expansion for base {_coerce(base, AWBase).value}"
     out = LaurentPoly.zero(1)
     for s in range(r + 1):
-        length = r - s
-        num = Fraction(1)
-        for root in (
-            sbase ** (s + 1),
-            sbase**s * ep.sa * ep.sb,
-            sbase**s * ep.sa * ep.sc,
-            sbase**s * ep.sa * ep.sd,
-        ):
-            num *= bracket_factorial_const(root, sbase, length)
-        den = Fraction(1)
-        for root in (sbase, sabcd * sbase ** (r + s - 1)):
-            factor = bracket_factorial_const(root, sbase, length)
-            if not factor:
-                raise DegenerateParameterError(
-                    f"vanishing bracket factorial of length {length} in the "
-                    f"degree-{r} expansion; parameters are degenerate for "
-                    f"base {_coerce(base, AWBase).value}"
-                )
-            den *= factor
-        if num:
-            out = out + _bracket_factorial_on(1, 0, ep.a, base_val, s) * (num / den)
+        coeff = _factorial_ratio(
+            _aw_top(ep, sbase**s, sbase),
+            (sbase, sabcd * sbase ** (r + s - 1)),
+            sbase,
+            r - s,
+            what,
+        )
+        if coeff:
+            out = out + bracket_factorial_poly(ep.a, sbase**2, s) * coeff
     return out
 
 
@@ -733,20 +746,16 @@ def poly_H(l: int, ep: ExactParams, m: int) -> LaurentPoly:
     for nu in _compositions(l, m):
         coeff = Fraction(1)
         for part in nu:
-            den = bracket_factorial_const(ep.sq, ep.sq, part)
-            if not den:
-                raise DegenerateParameterError(
-                    "[q]-factorial vanishes; q is a root of unity"
-                )
-            coeff *= bracket_factorial_const(ep.st, ep.sq, part) / den
+            coeff *= _factorial_ratio(
+                (ep.st,), (ep.sq,), ep.sq, part, "the [t]/[q] ratio of H_l"
+            )
         if not coeff:
             continue
         piece = LaurentPoly.one(m)
         prefix = 0
         for j, part in enumerate(nu):
             ref = t**j * q**prefix * a
-            for i in range(part):
-                piece = piece * bracket_za(m, j, ref * q**i)
+            piece = piece * bracket_factorial_poly(ref, q, part, m, j)
             prefix += part
         total = total + piece * coeff
     return total
@@ -770,25 +779,15 @@ def column_formula(r: int, ep: ExactParams, m: int) -> LaurentPoly:
     sabcd = ep.sa * ep.sb * ep.sc * ep.sd
     out = LaurentPoly.zero(m)
     for l in range(r + 1):
-        num = Fraction(1)
-        for root in (
-            st ** (m - r + 1),
-            st ** (m - r) * ep.sa * ep.sb,
-            st ** (m - r) * ep.sa * ep.sc,
-            st ** (m - r) * ep.sa * ep.sd,
-        ):
-            num *= bracket_factorial_const(root, st, l)
-        den = Fraction(1)
-        for root in (st, st ** (2 * (m - r)) * sabcd):
-            factor = bracket_factorial_const(root, st, l)
-            if not factor:
-                raise DegenerateParameterError(
-                    f"vanishing t-factorial of length {l} in the column "
-                    "expansion; parameters are degenerate"
-                )
-            den *= factor
-        if num:
-            out = out + poly_E(r - l, ep, m) * (num / den)
+        coeff = _factorial_ratio(
+            _aw_top(ep, st ** (m - r), st),
+            (st, st ** (2 * (m - r)) * sabcd),
+            st,
+            l,
+            "the column expansion",
+        )
+        if coeff:
+            out = out + poly_E(r - l, ep, m) * coeff
     return out
 
 
@@ -805,52 +804,20 @@ def row_formula(r: int, ep: ExactParams, m: int) -> LaurentPoly:
         raise ValueError("row length must be nonnegative")
     sq, st = ep.sq, ep.st
     sabcd = ep.sa * ep.sb * ep.sc * ep.sd
-    t_fact = bracket_factorial_const(st, sq, r)
-    if not t_fact:
-        raise DegenerateParameterError(
-            f"[t]_(q,{r}) vanishes at these parameters; the row normalization "
-            "divides by it"
-        )
-    q_fact = bracket_factorial_const(sq, sq, r)
-
-    front_roots = (
-        st**m,
-        st ** (m - 1) * ep.sa * ep.sb,
-        st ** (m - 1) * ep.sa * ep.sc,
-        st ** (m - 1) * ep.sa * ep.sd,
-    )
+    norm = _factorial_ratio((sq,), (st,), sq, r, "the row normalization [t]_(q,r)")
+    front_roots = _aw_top(ep, st ** (m - 1), st)
     balancing_root = st ** (2 * (m - 1)) * sabcd * sq ** (r - 1)
-    front_num = Fraction(1)
-    for root in front_roots:
-        front_num *= bracket_factorial_const(root, sq, r)
-    front_den = Fraction(1)
-    for root in (sq, balancing_root):
-        factor = bracket_factorial_const(root, sq, r)
-        if not factor:
-            raise DegenerateParameterError(
-                "vanishing q-factorial in the row prefactor; parameters are "
-                "degenerate"
-            )
-        front_den *= factor
-
+    front = _factorial_ratio(
+        front_roots, (sq, balancing_root), sq, r, "the row prefactor"
+    )
     acc = LaurentPoly.zero(m)
     for l in range(r + 1):
-        num = bracket_factorial_const(sq ** (-r), sq, l) * bracket_factorial_const(
-            balancing_root, sq, l
+        c = Fraction(-1) ** l * _factorial_ratio(
+            (sq ** (-r), balancing_root), front_roots, sq, l, "the row expansion"
         )
-        den = Fraction(1)
-        for root in front_roots:
-            factor = bracket_factorial_const(root, sq, l)
-            if not factor:
-                raise DegenerateParameterError(
-                    f"vanishing q-factorial of length {l} in the row "
-                    "expansion; parameters are degenerate"
-                )
-            den *= factor
-        c = Fraction(-1) ** l * num / den
         if c:
             acc = acc + poly_H(l, ep, m) * c
-    return acc * (q_fact * front_num / (t_fact * front_den))
+    return acc * (norm * front)
 
 
 def connection_bracket_to_AW(l: int, ep: ExactParams, base="t") -> list[Fraction]:
@@ -868,24 +835,14 @@ def connection_bracket_to_AW(l: int, ep: ExactParams, base="t") -> list[Fraction
     coeffs: list[Fraction] = []
     for r in range(l + 1):
         length = l - r
-        num = Fraction(1)
-        for root in (
-            sbase ** (r + 1),
-            sbase**r * ep.sa * ep.sb,
-            sbase**r * ep.sa * ep.sc,
-            sbase**r * ep.sa * ep.sd,
-        ):
-            num *= bracket_factorial_const(root, sbase, length)
-        den = Fraction(1)
-        for root in (sbase, sabcd * sbase ** (2 * r)):
-            factor = bracket_factorial_const(root, sbase, length)
-            if not factor:
-                raise DegenerateParameterError(
-                    f"vanishing bracket factorial of length {length} in the "
-                    "connection coefficients; parameters are degenerate"
-                )
-            den *= factor
-        coeffs.append(Fraction(-1) ** length * num / den)
+        ratio = _factorial_ratio(
+            _aw_top(ep, sbase**r, sbase),
+            (sbase, sabcd * sbase ** (2 * r)),
+            sbase,
+            length,
+            "the connection coefficients",
+        )
+        coeffs.append(Fraction(-1) ** length * ratio)
     return coeffs
 
 
@@ -908,40 +865,6 @@ def _embed(f: LaurentPoly, mv: int, at: Sequence[int]) -> LaurentPoly:
     return LaurentPoly(mv, terms)
 
 
-def _bracket_two_vars(mv: int, i: int, j: int) -> LaurentPoly:
-    """[z_i; z_j] = z_i + 1/z_i - z_j - 1/z_j in an mv-variable ring."""
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for var, sign in ((i, Fraction(1)), (j, Fraction(-1))):
-        for e in (2, -2):
-            key = [0] * mv
-            key[var] = e
-            terms[tuple(key)] = sign
-    return LaurentPoly(mv, terms)
-
-
-def _bracket_var_scaled(mv: int, i: int, j: int, c: Fraction) -> LaurentPoly:
-    """[z_i; c z_j] = z_i + 1/z_i - c z_j - 1/(c z_j), c a nonzero rational."""
-    if not c:
-        raise ValueError("scale must be nonzero")
-    up = [0] * mv
-    up[i] = 2
-    dn = [0] * mv
-    dn[i] = -2
-    ju = [0] * mv
-    ju[j] = 2
-    jd = [0] * mv
-    jd[j] = -2
-    return LaurentPoly(
-        mv,
-        {
-            tuple(up): Fraction(1),
-            tuple(dn): Fraction(1),
-            tuple(ju): -c,
-            tuple(jd): Fraction(-1) / c,
-        },
-    )
-
-
 def expansion_check_E(m: int, ep: ExactParams) -> bool:
     """prod_j [w; z_j] == sum_r (-1)^r E_r(z;a|t) [w;a]_{t,m-r}, exactly.
 
@@ -954,11 +877,11 @@ def expansion_check_E(m: int, ep: ExactParams) -> bool:
     w = m
     lhs = LaurentPoly.one(mv)
     for j in range(m):
-        lhs = lhs * _bracket_two_vars(mv, w, j)
+        lhs = lhs * bracket_zw(mv, w, j)
     rhs = LaurentPoly.zero(mv)
     for r in range(m + 1):
-        term = _embed(poly_E(r, ep, m), mv, range(m)) * _bracket_factorial_on(
-            mv, w, ep.a, ep.t, m - r
+        term = _embed(poly_E(r, ep, m), mv, range(m)) * bracket_factorial_poly(
+            ep.a, ep.t, m - r, mv, w
         )
         rhs = rhs + term * Fraction(-1) ** r
     return lhs == rhs
@@ -986,12 +909,12 @@ def expansion_check_H(m: int, k: int, ep: ExactParams) -> bool:
     lhs = LaurentPoly.one(mv)
     for j in range(m):
         for i in range(k):
-            lhs = lhs * _bracket_var_scaled(mv, w, j, ep.sq ** (1 - k + 2 * i))
+            lhs = lhs * bracket_zw(mv, w, j, ep.sq ** (1 - k + 2 * i))
     a_twisted = ep.sqrt_qt_over_a()
     rhs = LaurentPoly.zero(mv)
     for l in range(k * m + 1):
-        term = _embed(poly_H(l, ep, m), mv, range(m)) * _bracket_factorial_on(
-            mv, w, a_twisted, ep.q, k * m - l
+        term = _embed(poly_H(l, ep, m), mv, range(m)) * bracket_factorial_poly(
+            a_twisted, ep.q, k * m - l, mv, w
         )
         rhs = rhs + term
     return lhs == rhs
@@ -1155,13 +1078,8 @@ def dual_cauchy_check(m: int, n: int, ep: ExactParams) -> bool:
     if m < 1 or n < 1:
         raise ValueError("need m >= 1 and n >= 1")
     mv = m + n
-    lhs = LaurentPoly.one(mv)
-    for j in range(m):
-        for l in range(n):
-            lhs = lhs * _bracket_two_vars(mv, j, m + l)
-    swapped = ExactParams(
-        sa=ep.sa, sb=ep.sb, sc=ep.sc, sd=ep.sd, sq=ep.st, st=ep.sq
-    )
+    lhs = kern_psi_mult(m, n)
+    swapped = ep.replace(sq=ep.st, st=ep.sq)
     rhs = LaurentPoly.zero(mv)
     for lam in partitions_in_box(m, n):
         star = lambda_star(lam, m, n)

@@ -26,8 +26,13 @@ algebra in this module:
   * ``ExactParams``     Askey-Wilson parameter bundle (a,b,c,d,q,t) stored via
                         exact rational square roots, so alpha = (abcd/q)**(1/2)
                         and friends stay rational.
-  * bracket helpers     [z;a] = z + 1/z - a - 1/a and the shifted factorials
-                        [z;a]_{q,l} (polynomial) and [a]_{t,l} (constant).
+  * bracket helpers     the brackets [z_i;a] = z_i + 1/z_i - a - 1/a
+                        (``bracket_za``) and [z_i; c z_j] (``bracket_zw``),
+                        the shifted factorial [z_i;a]_{q,l} in m variables
+                        (``bracket_factorial_poly``), and their constant
+                        forms [c] = c**(1/2) - c**(-1/2), [x;y] and
+                        [a]_{t,l} (``bracket_const``, ``bracket_pair_const``,
+                        ``bracket_factorial_const``).
 
 All arithmetic is exact; there is no floating-point fallback anywhere in this
 module.  Numeric evaluation happens only through ``eval_numeric``, where the
@@ -36,10 +41,11 @@ caller supplies a square root for every coordinate to fix branches.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
-from collections.abc import Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass
+from collections.abc import ItemsView, Iterable, Iterator, Mapping, Sequence
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -178,6 +184,24 @@ class _Terms(Mapping):
     def __len__(self) -> int:
         return len(self._num)
 
+    def items(self) -> "_TermItems":
+        return _TermItems(self)
+
+
+class _TermItems(ItemsView):
+    """(exponent, coefficient) pairs that unpack each stored key once,
+    instead of packing it again for a second lookup."""
+
+    __slots__ = ()
+
+    def __iter__(self) -> Iterator[tuple[Exponent, Fraction]]:
+        terms = self._mapping
+        den = terms._den
+        return zip(
+            _unpack_all(terms._num, terms._m),
+            (Fraction(n, den) for n in terms._num.values()),
+        )
+
 
 class LaurentPoly:
     """Sparse exact Laurent polynomial in ``m`` variables (doubled lattice).
@@ -276,9 +300,7 @@ class LaurentPoly:
     @classmethod
     def var_power(cls, m: int, i: int, e2: int, coeff: Scalar = 1) -> "LaurentPoly":
         """``coeff * z_i**(e2/2)`` as a polynomial in ``m`` variables."""
-        exps = [0] * m
-        exps[i] = e2
-        return cls.monomial(m, exps, coeff)
+        return cls.monomial(m, _unit(m, i, e2), coeff)
 
     # -- inspection -----------------------------------------------------
 
@@ -855,12 +877,13 @@ class ExactParams:
     st: Fraction
 
     def __post_init__(self) -> None:
-        for name in ("sa", "sb", "sc", "sd", "sq", "st"):
-            value = getattr(self, name)
+        for root in fields(self):
+            value = getattr(self, root.name)
             if not isinstance(value, Fraction):
-                object.__setattr__(self, name, Fraction(value))
-            if not getattr(self, name):
-                raise ValueError(f"square root {name} must be nonzero")
+                value = Fraction(value)
+                object.__setattr__(self, root.name, value)
+            if not value:
+                raise ValueError(f"square root {root.name} must be nonzero")
 
     # squared values
     @property
@@ -893,8 +916,7 @@ class ExactParams:
         return self.sa * self.sb * self.sc * self.sd / self.sq
 
     def sqrt_qt_over_a(self) -> Fraction:
-        """((qt)**(1/2))/a ... returned as the square root bundle needs it:
-        the value (qt)^{1/2}/a itself, which is rational: sq*st/sa**2."""
+        """(qt)**(1/2)/a = sq st / sa**2, exactly."""
         return self.sq * self.st / self.a
 
     @classmethod
@@ -909,26 +931,10 @@ class ExactParams:
         )
 
     def replace(self, **kwargs: Fraction) -> "ExactParams":
-        data = {
-            "sa": self.sa,
-            "sb": self.sb,
-            "sc": self.sc,
-            "sd": self.sd,
-            "sq": self.sq,
-            "st": self.st,
-        }
-        data.update(kwargs)
-        return ExactParams(**data)
+        return dataclasses.replace(self, **kwargs)
 
     def as_dict(self) -> dict[str, str]:
-        return {
-            "sa": str(self.sa),
-            "sb": str(self.sb),
-            "sc": str(self.sc),
-            "sd": str(self.sd),
-            "sq": str(self.sq),
-            "st": str(self.st),
-        }
+        return {root.name: str(getattr(self, root.name)) for root in fields(self)}
 
 
 # ======================================================================
@@ -936,29 +942,53 @@ class ExactParams:
 # ======================================================================
 
 
+def _unit(m: int, i: int, e2: int) -> Exponent:
+    """The (doubled) exponent of z_i**(e2/2) in m variables."""
+    exps = [0] * m
+    exps[i] = e2
+    return tuple(exps)
+
+
 def bracket_za(m: int, i: int, a: Fraction) -> LaurentPoly:
     """[z_i; a] = z_i + 1/z_i - a - 1/a as a polynomial in m variables."""
     a = _as_fraction(a)
     if not a:
         raise ValueError("bracket constant must be nonzero")
-    const = -(a + 1 / a)
-    zero = (0,) * m
-    up = [0] * m
-    up[i] = 2
-    down = [0] * m
-    down[i] = -2
-    return LaurentPoly(m, {tuple(up): Fraction(1), tuple(down): Fraction(1), zero: const})
+    return LaurentPoly(
+        m, {_unit(m, i, 2): 1, _unit(m, i, -2): 1, (0,) * m: -(a + 1 / a)}
+    )
 
 
-def bracket_factorial_poly(a: Fraction, q: Fraction, l: int) -> LaurentPoly:
-    """[z;a]_{q,l} = [z;a][z;qa]...[z;q^{l-1}a], univariate (m = 1), monic of degree l."""
+def bracket_zw(m: int, i: int, j: int, c: Scalar = 1) -> LaurentPoly:
+    """[z_i; c z_j] = z_i + 1/z_i - c z_j - 1/(c z_j) in m variables, i != j."""
+    c = _as_fraction(c)
+    if not c:
+        raise ValueError("bracket scale must be nonzero")
+    if i == j:
+        raise ValueError("a two-variable bracket needs two distinct variables")
+    return LaurentPoly(
+        m,
+        {
+            _unit(m, i, 2): 1,
+            _unit(m, i, -2): 1,
+            _unit(m, j, 2): -c,
+            _unit(m, j, -2): -1 / c,
+        },
+    )
+
+
+def bracket_factorial_poly(
+    a: Fraction, q: Fraction, l: int, m: int = 1, i: int = 0
+) -> LaurentPoly:
+    """[z_i;a]_{q,l} = [z_i;a][z_i;qa]...[z_i;q^{l-1}a] in m variables,
+    monic of degree l in z_i."""
     if l < 0:
         raise ValueError("factorial length must be nonnegative")
     a = _as_fraction(a)
     q = _as_fraction(q)
-    out = LaurentPoly.one(1)
+    out = LaurentPoly.one(m)
     for j in range(l):
-        out = out * bracket_za(1, 0, a * q**j)
+        out = out * bracket_za(m, i, a * q**j)
     return out
 
 

@@ -1060,32 +1060,34 @@ def _res_thm41_1(fam, m, n, params, pt):
     return abs(lhs - rhs)
 
 
+def _psi_mult(w1, xs, ys):
+    """prod_{j,l} (z_j + 1/z_j - w_l - 1/w_l) at z_j = e(x_j/w1), w_l = e(y_l/w1):
+    the exact dual Cauchy kernel ``kernels.kern_psi_mult``, evaluated."""
+    val = 1 + 0j
+    for xj in xs:
+        zj = phase(xj / w1)
+        for yl in ys:
+            wl = phase(yl / w1)
+            val *= zj + 1 / zj - wl - 1 / wl
+    return val
+
+
 def _res_thm41_2(fam, m, n, params, pt):
     mu = tuple(params["mu"])
     delta, kappa = params["delta"], params["kappa"]
     w1 = fam.omega1
     x, y = pt["x"], pt["y"]
-
-    def psi(xs, ys):
-        val = 1 + 0j
-        for xj in xs:
-            zj = phase(xj / w1)
-            for yl in ys:
-                wl = phase(yl / w1)
-                val *= zj + 1 / zj - wl - 1 / wl
-        return val
-
     lhs = _br(w1, kappa) * _koorn_shift_apply(
-        mu, delta, kappa, lambda xs: psi(xs, y), x, w1
+        mu, delta, kappa, lambda xs: _psi_mult(w1, xs, y), x, w1
     )
     lhs += _br(w1, delta) * _koorn_shift_apply(
-        mu, kappa, delta, lambda ys: psi(x, ys), y, w1
+        mu, kappa, delta, lambda ys: _psi_mult(w1, x, ys), y, w1
     )
     rhs = (
         _br(w1, m * kappa)
         * _br(w1, n * delta)
         * _br(w1, sum(mu) + (m - 1) * kappa + (n - 1) * delta)
-        * psi(x, y)
+        * _psi_mult(w1, x, y)
     )
     return abs(lhs - rhs)
 

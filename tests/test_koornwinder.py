@@ -490,7 +490,7 @@ def test_aw_specialization_to_bracket_factorial(base, l):
 def test_aw_degenerate_parameters_raise():
     # abcd = 1 kills the lowest balancing denominator
     ep = EP.replace(sd=1 / (EP.sa * EP.sb * EP.sc))
-    with pytest.raises(DegenerateParameterError):
+    with pytest.raises(DegenerateParameterError, match="degree-1 expansion for base q"):
         askey_wilson_p(1, ep, "q")
 
 
@@ -601,8 +601,30 @@ def test_row_formula_checks_its_normalizing_factor():
     # st = sq makes t = q and [t]_{q,1} = [q^... the first factor of the
     # divisor [t]_{q,r} vanishes when t q^j = 1 for some j < r
     ep = EP.replace(st=1 / EP.sq)
-    with pytest.raises(DegenerateParameterError):
+    with pytest.raises(DegenerateParameterError, match="row normalization"):
         row_formula(2, ep, 2)
+
+
+# abcd = 1 kills the balancing bracket of the column, connection and row
+# prefactor denominators; ab = 1 kills a row-expansion denominator at
+# l = 1; q = 1 kills [q]_{q,1}.
+_ABCD_1 = EP.replace(sd=1 / (EP.sa * EP.sb * EP.sc))
+
+
+@pytest.mark.parametrize(
+    "call,site",
+    [
+        (partial(column_formula, 1, _ABCD_1, 1), "the column expansion"),
+        (partial(connection_bracket_to_AW, 1, _ABCD_1, "t"), "connection"),
+        (partial(poly_H, 1, EP.replace(sq=Fraction(1)), 1), r"\[t\]/\[q\] ratio"),
+        (partial(row_formula, 1, _ABCD_1, 1), "the row prefactor"),
+        (partial(row_formula, 1, EP.replace(sb=1 / EP.sa), 1), "the row expansion"),
+    ],
+    ids=["column", "connection", "H", "row-prefactor", "row-expansion"],
+)
+def test_degenerate_parameters_name_the_vanishing_factorial(call, site):
+    with pytest.raises(DegenerateParameterError, match=site):
+        call()
 
 
 # ======================================================================
@@ -790,6 +812,13 @@ def test_box_polynomials_match_golden_digest(name, m):
         text = poly_dumps(koornwinder_poly(lam, ep, m))
         digest.update(f"{list(lam.parts)} {text}\n".encode())
     assert digest.hexdigest() == GOLDEN_BOX_DIGESTS[name, m]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_terms_items_match_lookups_across_the_box(m):
+    for lam in partitions_in_box(m, 3):
+        terms = koornwinder_poly(lam, EP_ALT, m).terms
+        assert dict(terms.items()) == {e: terms[e] for e in terms}
 
 
 # sha256 of poly_dumps(P_lam) for two labels in four variables, where the

@@ -21,6 +21,7 @@ from diffkern.laurent import (
     bracket_factorial_const,
     bracket_factorial_poly,
     bracket_za,
+    bracket_zw,
     divide_exact,
     dominance_leq,
     eval_numeric,
@@ -213,6 +214,19 @@ def test_out_of_range_exponent_never_aliases_a_stored_term():
         with pytest.raises(KeyError):
             p.terms[bad]
     assert dict(p.terms.items()) == {(1, 0): Fraction(5)}
+
+
+def test_terms_items_view_matches_lookups():
+    p = LaurentPoly(2, {(1, 0): Fraction(5, 6), (-3, 2): Fraction(-1, 4)})
+    items = p.terms.items()
+    assert len(items) == 2
+    assert ((1, 0), Fraction(5, 6)) in items
+    assert ((1, 0), Fraction(5)) not in items
+    assert ((0, 2**20), Fraction(5, 6)) not in items
+    assert dict(items) == {e: p.terms[e] for e in p.terms}
+    const = LaurentPoly.const(0, Fraction(7, 3))
+    assert list(const.terms.items()) == [((), Fraction(7, 3))]
+    assert not hasattr(items, "__setitem__")
 
 
 def test_exponent_overflow_at_construction():
@@ -436,6 +450,40 @@ def test_exact_params_replace():
     ep = ExactParams.default().replace(sq=Fraction(1, 3))
     assert ep.q == Fraction(1, 9)
     assert ep.sa == Fraction(2, 3)
+    assert ExactParams.default().replace(st="1/2").st == Fraction(1, 2)
+    with pytest.raises(ValueError, match="sd"):
+        ep.replace(sd=0)
+    with pytest.raises(ValueError, match="sa"):
+        ep.replace(sa="0")
+    with pytest.raises(TypeError):
+        ep.replace(sz=Fraction(1))
+
+
+def test_exact_params_as_dict_keeps_root_order():
+    assert ExactParams.default().as_dict() == {
+        "sa": "2/3", "sb": "3/5", "sc": "5/7", "sd": "7/11", "sq": "1/2", "st": "2/5"
+    }
+    assert list(ExactParams.default().as_dict()) == ["sa", "sb", "sc", "sd", "sq", "st"]
+
+
+def test_two_variable_bracket():
+    c = Fraction(-2, 3)
+    assert bracket_zw(3, 0, 2, c) == LaurentPoly(
+        3, {(2, 0, 0): 1, (-2, 0, 0): 1, (0, 0, 2): -c, (0, 0, -2): -1 / c}
+    )
+    # [z_1; z_0] = [z_1; 1] - [z_0; 1]: the constants cancel
+    assert bracket_zw(2, 1, 0) == bracket_za(2, 1, 1) - bracket_za(2, 0, 1)
+    with pytest.raises(ValueError):
+        bracket_zw(2, 0, 1, 0)
+    with pytest.raises(ValueError):
+        bracket_zw(2, 1, 1)
+
+
+def test_bracket_factorial_poly_in_several_variables():
+    a, q = Fraction(2), Fraction(1, 4)
+    got = bracket_factorial_poly(a, q, 2, 3, 1)
+    assert got == bracket_za(3, 1, a) * bracket_za(3, 1, a * q)
+    assert bracket_factorial_poly(a, q, 0, 3, 1) == LaurentPoly.one(3)
 
 
 def test_bracket_factorial_poly_basics():

@@ -11,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import diffkern.verify as verify
+from diffkern.kernels import kern_psi_mult
 from diffkern.operators import ParamsBC
-from diffkern.sigma import DomainError, FamilyKind, PoleError, SigmaFamily
+from diffkern.sigma import DomainError, FamilyKind, PoleError, SigmaFamily, phase
 from diffkern.verify import (
     DEFAULT_SAMPLES,
     DEFAULT_SEED,
@@ -175,6 +176,24 @@ def test_balancing_ae2_exact_property(m, n, re, im):
 # ======================================================================
 # residual evaluators
 # ======================================================================
+
+
+@pytest.mark.parametrize("w1", [1.0, 0.8 + 0.3j])
+@pytest.mark.parametrize("m,n", [(m, n) for m in (1, 2, 3) for n in (1, 2, 3)])
+def test_thm41_2_kernel_is_the_exact_dual_cauchy_kernel(m, n, w1):
+    # verify's numeric psi against kern_psi_mult evaluated at the square
+    # roots s = e(x/(2 omega1)).  The real parts are spread over (0, 1/2),
+    # where cos is one to one, so no factor z + 1/z - w - 1/w is small and
+    # the expanded exact form is well conditioned.
+    poly = kern_psi_mult(m, n)
+    rng = random.Random(10 * m + n)
+    for _ in range(3):
+        re = [(k + 0.5) / (2 * (m + n)) for k in range(m + n)]
+        rng.shuffle(re)
+        pts = [w1 * complex(r, rng.uniform(-0.1, 0.1)) for r in re]
+        exact = poly.eval_at([phase(v / (2 * w1)) for v in pts])
+        numeric = verify._psi_mult(w1, pts[:m], pts[m:])
+        assert abs(numeric - exact) <= 1e-12 * abs(exact)
 
 
 def test_riemann_structural_zero_when_arguments_coincide(families):
