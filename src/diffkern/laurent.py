@@ -135,6 +135,13 @@ def _key_of(exp: Sequence[int], m: int) -> int | None:
     return _pack(exp)
 
 
+def _unit(m: int, i: int, e2: int) -> Exponent:
+    """The (doubled) exponent of z_i**(e2/2) in m variables."""
+    exps = [0] * m
+    exps[i] = e2
+    return tuple(exps)
+
+
 # ======================================================================
 # LaurentPoly
 # ======================================================================
@@ -940,13 +947,6 @@ class ExactParams:
 # ======================================================================
 # brackets: [z;a], [z;a]_{q,l}, [a]_{t,l}
 # ======================================================================
-
-
-def _unit(m: int, i: int, e2: int) -> Exponent:
-    """The (doubled) exponent of z_i**(e2/2) in m variables."""
-    exps = [0] * m
-    exps[i] = e2
-    return tuple(exps)
 
 
 def bracket_za(m: int, i: int, a: Fraction) -> LaurentPoly:
