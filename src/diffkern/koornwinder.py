@@ -925,18 +925,6 @@ def expansion_check_H(m: int, k: int, ep: ExactParams) -> bool:
 # ======================================================================
 
 
-def _eval_exact(f: LaurentPoly, sqrt_point: Sequence[Fraction]) -> Fraction:
-    """Evaluate on the doubled lattice with rational square-root coordinates."""
-    total = Fraction(0)
-    for exp, coeff in f.terms.items():
-        value = coeff
-        for s, e in zip(sqrt_point, exp):
-            if e:
-                value *= Fraction(s) ** e
-        total += value
-    return total
-
-
 def _grid_sqrt_point(
     mu: Partition, ep: ExactParams, m: int
 ) -> tuple[Fraction, ...]:
@@ -1007,11 +995,9 @@ def interpolation_checks(kind, m: int, ep: ExactParams) -> InterpReport:
             for mu in grid:
                 if len(mu) < r:
                     checked += 1
-                    if _eval_exact(poly, _grid_sqrt_point(mu, ep, m)):
+                    if poly.eval_exact(_grid_sqrt_point(mu, ep, m)):
                         vanishing_ok = False
-            threshold = _eval_exact(
-                poly, _grid_sqrt_point(Partition((1,) * r), ep, m)
-            )
+            threshold = poly.eval_exact(_grid_sqrt_point(Partition((1,) * r), ep, m))
             expected = Fraction(-1) ** r * _pair_factorial_const(
                 ep.st ** (m - r) * ep.sa,
                 ep.sq * ep.st ** (m - r) * ep.sa,
@@ -1027,11 +1013,9 @@ def interpolation_checks(kind, m: int, ep: ExactParams) -> InterpReport:
             for mu in grid:
                 if mu.part(0) < l:
                     checked += 1
-                    if _eval_exact(poly, _grid_sqrt_point(mu, ep, m)):
+                    if poly.eval_exact(_grid_sqrt_point(mu, ep, m)):
                         vanishing_ok = False
-            threshold = _eval_exact(
-                poly, _grid_sqrt_point(Partition((l,)), ep, m)
-            )
+            threshold = poly.eval_exact(_grid_sqrt_point(Partition((l,)), ep, m))
             expected = bracket_factorial_const(
                 ep.st, ep.sq, l
             ) * bracket_factorial_const(

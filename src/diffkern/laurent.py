@@ -525,16 +525,34 @@ class LaurentPoly:
         )
 
     def permute(self, perm: Sequence[int]) -> "LaurentPoly":
-        """Relabel variables: output variable ``perm[i]`` carries old ``z_i``."""
-        if sorted(perm) != list(range(self.m)):
-            raise ValueError(f"not a permutation of 0..{self.m - 1}: {perm}")
+        """Relabel variables: output variable ``perm[i]`` carries old ``z_i``.
+
+        Only the digits the permutation moves are touched: digit ``e_i`` of
+        a key is read by shift and mask and added back as
+        ``e_i * (2**s_perm[i] - 2**s_i)``, so a transposition costs two
+        digit reads per term.
+        """
+        m = self.m
+        if sorted(perm) != list(range(m)):
+            raise ValueError(f"not a permutation of 0..{m - 1}: {perm}")
+        shifts = [_DIGIT_BITS * (m - 1 - i) for i in range(m)]
+        moves = [
+            (shifts[i], (1 << shifts[p]) - (1 << shifts[i]))
+            for i, p in enumerate(perm)
+            if p != i
+        ]
+        if not moves:
+            return self
+        # the biased digits exceed e_i by 2**19 each, and the moved weights
+        # sum to zero, so biased digits shift a key as the signed ones do
+        bias = _bias(m)
         out: dict[int, int] = {}
-        new_exp = [0] * self.m
-        for exp, n in zip(_unpack_all(self._num, self.m), self._num.values()):
-            for i, e in enumerate(exp):
-                new_exp[perm[i]] = e
-            out[_pack(new_exp)] = n
-        return LaurentPoly._from_parts(self.m, out, self._den, self._exp_bound)
+        for key, n in self._num.items():
+            biased = key + bias
+            for shift, weight in moves:
+                key += (biased >> shift & _MASK) * weight
+            out[key] = n
+        return LaurentPoly._from_parts(m, out, self._den, self._exp_bound)
 
     # -- numeric evaluation ---------------------------------------------
 
@@ -562,6 +580,35 @@ class LaurentPoly:
                     value *= complex(s) ** e
             total += value
         return total
+
+    def eval_exact(self, sqrt_point: Sequence[Scalar]) -> Fraction:
+        """Exact value at ``z_i = sqrt_point[i]**2`` for rational ``sqrt_point``.
+
+        Runs on integers over one common denominator.  With ``s_i = p_i/q_i``
+        and digit i of the stored exponents ranging over ``lo_i..hi_i``, the
+        term at ``e`` is its numerator times the integer
+        ``prod_i p_i**(e_i - lo_i) * q_i**(hi_i - e_i)``, read from one power
+        table per coordinate; the sum is scaled once by
+        ``prod_i p_i**lo_i / q_i**hi_i`` over the polynomial's denominator.
+        """
+        if not self._num:
+            return Fraction(0)
+        bias = _bias(self.m)
+        biased = [key + bias for key in self._num]
+        values = list(self._num.values())
+        scale = Fraction(1, self._den)
+        shifts = range(_DIGIT_BITS * (self.m - 1), -1, -_DIGIT_BITS)
+        for shift, s in zip(shifts, sqrt_point):
+            digits = [b >> shift & _MASK for b in biased]  # e_i + 2**19
+            lo, hi = min(digits), max(digits)
+            if lo == hi == _HALF:
+                continue  # z_i does not occur
+            s = Fraction(s)
+            p, q = s.numerator, s.denominator
+            scale *= Fraction(p) ** (lo - _HALF) / Fraction(q) ** (hi - _HALF)
+            table = [p**k * q ** (hi - lo - k) for k in range(hi - lo + 1)]
+            values = [v * table[d - lo] for v, d in zip(values, digits)]
+        return scale * sum(values)
 
 
 def eval_numeric(f: LaurentPoly, sqrt_point: Sequence[complex]) -> complex:

@@ -27,14 +27,16 @@ sum_i [alpha t^(m-i) q^(lambda_i); alpha t^(m-i)]) and the Macdonald
 operators of order r.  Both are computed over an explicit product common
 denominator followed by exact multivariate division; a nonzero remainder
 (possible only on non-invariant input) surfaces as InexactDivisionError.
-In the Koornwinder operator the complements of both shift directions of
-variable i share one signed factor S_i, so each variable's two shifted
-terms are combined first and multiplied by S_i once.
+The Koornwinder operator is invariant under the hyperoctahedral group W, so
+only variable 0's shift term is built; the other variables' terms and the
+inverse shifts are its images under transposition and inversion.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -428,48 +430,53 @@ def _koorn_pair_factors(m: int, k: int, l: int) -> list[LaurentPoly]:
 
 def _product(factors: Sequence[LaurentPoly], m: int) -> LaurentPoly:
     """The product of ``factors``, one for none."""
-    out = LaurentPoly.one(m)
-    for fac in factors:
-        out = out * fac
-    return out
+    return functools.reduce(operator.mul, factors) if factors else LaurentPoly.one(m)
 
 
-def _koorn_denominators(
-    m: int, sq: Fraction
-) -> tuple[LaurentPoly, tuple[LaurentPoly, ...]]:
-    """Common denominator D_total of the Koornwinder operator and, for each
-    variable i, the signed part S_i it shares with both shift directions:
+def _koorn_denominators(m: int, sq: Fraction) -> tuple[LaurentPoly, LaurentPoly]:
+    """Common denominator D_total of the Koornwinder operator and the part
+    S_0 it shares with both shift directions of variable 0:
 
-        D_total / den(A_i^+) =  S_i [q z_i^-2],
-        D_total / den(A_i^-) = -S_i [q z_i^2],
+        D_total / den(A_0^+) =  S_0 [q z_0^-2],
+        D_total / den(A_0^-) = -S_0 [q z_0^2],
 
-    S_i = (-1)^i prod_{k != i} [z_k^2][q z_k^2][q z_k^-2]
-                 prod_{k < l, i not in (k, l)} [z_k z_l][z_k / z_l].
+    S_0 = prod_{k > 0} [z_k^2][q z_k^2][q z_k^-2] prod_{0 < k < l} [z_k z_l][z_k / z_l].
 
-    The sign counts the pair brackets [z_j / z_i], j < i, that D_total
-    holds in the orientation opposite to den(A_i^+).
+    Variable i shares S_i = (-1)^i prod_{k != i} [z_k^2][q z_k^2][q z_k^-2]
+    prod_{k < l, i not in (k, l)} [z_k z_l][z_k / z_l] in the same way (the
+    sign counts the brackets [z_j / z_i], j < i, that D_total holds in the
+    orientation opposite to den(A_i^+)).  With sigma_i the transposition of
+    z_0 and z_i and iota the inversion of every variable,
+
+        S_i = eps_i sigma_i(S_0),  iota(S_0) = eta S_0,
+
+    eps_0 = 1, eps_i = -1 for i >= 1 and eta = (-1)^(m-1); see
+    ``koorn_denominator_check``.
     """
-    own = [_product(_koorn_own_factors(m, i, sq), m) for i in range(m)]
-    pair = {
-        (k, l): _product(_koorn_pair_factors(m, k, l), m)
-        for k in range(m)
-        for l in range(k + 1, m)
-    }
-    shared = []
-    for i in range(m):
-        s_i = LaurentPoly.const(m, (-1) ** i)
-        for k in range(m):
-            if k != i:
-                s_i = s_i * own[k]
-        for (k, l), fac in pair.items():
-            if i not in (k, l):
-                s_i = s_i * fac
-        shared.append(s_i)
+    s_0 = _product(
+        [fac for k in range(1, m) for fac in _koorn_own_factors(m, k, sq)]
+        + [
+            fac
+            for k in range(1, m)
+            for l in range(k + 1, m)
+            for fac in _koorn_pair_factors(m, k, l)
+        ],
+        m,
+    )
     # D_total = own_0 * prod_l pair_(0, l) * S_0, the small factors first
-    d_total = own[0]
-    for l in range(1, m):
-        d_total = d_total * pair[0, l]
-    return d_total * shared[0], tuple(shared)
+    near_0 = _product(
+        _koorn_own_factors(m, 0, sq)
+        + [fac for l in range(1, m) for fac in _koorn_pair_factors(m, 0, l)],
+        m,
+    )
+    return near_0 * s_0, s_0
+
+
+def _swap_with_0(m: int, i: int) -> list[int]:
+    """sigma_i as a permutation: z_0 and z_i exchanged (identity for i = 0)."""
+    perm = list(range(m))
+    perm[0], perm[i] = i, 0
+    return perm
 
 
 def apply_koorn_mult(ep: ExactParams, f: LaurentPoly, m: int) -> LaurentPoly:
@@ -484,51 +491,86 @@ def apply_koorn_mult(ep: ExactParams, f: LaurentPoly, m: int) -> LaurentPoly:
     Eigenvalues on P_lambda are sum_i [alpha t^(m-i) q^(lambda_i); alpha t^(m-i)].
     Computed over the common denominator
         D_total = prod_i [z_i^2][q z_i^2][q z_i^-2] * prod_{k<l} [z_k z_l][z_k/z_l]
-    with exact division.  Both complements D_total / den(A_i^+-) share one
-    signed factor S_i (see ``_koorn_denominators``), so variable i adds
+    with exact division.  Only variable 0's shift term is ever built:
 
-        S_i (n_i^+ (T_i - 1) f [q z_i^-2] - n_i^- (T_i^-1 - 1) f [q z_i^2])
+        b(g) = S_0 n_0^+ (T_0 g - g) [q z_0^-2],
 
-    to the numerator, with T_i = T_{q,z_i} and n_i^+- the numerator
-    brackets of A_i^+-: one product by S_i per variable instead of one per
-    shift direction.  The division is exact precisely on inputs the
-    operator maps to Laurent polynomials (W-invariant f in particular), and
-    raises InexactDivisionError otherwise.
+    with T_0 = T_{q,z_0}, n_0^+ the numerator brackets of A_0^+ and S_0 the
+    part of D_total that both complements D_total / den(A_0^+-) share (see
+    ``_koorn_denominators``).  The operator is W-invariant, so the numerator
+    over D_total is
+
+        sum_i eps_i sigma_i( b(sigma_i f) - eta iota(b(iota sigma_i f)) ),
+
+    with sigma_i the transposition of z_0 and z_i, iota the inversion of
+    every variable, eps_0 = 1, eps_i = -1 for i >= 1 and eta = (-1)^(m-1).
+    Within one call b, and the bracketed difference, are memoised by their
+    input polynomial (``LaurentPoly`` is hashable and its ``==`` structural),
+    so a W-invariant f costs one b and any other f one b per distinct image;
+    nothing is kept between calls.  The division
+    is exact precisely on inputs the operator maps to Laurent polynomials
+    (W-invariant f in particular), and raises InexactDivisionError
+    otherwise.
     """
     if f.m != m:
         raise ValueError(f"f has {f.m} variables, expected {m}")
     if m < 1:
         raise ValueError("need at least one variable")
     sq = ep.sq
-    d_total, shared = _koorn_denominators(m, sq)
+    d_total, s_0 = _koorn_denominators(m, sq)
+    # numerator brackets of A_0^+
+    n_plus = _product(
+        [_two_term(m, {0: 1}, root) for root in (ep.sa, ep.sb, ep.sc, ep.sd)]
+        + [_two_term(m, {0: 1, j: e}, ep.st) for j in range(1, m) for e in (1, -1)],
+        m,
+    )
+    q_down = _koorn_own_factors(m, 0, sq)[2]  # [q z_0^-2]
 
-    numerator = LaurentPoly.zero(m)
-    for i in range(m):
-        # numerator brackets of A_i^+
-        n_plus = LaurentPoly.one(m)
-        for root in (ep.sa, ep.sb, ep.sc, ep.sd):
-            n_plus = n_plus * _two_term(m, {i: 1}, root)
-        for j in range(m):
-            if j == i:
-                continue
-            n_plus = n_plus * _two_term(m, {i: 1, j: 1}, ep.st)
-            n_plus = n_plus * _two_term(m, {i: 1, j: -1}, ep.st)
-        n_minus = n_plus.invert_all()
-        _, q_up, q_down = _koorn_own_factors(m, i, sq)  # [q z_i^2], [q z_i^-2]
+    # memoised for this call only: the closures die with it
+    @functools.cache
+    def b(g: LaurentPoly) -> LaurentPoly:
+        return n_plus * ((g.substitute(0, sqrt_scale=sq) - g) * q_down) * s_0
 
-        up = (f.substitute(i, sqrt_scale=sq) - f) * q_down
-        down = (f.substitute(i, sqrt_scale=1 / sq) - f) * q_up
-        numerator = numerator + (n_plus * up - n_minus * down) * shared[i]
+    @functools.cache
+    def both_shifts(g: LaurentPoly) -> LaurentPoly:
+        back = b(g.invert_all()).invert_all()
+        return b(g) - back if m % 2 else b(g) + back  # eta = (-1)^(m-1)
 
+    numerator = both_shifts(f)
+    for i in range(1, m):
+        perm = _swap_with_0(m, i)
+        numerator = numerator - both_shifts(f.permute(perm)).permute(perm)
     return divide_exact(numerator, d_total)
 
 
 def koorn_denominator_check(ep: ExactParams, m: int, i: int) -> bool:
-    """Internal consistency: denominator times complement equals D_total for
-    both shift directions, each complement formed from the shared S_i
-    (exercised by the test suite on small m)."""
+    """Internal consistency of the shared complements of variable i:
+
+      * S_i, assembled as the ``_koorn_denominators`` docstring reads, is
+        eps_i sigma_i(S_0), and iota(S_0) = eta S_0;
+      * denominator times complement equals D_total for both shift
+        directions, each complement formed from S_i.
+
+    These are the identities ``apply_koorn_mult`` relies on (exercised by
+    the test suite on small m)."""
     sq = ep.sq
-    d_total, shared = _koorn_denominators(m, sq)
+    d_total, s_0 = _koorn_denominators(m, sq)
+    s_i = _product(
+        [LaurentPoly.const(m, (-1) ** i)]
+        + [fac for k in range(m) if k != i for fac in _koorn_own_factors(m, k, sq)]
+        + [
+            fac
+            for k in range(m)
+            for l in range(k + 1, m)
+            if i not in (k, l)
+            for fac in _koorn_pair_factors(m, k, l)
+        ],
+        m,
+    )
+    eps = 1 if i == 0 else -1
+    eta = (-1) ** (m - 1)
+    if s_0.permute(_swap_with_0(m, i)) * eps != s_i or s_0.invert_all() != s_0 * eta:
+        return False
 
     # actual denominators, assembled exactly as the formulas read
     den_plus = _two_term(m, {i: 2}, Fraction(1)) * _two_term(m, {i: 2}, sq)
@@ -540,8 +582,8 @@ def koorn_denominator_check(ep: ExactParams, m: int, i: int) -> bool:
     den_minus = den_plus.invert_all()
 
     _, q_up, q_down = _koorn_own_factors(m, i, sq)
-    comp_plus = shared[i] * q_down
-    comp_minus = -(shared[i] * q_up)
+    comp_plus = s_i * q_down
+    comp_minus = -(s_i * q_up)
     return den_plus * comp_plus == d_total and den_minus * comp_minus == d_total
 
 

@@ -135,6 +135,30 @@ def test_substitute_scale_and_invert():
 def test_permute_relabels_variables():
     p = LaurentPoly(2, {(2, 4): Fraction(1)})
     assert p.permute([1, 0]) == LaurentPoly(2, {(4, 2): Fraction(1)})
+    assert p.permute([0, 1]) == p
+    with pytest.raises(ValueError):
+        p.permute([0, 0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.dictionaries(
+        st.tuples(*([st.sampled_from([-(2**19) + 1, -3, -1, 0, 2, 2**19 - 1])] * 3)),
+        small_fraction,
+        max_size=5,
+    ),
+    st.permutations(range(3)),
+)
+def test_permute_moves_digits_like_the_unpacked_relabelling(terms, perm):
+    # extreme digits included, where a borrow between digits would show
+    p = LaurentPoly(3, terms)
+    want = {}
+    for exp, c in p.terms.items():
+        new = [0] * 3
+        for i, e in enumerate(exp):
+            new[perm[i]] = e
+        want[tuple(new)] = c
+    assert p.permute(perm) == LaurentPoly(3, want)
 
 
 @settings(max_examples=40, deadline=None)
@@ -152,6 +176,33 @@ def test_eval_rejects_zero_coordinate():
     p = LaurentPoly(1, {(-2,): Fraction(1)})
     with pytest.raises(ZeroDivisionError):
         p.eval_at([0.0])
+
+
+nonzero_fraction = st.builds(
+    Fraction,
+    st.integers(min_value=-9, max_value=9).filter(bool),
+    st.integers(min_value=1, max_value=9),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(m=3, max_terms=6, coeffs=wide_fraction), st.tuples(*([nonzero_fraction] * 3)))
+def test_eval_exact_matches_term_by_term(p, sqrts):
+    direct = Fraction(0)
+    for exp, c in p.terms.items():
+        for s, e in zip(sqrts, exp):
+            c *= s**e
+        direct += c
+    assert p.eval_exact(sqrts) == direct
+
+
+def test_eval_exact_at_a_zero_coordinate():
+    z = LaurentPoly(2, {(2, 0): Fraction(3), (0, 1): Fraction(1, 2), (0, 0): Fraction(5)})
+    assert z.eval_exact([Fraction(0), Fraction(2)]) == Fraction(6)
+    assert LaurentPoly(2, {(0, 4): Fraction(1)}).eval_exact([0, Fraction(1, 3)]) == Fraction(1, 81)
+    with pytest.raises(ZeroDivisionError):
+        LaurentPoly(1, {(-2,): Fraction(1)}).eval_exact([Fraction(0)])
+    assert LaurentPoly.zero(2).eval_exact([Fraction(1), Fraction(2)]) == 0
 
 
 # ----------------------------------------------------------------------

@@ -6,16 +6,22 @@ from fractions import Fraction
 
 import pytest
 
+from diffkern.koornwinder import eigenvalue_d, koornwinder_poly
 from diffkern.laurent import (
     ExactParams,
     InexactDivisionError,
     LaurentPoly,
+    divide_exact,
     orbit_sum,
     sym_orbit_sum,
 )
 from diffkern.operators import (
     ParamsA,
     ParamsBC,
+    _koorn_own_factors,
+    _koorn_pair_factors,
+    _product,
+    _two_term,
     apply_A,
     apply_A_higher,
     apply_D_BC,
@@ -334,7 +340,112 @@ def numeric_koorn_apply(ep, f, sqrt_pt, m):
     return total
 
 
+def reference_koorn_mult(ep, f, m):
+    """The Koornwinder operator assembled variable by variable: each
+    variable i builds its own shared factor S_i, both numerator bracket
+    products n_i^+- and both shifted differences, with no use of the
+    operator's W-invariance."""
+    if f.m != m:
+        raise ValueError(f"f has {f.m} variables, expected {m}")
+    sq = ep.sq
+    own = [_product(_koorn_own_factors(m, i, sq), m) for i in range(m)]
+    pair = {
+        (k, l): _product(_koorn_pair_factors(m, k, l), m)
+        for k in range(m)
+        for l in range(k + 1, m)
+    }
+    shared = []
+    for i in range(m):
+        s_i = LaurentPoly.const(m, (-1) ** i)
+        for k in range(m):
+            if k != i:
+                s_i = s_i * own[k]
+        for (k, l), fac in pair.items():
+            if i not in (k, l):
+                s_i = s_i * fac
+        shared.append(s_i)
+    d_total = own[0]
+    for l in range(1, m):
+        d_total = d_total * pair[0, l]
+    d_total = d_total * shared[0]
+
+    numerator = LaurentPoly.zero(m)
+    for i in range(m):
+        n_plus = LaurentPoly.one(m)
+        for root in (ep.sa, ep.sb, ep.sc, ep.sd):
+            n_plus = n_plus * _two_term(m, {i: 1}, root)
+        for j in range(m):
+            if j == i:
+                continue
+            n_plus = n_plus * _two_term(m, {i: 1, j: 1}, ep.st)
+            n_plus = n_plus * _two_term(m, {i: 1, j: -1}, ep.st)
+        n_minus = n_plus.invert_all()
+        _, q_up, q_down = _koorn_own_factors(m, i, sq)
+        up = (f.substitute(i, sqrt_scale=sq) - f) * q_down
+        down = (f.substitute(i, sqrt_scale=1 / sq) - f) * q_up
+        numerator = numerator + (n_plus * up - n_minus * down) * shared[i]
+    return divide_exact(numerator, d_total)
+
+
+def outcome(apply, ep, f, m):
+    """The image, or the exception class and offending exponent raised."""
+    try:
+        return apply(ep, f, m)
+    except InexactDivisionError as exc:
+        return InexactDivisionError, exc.offending_exponent
+
+
+KOORN_PARAMS = {
+    "EP": ExactParams.default(),
+    "EP_ALT": ExactParams(
+        sa=Fraction(3, 5),
+        sb=Fraction(5, 8),
+        sc=Fraction(4, 3),
+        sd=Fraction(6, 7),
+        sq=Fraction(1, 3),
+        st=Fraction(3, 7),
+    ),
+    "NEG": ExactParams.default().replace(sa=Fraction(-2, 3), sq=Fraction(-1, 2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KOORN_PARAMS))
+def test_koorn_matches_reference_on_eigenpolynomials(name):
+    # W-invariant inputs: every transposition and the inversion hit the
+    # per-call memo, so one shift term serves every variable
+    ep = KOORN_PARAMS[name]
+    for lam, m in (((2,), 1), ((2, 1), 2), ((1, 1), 3), ((1,), 4)):
+        f = koornwinder_poly(lam, ep, m) * Fraction(-7, 3)
+        got = apply_koorn_mult(ep, f, m)
+        assert got == reference_koorn_mult(ep, f, m), (lam, m)
+        assert got == f * eigenvalue_d(lam, ep, m), (lam, m)
+
+
+def _off_memo_inputs(m):
+    """Inputs whose transpositions or inversion differ from themselves."""
+    sym = LaurentPoly.zero(m)
+    for k in range(m):
+        sym = sym + LaurentPoly.var_power(m, k, 4)
+    return {
+        "symmetric, not inversion-invariant": sym,
+        "inversion-invariant, not symmetric": LaurentPoly.var_power(m, 0, 4)
+        + LaurentPoly.var_power(m, 0, -4),
+        "z_0 + (3/5) z_(m-1)^-2": LaurentPoly.var_power(m, 0, 2)
+        + LaurentPoly.var_power(m, m - 1, -4, Fraction(3, 5)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(KOORN_PARAMS))
 @pytest.mark.parametrize("m", [1, 2, 3])
+def test_koorn_matches_reference_off_the_memo(name, m):
+    # the same image, or the same exception class at the same exponent
+    ep = KOORN_PARAMS[name]
+    for what, f in _off_memo_inputs(m).items():
+        want = outcome(reference_koorn_mult, ep, f, m)
+        assert outcome(apply_koorn_mult, ep, f, m) == want, what
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_koorn_denominator_complements(m):
     ep = ExactParams.default()
     for i in range(m):
@@ -342,15 +453,27 @@ def test_koorn_denominator_complements(m):
 
 
 def test_koorn_shared_complements_at_fresh_sq():
-    # at fresh sq values and every m, each shared factor S_i times
-    # [q z_i^-+2] still multiplies the independently assembled denominators
-    # back to D_total
+    # at fresh sq values and every m, S_i = eps_i sigma_i(S_0),
+    # iota(S_0) = eta S_0, and each S_i times [q z_i^-+2] still multiplies
+    # the independently assembled denominators back to D_total
     ep = ExactParams.default()
     for k in range(8):
         fresh = ep.replace(sq=Fraction(11 + k, 7))
-        for m in (1, 2, 3):
+        for m in (1, 2, 3, 4):
             for i in range(m):
                 assert koorn_denominator_check(fresh, m, i)
+
+
+def test_koorn_denominator_check_sees_a_wrong_sign(monkeypatch):
+    # D_total and S_0 negated together still multiply back, but S_1 no
+    # longer equals eps_1 sigma_1(S_0)
+    import diffkern.operators as operators
+
+    real = operators._koorn_denominators
+    monkeypatch.setattr(
+        operators, "_koorn_denominators", lambda m, sq: tuple(-p for p in real(m, sq))
+    )
+    assert not koorn_denominator_check(ExactParams.default(), 2, 1)
 
 
 def test_koorn_kills_constants():
@@ -433,8 +556,6 @@ def test_koorn_non_invariant_input_fails_structurally_at_m3():
 
 
 def test_koorn_eigen_equation_at_m4():
-    from diffkern.koornwinder import eigenvalue_d, koornwinder_poly
-
     ep = ExactParams.default()
     lam = (1, 1, 1, 1)
     p = koornwinder_poly(lam, ep, 4)
