@@ -34,6 +34,7 @@ from .laurent import ExactParams, Partition
 from .sigma import FamilyKind, SigmaFamily, Truncation
 from .verify import (
     FAMILY_TOLERANCES,
+    BalancingError,
     IdentityId,
     first_failure,
     load_defaults,
@@ -72,16 +73,11 @@ _TOP_KEYS = {
     "params",
 }
 _TRUNC_KEYS = {"max_terms", "term_tol"}
-_TOL_KEYS = {"rational", "trig", "elliptic"}
 _ADDITIVE_KEYS = {"omega1", "omega2", "scale"}
 _SQUARE_KEYS = {"sa", "sb", "sc", "sd", "sq", "st"}
-_FAMILY_NAMES = ("rational", "trig", "elliptic")
-
-_FAMILY_KINDS = {
-    "rational": FamilyKind.RATIONAL,
-    "trig": FamilyKind.TRIGONOMETRIC,
-    "elliptic": FamilyKind.ELLIPTIC,
-}
+# Family names key the config's family and tolerances and the --family flag.
+_FAMILY_KINDS = {kind.value: kind for kind in FamilyKind}
+_FAMILY_NAMES = tuple(_FAMILY_KINDS)
 
 
 @dataclass(frozen=True)
@@ -179,12 +175,12 @@ def _validate(data: dict) -> Config:
     tol_block = data.get("tolerances", {})
     if not isinstance(tol_block, dict):
         raise ConfigError("config key 'tolerances' must be an object")
-    bad = set(tol_block) - _TOL_KEYS
+    bad = set(tol_block) - set(_FAMILY_NAMES)
     if bad:
         raise ConfigError(f"unknown tolerance keys: {sorted(bad)}")
     tolerances = {}
-    for name in _TOL_KEYS:
-        value = float(tol_block.get(name, FAMILY_TOLERANCES[_FAMILY_KINDS[name]]))
+    for name, kind in _FAMILY_KINDS.items():
+        value = float(tol_block.get(name, FAMILY_TOLERANCES[kind]))
         if not value > 0:
             raise ConfigError(f"tolerance for {name} must be positive")
         tolerances[name] = value
@@ -316,7 +312,12 @@ def cmd_verify(args, cfg: Config) -> int:
     if samples < 1:
         raise ConfigError("samples must be at least 1")
 
-    reports = run_suite(ids=ids, fam=fam, size_grid=grid, samples=samples, seed=seed)
+    try:
+        reports = run_suite(
+            ids=ids, fam=fam, size_grid=grid, samples=samples, seed=seed
+        )
+    except BalancingError as exc:
+        raise ConfigError(str(exc))
     if args.tol is not None:
         if not args.tol > 0:
             raise ConfigError("tol must be positive")

@@ -21,6 +21,14 @@ exponential e(-(m kappa + c/2) eta_r).  The Koornwinder-type variant is
     D_x f = sum_i A_i^+ (f(x + delta e_i) - f(x))
           + sum_i A_i^- (f(x - delta e_i) - f(x))  =  E_x f - E_x(1) f.
 
+On the trigonometric family pinned to [u] = e(u/2 omega1) - e(-u/2 omega1),
+D is minus the bracket-normalised Koornwinder operator in z_i = e(x_i/omega1)
+with (a, b, c, d) = e(mu/omega1), q = e(delta/omega1), t = e(kappa/omega1):
+its A_i^+ is -(abcd)^(-1/2) q^(1/2) t^(1-m) prod_s (1 - a_s z_i)
+/ ((1 - z_i^2)(1 - q z_i^2)) * prod_{j != i} (1 - t z_i z_j)(1 - t z_i/z_j)
+/ ((1 - z_i z_j)(1 - z_i/z_j)).  The numeric checks of the multiplicative
+kernel identities (Theorem 4.1) run on apply_D_BC there.
+
 The exact multiplicative operators act on Laurent polynomials over Fraction:
 the Koornwinder operator in bracket normalization (eigenvalues
 sum_i [alpha t^(m-i) q^(lambda_i); alpha t^(m-i)]) and the Macdonald

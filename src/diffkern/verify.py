@@ -421,8 +421,13 @@ def _draw_coupling(fam: SigmaFamily, rng: random.Random, shrink: float = 1.0) ->
 
 
 def _balance_ae2(fam: SigmaFamily, m: int, n: int, params: dict) -> None:
-    if m == 0:
-        raise BalancingError("cannot solve m*kappa + n*delta = 0 with m = 0")
+    # m = 0 leaves kappa out of the condition; n = 0 forces kappa = 0,
+    # where [kappa] vanishes.
+    if m == 0 or n == 0:
+        raise BalancingError(
+            f"identity {IdentityId.THM_AE2.value!r} has no admissible kappa "
+            f"with m*kappa + n*delta = 0 at m={m}, n={n}"
+        )
     params["kappa"] = -n * params["delta"] / m
 
 
@@ -800,18 +805,33 @@ def _res_higher_a(fam, m, n, params, pt):
     return worst
 
 
-def _res_thm_bc_phi(fam, m, n, params, pt, factorized=False, difference=False):
+def _phi_ratio(p: ParamsBC, m: int, n: int) -> Callable[..., complex]:
+    """The gamma-ratio Cauchy kernel of the BC statements."""
+    spec = KernelSpec(KernelKind.PHI_BC_RATIO, m=m, n=n, params=p)
+    return lambda xs, ys: phi_BC(spec, xs, ys)
+
+
+def _phi_zero(p: ParamsBC, m: int, n: int) -> Callable[..., complex]:
+    """The Koornwinder Cauchy kernel Phi_0 of Theorem 4.1, in p's period."""
+    return lambda xs, ys: kern_phi0(
+        xs, ys, p.delta, p.kappa, omega1=p.fam.omega1, tr=p.fam.trunc
+    )
+
+
+def _res_thm_bc_phi(
+    fam, m, n, params, pt, factorized=False, difference=False, cauchy=_phi_ratio
+):
     mu, delta, kappa = params["mu"], params["delta"], params["kappa"]
     work = _pinned(fam) if factorized else fam
     p_x = ParamsBC(tuple(mu), delta, kappa, work)
     p_y = p_x.dual_nu()
-    spec = KernelSpec(KernelKind.PHI_BC_RATIO, m=m, n=n, params=p_x)
+    phi = cauchy(p_x, m, n)
     x, y = pt["x"], pt["y"]
     applier = apply_D_BC if difference else apply_E_BC
-    lhs = sigma_eval(work, kappa) * applier(p_x, lambda xs: phi_BC(spec, xs, y), x)
-    lhs -= sigma_eval(work, kappa) * applier(p_y, lambda ys: phi_BC(spec, x, ys), y)
+    lhs = sigma_eval(work, kappa) * applier(p_x, lambda xs: phi(xs, y), x)
+    lhs -= sigma_eval(work, kappa) * applier(p_y, lambda ys: phi(x, ys), y)
     c = p_x.c_const
-    kern = phi_BC(spec, x, y)
+    kern = phi(x, y)
     if difference:
         if work.kind is FamilyKind.RATIONAL:
             rhs = 0j
@@ -857,6 +877,46 @@ def _res_thm_bc_psi(fam, m, n, params, pt, factorized=False, difference=False):
     return abs(lhs - rhs)
 
 
+def _exp_f_group(fam, p, own, other, z, c, offsets, names):
+    """One variable set's terms in the expansion of F(z).
+
+    ``own`` are the variables p's operator acts on and ``other`` the rest.
+    ``offsets`` holds the shift at which this set meets z, the numerator and
+    denominator offsets of its cross factors with ``other``, and the step of
+    its constant-term bases; ``names`` labels the three pole sites.  The
+    offsets are passed as the statement writes them, not derived from p's
+    parameters, because a derived offset rounds differently.
+    """
+    shift, pair_num, pair_den, step = offsets
+    own_name, pair_name, base_name = names
+    group = 0j
+    for i in range(len(own)):
+        for e in (1, -1):
+            extra = 1 + 0j
+            for ol in other:
+                for e2 in (1, -1):
+                    extra *= _sigma_ratio(
+                        fam,
+                        e * own[i] + e2 * ol + pair_num,
+                        e * own[i] + e2 * ol + pair_den,
+                        pair_name,
+                    )
+            arg = z - e * own[i] + shift
+            group += (
+                _sigma_ratio(fam, arg + c, arg, own_name)
+                * coeff_BC(p, own, i, e)
+                * extra
+            )
+    for r in range(fam.rho):
+        base = (step - fam.omegas[r]) / 2
+        group += (
+            phase(c * fam.etas[r] / 2)
+            * _sigma_ratio(fam, z + base + c, z + base, base_name)
+            * coeff_BC_zero(p, own, r)
+        )
+    return group
+
+
 def _res_prop_exp_f(fam, m, n, params, pt):
     mu = tuple(params["mu"])
     delta, kappa, lam = params["delta"], params["kappa"], params["lambda"]
@@ -889,59 +949,14 @@ def _res_prop_exp_f(fam, m, n, params, pt):
             )
     lhs = sigma_eval(fam, c) * f_val
 
-    half_dl = (delta + lam) / 2
-    half_tk = (tau + kappa) / 2
-    group = 0j
-    for i in range(m):
-        for e in (1, -1):
-            extra = 1 + 0j
-            for yl in y:
-                for e2 in (1, -1):
-                    extra *= _sigma_ratio(
-                        fam,
-                        e * x[i] + e2 * yl + half_dl,
-                        e * x[i] + e2 * yl + v,
-                        "x_i +- y_l + v",
-                    )
-            group += (
-                _sigma_ratio(fam, z - e * x[i] + c, z - e * x[i], "z - x_i")
-                * coeff_BC(p_x, x, i, e)
-                * extra
-            )
-    for r in range(fam.rho):
-        base = (delta - fam.omegas[r]) / 2
-        group += (
-            phase(c * fam.etas[r] / 2)
-            * _sigma_ratio(fam, z + base + c, z + base, "z + (delta - omega_r)/2")
-            * coeff_BC_zero(p_x, x, r)
-        )
-    rhs = sigma_eval(fam, kappa) * group
-
-    group = 0j
-    for k in range(n):
-        for e in (1, -1):
-            extra = 1 + 0j
-            for xj in x:
-                for e2 in (1, -1):
-                    extra *= _sigma_ratio(
-                        fam,
-                        e * y[k] + e2 * xj + half_tk,
-                        e * y[k] + e2 * xj - v,
-                        "y_k +- x_j - v",
-                    )
-            group += (
-                _sigma_ratio(fam, z - e * y[k] + v + c, z - e * y[k] + v, "z - y_k + v")
-                * coeff_BC(p_y, y, k, e)
-                * extra
-            )
-    for r in range(fam.rho):
-        base = (kappa - fam.omegas[r]) / 2
-        group += (
-            phase(c * fam.etas[r] / 2)
-            * _sigma_ratio(fam, z + base + c, z + base, "z + (kappa - omega_r)/2")
-            * coeff_BC_zero(p_y, y, r)
-        )
-    rhs += sigma_eval(fam, lam) * group
+    rhs = sigma_eval(fam, kappa) * _exp_f_group(
+        fam, p_x, x, y, z, c, (0, (delta + lam) / 2, v, delta),
+        ("z - x_i", "x_i +- y_l + v", "z + (delta - omega_r)/2"),
+    )
+    rhs += sigma_eval(fam, lam) * _exp_f_group(
+        fam, p_y, y, x, z, c, (v, (tau + kappa) / 2, -v, kappa),
+        ("z - y_k + v", "y_k +- x_j - v", "z + (kappa - omega_r)/2"),
+    )
     return abs(lhs - rhs)
 
 
@@ -973,122 +988,6 @@ def _res_factorized_c(fam, m, n, params, pt):
             * sigma_eval(work, n * lam)
             * sigma_eval(work, m * kappa + n * lam + c)
         )
-    return abs(lhs - rhs)
-
-
-# ---- multiplicative Koornwinder-side operators (trigonometric) -------
-
-
-def _koorn_shift_apply(
-    mu4: Sequence[complex],
-    shift: complex,
-    coupling: complex,
-    f: Callable[[Sequence[complex]], complex],
-    x: Sequence[complex],
-    omega1: complex,
-) -> complex:
-    """Apply the multiplicative-parameter difference operator minus identity.
-
-    One code path serves the operator, its parameter-flipped partner, and
-    the step-swapped partner on the second variable set: they differ only
-    in the four parameters, the shift, and the coupling handed in.
-    """
-    count = len(x)
-    zs = [phase(xi / omega1) for xi in x]
-    avals = [phase(ms / omega1) for ms in mu4]
-    qv = phase(shift / omega1)
-    tv = phase(coupling / omega1)
-    norm = phase((sum(mu4) - shift) / (2 * omega1)) * tv ** (count - 1)
-    total = 0j
-    for i in range(count):
-        for inv in (1, -1):
-            zi = zs[i] if inv == 1 else 1 / zs[i]
-            num = 1 + 0j
-            for a in avals:
-                num *= 1 - a * zi
-            den = norm * (1 - zi * zi) * (1 - qv * zi * zi)
-            if abs(den) < POLE_THRESHOLD:
-                raise PoleError(
-                    "multiplicative coefficient denominator vanishes",
-                    where="(1 - z_i^2)(1 - q z_i^2)",
-                )
-            coeff = num / den
-            for j in range(count):
-                if j == i:
-                    continue
-                zj = zs[j] if inv == 1 else 1 / zs[j]
-                pair_den = (1 - zi * zj) * (1 - zi / zj)
-                if abs(pair_den) < POLE_THRESHOLD:
-                    raise PoleError(
-                        "multiplicative pair denominator vanishes",
-                        where="(1 - z_i z_j)(1 - z_i / z_j)",
-                    )
-                coeff *= (1 - tv * zi * zj) * (1 - tv * zi / zj) / pair_den
-            shifted = list(x)
-            shifted[i] = x[i] + inv * shift
-            total += coeff * (f(tuple(shifted)) - f(tuple(x)))
-    return total
-
-
-def _br(omega1: complex, u: complex) -> complex:
-    # [w] = w^(1/2) - w^(-1/2) for w = e(u / omega1).
-    return phase(u / (2 * omega1)) - phase(-u / (2 * omega1))
-
-
-def _res_thm41_1(fam, m, n, params, pt):
-    mu = tuple(params["mu"])
-    delta, kappa = params["delta"], params["kappa"]
-    w1 = fam.omega1
-    x, y = pt["x"], pt["y"]
-    mu_dual = tuple((delta + kappa) / 2 - ms for ms in mu)
-
-    def kern(xs, ys):
-        return kern_phi0(xs, ys, delta, kappa, omega1=w1, tr=fam.trunc)
-
-    lhs = _br(w1, kappa) * _koorn_shift_apply(
-        mu, delta, kappa, lambda xs: kern(xs, y), x, w1
-    )
-    lhs -= _br(w1, kappa) * _koorn_shift_apply(
-        mu_dual, delta, kappa, lambda ys: kern(x, ys), y, w1
-    )
-    rhs = (
-        _br(w1, m * kappa)
-        * _br(w1, -n * kappa)
-        * _br(w1, sum(mu) - delta + (m - n - 1) * kappa)
-        * kern(x, y)
-    )
-    return abs(lhs - rhs)
-
-
-def _psi_mult(w1, xs, ys):
-    """prod_{j,l} (z_j + 1/z_j - w_l - 1/w_l) at z_j = e(x_j/w1), w_l = e(y_l/w1):
-    the exact dual Cauchy kernel ``kernels.kern_psi_mult``, evaluated."""
-    val = 1 + 0j
-    for xj in xs:
-        zj = phase(xj / w1)
-        for yl in ys:
-            wl = phase(yl / w1)
-            val *= zj + 1 / zj - wl - 1 / wl
-    return val
-
-
-def _res_thm41_2(fam, m, n, params, pt):
-    mu = tuple(params["mu"])
-    delta, kappa = params["delta"], params["kappa"]
-    w1 = fam.omega1
-    x, y = pt["x"], pt["y"]
-    lhs = _br(w1, kappa) * _koorn_shift_apply(
-        mu, delta, kappa, lambda xs: _psi_mult(w1, xs, y), x, w1
-    )
-    lhs += _br(w1, delta) * _koorn_shift_apply(
-        mu, kappa, delta, lambda ys: _psi_mult(w1, x, ys), y, w1
-    )
-    rhs = (
-        _br(w1, m * kappa)
-        * _br(w1, n * delta)
-        * _br(w1, sum(mu) + (m - 1) * kappa + (n - 1) * delta)
-        * _psi_mult(w1, x, y)
-    )
     return abs(lhs - rhs)
 
 
@@ -1144,6 +1043,12 @@ _TRIG_ONLY = (FamilyKind.TRIGONOMETRIC,)
 # so they are checked in all three families; the factorized right-hand sides
 # are stated only where sigma degenerates (trig and rational), and the
 # multiplicative Koornwinder forms only make sense trigonometrically.
+# The thm41 rows run the difference statements on the pinned trig family,
+# where [u] = e(u/2 omega1) - e(-u/2 omega1): there apply_D_BC is minus the
+# bracket-normalised Koornwinder operator in z = e(x/omega1), psi_BC is the
+# dual Cauchy kernel prod (z + 1/z - w - 1/w), and c carries +omega1, so the
+# right-hand bracket that holds c flips sign with the left side.  Theorem 4.1
+# is thm-bctd1/2 in multiplicative variables, with Phi_0 as the Cauchy kernel.
 # Adding an identity takes an IdentityId member, its samplers and evaluator,
 # and one row here: families, parameter sampler, point sampler, residual.
 _SPECS: dict[IdentityId, _IdentitySpec] = {
@@ -1204,10 +1109,13 @@ _SPECS: dict[IdentityId, _IdentitySpec] = {
         partial(_res_thm_bc_psi, factorized=True, difference=True), kernel=_PSI,
     ),
     IdentityId.THM41_1: _IdentitySpec(
-        _TRIG_ONLY, _params_koorn, _point_koorn, _res_thm41_1, kernel=_GAMMA
+        _TRIG_ONLY, _params_koorn, _point_koorn,
+        partial(_res_thm_bc_phi, factorized=True, difference=True, cauchy=_phi_zero),
+        kernel=_GAMMA,
     ),
     IdentityId.THM41_2: _IdentitySpec(
-        _TRIG_ONLY, _params_koorn, _point_koorn, _res_thm41_2, kernel=_PSI
+        _TRIG_ONLY, _params_koorn, _point_koorn,
+        partial(_res_thm_bc_psi, factorized=True, difference=True), kernel=_PSI,
     ),
     IdentityId.HIGHER_A_KERNEL: _IdentitySpec(
         _ALL_FAMILIES, _params_higher_a, _point_a, _res_higher_a,

@@ -122,6 +122,24 @@ def test_verify_unknown_id_is_usage_error(capsys):
     assert "unknown identity id" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--m", "0"],
+        ["--m", "0", "--ids", "thm-ae2"],
+        ["--m", "1", "--n", "0", "--ids", "thm-ae2"],
+    ],
+)
+def test_verify_unbalanceable_grid_is_usage_error(capsys, argv):
+    # thm-ae2 balances m*kappa + n*delta = 0 through kappa: m = 0 has no
+    # completion, and n = 0 only kappa = 0, a pole of the coefficients
+    code = main(["verify", *argv])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "thm-ae2" in captured.err
+    assert captured.out == ""
+
+
 def test_verify_unreachable_tolerance_fails_with_dump(capsys):
     code, payload = run_json(
         capsys,

@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import diffkern.verify as verify
-from diffkern.kernels import kern_psi_mult
-from diffkern.operators import ParamsBC
+from diffkern.kernels import kern_phi0, kern_psi_mult, psi_BC
+from diffkern.operators import ParamsBC, apply_D_BC
 from diffkern.sigma import DomainError, FamilyKind, PoleError, SigmaFamily, phase
 from diffkern.verify import (
     DEFAULT_SAMPLES,
@@ -181,19 +181,85 @@ def test_balancing_ae2_exact_property(m, n, re, im):
 @pytest.mark.parametrize("w1", [1.0, 0.8 + 0.3j])
 @pytest.mark.parametrize("m,n", [(m, n) for m in (1, 2, 3) for n in (1, 2, 3)])
 def test_thm41_2_kernel_is_the_exact_dual_cauchy_kernel(m, n, w1):
-    # verify's numeric psi against kern_psi_mult evaluated at the square
-    # roots s = e(x/(2 omega1)).  The real parts are spread over (0, 1/2),
-    # where cos is one to one, so no factor z + 1/z - w - 1/w is small and
-    # the expanded exact form is well conditioned.
+    # psi_BC on the pinned trig family, thm41-2's kernel, against
+    # kern_psi_mult evaluated at the square roots s = e(x/(2 omega1)).  The
+    # real parts are spread over (0, 1/2), where cos is one to one, so no
+    # factor z + 1/z - w - 1/w is small and the expanded exact form is well
+    # conditioned.
     poly = kern_psi_mult(m, n)
+    pinned = verify._pinned(SigmaFamily.trigonometric(omega1=w1))
     rng = random.Random(10 * m + n)
     for _ in range(3):
         re = [(k + 0.5) / (2 * (m + n)) for k in range(m + n)]
         rng.shuffle(re)
         pts = [w1 * complex(r, rng.uniform(-0.1, 0.1)) for r in re]
         exact = poly.eval_at([phase(v / (2 * w1)) for v in pts])
-        numeric = verify._psi_mult(w1, pts[:m], pts[m:])
+        numeric = psi_BC(pts[:m], pts[m:], pinned)
         assert abs(numeric - exact) <= 1e-12 * abs(exact)
+
+
+def reference_koorn_shift_apply(mu4, shift, coupling, f, x, omega1):
+    """The bracket-normalised Koornwinder operator minus the identity, in
+    z_i = e(x_i/omega1) with a_s = e(mu_s/omega1), q = e(shift/omega1) and
+    t = e(coupling/omega1), written from its multiplicative coefficients
+
+        (a, b, c, d)^(-1/2) q^(1/2) t^(1-m) prod_s (1 - a_s z_i)
+            / ((1 - z_i^2)(1 - q z_i^2))
+            * prod_{j != i} (1 - t z_i z_j)(1 - t z_i/z_j)
+                          / ((1 - z_i z_j)(1 - z_i/z_j)),
+
+    and z_i -> 1/z_i with the inverse shift, with no sigma function."""
+    count = len(x)
+    zs = [phase(xi / omega1) for xi in x]
+    avals = [phase(ms / omega1) for ms in mu4]
+    qv = phase(shift / omega1)
+    tv = phase(coupling / omega1)
+    norm = phase((sum(mu4) - shift) / (2 * omega1)) * tv ** (count - 1)
+    total = 0j
+    for i in range(count):
+        for inv in (1, -1):
+            zi = zs[i] if inv == 1 else 1 / zs[i]
+            coeff = 1 + 0j
+            for a in avals:
+                coeff *= 1 - a * zi
+            coeff /= norm * (1 - zi * zi) * (1 - qv * zi * zi)
+            for j in range(count):
+                if j != i:
+                    zj = zs[j] if inv == 1 else 1 / zs[j]
+                    coeff *= (1 - tv * zi * zj) * (1 - tv * zi / zj)
+                    coeff /= (1 - zi * zj) * (1 - zi / zj)
+            shifted = list(x)
+            shifted[i] = x[i] + inv * shift
+            total += coeff * (f(tuple(shifted)) - f(tuple(x)))
+    return total
+
+
+@pytest.mark.parametrize("w1", [1.0, 0.8 + 0.3j])
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("ident", [IdentityId.THM41_1, IdentityId.THM41_2])
+def test_bc_difference_operator_is_minus_the_koornwinder_operator(ident, m, w1):
+    # on the pinned trig family apply_D_BC is minus the multiplicative
+    # operator, with shift and coupling either way round, at the points
+    # and parameters the thm41 samplers draw, on both variable sets
+    fam = SigmaFamily.trigonometric(omega1=w1)
+    pinned = verify._pinned(fam)
+    n = 2
+    rng = task_rng(41, ident, fam, m, n)
+    params = sample_params(ident, fam, m, n, rng)
+    mu, delta, kappa = params["mu"], params["delta"], params["kappa"]
+    for _ in range(3):
+        pt = sample_point(ident, fam, m, n, params, rng)
+        x, y = pt["x"], pt["y"]
+        if ident is IdentityId.THM41_2:
+            kern = lambda xs, ys: psi_BC(xs, ys, pinned)
+        else:
+            kern = lambda xs, ys: kern_phi0(xs, ys, delta, kappa, omega1=w1)
+        for shift, coupling in ((delta, kappa), (kappa, delta)):
+            p = ParamsBC(mu, shift, coupling, pinned)
+            for f, var in ((lambda xs: kern(xs, y), x), (lambda ys: kern(x, ys), y)):
+                want = reference_koorn_shift_apply(mu, shift, coupling, f, var, w1)
+                got = -apply_D_BC(p, f, var)
+                assert abs(got - want) <= 1e-12 * abs(want)
 
 
 def test_riemann_structural_zero_when_arguments_coincide(families):
@@ -458,7 +524,7 @@ def test_suite_redraws_a_pole_point_from_its_retry_stream(monkeypatch):
 #: or a changed residual changes the digest.
 GOLDEN_SUITE_SHA256 = {
     "rational": "a7144e2e444edb3d38eaa2a1fb7b1f3a681d569ec50af1ddc1c7459235e8f86c",
-    "trig": "a3e4bd09a4f5d597156b8ba0d286bf33fc96617d39113c7433bbbd2463e37ba9",
+    "trig": "9e492de50164df7030a11025d977336d59ef0da8fe89434ea2adf4e02dd0cc05",
     "elliptic": "7e23425d6fe960200432935bdfb628a7fd5e4fe650f18e7f34555908a881c5cd",
 }
 
