@@ -33,7 +33,6 @@ from .koornwinder import (
 from .laurent import ExactParams, Partition
 from .sigma import FamilyKind, SigmaFamily, Truncation
 from .verify import (
-    FAMILY_TOLERANCES,
     BalancingError,
     IdentityId,
     first_failure,
@@ -151,14 +150,16 @@ def _validate_params_block(block) -> dict:
 
 
 def _validate(data: dict) -> Config:
+    """Check ``data``, defaults.json merged with any overlay by
+    :func:`load_config`, so every default key is present."""
     unknown = set(data) - _TOP_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    family = data.get("family")
+    family = data["family"]
     if family not in _FAMILY_NAMES:
         raise ConfigError(f"config family must be one of {_FAMILY_NAMES}")
 
-    trunc_block = data.get("truncation", {})
+    trunc_block = data["truncation"]
     if not isinstance(trunc_block, dict):
         raise ConfigError("config key 'truncation' must be an object")
     bad = set(trunc_block) - _TRUNC_KEYS
@@ -166,42 +167,42 @@ def _validate(data: dict) -> Config:
         raise ConfigError(f"unknown truncation keys: {sorted(bad)}")
     try:
         truncation = Truncation(
-            max_terms=int(trunc_block.get("max_terms", 64)),
-            term_tol=float(trunc_block.get("term_tol", 1e-16)),
+            max_terms=int(trunc_block["max_terms"]),
+            term_tol=float(trunc_block["term_tol"]),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid truncation: {exc}")
 
-    tol_block = data.get("tolerances", {})
+    tol_block = data["tolerances"]
     if not isinstance(tol_block, dict):
         raise ConfigError("config key 'tolerances' must be an object")
     bad = set(tol_block) - set(_FAMILY_NAMES)
     if bad:
         raise ConfigError(f"unknown tolerance keys: {sorted(bad)}")
     tolerances = {}
-    for name, kind in _FAMILY_KINDS.items():
-        value = float(tol_block.get(name, FAMILY_TOLERANCES[kind]))
+    for name in _FAMILY_NAMES:
+        value = float(tol_block[name])
         if not value > 0:
             raise ConfigError(f"tolerance for {name} must be positive")
         tolerances[name] = value
 
     try:
-        seed = int(data.get("seed", 0))
-        samples = int(data.get("samples", 20))
+        seed = int(data["seed"])
+        samples = int(data["samples"])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"seed and samples must be integers: {exc}")
     if samples < 1:
         raise ConfigError("samples must be at least 1")
 
-    params = data.get("params")
+    params = data["params"]
     if params is not None:
         params = _validate_params_block(params)
 
     return Config(
         family=family,
-        omega1=_parse_complex(data.get("omega1", "1"), "omega1"),
-        omega2=_parse_complex(data.get("omega2", "0.31+1.2j"), "omega2"),
-        scale=_parse_complex(data.get("scale", "1"), "scale"),
+        omega1=_parse_complex(data["omega1"], "omega1"),
+        omega2=_parse_complex(data["omega2"], "omega2"),
+        scale=_parse_complex(data["scale"], "scale"),
         truncation=truncation,
         tolerances=tolerances,
         seed=seed,

@@ -27,14 +27,13 @@ from .laurent import ExactParams, LaurentPoly, bracket_zw, sqrt_fraction
 from .operators import ParamsA, ParamsBC
 from .sigma import (
     DEFAULT_TRUNCATION,
-    POLE_THRESHOLD,
     DomainError,
     FamilyKind,
     GammaSign,
-    PoleError,
     SigmaFamily,
     Truncation,
     gamma_fn,
+    nonvanishing,
     phase,
     qpoch,
     sigma_eval,
@@ -231,12 +230,7 @@ def pi_macdonald(
     for zj in z:
         for wl in w:
             num = qpoch(t * zj * wl, q, tr=tr)
-            den = qpoch(zj * wl, q, tr=tr)
-            if abs(den) < POLE_THRESHOLD:
-                raise PoleError(
-                    f"pole: z*w = {zj * wl} hits the q-shifted lattice of 1",
-                    where="(z w; q)_inf",
-                )
+            den = nonvanishing(qpoch(zj * wl, q, tr=tr), "(z w; q)_inf")
             out *= num / den
     return out
 
@@ -292,12 +286,7 @@ def kern_phi0(
                 for wv in (wl, 1 / wl):
                     num = qpoch(root_qt * zj * wv, q, tr=tr)
                     den = qpoch(root_q_over_t * zj * wv, q, tr=tr)
-                    if abs(den) < POLE_THRESHOLD:
-                        raise PoleError(
-                            "pole: denominator q-product vanishes",
-                            where="(q^(1/2) t^(-1/2) z w; q)_inf",
-                        )
-                    out *= num / den
+                    out *= num / nonvanishing(den, "(q^(1/2) t^(-1/2) z w; q)_inf")
         return out
 
     f_quad = (
@@ -320,12 +309,7 @@ def kern_phi0(
             for zv in (zj, 1 / zj):
                 for wv in (wl, 1 / wl):
                     den = qpoch(root_q_over_t * zv * wv, q, tr=tr)
-                    if abs(den) < POLE_THRESHOLD:
-                        raise PoleError(
-                            "pole: denominator q-product vanishes",
-                            where="(q^(1/2) t^(-1/2) z w; q)_inf",
-                        )
-                    out /= den
+                    out /= nonvanishing(den, "(q^(1/2) t^(-1/2) z w; q)_inf")
     return out
 
 

@@ -325,9 +325,6 @@ class LaurentPoly:
     def coefficient(self, exps: Sequence[int]) -> Fraction:
         return Fraction(self._num.get(_key_of(tuple(exps), self.m), 0), self._den)
 
-    def constant_term(self) -> Fraction:
-        return Fraction(self._num.get(0, 0), self._den)
-
     def integral_lattice(self) -> bool:
         """True when every stored (doubled) exponent is even."""
         # 2**19 is even, so a biased digit has the parity of its exponent

@@ -8,6 +8,10 @@ Type A (first order and the commuting higher-order family):
     D_{r,x} f = sum_{|I|=r} prod_{i in I, j not in I}
                 [x_i - x_j + kappa]/[x_i - x_j] * f(x + delta sum_{i in I} e_i)
 
+apply_A is the order-1 case of apply_A_higher (and 0 in zero variables).
+Every coefficient is a product of sigma ratios, checked against the pole
+rule of the sigma module through ``nonvanishing`` and ``sigma_ratio``.
+
 Type BC (van Diejen / Komori-Hikami first-order operator):
 
     E_x f = sum_i A_i^+ f(x + delta e_i) + sum_i A_i^- f(x - delta e_i)
@@ -51,13 +55,13 @@ from typing import Callable, Sequence
 
 from .laurent import ExactParams, LaurentPoly, divide_exact
 from .sigma import (
-    POLE_THRESHOLD,
     DomainError,
     FamilyKind,
-    PoleError,
     SigmaFamily,
+    nonvanishing,
     phase,
     sigma_eval,
+    sigma_ratio,
 )
 
 FnM = Callable[[Sequence[complex]], complex]
@@ -156,24 +160,6 @@ class ParamsBC:
 # ======================================================================
 
 
-def _sigma_ratio(fam: SigmaFamily, num_arg: complex, den_arg: complex, what: str) -> complex:
-    den = sigma_eval(fam, den_arg)
-    if abs(den) < POLE_THRESHOLD:
-        raise PoleError(f"pole: [{what}] = {den}", where=what)
-    return sigma_eval(fam, num_arg) / den
-
-def coeff_A(p: ParamsA, x: Sequence[complex], i: int) -> complex:
-    """A_i(x; kappa) = prod_{j != i} [x_i - x_j + kappa]/[x_i - x_j]."""
-    out = 1 + 0j
-    for j in range(len(x)):
-        if j == i:
-            continue
-        out *= _sigma_ratio(
-            p.fam, x[i] - x[j] + p.kappa, x[i] - x[j], f"x_{i} - x_{j}"
-        )
-    return out
-
-
 def _shift(x: Sequence[complex], i: int, delta: complex) -> tuple[complex, ...]:
     out = list(x)
     out[i] = out[i] + delta
@@ -181,10 +167,9 @@ def _shift(x: Sequence[complex], i: int, delta: complex) -> tuple[complex, ...]:
 
 
 def apply_A(p: ParamsA, f: FnM, x: Sequence[complex]) -> complex:
-    """First-order type-A operator applied to a black-box function at x."""
-    return sum(
-        coeff_A(p, x, i) * f(_shift(x, i, p.delta)) for i in range(len(x))
-    )
+    """First-order type-A operator applied to a black-box function at x:
+    order-1 :func:`apply_A_higher`, and 0 in zero variables."""
+    return apply_A_higher(p, 1, f, x) if len(x) else 0
 
 
 def apply_A_higher(p: ParamsA, r: int, f: FnM, x: Sequence[complex]) -> complex:
@@ -200,8 +185,8 @@ def apply_A_higher(p: ParamsA, r: int, f: FnM, x: Sequence[complex]) -> complex:
             for j in range(m):
                 if j in inside:
                     continue
-                coeff *= _sigma_ratio(
-                    p.fam, x[i] - x[j] + p.kappa, x[i] - x[j], f"x_{i} - x_{j}"
+                coeff *= sigma_ratio(
+                    p.fam, x[i] - x[j] + p.kappa, x[i] - x[j], "[x_{} - x_{}]", i, j
                 )
         shifted = tuple(
             xi + p.delta if k in inside else xi for k, xi in enumerate(x)
@@ -215,36 +200,36 @@ def apply_A_higher(p: ParamsA, r: int, f: FnM, x: Sequence[complex]) -> complex:
 # ======================================================================
 
 
+def _pair_product(
+    fam: SigmaFamily, c: complex, x: Sequence[complex], kappa: complex,
+    skip: int | None, name: str,
+) -> complex:
+    """prod_{j != skip} [c + x_j + kappa]/[c + x_j] * [c - x_j + kappa]/[c - x_j],
+    the pair interaction of the BC coefficients; ``name`` labels c in a
+    PoleError."""
+    out = 1 + 0j
+    for j, xj in enumerate(x):
+        if j == skip:
+            continue
+        out *= sigma_ratio(fam, c + xj + kappa, c + xj, "[{} + x_{}]", name, j)
+        out *= sigma_ratio(fam, c - xj + kappa, c - xj, "[{} - x_{}]", name, j)
+    return out
+
+
 def _coeff_BC_plus(p: ParamsBC, x: Sequence[complex], i: int) -> complex:
     fam = p.fam
-    rho = fam.rho
     xi = x[i]
     num = 1 + 0j
     for mu_s in p.mu:
         num *= sigma_eval(fam, xi + mu_s)
     den = 1 + 0j
-    for s in range(rho):
-        w = fam.omegas[s]
-        for arg, what in (
-            (xi - w / 2, f"x_{i} - omega_{s + 1}/2"),
-            (xi + (p.delta - w) / 2, f"x_{i} + (delta - omega_{s + 1})/2"),
-        ):
-            val = sigma_eval(fam, arg)
-            if abs(val) < POLE_THRESHOLD:
-                raise PoleError(f"pole: [{what}] = {val}", where=what)
-            den *= val
-    pair = 1 + 0j
-    for j in range(len(x)):
-        if j == i:
-            continue
-        for sgn in (1, -1):
-            pair *= _sigma_ratio(
-                fam,
-                xi + sgn * x[j] + p.kappa,
-                xi + sgn * x[j],
-                f"x_{i} {'+' if sgn > 0 else '-'} x_{j}",
-            )
-    return num / den * pair
+    for s, w in enumerate(fam.omegas, start=1):
+        den *= nonvanishing(sigma_eval(fam, xi - w / 2), "[x_{} - omega_{}/2]", i, s)
+        den *= nonvanishing(
+            sigma_eval(fam, xi + (p.delta - w) / 2),
+            "[x_{} + (delta - omega_{})/2]", i, s,
+        )
+    return num / den * _pair_product(fam, xi, x, p.kappa, i, f"x_{i}")
 
 
 def coeff_BC(p: ParamsBC, x: Sequence[complex], i: int, sign: int) -> complex:
@@ -276,36 +261,20 @@ def coeff_BC_zero(p: ParamsBC, x: Sequence[complex], r: int) -> complex:
     for mu_s in p.mu:
         num *= sigma_eval(fam, base + mu_s)
 
-    den = sigma_eval(fam, p.kappa)
-    if abs(den) < POLE_THRESHOLD:
-        raise PoleError("pole: [kappa] vanishes", where="kappa")
+    den = nonvanishing(sigma_eval(fam, p.kappa), "[kappa]")
     for s in range(rho):
         if s != r:
-            val = sigma_eval(fam, (w_r - fam.omegas[s]) / 2)
-            if abs(val) < POLE_THRESHOLD:
-                raise PoleError(
-                    f"pole: [(omega_{r + 1} - omega_{s + 1})/2] vanishes",
-                    where=f"(omega_{r + 1} - omega_{s + 1})/2",
-                )
-            den *= val
+            den *= nonvanishing(
+                sigma_eval(fam, (w_r - fam.omegas[s]) / 2),
+                "[(omega_{} - omega_{})/2]", r + 1, s + 1,
+            )
     for s in range(rho):
-        val = sigma_eval(fam, (w_r - fam.omegas[s] + p.kappa - p.delta) / 2)
-        if abs(val) < POLE_THRESHOLD:
-            raise PoleError(
-                f"pole: [(omega_{r + 1} - omega_{s + 1} + kappa - delta)/2]",
-                where=f"(omega_{r + 1} - omega_{s + 1} + kappa - delta)/2",
-            )
-        den *= val
+        den *= nonvanishing(
+            sigma_eval(fam, (w_r - fam.omegas[s] + p.kappa - p.delta) / 2),
+            "[(omega_{} - omega_{} + kappa - delta)/2]", r + 1, s + 1,
+        )
 
-    pair = 1 + 0j
-    for j in range(m):
-        for sgn in (1, -1):
-            pair *= _sigma_ratio(
-                fam,
-                base + sgn * x[j] + p.kappa,
-                base + sgn * x[j],
-                f"(omega_{r + 1} - delta)/2 {'+' if sgn > 0 else '-'} x_{j}",
-            )
+    pair = _pair_product(fam, base, x, p.kappa, None, f"(omega_{r + 1} - delta)/2")
     return expo * num / den * pair
 
 
@@ -354,26 +323,14 @@ def apply_E_BC_dup(p: ParamsBC, f: FnM, x: Sequence[complex]) -> complex:
             num = 1 + 0j
             for mu_s in p.mu:
                 num *= sigma_eval(fam, xi + mu_s)
+            name = f"x_{i}" if sgn > 0 else f"-x_{i}"
             den = sigma_eval(fam, 2 * xi) * sigma_eval(fam, 2 * xi + p.delta)
-            if abs(den) < POLE_THRESHOLD:
-                raise PoleError("pole: [2x_i][2x_i + delta] vanishes")
-            pair = 1 + 0j
-            for j in range(m):
-                if j == i:
-                    continue
-                for s2 in (1, -1):
-                    pair *= _sigma_ratio(
-                        fam,
-                        xi + s2 * x[j] + p.kappa,
-                        xi + s2 * x[j],
-                        f"x_{i} +- x_{j}",
-                    )
+            den = nonvanishing(den, "[2{0}][2{0} + delta]", name)
+            pair = _pair_product(fam, xi, x, p.kappa, i, name)
             total += num / den * pair * f(_shift(x, i, sgn * p.delta))
 
-    kappa_br = sigma_eval(fam, p.kappa)
-    kd_br = sigma_eval(fam, p.kappa - p.delta)
-    if abs(kappa_br) < POLE_THRESHOLD or abs(kd_br) < POLE_THRESHOLD:
-        raise PoleError("pole: [kappa] or [kappa - delta] vanishes")
+    kappa_br = nonvanishing(sigma_eval(fam, p.kappa), "[kappa]")
+    kd_br = nonvanishing(sigma_eval(fam, p.kappa - p.delta), "[kappa - delta]")
     const = 0 + 0j
     for r in range(rho):
         w_r = fam.omegas[r]
@@ -383,15 +340,7 @@ def apply_E_BC_dup(p: ParamsBC, f: FnM, x: Sequence[complex]) -> complex:
         base = (w_r - p.delta) / 2
         for mu_s in p.mu:
             num *= sigma_eval(fam, base + mu_s)
-        pair = 1 + 0j
-        for j in range(m):
-            for sgn in (1, -1):
-                pair *= _sigma_ratio(
-                    fam,
-                    base + sgn * x[j] + p.kappa,
-                    base + sgn * x[j],
-                    f"(omega_{r + 1} - delta)/2 +- x_{j}",
-                )
+        pair = _pair_product(fam, base, x, p.kappa, None, f"(omega_{r + 1} - delta)/2")
         const += k_factor * num / (2 * kappa_br * kd_br) * pair
     return total + const * f(x)
 

@@ -33,6 +33,16 @@ bracket whatever the scale.
 Truncated products (theta, q-Pochhammer, elliptic gamma) follow an explicit
 Truncation policy; elliptic double products are truncated on the triangle
 i + j <= max_terms.
+
+Pole rule: a denominator factor of magnitude below POLE_THRESHOLD is a pole,
+and PoleError is raised with ``where`` naming that factor as written, e.g.
+``[2u]`` or ``sin(pi z)``.  Every numeric layer applies the rule through
+:func:`nonvanishing` (one checked factor) or :func:`sigma_ratio` (the ratio
+[num]/[den] with [den] checked); both take the label as a format string and
+its arguments, formatted only when the pole is hit, so a clear factor costs
+no string work.  ``elliptic_gamma`` is the one exception: it checks each
+factor of its double product inline, because a call per factor there costs
+measurably in the elliptic family's hottest loop.
 """
 
 from __future__ import annotations
@@ -93,6 +103,18 @@ def phase(u: complex) -> complex:
 def binom2(x: complex) -> complex:
     """The quadratic binom(x,2) = x(x-1)/2, for complex x."""
     return x * (x - 1) / 2
+
+
+def nonvanishing(value: complex, where: str, *args: object) -> complex:
+    """``value``, checked against the pole rule.
+
+    Raises PoleError when ``abs(value) < POLE_THRESHOLD``; its ``where`` is
+    ``where.format(*args)``, formatted only then.
+    """
+    if abs(value) < POLE_THRESHOLD:
+        label = where.format(*args)
+        raise PoleError(f"pole: {label} = {value}", where=label)
+    return value
 
 
 def _require_finite(name: str, *values: complex) -> None:
@@ -339,6 +361,15 @@ def sigma_eval(fam: SigmaFamily, u: complex) -> complex:
     return fam.scale * (-z_inv_half * theta)
 
 
+def sigma_ratio(
+    fam: SigmaFamily, num: complex, den: complex, where: str, *args: object
+) -> complex:
+    """[num]/[den]; [den] is checked first, and a pole there raises
+    PoleError labelled ``where.format(*args)`` (see :func:`nonvanishing`)."""
+    den_value = nonvanishing(sigma_eval(fam, den), where, *args)
+    return sigma_eval(fam, num) / den_value
+
+
 def quasi_period_residual(fam: SigmaFamily, u: complex, r: int) -> float:
     """| [u+omega_r] - epsilon_r e(eta_r (u + omega_r/2)) [u] | for r = 1..rho."""
     if not 1 <= r <= fam.rho:
@@ -374,21 +405,16 @@ def duplication_residual(fam: SigmaFamily, u: complex, c: complex) -> float:
     prod1 = 2 * s(u)
     for idx in range(fam.rho - 1):
         w = fam.omegas[idx]
-        den = s(-w / 2)
-        if abs(den) < POLE_THRESHOLD:
-            raise PoleError(f"duplication: [-omega_{idx + 1}/2] vanishes")
-        prod1 *= s(u - w / 2) / den
+        prod1 *= sigma_ratio(fam, u - w / 2, -w / 2, "[-omega_{}/2]", idx + 1)
     res1 = abs(two_u - prod1)
 
-    if abs(two_u) < POLE_THRESHOLD:
-        raise PoleError("duplication: evaluation at a zero of [2u]")
+    nonvanishing(two_u, "[2u]")
     prod2 = 1 + 0j
     for idx in range(fam.rho):
         w = fam.omegas[idx]
-        den = s(u - w / 2)
-        if abs(den) < POLE_THRESHOLD:
-            raise PoleError(f"duplication: [u - omega_{idx + 1}/2] vanishes")
-        prod2 *= s(u + (c - w) / 2) / den
+        prod2 *= sigma_ratio(
+            fam, u + (c - w) / 2, u - w / 2, "[u - omega_{}/2]", idx + 1
+        )
     res2 = abs(s(2 * u + c) / two_u - prod2)
     return max(res1, res2)
 
@@ -418,9 +444,7 @@ def euler_gamma(z: complex) -> complex:
     _require_finite("euler_gamma", z)
     z = complex(z)
     if z.real < 0.5:
-        sin_piz = cmath.sin(math.pi * z)
-        if abs(sin_piz) < POLE_THRESHOLD:
-            raise PoleError(f"Euler gamma pole at z = {z}")
+        sin_piz = nonvanishing(cmath.sin(math.pi * z), "sin(pi z)")
         return math.pi / (sin_piz * euler_gamma(1 - z))
     z -= 1
     acc = _LANCZOS_COEFFS[0]
@@ -444,13 +468,7 @@ def _scale_adjustment(fam: SigmaFamily) -> complex:
     return fam.scale
 
 
-def gamma_fn(
-    fam: SigmaFamily,
-    sign: GammaSign,
-    u: complex,
-    delta: complex,
-    tr: Truncation | None = None,
-) -> complex:
+def gamma_fn(fam: SigmaFamily, sign: GammaSign, u: complex, delta: complex) -> complex:
     """G_{+-}(u|delta) with G_{+-}(u+delta|delta) = +-[u] G_{+-}(u|delta).
 
     The family bracket [u] here includes the family scale; the base
@@ -461,7 +479,7 @@ def gamma_fn(
     _require_finite("gamma_fn", u, delta)
     if delta == 0:
         raise DomainError("gamma_fn needs delta != 0")
-    tr = tr or fam.trunc
+    tr = fam.trunc
     c = _scale_adjustment(fam)
     adjust = cmath.exp((u / delta) * cmath.log(c)) if c != 1 else 1.0
 
@@ -481,9 +499,7 @@ def gamma_fn(
 
     if fam.kind is FamilyKind.TRIGONOMETRIC:
         if sign is GammaSign.MINUS:
-            den = qpoch(z, q, None, tr)
-            if abs(den) < POLE_THRESHOLD:
-                raise PoleError(f"G_- pole: (z;q)_inf = {den} at u = {u}")
+            den = nonvanishing(qpoch(z, q, None, tr), "(z;q)_inf")
             return adjust / quad / den
         return adjust * quad * qpoch(q / z, q, None, tr)
 

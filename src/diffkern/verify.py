@@ -39,7 +39,6 @@ from .kernels import (
 from .operators import (
     ParamsA,
     ParamsBC,
-    _sigma_ratio,
     apply_A,
     apply_A_higher,
     apply_D_BC,
@@ -49,16 +48,17 @@ from .operators import (
     coeff_BC_zero,
 )
 from .sigma import (
-    POLE_THRESHOLD,
     DomainError,
     FamilyKind,
     PoleError,
     SigmaFamily,
     duplication_residual,
+    nonvanishing,
     phase,
     quasi_period_residual,
     riemann_residual,
     sigma_eval,
+    sigma_ratio,
 )
 
 __all__ = [
@@ -112,6 +112,10 @@ POLE_MARGIN = 1e-3
 #: magnitude, and the two sides of an identity then cancel through large
 #: intermediate values, eroding the attainable absolute residual.
 _SEPARATION_MARGIN = 2e-2
+
+#: Rejected draws sample_params and sample_point take before giving up.
+_PARAM_TRIES = 200
+_POINT_TRIES = 400
 
 
 class BalancingError(ValueError):
@@ -727,13 +731,13 @@ def _res_partial_fraction(fam, m, n, params, pt):
     c = sum(cs)
     lhs = sigma_eval(fam, c)
     for xj, cj in zip(xs, cs):
-        lhs *= _sigma_ratio(fam, z - xj + cj, z - xj, "z - x_j")
+        lhs *= sigma_ratio(fam, z - xj + cj, z - xj, "[z - x_j]")
     rhs = 0j
     for i, (xi, ci) in enumerate(zip(xs, cs)):
-        term = sigma_eval(fam, ci) * _sigma_ratio(fam, z - xi + c, z - xi, "z - x_i")
+        term = sigma_eval(fam, ci) * sigma_ratio(fam, z - xi + c, z - xi, "[z - x_i]")
         for j, (xj, cj) in enumerate(zip(xs, cs)):
             if j != i:
-                term *= _sigma_ratio(fam, xi - xj + cj, xi - xj, "x_i - x_j")
+                term *= sigma_ratio(fam, xi - xj + cj, xi - xj, "[x_i - x_j]")
         rhs += term
     return abs(lhs - rhs)
 
@@ -744,7 +748,7 @@ def _key_sum(fam, cs, xs):
         term = sigma_eval(fam, ci)
         for j, (xj, cj) in enumerate(zip(xs, cs)):
             if j != i:
-                term *= _sigma_ratio(fam, xi - xj + cj, xi - xj, "x_i - x_j")
+                term *= sigma_ratio(fam, xi - xj + cj, xi - xj, "[x_i - x_j]")
         total += term
     return total
 
@@ -770,7 +774,7 @@ def _res_thm_a_phi(fam, m, n, params, pt, factorized=False):
     lhs = apply_A(pa, lambda xs: phi_A(spec, xs, y), x)
     lhs -= apply_A(pa, lambda ys: phi_A(spec, x, ys), y)
     if factorized:
-        rhs = _sigma_ratio(fam, (m - n) * kappa, kappa, "kappa") * phi_A(spec, x, y)
+        rhs = sigma_ratio(fam, (m - n) * kappa, kappa, "[kappa]") * phi_A(spec, x, y)
     else:
         rhs = 0j
     return abs(lhs - rhs)
@@ -895,7 +899,7 @@ def _exp_f_group(fam, p, own, other, z, c, offsets, names):
             extra = 1 + 0j
             for ol in other:
                 for e2 in (1, -1):
-                    extra *= _sigma_ratio(
+                    extra *= sigma_ratio(
                         fam,
                         e * own[i] + e2 * ol + pair_num,
                         e * own[i] + e2 * ol + pair_den,
@@ -903,7 +907,7 @@ def _exp_f_group(fam, p, own, other, z, c, offsets, names):
                     )
             arg = z - e * own[i] + shift
             group += (
-                _sigma_ratio(fam, arg + c, arg, own_name)
+                sigma_ratio(fam, arg + c, arg, own_name)
                 * coeff_BC(p, own, i, e)
                 * extra
             )
@@ -911,7 +915,7 @@ def _exp_f_group(fam, p, own, other, z, c, offsets, names):
         base = (step - fam.omegas[r]) / 2
         group += (
             phase(c * fam.etas[r] / 2)
-            * _sigma_ratio(fam, z + base + c, z + base, base_name)
+            * sigma_ratio(fam, z + base + c, z + base, base_name)
             * coeff_BC_zero(p, own, r)
         )
     return group
@@ -933,29 +937,24 @@ def _res_prop_exp_f(fam, m, n, params, pt):
     for w in fam.omegas:
         for shift, label in ((delta, "delta"), (kappa, "kappa")):
             den = sigma_eval(fam, z + (shift - w) / 2)
-            if abs(den) < POLE_THRESHOLD:
-                raise PoleError(
-                    f"denominator sigma(z + ({label} - omega_s)/2) vanishes",
-                    where=f"z + ({label} - omega_s)/2",
-                )
-            f_val /= den
+            f_val /= nonvanishing(den, "[z + ({} - omega_s)/2]", label)
     for xj in x:
         for e in (1, -1):
-            f_val *= _sigma_ratio(fam, z + e * xj + kappa, z + e * xj, "z +- x_j")
+            f_val *= sigma_ratio(fam, z + e * xj + kappa, z + e * xj, "[z +- x_j]")
     for yl in y:
         for e in (1, -1):
-            f_val *= _sigma_ratio(
-                fam, z + e * yl + v + lam, z + e * yl + v, "z +- y_l + v"
+            f_val *= sigma_ratio(
+                fam, z + e * yl + v + lam, z + e * yl + v, "[z +- y_l + v]"
             )
     lhs = sigma_eval(fam, c) * f_val
 
     rhs = sigma_eval(fam, kappa) * _exp_f_group(
         fam, p_x, x, y, z, c, (0, (delta + lam) / 2, v, delta),
-        ("z - x_i", "x_i +- y_l + v", "z + (delta - omega_r)/2"),
+        ("[z - x_i]", "[x_i +- y_l + v]", "[z + (delta - omega_r)/2]"),
     )
     rhs += sigma_eval(fam, lam) * _exp_f_group(
         fam, p_y, y, x, z, c, (v, (tau + kappa) / 2, -v, kappa),
-        ("z - y_k + v", "y_k +- x_j - v", "z + (kappa - omega_r)/2"),
+        ("[z - y_k + v]", "[y_k +- x_j - v]", "[z + (kappa - omega_r)/2]"),
     )
     return abs(lhs - rhs)
 
@@ -1179,18 +1178,17 @@ def sample_params(
     m: int,
     n: int,
     rng: random.Random,
-    max_tries: int = 200,
 ) -> dict:
     """Draw one admissible parameter record for the identity."""
     spec = _check_applicable(ident, fam)
     _check_square(ident, spec, m, n)
-    for _ in range(max_tries):
+    for _ in range(_PARAM_TRIES):
         try:
             return spec.params(spec, fam, m, n, rng)
         except _Reject:
             continue
     raise RuntimeError(
-        f"no admissible parameters for {ident.value} after {max_tries} tries"
+        f"no admissible parameters for {ident.value} after {_PARAM_TRIES} tries"
     )
 
 
@@ -1201,17 +1199,16 @@ def sample_point(
     n: int,
     params: Mapping[str, object],
     rng: random.Random,
-    max_tries: int = 400,
 ) -> dict:
     """Draw one evaluation point clear of the identity's pole loci."""
     spec = _SPECS[ident]
-    for _ in range(max_tries):
+    for _ in range(_POINT_TRIES):
         try:
             return spec.point(spec, fam, m, n, params, rng)
         except _Reject:
             continue
     raise RuntimeError(
-        f"no admissible point for {ident.value} after {max_tries} tries"
+        f"no admissible point for {ident.value} after {_POINT_TRIES} tries"
     )
 
 

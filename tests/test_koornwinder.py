@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import random
 from fractions import Fraction
 from functools import partial
 
@@ -924,3 +925,55 @@ def test_explicit_route_matches_golden_digest(name):
     for label, thunk in _route_calls(ROUTE_PARAMS[name]):
         digest.update(f"{label} {_route_text(thunk)}\n".encode())
     assert digest.hexdigest() == GOLDEN_ROUTE_DIGESTS[name]
+
+
+def _random_parameter_sets() -> list[ExactParams]:
+    """25 sets from random.Random(20261018).  Each square root, in the
+    order sa, sb, sc, sd, sq, st, is n/d with n then d drawn from 1..13, then
+    negated with probability 0.3; every seventh set (index 6, 13, 20) has
+    its drawn sb, sc, sd replaced by 1, where many labels collide."""
+    rng = random.Random(20261018)
+    sets = []
+    for index in range(25):
+        roots = {}
+        for name in ("sa", "sb", "sc", "sd", "sq", "st"):
+            root = Fraction(rng.randint(1, 13), rng.randint(1, 13))
+            roots[name] = -root if rng.random() < 0.3 else root
+        if index % 7 == 6:
+            roots.update(sb=1, sc=1, sd=1)
+        sets.append(ExactParams(**roots))
+    return sets
+
+
+def _random_parameter_calls(ep):
+    """(kind, m, lam, thunk): every Koornwinder P_lam in the 3^m box and
+    every Macdonald P_lam(q, t) with |lam| <= 4, for m = 1..3."""
+    for m in (1, 2, 3):
+        for lam in partitions_in_box(m, 3):
+            yield "K", m, lam, partial(koornwinder_poly, lam, ep, m)
+    for m in (1, 2, 3):
+        for size in range(5):
+            for lam in partitions_of(size, m):
+                yield "M", m, lam, partial(macdonald_poly, lam, ep.q, ep.t, m)
+
+
+# sha256 over "<set> <kind> <m> <parts> <text>\n" for every call of
+# _random_parameter_calls at every set of _random_parameter_sets, in that
+# order, with the text of _route_text: 1254 polynomials and 221
+# CollisionErrors, a corpus the fixed-parameter digests above do not reach
+# (the recipe of BENCH_7.json's random-parameter hash).
+RANDOM_PARAMETER_DIGEST = (
+    "54ada8e959bdac00ce022fc186801993f04d70d33f9c44f2eb3dafb5d029ef42"
+)
+
+
+def test_random_parameter_polynomials_match_golden_digest():
+    digest = hashlib.sha256()
+    collisions = 0
+    for index, ep in enumerate(_random_parameter_sets()):
+        for kind, m, lam, thunk in _random_parameter_calls(ep):
+            text = _route_text(thunk)
+            collisions += text == "CollisionError"
+            digest.update(f"{index} {kind} {m} {list(lam.parts)} {text}\n".encode())
+    assert collisions == 221
+    assert digest.hexdigest() == RANDOM_PARAMETER_DIGEST

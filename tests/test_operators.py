@@ -30,7 +30,6 @@ from diffkern.operators import (
     apply_koorn_mult,
     apply_macdonald_mult,
     bc_constant,
-    coeff_A,
     coeff_BC,
     coeff_BC_zero,
     dup_prefactor,
@@ -121,9 +120,12 @@ def test_c_const_matches_definition(families):
 # ======================================================================
 
 
-def test_coeff_A_single_variable_is_one(families):
+def test_apply_A_single_variable_is_the_shift(families):
+    # A_0 is an empty product at m = 1, and there is no term at m = 0
     p = ParamsA(DELTA, KAPPA, families["trig"])
-    assert coeff_A(p, (0.37 + 0.05j,), 0) == 1
+    x = (0.37 + 0.05j,)
+    assert apply_A(p, probe_fn, x) == probe_fn((x[0] + DELTA,))
+    assert apply_A(p, probe_fn, ()) == 0
 
 
 def test_apply_A_on_constants_trig_rational(families):

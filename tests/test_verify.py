@@ -11,9 +11,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import diffkern.verify as verify
-from diffkern.kernels import kern_phi0, kern_psi_mult, psi_BC
-from diffkern.operators import ParamsBC, apply_D_BC
-from diffkern.sigma import DomainError, FamilyKind, PoleError, SigmaFamily, phase
+from diffkern.kernels import kern_phi0, kern_psi_mult, pi_macdonald, psi_BC
+from diffkern.operators import (
+    ParamsA,
+    ParamsBC,
+    apply_A,
+    apply_D_BC,
+    apply_E_BC_dup,
+    coeff_BC,
+    coeff_BC_zero,
+)
+from diffkern.sigma import (
+    DomainError,
+    FamilyKind,
+    GammaSign,
+    PoleError,
+    SigmaFamily,
+    duplication_residual,
+    euler_gamma,
+    gamma_fn,
+    phase,
+)
 from diffkern.verify import (
     DEFAULT_SAMPLES,
     DEFAULT_SEED,
@@ -343,6 +361,79 @@ def test_pole_error_names_the_subexpression(families):
     with pytest.raises(PoleError) as err:
         residual(IdentityId.PARTIAL_FRACTION, fam, 1, 1, params, pt)
     assert "z - x" in str(err.value)
+
+
+_TRIG = SigmaFamily.trigonometric()
+_POLE_MU = (0.11 + 0.02j, -0.07 + 0.05j, 0.13 - 0.04j, 0.05 + 0.03j)
+_POLE_BC = ParamsBC(_POLE_MU, 0.3 + 0.1j, 0.2 + 0.05j, _TRIG)
+# x + y = -(delta - kappa)/2 puts (q^(1/2) t^(-1/2) z w; q)_inf on its zero
+_PHI0_AT_POLE = ((0.1,), (-0.2 - 0.2j,), 0.3 + 0.6j, 0.1 + 0.2j)
+
+# (where, call) for one pole at each site that applies the pole rule
+_POLE_SITES = {
+    "duplication_residual": (
+        "[2u]", lambda: duplication_residual(_TRIG, 0.5, 0.3)
+    ),
+    "euler_gamma": ("sin(pi z)", lambda: euler_gamma(-2.0)),
+    "gamma_fn": (
+        "(z;q)_inf",
+        lambda: gamma_fn(_TRIG, GammaSign.MINUS, 0.0, 0.4 + 0.6j),
+    ),
+    "coeff_BC-half-period": (
+        "[x_0 - omega_1/2]",
+        lambda: coeff_BC(_POLE_BC, (0.5, 0.2 + 0.1j), 0, 1),
+    ),
+    "coeff_BC-pair": (
+        "[x_0 - x_1]",
+        lambda: coeff_BC(_POLE_BC, (0.3 + 0.1j, 0.3 + 0.1j), 0, 1),
+    ),
+    "coeff_BC_zero": (
+        "[(omega_1 - delta)/2 - x_0]",
+        lambda: coeff_BC_zero(_POLE_BC, ((1 - _POLE_BC.delta) / 2,), 0),
+    ),
+    "apply_E_BC_dup": (
+        "[2x_0][2x_0 + delta]",
+        lambda: apply_E_BC_dup(_POLE_BC, lambda x: 1, (0.0,)),
+    ),
+    "apply_A": (
+        "[x_0 - x_1]",
+        lambda: apply_A(
+            ParamsA(0.3 + 0.1j, 0.2 + 0.05j, _TRIG), lambda x: 1, (0.2j, 0.2j)
+        ),
+    ),
+    "pi_macdonald": (
+        "(z w; q)_inf", lambda: pi_macdonald((2.0,), (0.5,), 0.3, 0.7)
+    ),
+    "kern_phi0-zero": (
+        "(q^(1/2) t^(-1/2) z w; q)_inf",
+        lambda: kern_phi0(*_PHI0_AT_POLE),
+    ),
+    "kern_phi0-minus": (
+        "(q^(1/2) t^(-1/2) z w; q)_inf",
+        lambda: kern_phi0(*_PHI0_AT_POLE, variant="minus"),
+    ),
+    "prop-exp-f": (
+        "[z + (delta - omega_s)/2]",
+        lambda: residual(
+            IdentityId.PROP_EXP_F,
+            _TRIG,
+            1,
+            1,
+            {"mu": _POLE_MU, "delta": 0.3 + 0.1j, "kappa": 0.2 + 0.05j,
+             "lambda": 0.15 + 0.07j},
+            {"x": (0.21 + 0.03j,), "y": (-0.12 + 0.04j,), "z": (0.7 - 0.1j) / 2},
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("site", sorted(_POLE_SITES))
+def test_pole_error_names_the_factor(site):
+    where, call = _POLE_SITES[site]
+    with pytest.raises(PoleError) as err:
+        call()
+    assert err.value.where == where
+    assert where in str(err.value)
 
 
 # ======================================================================
