@@ -90,6 +90,15 @@ def _in_period_lattice(fam: SigmaFamily, value: complex) -> bool:
     return abs(a - round(a)) < _LATTICE_TOL and abs(b - round(b)) < _LATTICE_TOL
 
 
+def _check_off_lattice(bundle: "ParamsA | ParamsBC") -> None:
+    """Raise DomainError naming delta or kappa of the bundle when it lies in
+    the period lattice, where [delta] or [kappa] vanishes."""
+    for name in ("delta", "kappa"):
+        value = getattr(bundle, name)
+        if _in_period_lattice(bundle.fam, value):
+            raise DomainError(f"{name} = {value} lies in the period lattice")
+
+
 @dataclass(frozen=True)
 class ParamsA:
     """Type-A operator data: shift unit delta, coupling kappa, sigma family."""
@@ -99,11 +108,7 @@ class ParamsA:
     fam: SigmaFamily
 
     def __post_init__(self) -> None:
-        for name in ("delta", "kappa"):
-            if _in_period_lattice(self.fam, getattr(self, name)):
-                raise DomainError(
-                    f"{name} = {getattr(self, name)} lies in the period lattice"
-                )
+        _check_off_lattice(self)
 
 
 @dataclass(frozen=True)
@@ -111,7 +116,8 @@ class ParamsBC:
     """Type-BC operator data: 2*rho parameters mu_s plus (delta, kappa).
 
     The derived constant c = sum(mu) - (rho/2)(delta+kappa) + sum(omega_s)
-    is recomputed on access, never stored.
+    is recomputed on access, never stored.  As for ParamsA, a delta or
+    kappa in the period lattice raises DomainError naming it.
     """
 
     mu: tuple[complex, ...]
@@ -126,6 +132,7 @@ class ParamsBC:
                 f"need {2 * self.fam.rho} mu parameters for this family, "
                 f"got {len(self.mu)}"
             )
+        _check_off_lattice(self)
 
     @property
     def c_const(self) -> complex:

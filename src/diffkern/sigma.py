@@ -48,6 +48,7 @@ measurably in the elliptic family's hottest loop.
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -154,6 +155,7 @@ class SigmaFamily:
     epsilons: tuple[int, ...] = field(init=False, default=())
     trunc: Truncation = DEFAULT_TRUNCATION
     _nome: complex | None = field(init=False, repr=False, compare=False, default=None)
+    _memo: dict | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
         if self.scale == 0:
@@ -223,6 +225,18 @@ class SigmaFamily:
 
     def sigma(self, u: complex) -> complex:
         return sigma_eval(self, u)
+
+    def memoized(self) -> "SigmaFamily":
+        """A copy of this family, equal to it, that remembers its values.
+
+        The copy holds a fresh dict in which :func:`sigma_eval` and
+        :func:`gamma_fn` store each value they compute and look it up
+        again, bit for bit the same.  The dict lives as long as the copy;
+        this family itself stays without one.
+        """
+        copy = dataclasses.replace(self)
+        object.__setattr__(copy, "_memo", {})
+        return copy
 
 
 # ======================================================================
@@ -346,11 +360,39 @@ def elliptic_gamma(
 # ======================================================================
 
 
+def _exact_key(u: complex) -> object:
+    """A dict key for a finite number u, equal only for arguments that give
+    bit-identical values: u itself when neither part is zero (then == is
+    bitwise equality), else u with its type and the signs of its parts,
+    because 0.0 == -0.0 == 0j as keys."""
+    if u.real and u.imag:
+        return u
+    return (type(u), math.copysign(1.0, u.real), math.copysign(1.0, u.imag), u)
+
+
 def sigma_eval(fam: SigmaFamily, u: complex) -> complex:
-    """[u] for the given family (includes the family's scale multiplier)."""
+    """[u] for the given family (includes the family's scale multiplier).
+
+    On a family made by :meth:`SigmaFamily.memoized` a trig or elliptic
+    value is computed once per exact argument and then read back; a
+    rational value, one multiply, never is.  ``run_suite`` gives each task
+    such a copy of its own, so nothing is shared between tasks or callers.
+    """
     _require_finite("sigma_eval", u)
     if fam.kind is FamilyKind.RATIONAL:
         return fam.scale * u
+    memo = fam._memo
+    if memo is None:
+        return _sigma_value(fam, u)
+    key = _exact_key(u)
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = _sigma_value(fam, u)
+    return value
+
+
+def _sigma_value(fam: SigmaFamily, u: complex) -> complex:
+    """[u] for the trig and elliptic families, finite u, no memo."""
     if fam.kind is FamilyKind.TRIGONOMETRIC:
         return fam.scale * cmath.sin(math.pi * u / fam.omega1)
     # elliptic: -z^(-1/2) theta(z;p), the half power taken from u itself so
@@ -475,8 +517,29 @@ def gamma_fn(fam: SigmaFamily, sign: GammaSign, u: complex, delta: complex) -> c
     closed forms are multiplied by c^(u/delta) (c from _scale_adjustment),
     which is exactly the rescaling a gamma function picks up when sigma is
     rescaled by c.
+
+    On a family made by :meth:`SigmaFamily.memoized` each value is
+    computed once per exact (sign, u, delta) and then read back; a call
+    that raises stores nothing.  ``run_suite`` gives each task such a copy
+    of its own, so nothing is shared between tasks or callers.
     """
     _require_finite("gamma_fn", u, delta)
+    memo = fam._memo
+    if memo is None:
+        return _gamma_value(fam, sign, u, delta)
+    # The sign's type leads: a str equals and hashes like its GammaSign
+    # member but takes another branch below, and no sigma key starts so.
+    key = (type(sign), sign, _exact_key(u), _exact_key(delta))
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = _gamma_value(fam, sign, u, delta)
+    return value
+
+
+def _gamma_value(
+    fam: SigmaFamily, sign: GammaSign, u: complex, delta: complex
+) -> complex:
+    """G_{+-}(u|delta) for finite u and delta, no memo."""
     if delta == 0:
         raise DomainError("gamma_fn needs delta != 0")
     tr = fam.trunc

@@ -1273,6 +1273,10 @@ def run_suite(
     well, and reports come back sorted by (id, m, n).  Residual exceedances
     are returned as data; compare them against a tolerance with
     :func:`first_failure`.
+
+    Each task runs on its own ``fam.memoized()`` copy, which remembers the
+    sigma and gamma values the task computes (bit for bit the same) and is
+    dropped when the task ends; ``fam`` itself is never changed.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
@@ -1290,11 +1294,12 @@ def run_suite(
             if spec.square and m != n:
                 continue
             rng = _task_rng(seed, ident, fam, m, n)
-            params = sample_params(ident, fam, m, n, rng)
+            task_fam = fam.memoized()
+            params = sample_params(ident, task_fam, m, n, rng)
             worst = 0.0
             for idx in range(samples):
-                point = sample_point(ident, fam, m, n, params, rng)
-                value = _point_residual(seed, ident, fam, m, n, params, point, idx)
+                point = sample_point(ident, task_fam, m, n, params, rng)
+                value = _point_residual(seed, ident, task_fam, m, n, params, point, idx)
                 worst = max(worst, value)
             reports.append(
                 Report(

@@ -100,6 +100,23 @@ def test_params_A_rejects_lattice_points(families):
     ParamsA(0.4 + 0.2j, 0.3 + 0.1j, fam)
 
 
+def test_params_BC_rejects_lattice_points(families):
+    mu = MU_POOL[:4]
+    trig = families["trig"]
+    with pytest.raises(DomainError, match="kappa = 1.0 lies in the period lattice"):
+        ParamsBC(mu, 0.3 + 0.1j, 1.0, trig)
+    with pytest.raises(DomainError, match="delta = -2.0 lies"):
+        ParamsBC(mu, -2.0, 0.3 + 0.1j, trig)
+    with pytest.raises(DomainError, match="kappa"):
+        ParamsBC(MU_POOL[:2], 0.3, 0.0, families["rational"])
+    fam = families["elliptic"]
+    with pytest.raises(DomainError, match="delta"):
+        ParamsBC(MU_POOL[:8], fam.omega1 + fam.omega2, 0.3 + 0.1j, fam)
+    # generic values pass, and so do the derived bundles
+    p = ParamsBC(MU_POOL[:8], 0.4 + 0.2j, 0.3 + 0.1j, fam)
+    p.negated(), p.dual_nu(), p.swapped()
+
+
 def test_params_BC_requires_two_rho_parameters(families):
     for name, count in (("rational", 2), ("trig", 4), ("elliptic", 8)):
         fam = families[name]

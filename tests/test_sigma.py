@@ -16,6 +16,7 @@ from diffkern.sigma import (
     PoleError,
     SigmaFamily,
     Truncation,
+    _exact_key,
     duplication_residual,
     elliptic_gamma,
     euler_gamma,
@@ -376,3 +377,105 @@ def test_family_tables():
     assert ell.etas[2] == 1.0
     rat = SigmaFamily.rational()
     assert rat.rho == 1 and rat.kind is FamilyKind.RATIONAL
+
+
+# ----------------------------------------------------------------------
+# the memo of a family copy
+# ----------------------------------------------------------------------
+
+# Arguments that are equal as dict keys but not the same number: signed
+# zeros in either part, and real, integer and complex forms of one value.
+_MEMO_ARGS = (
+    0.0,
+    -0.0,
+    0j,
+    -0j,
+    complex(0.0, -0.0),
+    complex(-0.0, 0.0),
+    0,
+    0.5,
+    0.5 + 0j,
+    complex(0.5, -0.0),
+    0.25j,
+    complex(-0.0, 0.25),
+    1,
+    1.0,
+    0.3 + 0.2j,
+    -0.3 - 0.2j,
+)
+_MEMO_DELTAS = (0.4 + 0.6j, 0.6j, complex(-0.0, 0.6))
+# a str equals and hashes like the GammaSign member of its value, but
+# gamma_fn tests the sign by identity and takes another branch for it
+_MEMO_SIGNS = (GammaSign.PLUS, GammaSign.MINUS, "plus", "minus")
+
+
+def _outcome(call, *args):
+    """repr of the value, or the class and message of the error raised."""
+    try:
+        return repr(call(*args))
+    except (PoleError, DomainError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_memo_keys_are_equal_only_for_identical_arguments(families):
+    # equal keys would alias values that differ: trig [-0.0] is (-0+0j)
+    assert repr(sigma_eval(families["trig"], -0.0)) == "(-0+0j)"
+    assert repr(sigma_eval(families["trig"], 0.0)) == "0j"
+    for a in _MEMO_ARGS:
+        for b in _MEMO_ARGS:
+            identical = type(a) is type(b) and repr(complex(a)) == repr(complex(b))
+            assert (_exact_key(a) == _exact_key(b)) is identical, (a, b)
+
+
+@pytest.mark.parametrize("name", ["rational", "trig", "elliptic"])
+def test_memo_values_are_bit_exact(families, name):
+    fam = families[name]
+    for order in (_MEMO_ARGS, _MEMO_ARGS[::-1]):
+        memo = fam.memoized()
+        for _ in range(2):  # the second pass reads what the first stored
+            for u in order:
+                assert repr(sigma_eval(memo, u)) == repr(sigma_eval(fam, u)), u
+                for sign in _MEMO_SIGNS:
+                    for delta in _MEMO_DELTAS:
+                        args = (sign, u, delta)
+                        assert _outcome(gamma_fn, memo, *args) == _outcome(
+                            gamma_fn, fam, *args
+                        ), args
+
+
+def test_memo_reads_back_what_it_stored(families):
+    u, delta = 0.3 + 0.2j, 0.4 + 0.6j
+    for name in ("trig", "elliptic"):
+        memo = families[name].memoized()
+        assert sigma_eval(memo, u) is sigma_eval(memo, u)
+        assert gamma_fn(memo, GammaSign.PLUS, u, delta) is gamma_fn(
+            memo, GammaSign.PLUS, u, delta
+        )
+        assert len(memo._memo) == 2
+    # a rational bracket is one multiply and is not stored; its gamma is
+    rational = families["rational"].memoized()
+    sigma_eval(rational, u)
+    assert rational._memo == {}
+    gamma_fn(rational, GammaSign.MINUS, u, delta)
+    assert len(rational._memo) == 1
+
+
+def test_memo_copy_equals_its_family_and_leaves_it_alone(families):
+    for fam in families.values():
+        memo = fam.memoized()
+        assert memo == fam
+        assert hash(memo) == hash(fam)
+        assert repr(memo) == repr(fam)
+        assert fam._memo is None and memo._memo == {}
+        assert fam.memoized()._memo is not memo._memo
+
+
+@pytest.mark.parametrize("name", ["trig", "elliptic"])
+def test_memo_stores_no_pole(name):
+    # G_-(0|delta) divides by (z;q)_inf, or by (z;p,q)_inf, at z = 1
+    fam = {"trig": SigmaFamily.trigonometric(), "elliptic": SigmaFamily.elliptic()}[name]
+    memo = fam.memoized()
+    for _ in range(2):
+        with pytest.raises(PoleError):
+            gamma_fn(memo, GammaSign.MINUS, 0.0, 0.4 + 0.6j)
+    assert memo._memo == {}

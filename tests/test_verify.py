@@ -609,6 +609,34 @@ def test_suite_redraws_a_pole_point_from_its_retry_stream(monkeypatch):
     assert seen == [points[0], points[1], redrawn, points[2]]
 
 
+def test_suite_gives_each_task_a_memo_of_its_own(monkeypatch, families):
+    real = verify.residual
+    memos = {}
+
+    def record(ident, fam, m, n, params, point):
+        memos.setdefault((ident, m, n), []).append(fam._memo)
+        return real(ident, fam, m, n, params, point)
+
+    monkeypatch.setattr(verify, "residual", record)
+    ids = [IdentityId.RIEMANN, IdentityId.THM_BCE1]
+    for name in ("trig", "elliptic"):
+        fam = families[name]
+        twin = SigmaFamily(fam.kind, fam.omega1, fam.omega2)
+        before = (repr(fam), hash(fam))
+        memos.clear()
+        run_suite(ids, fam, size_grid=[(1, 1), (2, 1)], samples=2, seed=5)
+        # one filled dict per task, the same for all of its points
+        assert len(memos) == 4
+        for seen in memos.values():
+            assert isinstance(seen[0], dict) and seen[0]
+            assert all(memo is seen[0] for memo in seen)
+        assert len({id(seen[0]) for seen in memos.values()}) == len(memos)
+        # the caller's family holds no state and is unchanged
+        assert fam._memo is None
+        assert fam == twin
+        assert (repr(fam), hash(fam)) == before
+
+
 #: sha256 of reports_to_json(run_suite(None, fam, samples=2, seed=20261018))
 #: over the default grid.  These pin the draw order of every sampler and the
 #: arithmetic of every evaluator on this CPython and libm: a reordered draw
