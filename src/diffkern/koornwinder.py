@@ -8,8 +8,11 @@ whose left side lies in the span of the k - 1 orbit sums below lambda (k
 the size of the basis).  The solve evaluates that equation exactly at
 k - 1 integer points, where the orbit sums and the operator, with rational
 coefficients A_i^(+-) and shifts s_i -> sq^(+-1) s_i of the square-root
-coordinates, take rational values, and finds the k - 1 unknown
-coefficients by one fraction-free solve (Bareiss 1968).  A k-th point
+coordinates, take rational values.  Each coefficient comes as an integer
+pair (numerator, positive denominator), and each row brings them and
+-d_lambda over one positive common denominator, so the rows are integer
+vectors built without Fraction arithmetic.  The k - 1 unknown
+coefficients follow from one fraction-free solve (Bareiss 1968).  A k-th point
 checks the eigen-equation exactly, so the solve never calls the symbolic
 operator of :mod:`diffkern.operators`, which stays an independent oracle.
 The Macdonald polynomials take the same route with the first Macdonald
@@ -173,32 +176,48 @@ def eigenvalue_d(lam, ep: ExactParams, m: int) -> Fraction:
     """Koornwinder eigenvalue sum_i [alpha t^(m-i) q^(lam_i); alpha t^(m-i)].
 
     With alpha = (abcd/q)^(1/2) = sa sb sc sd / sq; the empty partition
-    gives 0.
+    gives 0.  Each term is x + 1/x - y - 1/y for x = y q^(lam_i), summed
+    on integer pairs; only the total becomes a Fraction.
     """
     part = _as_partition(lam)
     if len(part) > m:
         raise ValueError(f"partition {part.parts} does not fit in {m} variables")
-    alpha = ep.alpha
-    q, t = ep.q, ep.t
-    total = Fraction(0)
+    an, ad = ep.sq.denominator, ep.sq.numerator
+    for root in (ep.sa, ep.sb, ep.sc, ep.sd):
+        an *= root.numerator
+        ad *= root.denominator
+    qn, qd = ep.sq.numerator ** 2, ep.sq.denominator ** 2
+    tn, td = ep.st.numerator ** 2, ep.st.denominator ** 2
+    num, den = 0, 1
     for i, li in enumerate(part.padded(m)):
-        base = alpha * t ** (m - 1 - i)
-        shifted = base * q**li
-        total += shifted + 1 / shifted - base - 1 / base
-    return total
+        if not li:
+            continue
+        # y = bn/bd = alpha t^(m-1-i) and x = sn/sd = y q^li, so sn sd =
+        # bn bd qn^li qd^li and x + 1/x - y - 1/y is term_num / (sn sd)
+        bn, bd = an * tn ** (m - 1 - i), ad * td ** (m - 1 - i)
+        qli, dli = qn**li, qd**li
+        sn, sd = bn * qli, bd * dli
+        term_num = sn * sn + sd * sd - (bn * bn + bd * bd) * qli * dli
+        term_den = sn * sd
+        num, den = num * term_den + term_num * den, den * term_den
+    return Fraction(num, den)
 
 
 def macdonald_eigenvalue(lam, q, t, m: int) -> Fraction:
-    """Eigenvalue sum_i q^(lam_i) t^(m-i) of the first Macdonald operator."""
+    """Eigenvalue sum_i q^(lam_i) t^(m-i) of the first Macdonald operator,
+    summed over the one positive denominator q_den^lam_1 t_den^(m-1)."""
     part = _as_partition(lam)
     if len(part) > m:
         raise ValueError(f"partition {part.parts} does not fit in {m} variables")
     q = Fraction(q)
     t = Fraction(t)
-    total = Fraction(0)
+    qn, qd = q.numerator, q.denominator
+    tn, td = t.numerator, t.denominator
+    top = part.part(0)
+    num = 0
     for i, li in enumerate(part.padded(m)):
-        total += q**li * t ** (m - 1 - i)
-    return total
+        num += qn**li * qd ** (top - li) * tn ** (m - 1 - i) * td**i
+    return Fraction(num, qd**top * td ** max(m - 1, 0))
 
 
 # ======================================================================
@@ -265,11 +284,14 @@ def _power_table(n: int, d: int, top: int) -> tuple[list[int], int]:
 
 def _bracket_ratio(
     top: Sequence[tuple[int, int]], bottom: Sequence[tuple[int, int]]
-) -> Fraction:
-    """prod [x] over ``top`` divided by prod [x] over ``bottom``.
+) -> tuple[int, int]:
+    """prod [x] over ``top`` divided by prod [x] over ``bottom``, as an
+    integer pair (num, den) with den > 0, not reduced.
 
     Each bracket [x] = x^(1/2) - x^(-1/2) is given by its square root as an
-    integer pair (u, v), so [x] = (u^2 - v^2) / (u v).
+    integer pair (u, v), so [x] = (u^2 - v^2) / (u v).  Negative square
+    roots (of a, ..., q) can make the product of the u v negative, so the
+    sign is moved to the numerator.
     """
     num = den = 1
     for u, v in top:
@@ -281,10 +303,11 @@ def _bracket_ratio(
             raise _Pole
         num *= u * v
         den *= value
-    return Fraction(num, den)
+    return (-num, -den) if den < 0 else (num, den)
 
 
-_Moves = tuple[Fraction, list[tuple[int, tuple[int, int], Fraction]]]
+_Weight = tuple[int, int]
+_Moves = tuple[_Weight, list[tuple[int, tuple[int, int], _Weight]]]
 
 
 def _koorn_moves(ep: ExactParams, point: Sequence[int]) -> _Moves:
@@ -293,13 +316,14 @@ def _koorn_moves(ep: ExactParams, point: Sequence[int]) -> _Moves:
     Returns the weight of the unshifted value and, for every shift, the
     variable it moves, the moved value z_i q^(+-1) as an integer pair and
     its weight A_i^(+-), with A_i^- (z) = A_i^+ (1/z) as in
-    :func:`diffkern.operators.apply_koorn_mult`.
+    :func:`diffkern.operators.apply_koorn_mult`.  Every weight is an
+    integer pair (num, den) with den > 0, as :func:`_bracket_ratio` gives;
+    the unshifted weight comes over the lcm of the shift denominators.
     """
     roots = [(r.numerator, r.denominator) for r in (ep.sa, ep.sb, ep.sc, ep.sd)]
     qn, qd = ep.sq.numerator, ep.sq.denominator
     tn, td = ep.st.numerator, ep.st.denominator
     moves = []
-    total = Fraction(0)
     for up in (True, False):
         # square roots of z_j (up) or of 1/z_j (down) as integer pairs
         coords = [(s, 1) if up else (1, s) for s in point]
@@ -310,12 +334,13 @@ def _koorn_moves(ep: ExactParams, point: Sequence[int]) -> _Moves:
                 if j != i:
                     top += [(tn * u * x, td * v * y), (tn * u * y, td * v * x)]
                     bottom += [(u * x, v * y), (u * y, v * x)]
-            weight = _bracket_ratio(top, bottom)
             z = point[i] ** 2
             moved = (z * qn * qn, qd * qd) if up else (z * qd * qd, qn * qn)
-            moves.append((i, moved, weight))
-            total += weight
-    return -total, moves
+            moves.append((i, moved, _bracket_ratio(top, bottom)))
+    # the unshifted value's weight, minus the sum of the others
+    common = lcm(*(den for _, _, (_, den) in moves))
+    identity = -sum(num * (common // den) for _, _, (num, den) in moves)
+    return (identity, common), moves
 
 
 def _macdonald_moves(q: Fraction, t: Fraction, point: Sequence[int]) -> _Moves:
@@ -329,8 +354,9 @@ def _macdonald_moves(q: Fraction, t: Fraction, point: Sequence[int]) -> _Moves:
             if j != i:
                 num *= t.numerator * zi - t.denominator * zj
                 den *= t.denominator * (zi - zj)
-        moves.append((i, (zi * q.numerator, q.denominator), Fraction(num, den)))
-    return Fraction(0), moves
+        weight = (-num, -den) if den < 0 else (num, den)
+        moves.append((i, (zi * q.numerator, q.denominator), weight))
+    return (0, 1), moves
 
 
 def _splits(padded: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
@@ -374,25 +400,31 @@ def _interpolation_row(
 
     Every value is expanded along one variable i: the shifts of i change
     only the one-variable factor, and the orbit sums over the other
-    variables are shared.  The operator weights, -eig folded into the
-    weight of the unshifted value, go over one common denominator, so the
-    row is built from integers alone.
+    variables are shared.  The operator weights, integer pairs with
+    positive denominators, and -eig, folded into the weight of the
+    unshifted value, go over one positive common denominator, so the row
+    is built from integer products alone and its primitive form does not
+    depend on which common denominator was taken.
     """
-    identity, moved = moves(point)
+    (id_num, id_den), moved = moves(point)
     base = [table(s * s, 1, top) for s in point]
-    # per variable: (weight, one-variable values) pairs, weights already
-    # carrying the ratio of the moved variable's scale to its base scale
-    parts: list[list[tuple[Fraction, list[int]]]] = [[] for _ in point]
-    parts[0].append((identity - eig, base[0][0]))
-    for i, (n, d), weight in moved:
+    # per variable: (weight num, weight den, one-variable values), weights
+    # already carrying the ratio of the moved variable's scale to its base
+    # scale; every den is positive
+    parts: list[list[tuple[int, int, list[int]]]] = [[] for _ in point]
+    eig_num, eig_den = eig.numerator, eig.denominator
+    parts[0].append(
+        (id_num * eig_den - eig_num * id_den, id_den * eig_den, base[0][0])
+    )
+    for i, (n, d), (w_num, w_den) in moved:
         values, scale = table(n, d, top)
-        parts[i].append((weight * base[i][1] / scale, values))
-    common = lcm(*(w.denominator for part in parts for w, _ in part))
+        parts[i].append((w_num * base[i][1], w_den * scale, values))
+    common = lcm(*(den for part in parts for _, den, _ in part))
     mixed = []
     for part in parts:
         acc = [0] * (top + 1)
-        for w, values in part:
-            factor = w.numerator * (common // w.denominator)
+        for num, den, values in part:
+            factor = num * (common // den)
             for v in range(top + 1):
                 acc[v] += factor * values[v]
         mixed.append(acc)

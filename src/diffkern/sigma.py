@@ -518,18 +518,19 @@ def gamma_fn(fam: SigmaFamily, sign: GammaSign, u: complex, delta: complex) -> c
     which is exactly the rescaling a gamma function picks up when sigma is
     rescaled by c.
 
-    On a family made by :meth:`SigmaFamily.memoized` each value is
-    computed once per exact (sign, u, delta) and then read back; a call
-    that raises stores nothing.  ``run_suite`` gives each task such a copy
-    of its own, so nothing is shared between tasks or callers.
+    ``sign`` is a :class:`GammaSign` or its value ("plus", "minus"); any
+    other value raises ``ValueError``.  On a family made by
+    :meth:`SigmaFamily.memoized` each value is computed once per exact
+    (sign, u, delta) and then read back; a call that raises stores
+    nothing.  ``run_suite`` gives each task such a copy of its own, so
+    nothing is shared between tasks or callers.
     """
+    sign = GammaSign(sign)
     _require_finite("gamma_fn", u, delta)
     memo = fam._memo
     if memo is None:
         return _gamma_value(fam, sign, u, delta)
-    # The sign's type leads: a str equals and hashes like its GammaSign
-    # member but takes another branch below, and no sigma key starts so.
-    key = (type(sign), sign, _exact_key(u), _exact_key(delta))
+    key = (sign, _exact_key(u), _exact_key(delta))
     value = memo.get(key)
     if value is None:
         value = memo[key] = _gamma_value(fam, sign, u, delta)

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 from functools import partial
@@ -220,8 +221,8 @@ def test_corrupted_operator_weight_fails_the_check_point(monkeypatch):
 
     def moves(ep, point):
         identity, moved = real(ep, point)
-        (i, shift, weight), *rest = moved
-        return identity, [(i, shift, weight * Fraction(1001, 1000)), *rest]
+        (i, shift, (num, den)), *rest = moved
+        return identity, [(i, shift, (num * 1001, den * 1000)), *rest]
 
     monkeypatch.setattr(kw, "_koorn_moves", moves)
     with pytest.raises(TriangularSolveError, match="check point"):
@@ -284,6 +285,211 @@ def test_interpolated_macdonald_columns_match_the_operator():
             lambda mu, d=d: apply_macdonald_mult(q, t, 1, sym_orbit_sum(mu, 3), 3)
             - sym_orbit_sum(mu, 3) * d,
         )
+
+
+# ----------------------------------------------------------------------
+# the integer weights, rows and eigenvalues against Fraction references
+
+
+def reference_bracket_ratio(top, bottom):
+    """prod [x] over ``top`` over prod [x] over ``bottom`` as a Fraction,
+    each bracket given by its square root as an integer pair (u, v)."""
+    out = Fraction(1)
+    for u, v in top:
+        out *= Fraction(u * u - v * v, u * v)
+    for u, v in bottom:
+        if u * u == v * v:
+            raise kw._Pole
+        out /= Fraction(u * u - v * v, u * v)
+    return out
+
+
+def reference_koorn_moves(ep, point):
+    """The Koornwinder operator's weights at a point, in Fraction."""
+    roots = [(r.numerator, r.denominator) for r in (ep.sa, ep.sb, ep.sc, ep.sd)]
+    qn, qd = ep.sq.numerator, ep.sq.denominator
+    tn, td = ep.st.numerator, ep.st.denominator
+    moves = []
+    for up in (True, False):
+        coords = [(s, 1) if up else (1, s) for s in point]
+        for i, (u, v) in enumerate(coords):
+            top = [(rn * u, rd * v) for rn, rd in roots]
+            bottom = [(u * u, v * v), (qn * u * u, qd * v * v)]
+            for j, (x, y) in enumerate(coords):
+                if j != i:
+                    top += [(tn * u * x, td * v * y), (tn * u * y, td * v * x)]
+                    bottom += [(u * x, v * y), (u * y, v * x)]
+            z = point[i] ** 2
+            moved = (z * qn * qn, qd * qd) if up else (z * qd * qd, qn * qn)
+            moves.append((i, moved, reference_bracket_ratio(top, bottom)))
+    return -sum(w for _, _, w in moves), moves
+
+
+def reference_macdonald_moves(q, t, point):
+    """The first Macdonald operator's weights at a point, in Fraction."""
+    z = [s * s for s in point]
+    moves = []
+    for i, zi in enumerate(z):
+        weight = Fraction(1)
+        for j, zj in enumerate(z):
+            if j != i:
+                weight *= (t * zi - zj) / (zi - zj)
+        moves.append((i, (zi * q.numerator, q.denominator), weight))
+    return Fraction(0), moves
+
+
+def reference_interpolation_row(splits, point, top, table, moves, eig):
+    """The interpolation row with Fraction weights: each entry the exact
+    value of (D - eig) m_nu at the point times the product of the base
+    scales, then the row divided by the lcm of the entries' denominators
+    and by its content."""
+    identity, moved = moves(point)
+    base = [table(s * s, 1, top) for s in point]
+    parts = [[] for _ in point]
+    parts[0].append((identity - eig, base[0][0]))
+    for i, (n, d), weight in moved:
+        values, scale = table(n, d, top)
+        parts[i].append((weight * base[i][1] / scale, values))
+    mixed = [
+        [sum(w * values[v] for w, values in part) for v in range(top + 1)]
+        for part in parts
+    ]
+    tables = [values for values, _ in base]
+    others = [
+        kw._orbit_values(tables[:i] + tables[i + 1 :]) for i in range(len(point))
+    ]
+    row = [
+        sum(
+            mix[v] * other(rest)
+            for mix, other in zip(mixed, others)
+            for v, rest in sp
+        )
+        for sp in splits
+    ]
+    common = math.lcm(*(e.denominator for e in row))
+    ints = [int(e * common) for e in row]
+    content = math.gcd(*ints) or 1
+    return [e // content for e in ints]
+
+
+def reference_eigenvalue_d(lam, ep, m):
+    total = Fraction(0)
+    for i, li in enumerate(Partition(lam).padded(m)):
+        base = ep.alpha * ep.t ** (m - 1 - i)
+        shifted = base * ep.q**li
+        total += shifted + 1 / shifted - base - 1 / base
+    return total
+
+
+def reference_macdonald_eigenvalue(lam, q, t, m):
+    total = Fraction(0)
+    for i, li in enumerate(Partition(lam).padded(m)):
+        total += Fraction(q) ** li * Fraction(t) ** (m - 1 - i)
+    return total
+
+
+EP_NEG = EP.replace(sa=-EP.sa, sq=-EP.sq)
+EP_NEG_ALT = EP_ALT.replace(sq=Fraction(-1, 3), sd=Fraction(-6, 7))
+# negative square roots make some bracket denominators negative
+ORACLE_PARAMS = {"EP": EP, "EP_ALT": EP_ALT, "NEG": EP_NEG, "NEG_ALT": EP_NEG_ALT}
+
+# per m, the Koornwinder and the Macdonald label whose solve streams give
+# the points below
+_ORACLE_LABELS = {
+    1: ((3,), (2,)),
+    2: ((2, 2), (3, 1)),
+    3: ((2, 2, 1), (3, 1)),
+    4: ((2, 1, 1, 1), (2, 2)),
+}
+
+
+def _solve_points(basis, m):
+    """The points of the first two streams a solve of ``basis`` draws."""
+    for attempt in range(2):
+        yield from itertools.islice(
+            kw._point_stream(basis[0], m, len(basis), attempt), 2 * len(basis)
+        )
+
+
+def _outcome_or_pole(call, *args):
+    try:
+        return call(*args)
+    except kw._Pole:
+        return "pole"
+
+
+def _assert_weights_match(got, want):
+    """Integer-pair moves equal the Fraction moves, every den positive."""
+    if want == "pole":
+        assert got == "pole"
+        return
+    (id_num, id_den), moved = got
+    identity, ref_moved = want
+    assert id_den > 0 and Fraction(id_num, id_den) == identity
+    assert len(moved) == len(ref_moved)
+    for (i, shift, (num, den)), (ref_i, ref_shift, weight) in zip(moved, ref_moved):
+        assert (i, shift) == (ref_i, ref_shift)
+        assert den > 0 and Fraction(num, den) == weight
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_PARAMS))
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_integer_weights_and_rows_match_the_fraction_reference(name, m):
+    ep = ORACLE_PARAMS[name]
+    koorn_lam, mac_lam = _ORACLE_LABELS[m]
+    q, t = ep.q, ep.t
+    cases = [
+        (
+            koorn_basis(Partition(koorn_lam), m).mu_list,
+            kw._laurent_table,
+            partial(kw._koorn_moves, ep),
+            partial(reference_koorn_moves, ep),
+            partial(eigenvalue_d, ep=ep, m=m),
+        ),
+        (
+            kw._macdonald_basis(Partition(mac_lam), m),
+            kw._power_table,
+            partial(kw._macdonald_moves, q, t),
+            partial(reference_macdonald_moves, q, t),
+            lambda mu: macdonald_eigenvalue(mu, q, t, m),
+        ),
+    ]
+    rows = 0
+    for basis, table, moves, ref_moves, eig in cases:
+        splits = [kw._splits(mu.padded(m)) for mu in basis]
+        top = basis[0].part(0)
+        d = eig(basis[0])
+        for point in _solve_points(basis, m):
+            _assert_weights_match(
+                _outcome_or_pole(moves, point), _outcome_or_pole(ref_moves, point)
+            )
+            args = (splits, point, top, table)
+            got = _outcome_or_pole(kw._interpolation_row, *args, moves, d)
+            want = _outcome_or_pole(reference_interpolation_row, *args, ref_moves, d)
+            assert got == want, point
+            rows += got != "pole"
+    assert rows >= 2 * len(cases)
+
+
+def test_eigenvalues_match_the_fraction_reference():
+    rng = random.Random(20261019)
+    for _ in range(240):
+        roots = [
+            Fraction(rng.randint(1, 13), rng.randint(1, 13)) * rng.choice((1, -1))
+            for _ in range(6)
+        ]
+        ep = ExactParams(*roots)
+        m = rng.randint(1, 4)
+        labels = [Partition(())] + rng.sample(partitions_in_box(m, 3), 3)
+        for lam in labels:
+            got = eigenvalue_d(lam, ep, m)
+            assert isinstance(got, Fraction)
+            assert got == reference_eigenvalue_d(lam, ep, m), (ep, lam, m)
+            for q, t in ((ep.q, ep.t), (ep.sq, ep.st)):
+                got = macdonald_eigenvalue(lam, q, t, m)
+                assert isinstance(got, Fraction)
+                want = reference_macdonald_eigenvalue(lam, q, t, m)
+                assert got == want, (q, t, lam, m)
 
 
 def _recorded_points(monkeypatch):
@@ -862,8 +1068,8 @@ def test_macdonald_polynomials_match_golden_digest():
 ROUTE_PARAMS = {
     "EP": EP,
     "EP_ALT": EP_ALT,
-    "NEG": EP.replace(sa=-EP.sa, sq=-EP.sq),
-    "NEG_ALT": EP_ALT.replace(sq=Fraction(-1, 3), sd=Fraction(-6, 7)),
+    "NEG": EP_NEG,
+    "NEG_ALT": EP_NEG_ALT,
     "ABCD_1": EP.replace(sd=1 / (EP.sa * EP.sb * EP.sc)),
     "TQ_1": EP.replace(st=1 / EP.sq),
 }

@@ -404,8 +404,8 @@ _MEMO_ARGS = (
     -0.3 - 0.2j,
 )
 _MEMO_DELTAS = (0.4 + 0.6j, 0.6j, complex(-0.0, 0.6))
-# a str equals and hashes like the GammaSign member of its value, but
-# gamma_fn tests the sign by identity and takes another branch for it
+# a str equals and hashes like the GammaSign member of its value, so
+# gamma_fn must read it as that member, stored or not
 _MEMO_SIGNS = (GammaSign.PLUS, GammaSign.MINUS, "plus", "minus")
 
 
@@ -468,6 +468,30 @@ def test_memo_copy_equals_its_family_and_leaves_it_alone(families):
         assert repr(memo) == repr(fam)
         assert fam._memo is None and memo._memo == {}
         assert fam.memoized()._memo is not memo._memo
+
+
+@pytest.mark.parametrize("name", ["rational", "trig", "elliptic"])
+def test_str_sign_gives_the_bits_of_its_member(families, name):
+    fam = families[name]
+    for member in GammaSign:
+        for u in (0.3, 0.3 + 0.2j, -1.7 + 0.4j):
+            for delta in _MEMO_DELTAS:
+                want = _outcome(gamma_fn, fam, member, u, delta)
+                assert _outcome(gamma_fn, fam, member.value, u, delta) == want
+    # the two signs differ here, so reading one as the other would show
+    u, delta = 0.3, 0.6j
+    assert gamma_fn(fam, "plus", u, delta) != gamma_fn(fam, "minus", u, delta)
+
+
+def test_gamma_rejects_an_unknown_sign(families):
+    # a typo must not select a branch silently, also under python -O
+    for fam in families.values():
+        memo = fam.memoized()
+        for sign in ("bogus", "PLUS", None, 1):
+            for target in (fam, memo):
+                with pytest.raises(ValueError):
+                    gamma_fn(target, sign, 0.3, 0.6j)
+        assert memo._memo == {}
 
 
 @pytest.mark.parametrize("name", ["trig", "elliptic"])
