@@ -41,7 +41,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import islice
 from math import gcd, lcm
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .kernels import kern_psi_mult
 from .laurent import (
@@ -369,9 +369,28 @@ def _splits(padded: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
     ]
 
 
-def _orbit_values(tables: Sequence[Sequence[int]]) -> Callable[[tuple[int, ...]], int]:
+_SplitTable = dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]]
+
+
+def _split_table(labels: Iterable[tuple[int, ...]]) -> _SplitTable:
+    """The :func:`_splits` of each padded label and of every shorter label
+    its splits reach, built once for a whole solve."""
+    table: _SplitTable = {}
+    todo = list(labels)
+    while todo:
+        label = todo.pop()
+        if label and label not in table:
+            table[label] = _splits(label)
+            todo.extend(rest for _, rest in table[label])
+    return table
+
+
+def _orbit_values(
+    tables: Sequence[Sequence[int]], splits: _SplitTable
+) -> Callable[[tuple[int, ...]], int]:
     """Orbit sums over the variables of ``tables``: rho -> the sum over the
-    distinct orderings pi of rho of prod_j tables[j][pi_j], memoized."""
+    distinct orderings pi of rho of prod_j tables[j][pi_j], memoized;
+    ``splits`` holds the splits of rho and of every label they reach."""
     memo: dict[tuple[int, ...], int] = {(): 1}
 
     def value(rho: tuple[int, ...]) -> int:
@@ -379,7 +398,7 @@ def _orbit_values(tables: Sequence[Sequence[int]]) -> Callable[[tuple[int, ...]]
         if got is None:
             row = tables[len(tables) - len(rho)]
             got = 0
-            for v, rest in _splits(rho):
+            for v, rest in splits[rho]:
                 got += row[v] * value(rest)
             memo[rho] = got
         return got
@@ -388,7 +407,8 @@ def _orbit_values(tables: Sequence[Sequence[int]]) -> Callable[[tuple[int, ...]]
 
 
 def _interpolation_row(
-    splits: Sequence[list[tuple[int, tuple[int, ...]]]],
+    labels: Sequence[tuple[int, ...]],
+    splits: _SplitTable,
     point: tuple[int, ...],
     top: int,
     table: Callable[[int, int, int], tuple[list[int], int]],
@@ -430,14 +450,16 @@ def _interpolation_row(
         mixed.append(acc)
 
     tables = [values for values, _ in base]
-    others = [_orbit_values(tables[:i] + tables[i + 1 :]) for i in range(len(point))]
+    others = [
+        _orbit_values(tables[:i] + tables[i + 1 :], splits) for i in range(len(point))
+    ]
     row = [
         sum(
             mix[v] * other(rest)
             for mix, other in zip(mixed, others)
-            for v, rest in sp
+            for v, rest in splits[label]
         )
-        for sp in splits
+        for label in labels
     ]
     content = gcd(*row) or 1
     return [e // content for e in row]
@@ -512,14 +534,17 @@ def _eigen_solve(
             )
     k = len(basis)
     top = lam.part(0)
-    splits = [_splits(mu.padded(m)) for mu in basis]
+    labels = [mu.padded(m) for mu in basis]
+    splits = _split_table(labels)
     for attempt in range(_POINT_DRAWS):
         # a point where a coefficient has a pole is replaced by the next
         # one; an attempt that meets more poles than it needs points fails
         rows = []
         for point in islice(_point_stream(lam, m, k, attempt), 2 * k):
             try:
-                rows.append(_interpolation_row(splits, point, top, table, moves, d_lam))
+                rows.append(
+                    _interpolation_row(labels, splits, point, top, table, moves, d_lam)
+                )
             except _Pole:
                 continue
             if len(rows) == k:

@@ -58,6 +58,7 @@ from .sigma import (
     DomainError,
     FamilyKind,
     SigmaFamily,
+    _exact_key,
     nonvanishing,
     phase,
     sigma_eval,
@@ -253,12 +254,33 @@ def coeff_BC_zero(p: ParamsBC, x: Sequence[complex], r: int) -> complex:
 
     Includes the quasi-period exponential e(-(m kappa + c/2) eta_r); in the
     trigonometric and rational cases eta_r = 0 and the exponential is 1.
+    The part that does not depend on x is built once per (mu, delta,
+    kappa, m, r) on a memoized family (:meth:`SigmaFamily.constant`).
     """
     fam = p.fam
     rho = fam.rho
     if not 0 <= r < rho:
         raise ValueError(f"constant-term index r must be in 0..{rho - 1}")
     m = len(x)
+    key = (
+        "coeff_BC_zero",
+        tuple(map(_exact_key, p.mu)),
+        _exact_key(p.delta),
+        _exact_key(p.kappa),
+        m,
+        r,
+    )
+    head = fam.constant(key, _coeff_BC_zero_head, p, m, r)
+    base = (fam.omegas[r] - p.delta) / 2
+    pair = _pair_product(fam, base, x, p.kappa, None, f"(omega_{r + 1} - delta)/2")
+    return head * pair
+
+
+def _coeff_BC_zero_head(p: ParamsBC, m: int, r: int) -> complex:
+    """The factor of A_r^0 in m variables that does not depend on x: the
+    exponential times prod_s [base + mu_s] over its denominator."""
+    fam = p.fam
+    rho = fam.rho
     w_r = fam.omegas[r]
     eta_r = fam.etas[r]
     expo = phase(-(m * p.kappa + p.c_const / 2) * eta_r)
@@ -280,9 +302,7 @@ def coeff_BC_zero(p: ParamsBC, x: Sequence[complex], r: int) -> complex:
             sigma_eval(fam, (w_r - fam.omegas[s] + p.kappa - p.delta) / 2),
             "[(omega_{} - omega_{} + kappa - delta)/2]", r + 1, s + 1,
         )
-
-    pair = _pair_product(fam, base, x, p.kappa, None, f"(omega_{r + 1} - delta)/2")
-    return expo * num / den * pair
+    return expo * num / den
 
 
 def apply_E_BC(p: ParamsBC, f: FnM, x: Sequence[complex]) -> complex:

@@ -42,7 +42,11 @@ and PoleError is raised with ``where`` naming that factor as written, e.g.
 its arguments, formatted only when the pole is hit, so a clear factor costs
 no string work.  ``elliptic_gamma`` is the one exception: it checks each
 factor of its double product inline, because a call per factor there costs
-measurably in the elliptic family's hottest loop.
+measurably in the elliptic family's hottest loop.  That loop runs over a
+table of the z-independent bases p^i q^j, which ends each row and the whole
+triangle where the truncation policy stops; the public ``elliptic_gamma``
+builds the table on every call, and ``gamma_fn`` on a memoized family
+builds it once per nome q (see :meth:`SigmaFamily.memoized`).
 """
 
 from __future__ import annotations
@@ -52,7 +56,9 @@ import dataclasses
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import NamedTuple
+from typing import Callable, NamedTuple, TypeVar
+
+_T = TypeVar("_T")
 
 # ======================================================================
 # errors and policy constants
@@ -156,6 +162,9 @@ class SigmaFamily:
     trunc: Truncation = DEFAULT_TRUNCATION
     _nome: complex | None = field(init=False, repr=False, compare=False, default=None)
     _memo: dict | None = field(init=False, repr=False, compare=False, default=None)
+    _constants: dict | None = field(
+        init=False, repr=False, compare=False, default=None
+    )
 
     def __post_init__(self) -> None:
         if self.scale == 0:
@@ -229,14 +238,34 @@ class SigmaFamily:
     def memoized(self) -> "SigmaFamily":
         """A copy of this family, equal to it, that remembers its values.
 
-        The copy holds a fresh dict in which :func:`sigma_eval` and
-        :func:`gamma_fn` store each value they compute and look it up
-        again, bit for bit the same.  The dict lives as long as the copy;
-        this family itself stays without one.
+        The copy holds two fresh dicts.  In the value dict :func:`sigma_eval`
+        and :func:`gamma_fn` store each value they compute and look it up
+        again, bit for bit the same; it holds nothing else.  The constants
+        dict holds what :meth:`constant` builds: values that depend on the
+        family and a key but not on the point, such as the p^i q^j bases of
+        ``elliptic_gamma`` for one nome q.  Both dicts live as long as the
+        copy; this family itself stays without them.
         """
         copy = dataclasses.replace(self)
         object.__setattr__(copy, "_memo", {})
+        object.__setattr__(copy, "_constants", {})
         return copy
+
+    def constant(self, key: object, build: Callable[..., _T], *args: object) -> _T:
+        """``build(*args)``, built on every call on a plain family and once
+        per ``key`` on a memoized copy, which keeps it in its constants dict.
+
+        ``key`` must determine the value together with the family, and start
+        with a tag of its caller, so that no two callers share a key.
+        ``build`` must not return None; when it raises, nothing is stored.
+        """
+        constants = self._constants
+        if constants is None:
+            return build(*args)
+        value = constants.get(key)
+        if value is None:
+            value = constants[key] = build(*args)
+        return value
 
 
 # ======================================================================
@@ -301,7 +330,8 @@ def theta_eval(
 def _theta_value(z: complex, p: complex, tr: Truncation) -> complex:
     """theta(z;p) alone, with every check of :func:`theta_eval` but no
     tail bound, for callers that read only the value."""
-    _require_finite("theta_eval", z, p)
+    if not (cmath.isfinite(z) and cmath.isfinite(p)):
+        _require_finite("theta_eval", z, p)
     ap = abs(p)
     if ap >= 1:
         raise DomainError(f"theta needs |p| < 1, got |p| = {ap}")
@@ -320,38 +350,76 @@ def elliptic_gamma(
     tr: Truncation = DEFAULT_TRUNCATION,
 ) -> complex:
     """Gamma(z;p,q) = (pq/z;p,q)_inf / (z;p,q)_inf on the triangle i+j <= depth."""
-    _require_finite("elliptic_gamma", z, p, q)
-    if abs(p) >= 1 or abs(q) >= 1:
-        raise DomainError("elliptic gamma needs |p| < 1 and |q| < 1")
-    if z == 0:
-        raise DomainError("elliptic gamma needs z != 0")
+    return _elliptic_gamma(z, p, q, tr, None)
+
+
+class _GammaTable(NamedTuple):
+    """The z-independent bases p^i q^j of the elliptic gamma product, in
+    the order of its double loop, and their exponents (i, j)."""
+
+    bases: tuple[complex, ...]
+    exponents: tuple[tuple[int, int], ...]
+
+
+def _gamma_table(p: complex, q: complex, tr: Truncation) -> _GammaTable:
+    """The table of :class:`_GammaTable` for (p, q): each row i ends after
+    the first base below ``tr.term_tol``, and the rows end after the first
+    p^i below it, or at the triangle i + j <= ``tr.max_terms``."""
     depth = tr.max_terms
     term_tol = tr.term_tol
-    pole = POLE_THRESHOLD
-    num = 1 + 0j
-    den = 1 + 0j
-    pq_over_z = p * q / z
+    bases = []
+    exponents = []
     p_i = 1 + 0j
     for i in range(depth + 1):
         q_j = 1 + 0j
         for j in range(depth + 1 - i):
             base = p_i * q_j
-            num_factor = 1 - base * pq_over_z
-            den_factor = 1 - base * z
-            if abs(den_factor) < pole:
-                raise PoleError(
-                    f"elliptic gamma pole: factor (1 - p^{i} q^{j} z) = "
-                    f"{den_factor} with z = {z}",
-                    where=f"(1 - p^{i} q^{j} z)",
-                )
-            num *= num_factor
-            den *= den_factor
+            bases.append(base)
+            exponents.append((i, j))
             q_j *= q
             if abs(base) < term_tol:
                 break
         p_i *= p
         if abs(p_i) < term_tol:
             break
+    return _GammaTable(tuple(bases), tuple(exponents))
+
+
+def _elliptic_gamma(
+    z: complex, p: complex, q: complex, tr: Truncation, fam: SigmaFamily | None
+) -> complex:
+    """Gamma(z;p,q) with every check of :func:`elliptic_gamma`; the table of
+    bases is built for this call, or once per q on the memoized family
+    ``fam`` whose nome is p and whose truncation is ``tr``."""
+    _require_finite("elliptic_gamma", z, p, q)
+    if abs(p) >= 1 or abs(q) >= 1:
+        raise DomainError("elliptic gamma needs |p| < 1 and |q| < 1")
+    if z == 0:
+        raise DomainError("elliptic gamma needs z != 0")
+    if fam is None:
+        table = _gamma_table(p, q, tr)
+    else:
+        table = fam.constant(("gamma table", _exact_key(q)), _gamma_table, p, q, tr)
+    pole = POLE_THRESHOLD
+    num = 1 + 0j
+    den = 1 + 0j
+    pq_over_z = p * q / z
+    for base in table.bases:
+        den_factor = 1 - base * z
+        if abs(den_factor) < pole:
+            # the first base whose factor fails is this one
+            i, j = next(
+                ij
+                for ij, b in zip(table.exponents, table.bases)
+                if abs(1 - b * z) < pole
+            )
+            raise PoleError(
+                f"elliptic gamma pole: factor (1 - p^{i} q^{j} z) = "
+                f"{den_factor} with z = {z}",
+                where=f"(1 - p^{i} q^{j} z)",
+            )
+        num *= 1 - base * pq_over_z
+        den *= den_factor
     return num / den
 
 
@@ -377,17 +445,24 @@ def sigma_eval(fam: SigmaFamily, u: complex) -> complex:
     value is computed once per exact argument and then read back; a
     rational value, one multiply, never is.  ``run_suite`` gives each task
     such a copy of its own, so nothing is shared between tasks or callers.
+    The memo is read before u is checked: only finite arguments are ever
+    stored, so a non-finite one misses and raises DomainError.
     """
-    _require_finite("sigma_eval", u)
     if fam.kind is FamilyKind.RATIONAL:
+        if not cmath.isfinite(u):
+            _require_finite("sigma_eval", u)
         return fam.scale * u
     memo = fam._memo
-    if memo is None:
-        return _sigma_value(fam, u)
-    key = _exact_key(u)
-    value = memo.get(key)
-    if value is None:
-        value = memo[key] = _sigma_value(fam, u)
+    if memo is not None:
+        key = _exact_key(u)
+        value = memo.get(key)
+        if value is not None:
+            return value
+    if not cmath.isfinite(u):
+        _require_finite("sigma_eval", u)
+    value = _sigma_value(fam, u)
+    if memo is not None:
+        memo[key] = value
     return value
 
 
@@ -396,9 +471,10 @@ def _sigma_value(fam: SigmaFamily, u: complex) -> complex:
     if fam.kind is FamilyKind.TRIGONOMETRIC:
         return fam.scale * cmath.sin(math.pi * u / fam.omega1)
     # elliptic: -z^(-1/2) theta(z;p), the half power taken from u itself so
-    # the branch is consistent by construction
-    z = phase(u / fam.omega1)
-    z_inv_half = phase(-u / (2 * fam.omega1))
+    # the branch is consistent by construction; e(w) as in phase()
+    w1 = fam.omega1
+    z = cmath.exp(2j * math.pi * (u / w1))
+    z_inv_half = cmath.exp(2j * math.pi * (-u / (2 * w1)))
     theta = _theta_value(z, fam._nome, fam.trunc)
     return fam.scale * (-z_inv_half * theta)
 
@@ -522,18 +598,22 @@ def gamma_fn(fam: SigmaFamily, sign: GammaSign, u: complex, delta: complex) -> c
     other value raises ``ValueError``.  On a family made by
     :meth:`SigmaFamily.memoized` each value is computed once per exact
     (sign, u, delta) and then read back; a call that raises stores
-    nothing.  ``run_suite`` gives each task such a copy of its own, so
-    nothing is shared between tasks or callers.
+    nothing.  As in :func:`sigma_eval` the memo is read before u and delta
+    are checked, and a non-finite one misses and raises DomainError.
+    ``run_suite`` gives each task such a copy of its own, so nothing is
+    shared between tasks or callers.
     """
     sign = GammaSign(sign)
-    _require_finite("gamma_fn", u, delta)
     memo = fam._memo
-    if memo is None:
-        return _gamma_value(fam, sign, u, delta)
-    key = (sign, _exact_key(u), _exact_key(delta))
-    value = memo.get(key)
-    if value is None:
-        value = memo[key] = _gamma_value(fam, sign, u, delta)
+    if memo is not None:
+        key = (sign, _exact_key(u), _exact_key(delta))
+        value = memo.get(key)
+        if value is not None:
+            return value
+    _require_finite("gamma_fn", u, delta)
+    value = _gamma_value(fam, sign, u, delta)
+    if memo is not None:
+        memo[key] = value
     return value
 
 
@@ -568,7 +648,7 @@ def _gamma_value(
         return adjust * quad * qpoch(q / z, q, None, tr)
 
     # elliptic
-    p = fam.nome
+    p = fam._nome
     if sign is GammaSign.MINUS:
-        return adjust / quad * elliptic_gamma(z, p, q, tr)
-    return adjust * quad * elliptic_gamma(p * z, p, q, tr)
+        return adjust / quad * _elliptic_gamma(z, p, q, tr, fam)
+    return adjust * quad * _elliptic_gamma(p * z, p, q, tr, fam)

@@ -286,7 +286,16 @@ def _lattice_dist(fam: SigmaFamily, u: complex) -> float:
         t = u / w1
         return abs(t - round(t.real)) * abs(w1)
     w2 = fam.omega2
-    if _rounded_node_suffices(w1, w2):
+    # read once per task into a memoized family's constants; a plain dict
+    # read, because this runs for every guarded point and both the
+    # lru_cache hash and a SigmaFamily.constant call cost several times more
+    constants = fam._constants
+    single = None if constants is None else constants.get("rounded node")
+    if single is None:
+        single = _rounded_node_suffices(w1, w2)
+        if constants is not None:
+            constants["rounded node"] = single
+    if single:
         det = w1.real * w2.imag - w1.imag * w2.real
         a = (u.real * w2.imag - u.imag * w2.real) / det
         b = (w1.real * u.imag - w1.imag * u.real) / det
@@ -314,17 +323,15 @@ def _guard_gamma_ladder(fam: SigmaFamily, delta: complex, *bases: complex) -> No
 
     The gamma functions have zeros and poles on the sigma lattice translated
     by integer multiples of the step.  A few rungs either side of each base
-    argument cover every factor that the operator shifts can reach.
+    argument cover every factor that the operator shifts can reach.  The
+    elliptic ladders also repeat along omega2, but a shift by omega2 is a
+    lattice vector and leaves the distance to the lattice unchanged.
     """
-    offsets = (0.0,)
-    if fam.kind is FamilyKind.ELLIPTIC:
-        offsets = (-fam.omega2, 0.0, fam.omega2, 2 * fam.omega2)
     margin = POLE_MARGIN * _unit(fam)
     for base in bases:
         for k in range(-2, 5):
-            for off in offsets:
-                if _lattice_dist(fam, base + k * delta + off) < margin:
-                    raise _Reject
+            if _lattice_dist(fam, base + k * delta) < margin:
+                raise _Reject
 
 
 def _guard_a_coeffs(fam: SigmaFamily, xs: Sequence[complex]) -> None:
@@ -1275,8 +1282,9 @@ def run_suite(
     :func:`first_failure`.
 
     Each task runs on its own ``fam.memoized()`` copy, which remembers the
-    sigma and gamma values the task computes (bit for bit the same) and is
-    dropped when the task ends; ``fam`` itself is never changed.
+    sigma and gamma values the task computes (bit for bit the same) and
+    the constants it builds, and is dropped when the task ends; ``fam``
+    itself is never changed.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")

@@ -236,14 +236,15 @@ def test_corrupted_operator_weight_fails_the_check_point(monkeypatch):
 def _assert_rows_match_the_operator(basis, m, table, moves, eig, image):
     """Each interpolation row is a positive multiple of the values of
     (D - eig) m_mu at its point, with D the symbolic operator ``image``."""
-    splits = [kw._splits(mu.padded(m)) for mu in basis]
+    labels = [mu.padded(m) for mu in basis]
+    splits = kw._split_table(labels)
     images = [image(mu) for mu in basis]
     checked = 0
     stream = kw._point_stream(basis[0], m, len(basis), 0)
     for point in itertools.islice(stream, 2 * len(basis)):
         try:
             row = kw._interpolation_row(
-                splits, point, basis[0].part(0), table, moves, eig
+                labels, splits, point, basis[0].part(0), table, moves, eig
             )
         except kw._Pole:
             continue
@@ -338,7 +339,7 @@ def reference_macdonald_moves(q, t, point):
     return Fraction(0), moves
 
 
-def reference_interpolation_row(splits, point, top, table, moves, eig):
+def reference_interpolation_row(labels, splits, point, top, table, moves, eig):
     """The interpolation row with Fraction weights: each entry the exact
     value of (D - eig) m_nu at the point times the product of the base
     scales, then the row divided by the lcm of the entries' denominators
@@ -356,15 +357,16 @@ def reference_interpolation_row(splits, point, top, table, moves, eig):
     ]
     tables = [values for values, _ in base]
     others = [
-        kw._orbit_values(tables[:i] + tables[i + 1 :]) for i in range(len(point))
+        kw._orbit_values(tables[:i] + tables[i + 1 :], splits)
+        for i in range(len(point))
     ]
     row = [
         sum(
             mix[v] * other(rest)
             for mix, other in zip(mixed, others)
-            for v, rest in sp
+            for v, rest in splits[label]
         )
-        for sp in splits
+        for label in labels
     ]
     common = math.lcm(*(e.denominator for e in row))
     ints = [int(e * common) for e in row]
@@ -456,19 +458,31 @@ def test_integer_weights_and_rows_match_the_fraction_reference(name, m):
     ]
     rows = 0
     for basis, table, moves, ref_moves, eig in cases:
-        splits = [kw._splits(mu.padded(m)) for mu in basis]
+        labels = [mu.padded(m) for mu in basis]
+        splits = kw._split_table(labels)
         top = basis[0].part(0)
         d = eig(basis[0])
         for point in _solve_points(basis, m):
             _assert_weights_match(
                 _outcome_or_pole(moves, point), _outcome_or_pole(ref_moves, point)
             )
-            args = (splits, point, top, table)
+            args = (labels, splits, point, top, table)
             got = _outcome_or_pole(kw._interpolation_row, *args, moves, d)
             want = _outcome_or_pole(reference_interpolation_row, *args, ref_moves, d)
             assert got == want, point
             rows += got != "pole"
     assert rows >= 2 * len(cases)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_split_table_holds_the_splits_of_every_label_it_reaches(m):
+    labels = [mu.padded(m) for mu in partitions_in_box(m, 3)]
+    table = kw._split_table(labels)
+    rests = {rest for splits in table.values() for _, rest in splits}
+    assert set(labels) <= set(table)
+    assert set(table) == (set(labels) | rests) - {()}
+    for label, splits in table.items():
+        assert splits == kw._splits(label), label
 
 
 def test_eigenvalues_match_the_fraction_reference():
@@ -497,9 +511,9 @@ def _recorded_points(monkeypatch):
     log = []
     real = kw._interpolation_row
 
-    def row(splits, point, *rest):
+    def row(labels, splits, point, *rest):
         try:
-            out = real(splits, point, *rest)
+            out = real(labels, splits, point, *rest)
         except kw._Pole:
             log.append((point, "pole"))
             raise

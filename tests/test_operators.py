@@ -35,7 +35,7 @@ from diffkern.operators import (
     dup_prefactor,
     koorn_denominator_check,
 )
-from diffkern.sigma import DomainError, FamilyKind, SigmaFamily, sigma_eval
+from diffkern.sigma import DomainError, FamilyKind, PoleError, SigmaFamily, sigma_eval
 
 RNG_SEED = 7041
 
@@ -224,6 +224,44 @@ def test_coeff_BC_zero_index_validation(families):
         coeff_BC_zero(p, (0.2,), 2)
     with pytest.raises(ValueError):
         coeff_BC(p, (0.2,), 0, 0)
+
+
+def test_coeff_BC_zero_builds_its_constant_part_once_per_task(families):
+    rng = random.Random(RNG_SEED + 12)
+    for name, fam in families.items():
+        memo = fam.memoized()
+        mus = MU_POOL[: 2 * fam.rho]
+        # a signed-zero twin of one mu is a second parameter set
+        twins = [mus, (complex(-0.0, mus[0].imag),) + mus[1:]]
+        pairs = [
+            (ParamsBC(mu, DELTA, KAPPA, fam), ParamsBC(mu, DELTA, KAPPA, memo))
+            for mu in twins
+        ]
+        for _ in range(2):
+            for m in (0, 1, 2):
+                x = random_point(rng, m)
+                for plain, memoized in pairs:
+                    for r in range(fam.rho):
+                        want = repr(coeff_BC_zero(plain, x, r))
+                        assert repr(coeff_BC_zero(memoized, x, r)) == want, (name, m, r)
+        # one entry per (mu, m, r); the value memo holds only bracket values
+        assert len(memo._constants) == 2 * 3 * fam.rho, name
+        assert all(key[0] == "coeff_BC_zero" for key in memo._constants)
+        assert all(
+            isinstance(key, complex) or key[0] in (complex, float, int)
+            for key in memo._memo
+        ), name
+
+
+def test_coeff_BC_zero_stores_no_pole():
+    # kappa - delta = omega_1 - omega_2 zeroes [(omega_2 - omega_1 + kappa - delta)/2]
+    memo = SigmaFamily.trigonometric().memoized()
+    p = ParamsBC(MU_POOL[:4], DELTA, DELTA + 1, memo)
+    for _ in range(2):
+        with pytest.raises(PoleError) as err:
+            coeff_BC_zero(p, (0.2 + 0.1j,), 1)
+        assert err.value.where == "[(omega_2 - omega_1 + kappa - delta)/2]"
+    assert memo._constants == {}
 
 
 def test_E_in_zero_variables_is_multiplication_by_C(families):

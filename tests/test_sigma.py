@@ -12,6 +12,7 @@ from diffkern.sigma import (
     DEFAULT_TRUNCATION,
     DomainError,
     FamilyKind,
+    POLE_THRESHOLD,
     GammaSign,
     PoleError,
     SigmaFamily,
@@ -276,6 +277,91 @@ def test_elliptic_gamma_pole_error():
         elliptic_gamma(1.0, 0.15, 0.2)
 
 
+def oracle_elliptic_gamma(z, p, q, tr=DEFAULT_TRUNCATION):
+    """elliptic_gamma as a double loop that forms every base p^i q^j on
+    every call; the table-driven one must give the same bits."""
+    for v in (z, p, q):
+        if not cmath.isfinite(v):
+            raise DomainError(f"elliptic_gamma: non-finite input {v!r}")
+    if abs(p) >= 1 or abs(q) >= 1:
+        raise DomainError("elliptic gamma needs |p| < 1 and |q| < 1")
+    if z == 0:
+        raise DomainError("elliptic gamma needs z != 0")
+    num = 1 + 0j
+    den = 1 + 0j
+    pq_over_z = p * q / z
+    p_i = 1 + 0j
+    for i in range(tr.max_terms + 1):
+        q_j = 1 + 0j
+        for j in range(tr.max_terms + 1 - i):
+            base = p_i * q_j
+            num_factor = 1 - base * pq_over_z
+            den_factor = 1 - base * z
+            if abs(den_factor) < POLE_THRESHOLD:
+                raise PoleError(
+                    f"elliptic gamma pole: factor (1 - p^{i} q^{j} z) = "
+                    f"{den_factor} with z = {z}",
+                    where=f"(1 - p^{i} q^{j} z)",
+                )
+            num *= num_factor
+            den *= den_factor
+            q_j *= q
+            if abs(base) < tr.term_tol:
+                break
+        p_i *= p
+        if abs(p_i) < tr.term_tol:
+            break
+    return num / den
+
+
+def _gamma_outcome(call, *args):
+    """repr of the value (signed zeros included), or the error with its
+    message and, for a pole, its ``where``."""
+    try:
+        return repr(call(*args))
+    except PoleError as exc:
+        return ("PoleError", str(exc), exc.where)
+    except DomainError as exc:
+        return ("DomainError", str(exc))
+
+
+def test_elliptic_gamma_matches_the_double_loop_oracle():
+    rng = random.Random(20261020)
+    cases = []
+    for _ in range(200):
+        z = cmath.rect(rng.uniform(0.05, 4.0), rng.uniform(-math.pi, math.pi))
+        p = cmath.rect(rng.uniform(0.0, 0.7), rng.uniform(-math.pi, math.pi))
+        q = cmath.rect(rng.uniform(0.0, 0.95), rng.uniform(-math.pi, math.pi))
+        cases.append((z, p, q))
+    cases += [
+        (0.3 + 0.2j, 0.0, 0.25),  # p = 0: one row
+        (0.3 + 0.2j, 0j, complex(0.25, -0.0)),
+        (0.7 - 0.4j, 0.15 + 0.05j, complex(0.5, 0.0)),  # q with +0.0 and -0.0
+        (0.7 - 0.4j, 0.15 + 0.05j, complex(0.5, -0.0)),
+        (complex(0.7, -0.0), complex(0.15, -0.0), complex(0.5, -0.0)),
+        (-0.7 + 0.4j, -0.2, -0.6),
+        (1.0, 0.15, 0.2),  # pole at (1 - p^0 q^0 z)
+        (1 / (0.3 * 0.5**2), 0.3, 0.5),  # pole at (1 - p^1 q^2 z)
+        (1 / (0.3**2 * 0.5), 0.3, 0.5),  # pole at (1 - p^2 q^1 z)
+        (0.0, 0.3, 0.5),
+        (0.4, 1.0, 0.5),
+        (complex(0.4, math.nan), 0.3, 0.5),
+    ]
+    truncations = (
+        DEFAULT_TRUNCATION,
+        Truncation(max_terms=5),
+        Truncation(max_terms=30, term_tol=1e-6),
+    )
+    poles = set()
+    for z, p, q in cases:
+        for tr in truncations:
+            want = _gamma_outcome(oracle_elliptic_gamma, z, p, q, tr)
+            assert _gamma_outcome(elliptic_gamma, z, p, q, tr) == want, (z, p, q, tr)
+            if want[0] == "PoleError":
+                poles.add(want[2])
+    assert {"(1 - p^0 q^0 z)", "(1 - p^1 q^2 z)", "(1 - p^2 q^1 z)"} <= poles
+
+
 # ----------------------------------------------------------------------
 # gamma functions
 # ----------------------------------------------------------------------
@@ -468,6 +554,9 @@ def test_memo_copy_equals_its_family_and_leaves_it_alone(families):
         assert repr(memo) == repr(fam)
         assert fam._memo is None and memo._memo == {}
         assert fam.memoized()._memo is not memo._memo
+        # the per-task constants are as private to each copy
+        assert fam._constants is None and memo._constants == {}
+        assert fam.memoized()._constants is not memo._constants
 
 
 @pytest.mark.parametrize("name", ["rational", "trig", "elliptic"])
@@ -503,3 +592,57 @@ def test_memo_stores_no_pole(name):
         with pytest.raises(PoleError):
             gamma_fn(memo, GammaSign.MINUS, 0.0, 0.4 + 0.6j)
     assert memo._memo == {}
+
+
+_NON_FINITE = (
+    math.nan,
+    math.inf,
+    -math.inf,
+    complex(0.3, math.nan),
+    complex(math.nan, 0.0),
+    complex(-math.inf, 0.2),
+    complex(0.3, math.inf),
+)
+
+
+@pytest.mark.parametrize("name", ["rational", "trig", "elliptic"])
+def test_memo_rejects_non_finite_arguments_and_stores_nothing(families, name):
+    # the memo is read before the finiteness check; a non-finite argument
+    # is never stored, so it must still reach the check
+    memo = families[name].memoized()
+    for _ in range(2):
+        for bad in _NON_FINITE:
+            with pytest.raises(DomainError):
+                sigma_eval(memo, bad)
+            for sign in GammaSign:
+                with pytest.raises(DomainError):
+                    gamma_fn(memo, sign, bad, 0.4 + 0.6j)
+                with pytest.raises(DomainError):
+                    gamma_fn(memo, sign, 0.3 + 0.2j, bad)
+    assert memo._memo == {} and memo._constants == {}
+
+
+def test_memo_builds_one_gamma_table_per_nome(families):
+    fam = families["elliptic"]
+    memo = fam.memoized()
+    omega2 = fam.omega2
+    poles = set()
+    for delta in (0.4 + 0.6j, 0.6j, complex(-0.0, 0.6), 0.4 + 0.6j):
+        # G_- has a pole where 1 - p^i q^j z vanishes, at u = -(j delta + i omega2)
+        points = [0.3 + 0.2j, -1.7 + 0.4j] + [
+            -(j * delta + i * omega2) for i in (0, 1) for j in (0, 2)
+        ]
+        for u in points:
+            for sign in GammaSign:
+                want = _gamma_outcome(gamma_fn, fam, sign, u, delta)
+                assert _gamma_outcome(gamma_fn, memo, sign, u, delta) == want
+                if want[0] == "PoleError":
+                    poles.add(want[2])
+    assert "(1 - p^1 q^2 z)" in poles
+    # 0.6j and complex(-0.0, 0.6) give the same nome q, bit for bit
+    tags = [key[0] for key in memo._constants]
+    assert tags == ["gamma table"] * 2
+    tables = list(memo._constants.values())
+    gamma_fn(memo, GammaSign.PLUS, 0.9 + 0.1j, 0.4 + 0.6j)
+    assert list(memo._constants.values()) == tables
+    assert all(type(value) is complex for value in memo._memo.values())

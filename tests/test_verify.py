@@ -483,18 +483,67 @@ def scan_radius(fam, limit):
 @pytest.mark.parametrize("lattice", sorted(GUARD_LATTICES))
 def test_lattice_guard_matches_window_scan(lattice):
     omega2, single_node = GUARD_LATTICES[lattice]
-    fam = SigmaFamily.elliptic(omega2=omega2)
-    assert verify._rounded_node_suffices(fam.omega1, fam.omega2) is single_node
-    rng = random.Random(f"guard|{lattice}")
-    for margin in (verify.POLE_MARGIN, verify._SEPARATION_MARGIN):
-        limit = margin * abs(fam.omega1)
-        # 5x5 everywhere but on the degenerate lattice at the wider margin,
-        # where a node within it can sit 20 steps of omega1 from the
-        # rounded coordinates (and a 5x5 scan misses it)
-        radius = scan_radius(fam, limit)
-        for u in guard_points(fam, limit, rng):
-            near = verify._lattice_dist(fam, u) < limit
-            assert near == (window_dist(fam, u, radius) < limit), (margin, u)
+    plain = SigmaFamily.elliptic(omega2=omega2)
+    assert verify._rounded_node_suffices(plain.omega1, plain.omega2) is single_node
+    for fam in (plain, plain.memoized()):
+        rng = random.Random(f"guard|{lattice}")
+        for margin in (verify.POLE_MARGIN, verify._SEPARATION_MARGIN):
+            limit = margin * abs(fam.omega1)
+            # 5x5 everywhere but on the degenerate lattice at the wider
+            # margin, where a node within it can sit 20 steps of omega1
+            # from the rounded coordinates (and a 5x5 scan misses it)
+            radius = scan_radius(fam, limit)
+            for u in guard_points(fam, limit, rng):
+                near = verify._lattice_dist(fam, u) < limit
+                assert near == (window_dist(fam, u, radius) < limit), (margin, u)
+    # a memoized family reads the choice once and keeps it with the task
+    assert fam._constants == {"rounded node": single_node}
+
+
+def oracle_guard_gamma_ladder(fam, delta, *bases):
+    """The gamma-ladder guard as it measured each elliptic rung at four
+    points a lattice vector apart (offsets -omega2, 0, omega2, 2 omega2)."""
+    offsets = (0.0,)
+    if fam.kind is FamilyKind.ELLIPTIC:
+        offsets = (-fam.omega2, 0.0, fam.omega2, 2 * fam.omega2)
+    margin = verify.POLE_MARGIN * verify._unit(fam)
+    for base in bases:
+        for k in range(-2, 5):
+            for off in offsets:
+                if verify._lattice_dist(fam, base + k * delta + off) < margin:
+                    raise verify._Reject
+
+
+def _rejects(guard, *args):
+    try:
+        guard(*args)
+    except verify._Reject:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("lattice", sorted(GUARD_LATTICES))
+def test_ladder_guard_matches_the_four_offset_oracle(lattice):
+    plain = SigmaFamily.elliptic(omega2=GUARD_LATTICES[lattice][0])
+    limit = verify.POLE_MARGIN * abs(plain.omega1)
+    decisions = {True: 0, False: 0}
+    for fam in (plain, plain.memoized()):
+        rng = random.Random(f"ladder|{lattice}")
+        for idx in range(1500):
+            delta = complex(rng.uniform(-1.0, 1.0), rng.uniform(0.05, 1.5))
+            node = rng.randint(-3, 3) * fam.omega1 + rng.randint(-3, 3) * fam.omega2
+            # a base one of whose rungs lies within, just outside or far
+            # from the margin
+            reach = (
+                rng.uniform(0.0, 0.999), rng.uniform(1.001, 1.05), rng.uniform(1.05, 40.0)
+            )[idx % 3]
+            rung = rng.randint(-2, 4)
+            near = node + cmath.rect(reach * limit, rng.uniform(0.0, 2 * math.pi))
+            base = near - rung * delta
+            want = _rejects(oracle_guard_gamma_ladder, fam, delta, base)
+            assert _rejects(verify._guard_gamma_ladder, fam, delta, base) == want, (delta, base)
+            decisions[want] += 1
+    assert min(decisions.values()) > 500
 
 
 @pytest.mark.parametrize("omega2", [10 + 0.01j, 2.3 + 0.45j, -3.7 + 0.2j])
