@@ -12,7 +12,9 @@ coordinates, take rational values.  Each coefficient comes as an integer
 pair (numerator, positive denominator), and each row brings them and
 -d_lambda over one positive common denominator, so the rows are integer
 vectors built without Fraction arithmetic.  The k - 1 unknown
-coefficients follow from one fraction-free solve (Bareiss 1968).  A k-th point
+coefficients follow from one fraction-free solve (Bareiss 1968), as
+primitive integers over one positive denominator, and P is expanded from
+them once (:func:`diffkern.laurent.orbit_expansion`).  A k-th point
 checks the eigen-equation exactly, so the solve never calls the symbolic
 operator of :mod:`diffkern.operators`, which stays an independent oracle.
 The Macdonald polynomials take the same route with the first Macdonald
@@ -41,7 +43,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import islice
 from math import gcd, lcm
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .kernels import kern_psi_mult
 from .laurent import (
@@ -54,11 +56,10 @@ from .laurent import (
     bracket_za,
     bracket_zw,
     dominance_leq,
-    orbit_sum,
+    orbit_expansion,
     partitions_in_box,
     partitions_of,
     poly_to_json,
-    sym_orbit_sum,
 )
 
 __all__ = [
@@ -172,14 +173,9 @@ def koorn_basis(lam: Partition, m: int) -> KoornBasis:
     return KoornBasis(lam=lam, mu_list=tuple(members), m=m)
 
 
-def eigenvalue_d(lam, ep: ExactParams, m: int) -> Fraction:
-    """Koornwinder eigenvalue sum_i [alpha t^(m-i) q^(lam_i); alpha t^(m-i)].
-
-    With alpha = (abcd/q)^(1/2) = sa sb sc sd / sq; the empty partition
-    gives 0.  Each term is x + 1/x - y - 1/y for x = y q^(lam_i), summed
-    on integer pairs; only the total becomes a Fraction.
-    """
-    part = _as_partition(lam)
+def _eigenvalue_pair(part: Partition, ep: ExactParams, m: int) -> tuple[int, int]:
+    """:func:`eigenvalue_d` as an integer pair (num, den), den nonzero but
+    of either sign and not reduced."""
     if len(part) > m:
         raise ValueError(f"partition {part.parts} does not fit in {m} variables")
     an, ad = ep.sq.denominator, ep.sq.numerator
@@ -200,24 +196,40 @@ def eigenvalue_d(lam, ep: ExactParams, m: int) -> Fraction:
         term_num = sn * sn + sd * sd - (bn * bn + bd * bd) * qli * dli
         term_den = sn * sd
         num, den = num * term_den + term_num * den, den * term_den
-    return Fraction(num, den)
+    return num, den
 
 
-def macdonald_eigenvalue(lam, q, t, m: int) -> Fraction:
-    """Eigenvalue sum_i q^(lam_i) t^(m-i) of the first Macdonald operator,
-    summed over the one positive denominator q_den^lam_1 t_den^(m-1)."""
-    part = _as_partition(lam)
+def eigenvalue_d(lam, ep: ExactParams, m: int) -> Fraction:
+    """Koornwinder eigenvalue sum_i [alpha t^(m-i) q^(lam_i); alpha t^(m-i)].
+
+    With alpha = (abcd/q)^(1/2) = sa sb sc sd / sq; the empty partition
+    gives 0.  Each term is x + 1/x - y - 1/y for x = y q^(lam_i), summed
+    on integer pairs; only the total becomes a Fraction.
+    """
+    return Fraction(*_eigenvalue_pair(_as_partition(lam), ep, m))
+
+
+def _macdonald_eigenvalue_pair(
+    part: Partition, q: Fraction, t: Fraction, m: int
+) -> tuple[int, int]:
+    """:func:`macdonald_eigenvalue` as an integer pair (num, den > 0), not
+    reduced."""
     if len(part) > m:
         raise ValueError(f"partition {part.parts} does not fit in {m} variables")
-    q = Fraction(q)
-    t = Fraction(t)
     qn, qd = q.numerator, q.denominator
     tn, td = t.numerator, t.denominator
     top = part.part(0)
     num = 0
     for i, li in enumerate(part.padded(m)):
         num += qn**li * qd ** (top - li) * tn ** (m - 1 - i) * td**i
-    return Fraction(num, qd**top * td ** max(m - 1, 0))
+    return num, qd**top * td ** max(m - 1, 0)
+
+
+def macdonald_eigenvalue(lam, q, t, m: int) -> Fraction:
+    """Eigenvalue sum_i q^(lam_i) t^(m-i) of the first Macdonald operator,
+    summed over the one positive denominator q_den^lam_1 t_den^(m-1)."""
+    pair = _macdonald_eigenvalue_pair(_as_partition(lam), Fraction(q), Fraction(t), m)
+    return Fraction(*pair)
 
 
 # ======================================================================
@@ -282,30 +294,6 @@ def _power_table(n: int, d: int, top: int) -> tuple[list[int], int]:
     return [n**v * d ** (top - v) for v in range(top + 1)], d**top
 
 
-def _bracket_ratio(
-    top: Sequence[tuple[int, int]], bottom: Sequence[tuple[int, int]]
-) -> tuple[int, int]:
-    """prod [x] over ``top`` divided by prod [x] over ``bottom``, as an
-    integer pair (num, den) with den > 0, not reduced.
-
-    Each bracket [x] = x^(1/2) - x^(-1/2) is given by its square root as an
-    integer pair (u, v), so [x] = (u^2 - v^2) / (u v).  Negative square
-    roots (of a, ..., q) can make the product of the u v negative, so the
-    sign is moved to the numerator.
-    """
-    num = den = 1
-    for u, v in top:
-        num *= u * u - v * v
-        den *= u * v
-    for u, v in bottom:
-        value = u * u - v * v
-        if not value:
-            raise _Pole
-        num *= u * v
-        den *= value
-    return (-num, -den) if den < 0 else (num, den)
-
-
 _Weight = tuple[int, int]
 _Moves = tuple[_Weight, list[tuple[int, tuple[int, int], _Weight]]]
 
@@ -317,26 +305,47 @@ def _koorn_moves(ep: ExactParams, point: Sequence[int]) -> _Moves:
     variable it moves, the moved value z_i q^(+-1) as an integer pair and
     its weight A_i^(+-), with A_i^- (z) = A_i^+ (1/z) as in
     :func:`diffkern.operators.apply_koorn_mult`.  Every weight is an
-    integer pair (num, den) with den > 0, as :func:`_bracket_ratio` gives;
-    the unshifted weight comes over the lcm of the shift denominators.
+    integer pair (num, den) with den > 0, not reduced; the unshifted
+    weight comes over the lcm of the shift denominators.
+
+    A bracket [x] = x^(1/2) - x^(-1/2) whose square root is a ratio u/v of
+    integers is (u^2 - v^2) / (u v).  In A_i^+ each u v is a product of
+    the parameters' square roots and the point's coordinates s_j, and the
+    s_j cancel between top and bottom, so a weight is the product of the
+    integers u^2 - v^2, written in the squares z_j = s_j^2, times the
+    constant sq_num sq_den / (sa_num sa_den ... sd_num sd_den
+    (st_num st_den)^(2(m-1))).
     """
-    roots = [(r.numerator, r.denominator) for r in (ep.sa, ep.sb, ep.sc, ep.sd)]
+    roots = (ep.sa, ep.sb, ep.sc, ep.sd)
+    squares = [(r.numerator**2, r.denominator**2) for r in roots]
     qn, qd = ep.sq.numerator, ep.sq.denominator
-    tn, td = ep.st.numerator, ep.st.denominator
+    q2n, q2d = qn * qn, qd * qd
+    t2n, t2d = ep.st.numerator**2, ep.st.denominator**2
+    const_num = qn * qd
+    const_den = (ep.st.numerator * ep.st.denominator) ** (2 * (len(point) - 1))
+    for r in roots:
+        const_den *= r.numerator * r.denominator
+    zs = [s * s for s in point]
     moves = []
     for up in (True, False):
-        # square roots of z_j (up) or of 1/z_j (down) as integer pairs
-        coords = [(s, 1) if up else (1, s) for s in point]
+        # z_j (up) or 1/z_j (down) as an integer pair
+        coords = [(z, 1) if up else (1, z) for z in zs]
         for i, (u, v) in enumerate(coords):
-            top = [(rn * u, rd * v) for rn, rd in roots]
-            bottom = [(u * u, v * v), (qn * u * u, qd * v * v)]
+            # top: [a z_i] ... [d z_i]; bottom: [z_i^2] [q z_i^2]
+            num = const_num
+            for an, ad in squares:
+                num *= an * u - ad * v
+            den = const_den * (u * u - v * v) * (q2n * u * u - q2d * v * v)
+            # top: [t z_i z_j] [t z_i / z_j]; bottom: [z_i z_j] [z_i / z_j]
             for j, (x, y) in enumerate(coords):
                 if j != i:
-                    top += [(tn * u * x, td * v * y), (tn * u * y, td * v * x)]
-                    bottom += [(u * x, v * y), (u * y, v * x)]
-            z = point[i] ** 2
-            moved = (z * qn * qn, qd * qd) if up else (z * qd * qd, qn * qn)
-            moves.append((i, moved, _bracket_ratio(top, bottom)))
+                    num *= (t2n * u * x - t2d * v * y) * (t2n * u * y - t2d * v * x)
+                    den *= (u * x - v * y) * (u * y - v * x)
+            if not den:
+                raise _Pole
+            z = zs[i]
+            moved = (z * q2n, q2d) if up else (z * q2d, q2n)
+            moves.append((i, moved, (-num, -den) if den < 0 else (num, den)))
     # the unshifted value's weight, minus the sum of the others
     common = lcm(*(den for _, _, (_, den) in moves))
     identity = -sum(num * (common // den) for _, _, (num, den) in moves)
@@ -500,15 +509,23 @@ def _bareiss_solve(rows: list[list[int]], n: int) -> tuple[int, list[int]] | Non
     return prev, y
 
 
+class _OrbitCoefficients(NamedTuple):
+    """P = sum_nu coeffs[nu] m_nu / den over the basis labels: the
+    coefficients are primitive integers, den > 0, and coeffs[0] == den."""
+
+    labels: tuple[Partition, ...]
+    coeffs: tuple[int, ...]
+    den: int
+
+
 def _eigen_solve(
     basis: Sequence[Partition],
     m: int,
     table: Callable[[int, int, int], tuple[list[int], int]],
     moves: Callable[[Sequence[int]], _Moves],
-    eig: Callable[[Partition], Fraction],
-    basis_poly: Callable[[Partition], LaurentPoly],
+    eig: Callable[[Partition], tuple[int, int]],
     what: str,
-) -> LaurentPoly:
+) -> _OrbitCoefficients:
     """Unit-leading eigenfunction P = sum_nu c_nu m_nu of D, by interpolation.
 
     D maps the span of the dominance-closed basis into itself,
@@ -517,21 +534,34 @@ def _eigen_solve(
     vanishes once it vanishes at k - 1 points where those orbit sums are
     independent, which is exactly where the (k - 1) x (k - 1) system for
     the c_nu is regular; equal eigenvalues d_nu = d_lam would make it
-    singular everywhere, so they are reported first as a collision.  A
-    k-th point must satisfy the eigen-equation exactly, or
+    singular everywhere, so they are reported first as a collision,
+    found by comparing the integer pairs (num, den) that ``eig`` gives
+    crosswise.  A k-th point must satisfy the eigen-equation exactly, or
     :class:`TriangularSolveError` is raised.  A point where the operator
     has a pole is replaced by the next one of the stream, and a singular
     system starts a new stream.
+
+    The back end works on integers in three steps:
+
+    1. the operator weights at each point are integer pairs (num, den > 0)
+       and each row is an integer vector, so only d_lam becomes a Fraction;
+    2. the fraction-free solve gives det * c_nu as integers, returned as
+       the orbit coefficients of P: primitive integers over one positive
+       denominator, the head coefficient equal to it;
+    3. the caller expands P once, with
+       :func:`diffkern.laurent.orbit_expansion`.
     """
     lam = basis[0]
-    d_lam = eig(lam)
+    lam_num, lam_den = eig(lam)
     for mu in basis[1:]:
-        if eig(mu) == d_lam:
+        mu_num, mu_den = eig(mu)
+        if mu_num * lam_den == lam_num * mu_den:
             raise CollisionError(
                 f"{what}: eigenvalue of {mu.parts} collides with {lam.parts} at "
                 "the supplied parameters; perturb one square root "
                 "(ExactParams.replace) and retry"
             )
+    d_lam = Fraction(lam_num, lam_den)
     k = len(basis)
     top = lam.part(0)
     labels = [mu.padded(m) for mu in basis]
@@ -562,11 +592,12 @@ def _eigen_solve(
                 "point; the eigenvalue is wrong or the operator image is not "
                 "in the span of the basis"
             )
-        out = basis_poly(lam)
-        for nu, c in zip(basis[1:], y):
-            if c:
-                out = out + basis_poly(nu) * Fraction(c, det)
-        return out
+        # c_nu = y_nu / det: over the positive denominator |det| / g
+        g = gcd(det, *y)
+        if det < 0:
+            g = -g
+        coeffs = (det // g, *(c // g for c in y))
+        return _OrbitCoefficients(tuple(basis), coeffs, coeffs[0])
     raise TriangularSolveError(
         f"{what}: each of {_POINT_DRAWS} point streams for {lam.parts} in "
         f"{m} variables gave a singular interpolation matrix or more poles "
@@ -585,15 +616,15 @@ def _macdonald_basis(lam: Partition, m: int) -> tuple[Partition, ...]:
 
 @lru_cache(maxsize=_POLY_CACHE_SIZE)
 def _koornwinder_cached(lam: Partition, ep: ExactParams, m: int) -> LaurentPoly:
-    return _eigen_solve(
+    solved = _eigen_solve(
         koorn_basis(lam, m).mu_list,
         m,
         _laurent_table,
         partial(_koorn_moves, ep),
-        lambda mu: eigenvalue_d(mu, ep, m),
-        lambda mu: orbit_sum(mu, m),
+        partial(_eigenvalue_pair, ep=ep, m=m),
         "koornwinder",
     )
+    return orbit_expansion(*solved, m)
 
 
 def koornwinder_poly(lam, ep: ExactParams, m: int) -> LaurentPoly:
@@ -611,15 +642,15 @@ def koornwinder_poly(lam, ep: ExactParams, m: int) -> LaurentPoly:
 def _macdonald_cached(
     lam: Partition, q: Fraction, t: Fraction, m: int
 ) -> LaurentPoly:
-    return _eigen_solve(
+    solved = _eigen_solve(
         _macdonald_basis(lam, m),
         m,
         _power_table,
         partial(_macdonald_moves, q, t),
-        lambda mu: macdonald_eigenvalue(mu, q, t, m),
-        lambda mu: sym_orbit_sum(mu, m),
+        partial(_macdonald_eigenvalue_pair, q=q, t=t, m=m),
         "macdonald",
     )
+    return orbit_expansion(*solved, m, signed=False)
 
 
 def macdonald_poly(lam, q, t, m: int) -> LaurentPoly:

@@ -325,13 +325,6 @@ class LaurentPoly:
     def coefficient(self, exps: Sequence[int]) -> Fraction:
         return Fraction(self._num.get(_key_of(tuple(exps), self.m), 0), self._den)
 
-    def integral_lattice(self) -> bool:
-        """True when every stored (doubled) exponent is even."""
-        # 2**19 is even, so a biased digit has the parity of its exponent
-        bias = _bias(self.m)
-        low_bits = bias // _HALF
-        return not any((key + bias) & low_bits for key in self._num)
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, LaurentPoly):
             return (
@@ -841,6 +834,31 @@ def partitions_of(n: int, max_length: int | None = None) -> list[Partition]:
 # ======================================================================
 
 
+def _orbit_keys(padded: tuple[int, ...]) -> Iterator[int]:
+    """Packed keys of the hyperoctahedral orbit of a padded label: every
+    distinct permutation, then every sign choice on its nonzero entries
+    (the first entry's sign varying slowest), each key once."""
+    shifts = range(_DIGIT_BITS * (len(padded) - 1), -1, -_DIGIT_BITS)
+    for perm in set(itertools.permutations(padded)):
+        keys = [0]
+        for e, shift in zip(perm, shifts):
+            if e:
+                step = (2 * e) << shift
+                keys = [key + s for key in keys for s in (step, -step)]
+        yield from keys
+
+
+def _sym_orbit_keys(padded: tuple[int, ...]) -> Iterator[int]:
+    """Packed keys of the symmetric-group orbit of a padded label."""
+    for perm in set(itertools.permutations(padded)):
+        yield _pack(2 * e for e in perm)
+
+
+def _label_bound(part: Partition) -> int:
+    """Exponent bound of an orbit sum: twice its largest part."""
+    return _check_bound(2 * part.part(0))
+
+
 def orbit_sum(mu: Partition | Sequence[int], m: int) -> LaurentPoly:
     """Monomial orbit sum m_mu(z) = sum of z**nu over the W-orbit of mu.
 
@@ -848,24 +866,8 @@ def orbit_sum(mu: Partition | Sequence[int], m: int) -> LaurentPoly:
     monomial appears exactly once with coefficient 1.
     """
     part = mu if isinstance(mu, Partition) else Partition(mu)
-    padded = part.padded(m)
-    terms: dict[int, int] = {}
-    for perm in set(itertools.permutations(padded)):
-        nonzero = [i for i, e in enumerate(perm) if e]
-        for signs in itertools.product((1, -1), repeat=len(nonzero)):
-            exps = list(perm)
-            for pos, s in zip(nonzero, signs):
-                exps[pos] *= s
-            terms[_pack(2 * e for e in exps)] = 1
-    return LaurentPoly._from_parts(m, terms, 1, _check_bound(2 * part.part(0)))
-
-
-def orbit_size(mu: Partition, m: int) -> int:
-    """|W.mu| by stabilizer counting: distinct permutations x sign choices."""
-    padded = mu.padded(m)
-    perms = len(set(itertools.permutations(padded)))
-    nonzero = sum(1 for e in padded if e)
-    return perms * 2**nonzero
+    terms = dict.fromkeys(_orbit_keys(part.padded(m)), 1)
+    return LaurentPoly._from_parts(m, terms, 1, _label_bound(part))
 
 
 def is_W_invariant(f: LaurentPoly) -> bool:
@@ -885,25 +887,46 @@ def is_W_invariant(f: LaurentPoly) -> bool:
     return f.substitute(m - 1, invert=True) == f
 
 
-def is_symmetric(f: LaurentPoly) -> bool:
-    """Invariance under variable permutations only (type-A symmetry)."""
-    m = f.m
-    for i in range(m - 1):
-        perm = list(range(m))
-        perm[i], perm[i + 1] = perm[i + 1], perm[i]
-        if f.permute(perm) != f:
-            return False
-    return True
-
-
 def sym_orbit_sum(mu: Partition | Sequence[int], m: int) -> LaurentPoly:
     """Symmetric-group orbit sum (no sign flips), for the type-A theory."""
     part = mu if isinstance(mu, Partition) else Partition(mu)
-    padded = part.padded(m)
-    terms = {
-        _pack(2 * e for e in perm): 1 for perm in set(itertools.permutations(padded))
-    }
-    return LaurentPoly._from_parts(m, terms, 1, _check_bound(2 * part.part(0)))
+    terms = dict.fromkeys(_sym_orbit_keys(part.padded(m)), 1)
+    return LaurentPoly._from_parts(m, terms, 1, _label_bound(part))
+
+
+def orbit_expansion(
+    labels: Sequence[Partition],
+    coeffs: Sequence[int],
+    den: int,
+    m: int,
+    signed: bool = True,
+) -> LaurentPoly:
+    """sum_nu coeffs[nu] * m_nu / den in one pass, for distinct labels.
+
+    The orbit sums are hyperoctahedral (:func:`orbit_sum`) when ``signed``
+    and symmetric-group ones (:func:`sym_orbit_sum`) otherwise.  Orbits of
+    distinct labels share no monomial, so each orbit's keys go straight
+    into one numerator dict, in label order; the coefficients are brought
+    to lowest terms with ``den`` once, not per term.
+    """
+    if not den:
+        raise ZeroDivisionError("orbit expansion over a zero denominator")
+    parts = [mu if isinstance(mu, Partition) else Partition(mu) for mu in labels]
+    if len(parts) != len(coeffs):
+        raise ValueError(f"{len(parts)} labels for {len(coeffs)} coefficients")
+    if len({mu.parts for mu in parts}) != len(parts):
+        raise ValueError("orbit expansion needs distinct labels")
+    g = gcd(den, *coeffs)
+    if den < 0:
+        g = -g
+    keys_of = _orbit_keys if signed else _sym_orbit_keys
+    num: dict[int, int] = {}
+    bound = 0
+    for mu, c in zip(parts, coeffs):
+        if c:
+            num.update(dict.fromkeys(keys_of(mu.padded(m)), c // g))
+            bound = max(bound, _label_bound(mu))
+    return LaurentPoly._from_parts(m, num, den // g, bound)
 
 
 # ======================================================================

@@ -603,7 +603,8 @@ def gamma_fn(fam: SigmaFamily, sign: GammaSign, u: complex, delta: complex) -> c
     ``run_suite`` gives each task such a copy of its own, so nothing is
     shared between tasks or callers.
     """
-    sign = GammaSign(sign)
+    if not isinstance(sign, GammaSign):
+        sign = GammaSign(sign)
     memo = fam._memo
     if memo is not None:
         key = (sign, _exact_key(u), _exact_key(delta))

@@ -207,8 +207,13 @@ def test_eigen_equation_holds_at_alternate_parameters(lam, m):
 
 def test_wrong_eigenvalue_raises_typed_error(monkeypatch):
     # the guard must survive python -O, so it cannot be an assert
-    real = kw.eigenvalue_d
-    monkeypatch.setattr(kw, "eigenvalue_d", lambda lam, ep, m: real(lam, ep, m) + 1)
+    real = kw._eigenvalue_pair
+
+    def plus_one(lam, ep, m):
+        num, den = real(lam, ep, m)
+        return num + den, den
+
+    monkeypatch.setattr(kw, "_eigenvalue_pair", plus_one)
     # parameters used nowhere else, so no cached polynomial is hit
     fresh = EP_ALT.replace(sa=Fraction(11, 13))
     with pytest.raises(TriangularSolveError, match="check point"):
@@ -588,10 +593,99 @@ def test_missing_basis_label_fails_the_check_point():
             1,
             kw._laurent_table,
             partial(kw._koorn_moves, EP),
-            lambda mu: eigenvalue_d(mu, EP, 1),
-            lambda mu: orbit_sum(mu, 1),
+            partial(kw._eigenvalue_pair, ep=EP, m=1),
             "koornwinder",
         )
+
+
+# ----------------------------------------------------------------------
+# the solve's orbit coefficients and the one-pass expansion
+
+
+def additive_assembly(solved, basis_poly):
+    """The reference assembly: m_lam plus c_nu / den times m_nu for each
+    nonzero c_nu, one product and one sum per label."""
+    labels, coeffs, den = solved
+    out = basis_poly(labels[0])
+    for nu, c in zip(labels[1:], coeffs[1:]):
+        if c:
+            out = out + basis_poly(nu) * Fraction(c, den)
+    return out
+
+
+def _recorded_solves(monkeypatch):
+    """Log the determinant sign of every elimination and the arguments and
+    result of every expansion the solves make."""
+    dets, expansions = [], []
+    real_solve, real_expand = kw._bareiss_solve, kw.orbit_expansion
+
+    def solve(rows, n):
+        out = real_solve(rows, n)
+        if out is not None:
+            dets.append(out[0] > 0)
+        return out
+
+    def expand(labels, coeffs, den, m, signed=True):
+        out = real_expand(labels, coeffs, den, m, signed)
+        expansions.append(((labels, coeffs, den), out))
+        return out
+
+    monkeypatch.setattr(kw, "_bareiss_solve", solve)
+    monkeypatch.setattr(kw, "orbit_expansion", expand)
+    return dets, expansions
+
+
+def _assert_expansion_matches_the_assembly(solved, got, basis, basis_poly):
+    labels, coeffs, den = solved
+    assert labels == tuple(basis) and len(coeffs) == len(basis)
+    assert den > 0 and coeffs[0] == den
+    assert math.gcd(*coeffs) == 1
+    want = additive_assembly(solved, basis_poly)
+    assert got == want
+    # the same terms in the same order, over the same denominator
+    assert list(got.terms.items()) == list(want.terms.items())
+
+
+@pytest.mark.parametrize("name", ["EP", "NEG"])
+def test_one_pass_expansion_matches_the_additive_assembly(monkeypatch, name):
+    ep = ORACLE_PARAMS[name]
+    cases = [(lam, m) for m in (1, 2, 3) for lam in partitions_in_box(m, 3)]
+    cases.append((Partition((2, 1, 1, 1)), 4))
+    dets, expansions = _recorded_solves(monkeypatch)
+    for lam, m in cases:
+        expansions.clear()
+        got = kw._koornwinder_cached.__wrapped__(lam, ep, m)
+        (solved, out), = expansions
+        assert out is got
+        _assert_expansion_matches_the_assembly(
+            solved, got, koorn_basis(lam, m).mu_list, partial(orbit_sum, m=m)
+        )
+        assert got == koornwinder_poly(lam, ep, m)
+    # both signs of the determinant reach the normalization
+    assert set(dets) == {True, False}
+
+
+@pytest.mark.parametrize("name", ["EP", "NEG"])
+def test_one_pass_macdonald_expansion_matches_the_additive_assembly(
+    monkeypatch, name
+):
+    ep = ORACLE_PARAMS[name]
+    dets, expansions = _recorded_solves(monkeypatch)
+    for q, t in ((ep.q, ep.t), (ep.sq, ep.st)):
+        for m in (1, 2, 3, 4):
+            for lam in (p for n in range(5) for p in partitions_of(n, m)):
+                expansions.clear()
+                got = kw._macdonald_cached.__wrapped__(lam, q, t, m)
+                (solved, out), = expansions
+                assert out is got
+                _assert_expansion_matches_the_assembly(
+                    solved,
+                    got,
+                    kw._macdonald_basis(lam, m),
+                    partial(sym_orbit_sum, m=m),
+                )
+                assert got == macdonald_poly(lam, q, t, m)
+    assert set(dets) == {True, False}
 
 
 def test_one_variable_P1_is_askey_wilson():

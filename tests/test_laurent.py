@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -26,8 +28,6 @@ from diffkern.laurent import (
     dominance_leq,
     eval_numeric,
     is_W_invariant,
-    is_symmetric,
-    orbit_size,
     orbit_sum,
     partitions_in_box,
     partitions_of,
@@ -36,6 +36,35 @@ from diffkern.laurent import (
     poly_to_json,
     sym_orbit_sum,
 )
+
+# ----------------------------------------------------------------------
+# test-local helpers
+# ----------------------------------------------------------------------
+
+
+def integral_lattice(f: LaurentPoly) -> bool:
+    """True when every stored (doubled) exponent is even."""
+    return all(e % 2 == 0 for exp in f.terms for e in exp)
+
+
+def orbit_size(mu: Partition, m: int) -> int:
+    """|W.mu| by stabilizer counting: distinct permutations x sign choices."""
+    padded = mu.padded(m)
+    perms = len(set(itertools.permutations(padded)))
+    nonzero = sum(1 for e in padded if e)
+    return perms * 2**nonzero
+
+
+def is_symmetric(f: LaurentPoly) -> bool:
+    """Invariance under variable permutations only (type-A symmetry)."""
+    m = f.m
+    for i in range(m - 1):
+        perm = list(range(m))
+        perm[i], perm[i + 1] = perm[i + 1], perm[i]
+        if f.permute(perm) != f:
+            return False
+    return True
+
 
 # ----------------------------------------------------------------------
 # strategies
@@ -114,7 +143,7 @@ def test_ring_laws(p, q, r):
 def test_integral_lattice_closed_under_product(p, q):
     doubled_p = LaurentPoly(2, {tuple(2 * e for e in k): c for k, c in p.terms.items()})
     doubled_q = LaurentPoly(2, {tuple(2 * e for e in k): c for k, c in q.terms.items()})
-    assert (doubled_p * doubled_q).integral_lattice()
+    assert integral_lattice(doubled_p * doubled_q)
 
 
 def test_substitute_scale_and_invert():
@@ -481,6 +510,62 @@ def test_is_W_invariant():
     assert is_symmetric(s)
     assert not is_W_invariant(s)
     assert is_symmetric(sym_orbit_sum(Partition([2, 1]), 2))
+
+
+def reference_orbit_exponents(mu: Partition, m: int, signed: bool = True):
+    """The orbit's exponents in the order the orbit sums store them: each
+    distinct permutation, then each sign choice, the first sign slowest."""
+    out = []
+    for perm in set(itertools.permutations(mu.padded(m))):
+        nonzero = [i for i, e in enumerate(perm) if e] if signed else []
+        for signs in itertools.product((1, -1), repeat=len(nonzero)):
+            exps = list(perm)
+            for pos, s in zip(nonzero, signs):
+                exps[pos] *= s
+            out.append(tuple(2 * e for e in exps))
+    return out
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_orbit_sums_store_the_reference_exponents_in_order(m):
+    for mu in partitions_in_box(m, 3):
+        for signed, build in ((True, orbit_sum), (False, sym_orbit_sum)):
+            f = build(mu, m)
+            assert list(f.terms) == reference_orbit_exponents(mu, m, signed)
+            assert set(f.terms.values()) == {1}
+
+
+@pytest.mark.parametrize("signed", [True, False])
+def test_orbit_expansion_is_the_sum_of_scaled_orbit_sums(signed):
+    build = orbit_sum if signed else sym_orbit_sum
+    rng = random.Random(1729)
+    for m in (1, 2, 3):
+        labels = partitions_in_box(m, 2)
+        for _ in range(20):
+            # not primitive, a zero coefficient and either sign of den
+            scale = rng.choice((1, 6))
+            coeffs = [scale * rng.randint(-9, 9) for _ in labels]
+            den = scale * rng.choice((-1, 1)) * rng.randint(1, 12)
+            want = LaurentPoly.zero(m)
+            for mu, c in zip(labels, coeffs):
+                want = want + build(mu, m) * Fraction(c, den)
+            got = laurent.orbit_expansion(labels, coeffs, den, m, signed)
+            assert got == want
+            assert got._den > 0
+            assert len(got.terms) == sum(
+                len(build(mu, m).terms) for mu, c in zip(labels, coeffs) if c
+            )
+
+
+def test_orbit_expansion_rejects_bad_input():
+    labels = [Partition([1]), Partition([])]
+    with pytest.raises(ZeroDivisionError):
+        laurent.orbit_expansion(labels, [1, 2], 0, 1)
+    with pytest.raises(ValueError, match="distinct"):
+        laurent.orbit_expansion([Partition([1]), Partition([1])], [1, 2], 3, 1)
+    with pytest.raises(ValueError, match="labels"):
+        laurent.orbit_expansion(labels, [1], 3, 1)
+    assert laurent.orbit_expansion(labels, [0, 0], 5, 1) == LaurentPoly.zero(1)
 
 
 # ----------------------------------------------------------------------

@@ -572,6 +572,23 @@ def test_str_sign_gives_the_bits_of_its_member(families, name):
     assert gamma_fn(fam, "plus", u, delta) != gamma_fn(fam, "minus", u, delta)
 
 
+@pytest.mark.parametrize("name", ["rational", "trig", "elliptic"])
+def test_str_sign_and_its_member_share_one_memo_entry(families, name):
+    # a str sign is read as its member before the memo lookup, so either
+    # spelling, whichever comes first, stores and reads back one value
+    fam = families[name]
+    u, delta = 0.3 + 0.2j, 0.4 + 0.6j
+    for member in GammaSign:
+        want = repr(gamma_fn(fam, member, u, delta))
+        for first, second in ((member.value, member), (member, member.value)):
+            memo = fam.memoized()
+            value = gamma_fn(memo, first, u, delta)
+            assert repr(value) == want
+            assert gamma_fn(memo, second, u, delta) is value
+            assert list(memo._memo) == [(member, _exact_key(u), _exact_key(delta))]
+            assert type(next(iter(memo._memo))[0]) is GammaSign
+
+
 def test_gamma_rejects_an_unknown_sign(families):
     # a typo must not select a branch silently, also under python -O
     for fam in families.values():
