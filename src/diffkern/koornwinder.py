@@ -11,8 +11,10 @@ coefficients A_i^(+-) and shifts s_i -> sq^(+-1) s_i of the square-root
 coordinates, take rational values.  Each coefficient comes as an integer
 pair (numerator, positive denominator), and each row brings them and
 -d_lambda over one positive common denominator, so the rows are integer
-vectors built without Fraction arithmetic.  The k - 1 unknown
-coefficients follow from one fraction-free solve (Bareiss 1968), as
+vectors built without Fraction arithmetic.  The orbit values at the
+points do not depend on the parameters and are kept per basis across
+solves, so a solve at new parameters builds only the weights.  The k - 1
+unknown coefficients follow from one fraction-free solve (Bareiss 1968), as
 primitive integers over one positive denominator, and P is expanded from
 them once (:func:`diffkern.laurent.orbit_expansion`).  A k-th point
 checks the eigen-equation exactly, so the solve never calls the symbolic
@@ -43,6 +45,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import islice
 from math import gcd, lcm
+from operator import mul
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .kernels import kern_psi_mult
@@ -173,30 +176,43 @@ def koorn_basis(lam: Partition, m: int) -> KoornBasis:
     return KoornBasis(lam=lam, mu_list=tuple(members), m=m)
 
 
-def _eigenvalue_pair(part: Partition, ep: ExactParams, m: int) -> tuple[int, int]:
-    """:func:`eigenvalue_d` as an integer pair (num, den), den nonzero but
-    of either sign and not reduced."""
-    if len(part) > m:
-        raise ValueError(f"partition {part.parts} does not fit in {m} variables")
+def _eigenvalue_pairs(
+    parts: Sequence[Partition], ep: ExactParams, m: int
+) -> list[tuple[int, int]]:
+    """:func:`eigenvalue_d` of each partition as an integer pair (num, den),
+    den nonzero but of either sign and not reduced.  alpha's pair and the
+    powers of q and t are built once for all of ``parts``."""
+    for part in parts:
+        if len(part) > m:
+            raise ValueError(f"partition {part.parts} does not fit in {m} variables")
     an, ad = ep.sq.denominator, ep.sq.numerator
     for root in (ep.sa, ep.sb, ep.sc, ep.sd):
         an *= root.numerator
         ad *= root.denominator
     qn, qd = ep.sq.numerator ** 2, ep.sq.denominator ** 2
     tn, td = ep.st.numerator ** 2, ep.st.denominator ** 2
-    num, den = 0, 1
-    for i, li in enumerate(part.padded(m)):
-        if not li:
-            continue
-        # y = bn/bd = alpha t^(m-1-i) and x = sn/sd = y q^li, so sn sd =
-        # bn bd qn^li qd^li and x + 1/x - y - 1/y is term_num / (sn sd)
+    # y_i = bn/bd = alpha t^(m-1-i), with bn^2 + bd^2
+    ys = []
+    for i in range(m):
         bn, bd = an * tn ** (m - 1 - i), ad * td ** (m - 1 - i)
-        qli, dli = qn**li, qd**li
-        sn, sd = bn * qli, bd * dli
-        term_num = sn * sn + sd * sd - (bn * bn + bd * bd) * qli * dli
-        term_den = sn * sd
-        num, den = num * term_den + term_num * den, den * term_den
-    return num, den
+        ys.append((bn, bd, bn * bn + bd * bd))
+    top = max((part.part(0) for part in parts), default=0)
+    q_powers = [(qn**li, qd**li) for li in range(top + 1)]
+    pairs = []
+    for part in parts:
+        num, den = 0, 1
+        for (bn, bd, b_sum), li in zip(ys, part.padded(m)):
+            if not li:
+                continue
+            # x = sn/sd = y q^li, so sn sd = bn bd qn^li qd^li and
+            # x + 1/x - y - 1/y is term_num / (sn sd)
+            qli, dli = q_powers[li]
+            sn, sd = bn * qli, bd * dli
+            term_num = sn * sn + sd * sd - b_sum * qli * dli
+            term_den = sn * sd
+            num, den = num * term_den + term_num * den, den * term_den
+        pairs.append((num, den))
+    return pairs
 
 
 def eigenvalue_d(lam, ep: ExactParams, m: int) -> Fraction:
@@ -206,30 +222,37 @@ def eigenvalue_d(lam, ep: ExactParams, m: int) -> Fraction:
     gives 0.  Each term is x + 1/x - y - 1/y for x = y q^(lam_i), summed
     on integer pairs; only the total becomes a Fraction.
     """
-    return Fraction(*_eigenvalue_pair(_as_partition(lam), ep, m))
+    return Fraction(*_eigenvalue_pairs([_as_partition(lam)], ep, m)[0])
 
 
-def _macdonald_eigenvalue_pair(
-    part: Partition, q: Fraction, t: Fraction, m: int
-) -> tuple[int, int]:
-    """:func:`macdonald_eigenvalue` as an integer pair (num, den > 0), not
-    reduced."""
-    if len(part) > m:
-        raise ValueError(f"partition {part.parts} does not fit in {m} variables")
+def _macdonald_eigenvalue_pairs(
+    parts: Sequence[Partition], q: Fraction, t: Fraction, m: int
+) -> list[tuple[int, int]]:
+    """:func:`macdonald_eigenvalue` of each partition as an integer pair
+    (num, den > 0), not reduced; the powers of t are built once for all of
+    ``parts``."""
+    for part in parts:
+        if len(part) > m:
+            raise ValueError(f"partition {part.parts} does not fit in {m} variables")
     qn, qd = q.numerator, q.denominator
     tn, td = t.numerator, t.denominator
-    top = part.part(0)
-    num = 0
-    for i, li in enumerate(part.padded(m)):
-        num += qn**li * qd ** (top - li) * tn ** (m - 1 - i) * td**i
-    return num, qd**top * td ** max(m - 1, 0)
+    t_powers = [tn ** (m - 1 - i) * td**i for i in range(m)]
+    t_den = td ** max(m - 1, 0)
+    pairs = []
+    for part in parts:
+        top = part.part(0)
+        num = 0
+        for tt, li in zip(t_powers, part.padded(m)):
+            num += qn**li * qd ** (top - li) * tt
+        pairs.append((num, qd**top * t_den))
+    return pairs
 
 
 def macdonald_eigenvalue(lam, q, t, m: int) -> Fraction:
     """Eigenvalue sum_i q^(lam_i) t^(m-i) of the first Macdonald operator,
     summed over the one positive denominator q_den^lam_1 t_den^(m-1)."""
-    pair = _macdonald_eigenvalue_pair(_as_partition(lam), Fraction(q), Fraction(t), m)
-    return Fraction(*pair)
+    parts = [_as_partition(lam)]
+    return Fraction(*_macdonald_eigenvalue_pairs(parts, Fraction(q), Fraction(t), m)[0])
 
 
 # ======================================================================
@@ -239,7 +262,9 @@ def macdonald_eigenvalue(lam, q, t, m: int) -> Fraction:
 # Capacity of the parameter-keyed polynomial caches.  Unbounded, they would
 # keep every polynomial solved for as long as the process lives, so a
 # caller sweeping parameters would grow without limit.  64 polynomials hold
-# the whole 3 x 3 box for m = 1..3 at one parameter set (34 labels).
+# the whole 3 x 3 box for m = 1..3 at one parameter set (34 labels).  The
+# solve frames (:func:`_solve_frame`), keyed by basis and not by
+# parameters, share the bound.
 _POLY_CACHE_SIZE = 64
 
 # Point streams drawn for one solve before it gives up.  A stream is
@@ -298,7 +323,31 @@ _Weight = tuple[int, int]
 _Moves = tuple[_Weight, list[tuple[int, tuple[int, int], _Weight]]]
 
 
-def _koorn_moves(ep: ExactParams, point: Sequence[int]) -> _Moves:
+_KoornConstants = tuple[tuple[tuple[int, int], ...], _Weight, _Weight, int, int]
+
+
+def _koorn_constants(ep: ExactParams, m: int) -> _KoornConstants:
+    """The integers :func:`_koorn_moves` takes from (ep, m), built once per
+    solve: the squares (num^2, den^2) of sa..sd, q^2 and t^2 as integer
+    pairs, and the numerator and denominator of the constant factor of
+    every weight."""
+    roots = (ep.sa, ep.sb, ep.sc, ep.sd)
+    qn, qd = ep.sq.numerator, ep.sq.denominator
+    const_den = (ep.st.numerator * ep.st.denominator) ** (2 * (m - 1))
+    for r in roots:
+        const_den *= r.numerator * r.denominator
+    return (
+        tuple((r.numerator**2, r.denominator**2) for r in roots),
+        (qn * qn, qd * qd),
+        (ep.st.numerator**2, ep.st.denominator**2),
+        qn * qd,
+        const_den,
+    )
+
+
+def _koorn_moves(
+    ep: ExactParams, point: Sequence[int], const: _KoornConstants | None = None
+) -> _Moves:
     """Koornwinder operator at a point: sum_i A_i^+ (T_i - 1) + A_i^- (T_i^-1 - 1).
 
     Returns the weight of the unshifted value and, for every shift, the
@@ -306,7 +355,9 @@ def _koorn_moves(ep: ExactParams, point: Sequence[int]) -> _Moves:
     its weight A_i^(+-), with A_i^- (z) = A_i^+ (1/z) as in
     :func:`diffkern.operators.apply_koorn_mult`.  Every weight is an
     integer pair (num, den) with den > 0, not reduced; the unshifted
-    weight comes over the lcm of the shift denominators.
+    weight comes over the lcm of the shift denominators.  ``const`` is
+    :func:`_koorn_constants` of (ep, len(point)), which a solve builds once
+    for all its points.
 
     A bracket [x] = x^(1/2) - x^(-1/2) whose square root is a ratio u/v of
     integers is (u^2 - v^2) / (u v).  In A_i^+ each u v is a product of
@@ -316,35 +367,45 @@ def _koorn_moves(ep: ExactParams, point: Sequence[int]) -> _Moves:
     constant sq_num sq_den / (sa_num sa_den ... sd_num sd_den
     (st_num st_den)^(2(m-1))).
     """
-    roots = (ep.sa, ep.sb, ep.sc, ep.sd)
-    squares = [(r.numerator**2, r.denominator**2) for r in roots]
-    qn, qd = ep.sq.numerator, ep.sq.denominator
-    q2n, q2d = qn * qn, qd * qd
-    t2n, t2d = ep.st.numerator**2, ep.st.denominator**2
-    const_num = qn * qd
-    const_den = (ep.st.numerator * ep.st.denominator) ** (2 * (len(point) - 1))
-    for r in roots:
-        const_den *= r.numerator * r.denominator
+    if const is None:
+        const = _koorn_constants(ep, len(point))
+    squares, (q2n, q2d), (t2n, t2d), const_num, const_den = const
     zs = [s * s for s in point]
+    # per variable, [num, den] of the up shift (z_i) and the down shift
+    # (1/z_i); top: [a z_i] ... [d z_i]; bottom: [z_i^2] [q z_i^2]
+    up, down = [], []
+    for z in zs:
+        up_num = down_num = const_num
+        for an, ad in squares:
+            up_num *= an * z - ad
+            down_num *= an - ad * z
+        zz = z * z
+        up.append([up_num, const_den * (zz - 1) * (q2n * zz - q2d)])
+        down.append([down_num, const_den * (1 - zz) * (q2n - q2d * zz)])
+    # top: [t z_i z_j] [t z_i / z_j]; bottom: [z_i z_j] [z_i / z_j].  Both
+    # shifts of z_i and of z_j share the bottom (z_i z_j - 1)(z_i - z_j) up
+    # to sign, and the four tops are products of four brackets
+    for i, zi in enumerate(zs):
+        for j in range(i + 1, len(zs)):
+            zj = zs[j]
+            zz = zi * zj
+            bottom = (zz - 1) * (zi - zj)
+            t_zz, t_over = t2n * zz - t2d, t2n - t2d * zz
+            t_ij, t_ji = t2n * zi - t2d * zj, t2n * zj - t2d * zi
+            up[i][0] *= t_zz * t_ij
+            up[i][1] *= bottom
+            up[j][0] *= t_zz * t_ji
+            up[j][1] *= -bottom
+            down[i][0] *= t_over * t_ji
+            down[i][1] *= bottom
+            down[j][0] *= t_over * t_ij
+            down[j][1] *= -bottom
     moves = []
-    for up in (True, False):
-        # z_j (up) or 1/z_j (down) as an integer pair
-        coords = [(z, 1) if up else (1, z) for z in zs]
-        for i, (u, v) in enumerate(coords):
-            # top: [a z_i] ... [d z_i]; bottom: [z_i^2] [q z_i^2]
-            num = const_num
-            for an, ad in squares:
-                num *= an * u - ad * v
-            den = const_den * (u * u - v * v) * (q2n * u * u - q2d * v * v)
-            # top: [t z_i z_j] [t z_i / z_j]; bottom: [z_i z_j] [z_i / z_j]
-            for j, (x, y) in enumerate(coords):
-                if j != i:
-                    num *= (t2n * u * x - t2d * v * y) * (t2n * u * y - t2d * v * x)
-                    den *= (u * x - v * y) * (u * y - v * x)
+    for weights, (shift_num, shift_den) in ((up, (q2n, q2d)), (down, (q2d, q2n))):
+        for i, (num, den) in enumerate(weights):
             if not den:
                 raise _Pole
-            z = zs[i]
-            moved = (z * q2n, q2d) if up else (z * q2d, q2n)
+            moved = (zs[i] * shift_num, shift_den)
             moves.append((i, moved, (-num, -den) if den < 0 else (num, den)))
     # the unshifted value's weight, minus the sum of the others
     common = lcm(*(den for _, _, (_, den) in moves))
@@ -383,7 +444,7 @@ _SplitTable = dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]]
 
 def _split_table(labels: Iterable[tuple[int, ...]]) -> _SplitTable:
     """The :func:`_splits` of each padded label and of every shorter label
-    its splits reach, built once for a whole solve."""
+    its splits reach, shorter labels first, built once per basis."""
     table: _SplitTable = {}
     todo = list(labels)
     while todo:
@@ -391,28 +452,113 @@ def _split_table(labels: Iterable[tuple[int, ...]]) -> _SplitTable:
         if label and label not in table:
             table[label] = _splits(label)
             todo.extend(rest for _, rest in table[label])
-    return table
+    return dict(sorted(table.items(), key=lambda item: len(item[0])))
 
 
 def _orbit_values(
     tables: Sequence[Sequence[int]], splits: _SplitTable
 ) -> Callable[[tuple[int, ...]], int]:
     """Orbit sums over the variables of ``tables``: rho -> the sum over the
-    distinct orderings pi of rho of prod_j tables[j][pi_j], memoized;
-    ``splits`` holds the splits of rho and of every label they reach."""
-    memo: dict[tuple[int, ...], int] = {(): 1}
+    distinct orderings pi of rho of prod_j tables[j][pi_j], for the empty
+    label and every label of ``splits`` with at most len(tables) entries.
+    ``splits`` lists shorter labels first, so every rest is valued before
+    the labels that split into it."""
+    n = len(tables)
+    values: dict[tuple[int, ...], int] = {(): 1}
+    for rho, rho_splits in splits.items():
+        if len(rho) > n:
+            break
+        row = tables[n - len(rho)]
+        got = 0
+        for v, rest in rho_splits:
+            got += row[v] * values[rest]
+        values[rho] = got
+    return values.__getitem__
 
-    def value(rho: tuple[int, ...]) -> int:
-        got = memo.get(rho)
-        if got is None:
-            row = tables[len(tables) - len(rho)]
-            got = 0
-            for v, rest in splits[rho]:
-                got += row[v] * value(rest)
-            memo[rho] = got
-        return got
 
-    return value
+class _PointFrame(NamedTuple):
+    """The parameter-free part of the rows at one point: each variable's
+    base scale, variable 0's base values, and per label the orbit values
+    that its row entry takes the dot product of with the mixture entries
+    at the label's :attr:`_SolveFrame.index`."""
+
+    scales: tuple[int, ...]
+    base: tuple[int, ...]
+    values: tuple[tuple[int, ...], ...]
+
+
+class _SolveFrame(NamedTuple):
+    """The parameter-free part of a basis's rows: the split table, the
+    points each stream has given so far, and the :class:`_PointFrame` of
+    each point a solve has reached."""
+
+    splits: _SplitTable
+    index: tuple[tuple[int, ...], ...]
+    streams: dict[int, list[tuple[int, ...]]]
+    points: dict[tuple[int, ...], _PointFrame]
+
+    def stream(
+        self, lam: Partition, m: int, count: int, attempt: int
+    ) -> Iterator[tuple[int, ...]]:
+        """:func:`_point_stream`, drawn only past the points kept so far."""
+        drawn = self.streams.setdefault(attempt, [])
+        yield from drawn
+        for point in islice(_point_stream(lam, m, count, attempt), len(drawn), None):
+            drawn.append(point)
+            yield point
+
+
+@lru_cache(maxsize=_POLY_CACHE_SIZE)
+def _solve_frame(
+    labels: tuple[tuple[int, ...], ...],
+    top: int,
+    table: Callable[[int, int, int], tuple[list[int], int]],
+) -> _SolveFrame:
+    """The frame of the padded labels of one basis, kept per (basis, m,
+    table) across parameters; its streams and points fill in as solves
+    reach them.  It takes no lock: solves of one basis in several threads
+    at once may each extend a stream, which can change the points later
+    solves meet but not the polynomial they return."""
+    splits = _split_table(labels)
+    # per label, the mixture entry of each split (v, rest) along variable
+    # i, at i (top + 1) + v, in the order of _point_frame's values
+    width = top + 1
+    index = tuple(
+        tuple(
+            at + v
+            for at in range(0, len(label) * width, width)
+            for v, _ in splits[label]
+        )
+        for label in labels
+    )
+    return _SolveFrame(splits, index, {}, {})
+
+
+def _point_frame(
+    labels: Sequence[tuple[int, ...]],
+    splits: _SplitTable,
+    point: tuple[int, ...],
+    top: int,
+    table: Callable[[int, int, int], tuple[list[int], int]],
+) -> _PointFrame:
+    """Expand every orbit sum along each variable i in turn: m_label is
+    sum_(v, rest) phi_v(z_i) * (orbit sum of rest over the other
+    variables), so its values are those orbit sums, variable by variable
+    and split by split.  ``splits`` is the :func:`_split_table` of
+    ``labels``, whose order :attr:`_SolveFrame.index` follows."""
+    base = [table(s * s, 1, top) for s in point]
+    tables = [values for values, _ in base]
+    others = [
+        _orbit_values(tables[:i] + tables[i + 1 :], splits) for i in range(len(point))
+    ]
+    return _PointFrame(
+        tuple(scale for _, scale in base),
+        tuple(tables[0]),
+        tuple(
+            tuple([other(rest) for other in others for _, rest in splits[label]])
+            for label in labels
+        ),
+    )
 
 
 def _interpolation_row(
@@ -429,46 +575,40 @@ def _interpolation_row(
 
     Every value is expanded along one variable i: the shifts of i change
     only the one-variable factor, and the orbit sums over the other
-    variables are shared.  The operator weights, integer pairs with
-    positive denominators, and -eig, folded into the weight of the
-    unshifted value, go over one positive common denominator, so the row
-    is built from integer products alone and its primitive form does not
-    depend on which common denominator was taken.
+    variables are shared.  That part does not depend on the parameters;
+    it is the point's :class:`_PointFrame`, taken from the basis's
+    :func:`_solve_frame` and built from ``splits`` the first time a solve
+    reaches the point.  The operator weights, integer pairs with positive
+    denominators, and -eig, folded into the weight of the unshifted value,
+    go over one positive common denominator, so the row is built from
+    integer products alone and its primitive form does not depend on
+    which common denominator was taken.
     """
     (id_num, id_den), moved = moves(point)
-    base = [table(s * s, 1, top) for s in point]
-    # per variable: (weight num, weight den, one-variable values), weights
+    solve_frame = _solve_frame(tuple(labels), top, table)
+    frame = solve_frame.points.get(point)
+    if frame is None:
+        frame = _point_frame(labels, splits, point, top, table)
+        solve_frame.points[point] = frame
+    width = top + 1
+    # (offset, weight num, weight den, one-variable values), each weight
     # already carrying the ratio of the moved variable's scale to its base
     # scale; every den is positive
-    parts: list[list[tuple[int, int, list[int]]]] = [[] for _ in point]
     eig_num, eig_den = eig.numerator, eig.denominator
-    parts[0].append(
-        (id_num * eig_den - eig_num * id_den, id_den * eig_den, base[0][0])
-    )
+    parts = [(0, id_num * eig_den - eig_num * id_den, id_den * eig_den, frame.base)]
     for i, (n, d), (w_num, w_den) in moved:
         values, scale = table(n, d, top)
-        parts[i].append((w_num * base[i][1], w_den * scale, values))
-    common = lcm(*(den for part in parts for _, den, _ in part))
-    mixed = []
-    for part in parts:
-        acc = [0] * (top + 1)
-        for num, den, values in part:
-            factor = num * (common // den)
-            for v in range(top + 1):
-                acc[v] += factor * values[v]
-        mixed.append(acc)
-
-    tables = [values for values, _ in base]
-    others = [
-        _orbit_values(tables[:i] + tables[i + 1 :], splits) for i in range(len(point))
-    ]
+        parts.append((i * width, w_num * frame.scales[i], w_den * scale, values))
+    common = lcm(*(den for _, _, den, _ in parts))
+    mixed = [0] * (len(point) * width)
+    for at, num, den, values in parts:
+        factor = num * (common // den)
+        for v, value in enumerate(values, at):
+            mixed[v] += factor * value
+    entry = mixed.__getitem__
     row = [
-        sum(
-            mix[v] * other(rest)
-            for mix, other in zip(mixed, others)
-            for v, rest in splits[label]
-        )
-        for label in labels
+        sum(map(mul, map(entry, index), values))
+        for index, values in zip(solve_frame.index, frame.values)
     ]
     content = gcd(*row) or 1
     return [e // content for e in row]
@@ -523,7 +663,7 @@ def _eigen_solve(
     m: int,
     table: Callable[[int, int, int], tuple[list[int], int]],
     moves: Callable[[Sequence[int]], _Moves],
-    eig: Callable[[Partition], tuple[int, int]],
+    eig: Callable[[Sequence[Partition]], list[tuple[int, int]]],
     what: str,
 ) -> _OrbitCoefficients:
     """Unit-leading eigenfunction P = sum_nu c_nu m_nu of D, by interpolation.
@@ -535,9 +675,9 @@ def _eigen_solve(
     independent, which is exactly where the (k - 1) x (k - 1) system for
     the c_nu is regular; equal eigenvalues d_nu = d_lam would make it
     singular everywhere, so they are reported first as a collision,
-    found by comparing the integer pairs (num, den) that ``eig`` gives
-    crosswise.  A k-th point must satisfy the eigen-equation exactly, or
-    :class:`TriangularSolveError` is raised.  A point where the operator
+    found by comparing crosswise the integer pairs (num, den) that ``eig``
+    gives for the whole basis at once.  A k-th point must satisfy the
+    eigen-equation exactly, or :class:`TriangularSolveError` is raised.  A point where the operator
     has a pole is replaced by the next one of the stream, and a singular
     system starts a new stream.
 
@@ -550,11 +690,22 @@ def _eigen_solve(
        denominator, the head coefficient equal to it;
     3. the caller expands P once, with
        :func:`diffkern.laurent.orbit_expansion`.
+
+    What depends only on the basis, m and the table is kept across solves
+    in :func:`_solve_frame`: the split table, the points each stream has
+    given, and at every point a row was built at, the base scales,
+    variable 0's base values and the orbit values of every label's splits
+    over the other variables.  The frames sit in one ``lru_cache`` of
+    _POLY_CACHE_SIZE entries, the bound of the polynomial caches, so a
+    sweep over parameters reuses one frame per basis and a sweep over
+    bases keeps at most _POLY_CACHE_SIZE of them.  Per solve, ``moves``
+    and ``eig`` take the parameters' constants once; per point, only the
+    operator weights, the moved one-variable tables, their mixture and one
+    integer dot product per label are built.
     """
     lam = basis[0]
-    lam_num, lam_den = eig(lam)
-    for mu in basis[1:]:
-        mu_num, mu_den = eig(mu)
+    (lam_num, lam_den), *others = eig(basis)
+    for mu, (mu_num, mu_den) in zip(basis[1:], others):
         if mu_num * lam_den == lam_num * mu_den:
             raise CollisionError(
                 f"{what}: eigenvalue of {mu.parts} collides with {lam.parts} at "
@@ -564,16 +715,18 @@ def _eigen_solve(
     d_lam = Fraction(lam_num, lam_den)
     k = len(basis)
     top = lam.part(0)
-    labels = [mu.padded(m) for mu in basis]
-    splits = _split_table(labels)
+    labels = tuple(mu.padded(m) for mu in basis)
+    frame = _solve_frame(labels, top, table)
     for attempt in range(_POINT_DRAWS):
         # a point where a coefficient has a pole is replaced by the next
         # one; an attempt that meets more poles than it needs points fails
         rows = []
-        for point in islice(_point_stream(lam, m, k, attempt), 2 * k):
+        for point in islice(frame.stream(lam, m, k, attempt), 2 * k):
             try:
                 rows.append(
-                    _interpolation_row(labels, splits, point, top, table, moves, d_lam)
+                    _interpolation_row(
+                        labels, frame.splits, point, top, table, moves, d_lam
+                    )
                 )
             except _Pole:
                 continue
@@ -620,8 +773,8 @@ def _koornwinder_cached(lam: Partition, ep: ExactParams, m: int) -> LaurentPoly:
         koorn_basis(lam, m).mu_list,
         m,
         _laurent_table,
-        partial(_koorn_moves, ep),
-        partial(_eigenvalue_pair, ep=ep, m=m),
+        partial(_koorn_moves, ep, const=_koorn_constants(ep, m)),
+        partial(_eigenvalue_pairs, ep=ep, m=m),
         "koornwinder",
     )
     return orbit_expansion(*solved, m)
@@ -647,7 +800,7 @@ def _macdonald_cached(
         m,
         _power_table,
         partial(_macdonald_moves, q, t),
-        partial(_macdonald_eigenvalue_pair, q=q, t=t, m=m),
+        partial(_macdonald_eigenvalue_pairs, q=q, t=t, m=m),
         "macdonald",
     )
     return orbit_expansion(*solved, m, signed=False)

@@ -207,13 +207,12 @@ def test_eigen_equation_holds_at_alternate_parameters(lam, m):
 
 def test_wrong_eigenvalue_raises_typed_error(monkeypatch):
     # the guard must survive python -O, so it cannot be an assert
-    real = kw._eigenvalue_pair
+    real = kw._eigenvalue_pairs
 
-    def plus_one(lam, ep, m):
-        num, den = real(lam, ep, m)
-        return num + den, den
+    def plus_one(parts, ep, m):
+        return [(num + den, den) for num, den in real(parts, ep, m)]
 
-    monkeypatch.setattr(kw, "_eigenvalue_pair", plus_one)
+    monkeypatch.setattr(kw, "_eigenvalue_pairs", plus_one)
     # parameters used nowhere else, so no cached polynomial is hit
     fresh = EP_ALT.replace(sa=Fraction(11, 13))
     with pytest.raises(TriangularSolveError, match="check point"):
@@ -224,8 +223,8 @@ def test_corrupted_operator_weight_fails_the_check_point(monkeypatch):
     # a wrong weight makes the image leave the span of the basis
     real = kw._koorn_moves
 
-    def moves(ep, point):
-        identity, moved = real(ep, point)
+    def moves(ep, point, const=None):
+        identity, moved = real(ep, point, const)
         (i, shift, (num, den)), *rest = moved
         return identity, [(i, shift, (num * 1001, den * 1000)), *rest]
 
@@ -236,6 +235,16 @@ def test_corrupted_operator_weight_fails_the_check_point(monkeypatch):
 
 # ----------------------------------------------------------------------
 # the interpolation solve
+
+
+@pytest.fixture
+def fresh_frames():
+    """Clear the solve frames before and after the test: a warm frame
+    replays the points it keeps instead of drawing from a patched stream,
+    and points a patched stream gave must not reach later solves."""
+    kw._solve_frame.cache_clear()
+    yield
+    kw._solve_frame.cache_clear()
 
 
 def _assert_rows_match_the_operator(basis, m, table, moves, eig, image):
@@ -529,11 +538,12 @@ def _recorded_points(monkeypatch):
     return log
 
 
-def test_pole_point_is_replaced_deterministically(monkeypatch):
+def test_pole_point_is_replaced_deterministically(monkeypatch, fresh_frames):
     # sq = 1/4 puts a pole of [q z^2] at s = 2: such points are skipped
     ep = EP.replace(sq=Fraction(1, 4))
     lam = Partition((1, 1))
     log = _recorded_points(monkeypatch)
+    # the first solve builds the frame, the second replays it
     first = kw._koornwinder_cached.__wrapped__(lam, ep, 2)
     runs = [list(log)]
     log.clear()
@@ -544,10 +554,33 @@ def test_pole_point_is_replaced_deterministically(monkeypatch):
     assert all((2 in p) == (what == "pole") for p, what in runs[0])
     k = len(koorn_basis(lam, 2).mu_list)
     assert sum(what == "ok" for _, what in runs[0]) == k
+    # a pole point is kept in its stream but gets no point frame
+    labels = tuple(mu.padded(2) for mu in koorn_basis(lam, 2).mu_list)
+    frame = kw._solve_frame(labels, 1, kw._laurent_table)
+    assert set(frame.points) == {p for p, what in runs[0] if what == "ok"}
     assert apply_koorn_mult(ep, first, 2) == first * eigenvalue_d(lam, ep, 2)
 
 
-def test_singular_interpolation_matrix_draws_a_new_stream(monkeypatch):
+def test_warm_stream_draws_past_its_kept_points(monkeypatch, fresh_frames):
+    # a solve without poles keeps k points of the first stream; one with
+    # poles then needs more of it, and must meet the same points as a
+    # solve on a cleared frame
+    lam = Partition((1, 1))
+    ep = EP.replace(sq=Fraction(1, 4))
+    log = _recorded_points(monkeypatch)
+    cold = kw._koornwinder_cached.__wrapped__(lam, ep, 2)
+    cold_points = list(log)
+    kw._solve_frame.cache_clear()
+    kw._koornwinder_cached.__wrapped__(lam, EP, 2)
+    labels = tuple(mu.padded(2) for mu in koorn_basis(lam, 2).mu_list)
+    kept = list(kw._solve_frame(labels, 1, kw._laurent_table).streams[0])
+    assert len(kept) < len(cold_points)
+    log.clear()
+    assert kw._koornwinder_cached.__wrapped__(lam, ep, 2) == cold
+    assert log == cold_points
+
+
+def test_singular_interpolation_matrix_draws_a_new_stream(monkeypatch, fresh_frames):
     attempts = []
     real = kw._point_stream
 
@@ -565,7 +598,7 @@ def test_singular_interpolation_matrix_draws_a_new_stream(monkeypatch):
 
 
 @pytest.mark.parametrize("cause", ["singular", "poles"])
-def test_exhausted_point_streams_raise_typed_error(monkeypatch, cause):
+def test_exhausted_point_streams_raise_typed_error(monkeypatch, fresh_frames, cause):
     # the give-up must survive python -O, so it cannot be an assert
     attempts = []
     ep = EP.replace(sq=Fraction(1, 4))
@@ -593,9 +626,86 @@ def test_missing_basis_label_fails_the_check_point():
             1,
             kw._laurent_table,
             partial(kw._koorn_moves, EP),
-            partial(kw._eigenvalue_pair, ep=EP, m=1),
+            partial(kw._eigenvalue_pairs, ep=EP, m=1),
             "koornwinder",
         )
+
+
+def _recorded_rows(monkeypatch):
+    """Log the arguments and the result of every row a solve builds."""
+    log = []
+    real = kw._interpolation_row
+
+    def row(*args):
+        out = real(*args)
+        log.append((args, out))
+        return out
+
+    monkeypatch.setattr(kw, "_interpolation_row", row)
+    return log
+
+
+def _assert_cold_and_warm_solves_agree(solve, ref_moves, log):
+    """Solve with the frames cleared, then again with them warm: the same
+    polynomial, and every row equal to the Fraction reference."""
+    kw._solve_frame.cache_clear()
+    runs = []
+    for _ in range(2):
+        log.clear()
+        poly = solve()
+        for (*args, _moves, eig), out in log:
+            assert out == reference_interpolation_row(*args, ref_moves, eig), args[2]
+        runs.append((poly_dumps(poly), [out for _, out in log]))
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("name", ["EP", "NEG"])
+def test_cold_and_warm_frames_give_the_same_solves(monkeypatch, fresh_frames, name):
+    ep = ORACLE_PARAMS[name]
+    q, t = ep.sq, ep.st
+    cases = [(lam, m) for m in (1, 2, 3) for lam in partitions_in_box(m, 3)]
+    cases.append((Partition((2, 1, 1, 1)), 4))
+    log = _recorded_rows(monkeypatch)
+    for lam, m in cases:
+        _assert_cold_and_warm_solves_agree(
+            partial(kw._koornwinder_cached.__wrapped__, lam, ep, m),
+            partial(reference_koorn_moves, ep),
+            log,
+        )
+        _assert_cold_and_warm_solves_agree(
+            partial(kw._macdonald_cached.__wrapped__, lam, q, t, m),
+            partial(reference_macdonald_moves, q, t),
+            log,
+        )
+
+
+def test_koornwinder_and_macdonald_solves_keep_apart_frames(fresh_frames):
+    # the empty label has the same padded labels and top degree in both,
+    # so only the table tells its two frames apart
+    q, t = EP.q, EP.t
+    for lam, m in ((Partition((2, 1)), 2), (Partition(()), 2)):
+        kw._solve_frame.cache_clear()
+        koorn = kw._koornwinder_cached.__wrapped__(lam, EP, m)
+        mac = kw._macdonald_cached.__wrapped__(lam, q, t, m)
+        info = kw._solve_frame.cache_info()
+        assert (info.misses, info.currsize) == (2, 2)
+        koorn_frame = kw._solve_frame(
+            tuple(mu.padded(m) for mu in koorn_basis(lam, m).mu_list),
+            lam.part(0),
+            kw._laurent_table,
+        )
+        mac_frame = kw._solve_frame(
+            tuple(mu.padded(m) for mu in kw._macdonald_basis(lam, m)),
+            lam.part(0),
+            kw._power_table,
+        )
+        assert kw._solve_frame.cache_info().misses == 2
+        assert koorn_frame is not mac_frame
+        # each equals its own solve on cleared frames, in the other order
+        kw._solve_frame.cache_clear()
+        assert kw._macdonald_cached.__wrapped__(lam, q, t, m) == mac
+        kw._solve_frame.cache_clear()
+        assert kw._koornwinder_cached.__wrapped__(lam, EP, m) == koorn
 
 
 # ----------------------------------------------------------------------
@@ -1078,14 +1188,21 @@ def test_koornwinder_json_is_deterministic():
 # ======================================================================
 
 
-def test_solve_caches_stay_within_their_bounds():
-    # more fresh parameter sets than either polynomial cache holds
+def test_solve_caches_stay_within_their_bounds(fresh_frames):
+    # more fresh parameter sets than either polynomial cache holds; one
+    # frame per basis serves all of them
     for k in range(140):
         koornwinder_poly((2,), EP.replace(sa=Fraction(100 + k, 7)), 1)
     assert kw._koornwinder_cached.cache_info().currsize == kw._POLY_CACHE_SIZE
+    assert kw._solve_frame.cache_info().currsize == 1
     for k in range(140):
         macdonald_poly((3,), Fraction(1, 3), Fraction(2, 7 + k), 3)
     assert kw._macdonald_cached.cache_info().currsize == kw._POLY_CACHE_SIZE
+    assert kw._solve_frame.cache_info().currsize == 2
+    # more bases than the frame cache holds
+    for n in range(140):
+        macdonald_poly((n,), Fraction(1, 3), Fraction(2, 7), 1)
+    assert kw._solve_frame.cache_info().currsize == kw._POLY_CACHE_SIZE
 
 
 def test_cached_polynomial_terms_are_read_only():
