@@ -940,7 +940,9 @@ class ExactParams:
 
     Stores the square roots sa..st, so a = sa**2, ..., t = st**2 and every
     square root the formulas call for (alpha = (abcd/q)**(1/2), (qt)**(1/2)/a,
-    q**(1/2) prefactors) is an exact rational.
+    q**(1/2) prefactors) is an exact rational.  The hash, the one a frozen
+    dataclass gives, is computed once per instance: every polynomial-cache
+    lookup takes it, and hashing six Fractions runs in Python.
     """
 
     sa: Fraction
@@ -958,6 +960,12 @@ class ExactParams:
                 object.__setattr__(self, root.name, value)
             if not value:
                 raise ValueError(f"square root {root.name} must be nonzero")
+        object.__setattr__(
+            self, "_hash", hash(tuple(getattr(self, root.name) for root in fields(self)))
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
 
     # squared values
     @property

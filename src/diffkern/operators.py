@@ -36,12 +36,14 @@ kernel identities (Theorem 4.1) run on apply_D_BC there.
 The exact multiplicative operators act on Laurent polynomials over Fraction:
 the Koornwinder operator in bracket normalization (eigenvalues
 sum_i [alpha t^(m-i) q^(lambda_i); alpha t^(m-i)]) and the Macdonald
-operators of order r.  Both are computed over an explicit product common
-denominator followed by exact multivariate division; a nonzero remainder
-(possible only on non-invariant input) surfaces as InexactDivisionError.
-The Koornwinder operator is invariant under the hyperoctahedral group W, so
-only variable 0's shift term is built; the other variables' terms and the
-inverse shifts are its images under transposition and inversion.
+operators of order r.  Both end in exact multivariate division; a nonzero
+remainder (possible only on non-invariant input) surfaces as
+InexactDivisionError.  The Koornwinder operator is a divided difference in
+x_i = z_i + 1/z_i: variable 0's shift terms, both directions, are divided
+by their own brackets [z_0^2][q z_0^2][q z_0^-2]; the hyperoctahedral group
+W carries that quotient to every other variable, and one division by the
+Vandermonde in x ends it.  The Macdonald operators are divided by the
+Vandermonde in z.
 """
 
 from __future__ import annotations
@@ -417,45 +419,6 @@ def _product(factors: Sequence[LaurentPoly], m: int) -> LaurentPoly:
     return functools.reduce(operator.mul, factors) if factors else LaurentPoly.one(m)
 
 
-def _koorn_denominators(m: int, sq: Fraction) -> tuple[LaurentPoly, LaurentPoly]:
-    """Common denominator D_total of the Koornwinder operator and the part
-    S_0 it shares with both shift directions of variable 0:
-
-        D_total / den(A_0^+) =  S_0 [q z_0^-2],
-        D_total / den(A_0^-) = -S_0 [q z_0^2],
-
-    S_0 = prod_{k > 0} [z_k^2][q z_k^2][q z_k^-2] prod_{0 < k < l} [z_k z_l][z_k / z_l].
-
-    Variable i shares S_i = (-1)^i prod_{k != i} [z_k^2][q z_k^2][q z_k^-2]
-    prod_{k < l, i not in (k, l)} [z_k z_l][z_k / z_l] in the same way (the
-    sign counts the brackets [z_j / z_i], j < i, that D_total holds in the
-    orientation opposite to den(A_i^+)).  With sigma_i the transposition of
-    z_0 and z_i and iota the inversion of every variable,
-
-        S_i = eps_i sigma_i(S_0),  iota(S_0) = eta S_0,
-
-    eps_0 = 1, eps_i = -1 for i >= 1 and eta = (-1)^(m-1); see
-    ``koorn_denominator_check``.
-    """
-    s_0 = _product(
-        [fac for k in range(1, m) for fac in _koorn_own_factors(m, k, sq)]
-        + [
-            fac
-            for k in range(1, m)
-            for l in range(k + 1, m)
-            for fac in _koorn_pair_factors(m, k, l)
-        ],
-        m,
-    )
-    # D_total = own_0 * prod_l pair_(0, l) * S_0, the small factors first
-    near_0 = _product(
-        _koorn_own_factors(m, 0, sq)
-        + [fac for l in range(1, m) for fac in _koorn_pair_factors(m, 0, l)],
-        m,
-    )
-    return near_0 * s_0, s_0
-
-
 def _swap_with_0(m: int, i: int) -> list[int]:
     """sigma_i as a permutation: z_0 and z_i exchanged (identity for i = 0)."""
     perm = list(range(m))
@@ -473,102 +436,72 @@ def apply_koorn_mult(ep: ExactParams, f: LaurentPoly, m: int) -> LaurentPoly:
     A_i^-(z) = A_i^+(z^-1)  (all variables inverted).
 
     Eigenvalues on P_lambda are sum_i [alpha t^(m-i) q^(lambda_i); alpha t^(m-i)].
-    Computed over the common denominator
-        D_total = prod_i [z_i^2][q z_i^2][q z_i^-2] * prod_{k<l} [z_k z_l][z_k/z_l]
-    with exact division.  Only variable 0's shift term is ever built:
+    The pair brackets are differences of x_k = z_k + 1/z_k,
+    [z_k z_l][z_k / z_l] = x_k - x_l, so D is a divided difference:
 
-        b(g) = S_0 n_0^+ (T_0 g - g) [q z_0^-2],
+        D f = sum_i (N_i / own_i) / prod_{j != i} (x_i - x_j),
+        N_i = n_i^+ (T_i f - f) [q z_i^-2] - n_i^- (T_i^-1 f - f) [q z_i^2],
 
-    with T_0 = T_{q,z_0}, n_0^+ the numerator brackets of A_0^+ and S_0 the
-    part of D_total that both complements D_total / den(A_0^+-) share (see
-    ``_koorn_denominators``).  The operator is W-invariant, so the numerator
-    over D_total is
+    with own_i = [z_i^2][q z_i^2][q z_i^-2], T_i = T_{q,z_i} and n_i^+- the
+    numerator brackets of A_i^+-.  Only variable 0's quotient is ever
+    built, M_0(g) = N_0(g) / own_0 by one exact division, where
+    n_0^- (T_0^-1 g - g) [q z_0^2] is the inversion iota of every variable
+    applied to n_0^+ (T_0 h - h) [q z_0^-2] at h = iota g.  The operator is
+    invariant under signed permutations, so M_i = sigma_i(M_0(sigma_i f)),
+    sigma_i the transposition of z_0 and z_i, and over the Vandermonde
+    V = prod_{k<l} (x_k - x_l)
 
-        sum_i eps_i sigma_i( b(sigma_i f) - eta iota(b(iota sigma_i f)) ),
+        D f = sum_i (-1)^i M_i prod_{k<l, i not in (k, l)} (x_k - x_l) / V,
 
-    with sigma_i the transposition of z_0 and z_i, iota the inversion of
-    every variable, eps_0 = 1, eps_i = -1 for i >= 1 and eta = (-1)^(m-1).
-    Within one call b, and the bracketed difference, are memoised by their
-    input polynomial (``LaurentPoly`` is hashable and its ``==`` structural),
-    so a W-invariant f costs one b and any other f one b per distinct image;
-    nothing is kept between calls.  The division
-    is exact precisely on inputs the operator maps to Laurent polynomials
-    (W-invariant f in particular), and raises InexactDivisionError
-    otherwise.
+    one exact division (none at m = 1, where D f = M_0(f)).  Within one call
+    M_0 and the shift term are memoised by their input polynomial
+    (``LaurentPoly`` is hashable and its ``==`` structural), so a W-invariant
+    f costs one shift term and one division by own_0; nothing is kept
+    between calls.  For q != 1, own_i is squarefree and prime to every
+    x_k - x_l and only term i has poles on it, so both divisions are exact
+    precisely on inputs the operator maps to Laurent polynomials
+    (W-invariant f in particular); any other input raises
+    InexactDivisionError at one of them.  At q = 1 every N_i is 0.
     """
     if f.m != m:
         raise ValueError(f"f has {f.m} variables, expected {m}")
     if m < 1:
         raise ValueError("need at least one variable")
     sq = ep.sq
-    d_total, s_0 = _koorn_denominators(m, sq)
     # numerator brackets of A_0^+
     n_plus = _product(
         [_two_term(m, {0: 1}, root) for root in (ep.sa, ep.sb, ep.sc, ep.sd)]
         + [_two_term(m, {0: 1, j: e}, ep.st) for j in range(1, m) for e in (1, -1)],
         m,
     )
-    q_down = _koorn_own_factors(m, 0, sq)[2]  # [q z_0^-2]
+    own = _koorn_own_factors(m, 0, sq)
+    q_down = own[2]  # [q z_0^-2]
+    own_0 = _product(own, m)
 
     # memoised for this call only: the closures die with it
     @functools.cache
-    def b(g: LaurentPoly) -> LaurentPoly:
-        return n_plus * ((g.substitute(0, sqrt_scale=sq) - g) * q_down) * s_0
+    def shift_term(g: LaurentPoly) -> LaurentPoly:
+        return n_plus * ((g.substitute(0, sqrt_scale=sq) - g) * q_down)
 
     @functools.cache
-    def both_shifts(g: LaurentPoly) -> LaurentPoly:
-        back = b(g.invert_all()).invert_all()
-        return b(g) - back if m % 2 else b(g) + back  # eta = (-1)^(m-1)
+    def quotient(g: LaurentPoly) -> LaurentPoly:
+        back = shift_term(g.invert_all()).invert_all()
+        return divide_exact(shift_term(g) - back, own_0)
 
-    numerator = both_shifts(f)
-    for i in range(1, m):
+    if m == 1:
+        return quotient(f)
+    pair = {
+        (k, l): _product(_koorn_pair_factors(m, k, l), m)
+        for k in range(m)
+        for l in range(k + 1, m)
+    }
+    numerator = LaurentPoly.zero(m)
+    for i in range(m):
         perm = _swap_with_0(m, i)
-        numerator = numerator - both_shifts(f.permute(perm)).permute(perm)
-    return divide_exact(numerator, d_total)
-
-
-def koorn_denominator_check(ep: ExactParams, m: int, i: int) -> bool:
-    """Internal consistency of the shared complements of variable i:
-
-      * S_i, assembled as the ``_koorn_denominators`` docstring reads, is
-        eps_i sigma_i(S_0), and iota(S_0) = eta S_0;
-      * denominator times complement equals D_total for both shift
-        directions, each complement formed from S_i.
-
-    These are the identities ``apply_koorn_mult`` relies on (exercised by
-    the test suite on small m)."""
-    sq = ep.sq
-    d_total, s_0 = _koorn_denominators(m, sq)
-    s_i = _product(
-        [LaurentPoly.const(m, (-1) ** i)]
-        + [fac for k in range(m) if k != i for fac in _koorn_own_factors(m, k, sq)]
-        + [
-            fac
-            for k in range(m)
-            for l in range(k + 1, m)
-            if i not in (k, l)
-            for fac in _koorn_pair_factors(m, k, l)
-        ],
-        m,
-    )
-    eps = 1 if i == 0 else -1
-    eta = (-1) ** (m - 1)
-    if s_0.permute(_swap_with_0(m, i)) * eps != s_i or s_0.invert_all() != s_0 * eta:
-        return False
-
-    # actual denominators, assembled exactly as the formulas read
-    den_plus = _two_term(m, {i: 2}, Fraction(1)) * _two_term(m, {i: 2}, sq)
-    for j in range(m):
-        if j == i:
-            continue
-        den_plus = den_plus * _two_term(m, {i: 1, j: 1}, Fraction(1))
-        den_plus = den_plus * _two_term(m, {i: 1, j: -1}, Fraction(1))
-    den_minus = den_plus.invert_all()
-
-    _, q_up, q_down = _koorn_own_factors(m, i, sq)
-    comp_plus = s_i * q_down
-    comp_minus = -(s_i * q_up)
-    return den_plus * comp_plus == d_total and den_minus * comp_minus == d_total
+        term = quotient(f.permute(perm)).permute(perm)
+        rest = _product([fac for (k, l), fac in pair.items() if i not in (k, l)], m)
+        numerator = numerator - rest * term if i % 2 else numerator + rest * term
+    return divide_exact(numerator, _product(list(pair.values()), m))
 
 
 def _linear_factor(m: int, i: int, j: int, scale: Fraction) -> LaurentPoly:

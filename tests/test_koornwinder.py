@@ -1205,6 +1205,23 @@ def test_solve_caches_stay_within_their_bounds(fresh_frames):
     assert kw._solve_frame.cache_info().currsize == kw._POLY_CACHE_SIZE
 
 
+def test_equal_params_built_apart_share_a_hash_and_a_cache_entry():
+    # the hash is computed once per instance from the six roots, the value
+    # the frozen dataclass gives, so equal parameters keep one cache key
+    roots = (Fraction(13, 17),) + tuple(getattr(EP, r) for r in ("sb", "sc", "sd", "sq", "st"))
+    one = ExactParams(*roots)
+    from_strings = ExactParams(*(str(r) for r in roots))
+    replaced = EP.replace(sa=Fraction(13, 17))
+    assert one == from_strings == replaced
+    assert hash(one) == hash(from_strings) == hash(replaced) == hash(roots)
+    first = koornwinder_poly((1,), one, 2)
+    before = kw._koornwinder_cached.cache_info()
+    assert koornwinder_poly((1,), from_strings, 2) is first
+    assert koornwinder_poly((1,), replaced, 2) is first
+    after = kw._koornwinder_cached.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 2, before.misses)
+
+
 def test_cached_polynomial_terms_are_read_only():
     poly = koornwinder_poly((2, 1), EP, 2)
     before = poly_dumps(poly)

@@ -33,7 +33,6 @@ from diffkern.operators import (
     coeff_BC,
     coeff_BC_zero,
     dup_prefactor,
-    koorn_denominator_check,
 )
 from diffkern.sigma import DomainError, FamilyKind, PoleError, SigmaFamily, sigma_eval
 
@@ -445,11 +444,14 @@ def reference_koorn_mult(ep, f, m):
 
 
 def outcome(apply, ep, f, m):
-    """The image, or the exception class and offending exponent raised."""
+    """The image, or the exception class raised.  The offending exponent
+    belongs to whichever division raised, so only its shape is checked."""
     try:
         return apply(ep, f, m)
     except InexactDivisionError as exc:
-        return InexactDivisionError, exc.offending_exponent
+        exp = exc.offending_exponent
+        assert isinstance(exp, tuple) and len(exp) == m, exp
+        return InexactDivisionError
 
 
 KOORN_PARAMS = {
@@ -495,42 +497,88 @@ def _off_memo_inputs(m):
 @pytest.mark.parametrize("name", sorted(KOORN_PARAMS))
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_koorn_matches_reference_off_the_memo(name, m):
-    # the same image, or the same exception class at the same exponent
+    # the same image, or the same exception class
     ep = KOORN_PARAMS[name]
     for what, f in _off_memo_inputs(m).items():
         want = outcome(reference_koorn_mult, ep, f, m)
         assert outcome(apply_koorn_mult, ep, f, m) == want, what
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 4])
-def test_koorn_denominator_complements(m):
-    ep = ExactParams.default()
-    for i in range(m):
-        assert koorn_denominator_check(ep, m, i)
+def own_0_numerator(ep, f, m):
+    """own_0 and N_0 = n_0^+ (T_0 f - f) [q z_0^-2] - n_0^- (T_0^-1 f - f)
+    [q z_0^2], assembled as the formulas read."""
+    sq = ep.sq
+    n_plus = LaurentPoly.one(m)
+    for root in (ep.sa, ep.sb, ep.sc, ep.sd):
+        n_plus = n_plus * _two_term(m, {0: 1}, root)
+    for j in range(1, m):
+        n_plus = n_plus * _two_term(m, {0: 1, j: 1}, ep.st)
+        n_plus = n_plus * _two_term(m, {0: 1, j: -1}, ep.st)
+    own = _koorn_own_factors(m, 0, sq)
+    _, q_up, q_down = own
+    up = (f.substitute(0, sqrt_scale=sq) - f) * q_down
+    down = (f.substitute(0, sqrt_scale=1 / sq) - f) * q_up
+    return _product(own, m), n_plus * up - n_plus.invert_all() * down
 
 
-def test_koorn_shared_complements_at_fresh_sq():
-    # at fresh sq values and every m, S_i = eps_i sigma_i(S_0),
-    # iota(S_0) = eta S_0, and each S_i times [q z_i^-+2] still multiplies
-    # the independently assembled denominators back to D_total
-    ep = ExactParams.default()
-    for k in range(8):
-        fresh = ep.replace(sq=Fraction(11 + k, 7))
-        for m in (1, 2, 3, 4):
-            for i in range(m):
-                assert koorn_denominator_check(fresh, m, i)
+def test_koorn_own_divides_the_numerator_of_eigenpolynomials():
+    # the first division of the operator: own_0 | N_0 on eigenpolynomials,
+    # at EP, NEG and fresh sq = (11 + k)/7
+    base = ExactParams.default()
+    params = [KOORN_PARAMS["EP"], KOORN_PARAMS["NEG"]]
+    params += [base.replace(sq=Fraction(11 + k, 7)) for k in range(8)]
+    for ep in params:
+        for lam, m in (((2,), 1), ((2, 1), 2), ((1,), 3), ((1,), 4)):
+            f = koornwinder_poly(lam, ep, m)
+            own_0, n_0 = own_0_numerator(ep, f, m)
+            assert not n_0.is_zero(), (ep, lam, m)
+            assert divide_exact(n_0, own_0) * own_0 == n_0, (ep, lam, m)
 
 
-def test_koorn_denominator_check_sees_a_wrong_sign(monkeypatch):
-    # D_total and S_0 negated together still multiply back, but S_1 no
-    # longer equals eps_1 sigma_1(S_0)
+def test_koorn_own_division_refuses_a_non_invariant_input(monkeypatch):
+    # negative control: z_0 is not W-invariant, and the first division, by
+    # own_0, already leaves a remainder
     import diffkern.operators as operators
 
-    real = operators._koorn_denominators
-    monkeypatch.setattr(
-        operators, "_koorn_denominators", lambda m, sq: tuple(-p for p in real(m, sq))
-    )
-    assert not koorn_denominator_check(ExactParams.default(), 2, 1)
+    divisors = []
+
+    def spy(f, g):
+        divisors.append(g)
+        return divide_exact(f, g)
+
+    monkeypatch.setattr(operators, "divide_exact", spy)
+    ep = ExactParams.default()
+    for m in (1, 2, 3):
+        f = LaurentPoly.var_power(m, 0, 2)
+        own_0, n_0 = own_0_numerator(ep, f, m)
+        divisors.clear()
+        with pytest.raises(InexactDivisionError):
+            apply_koorn_mult(ep, f, m)
+        assert divisors == [own_0], m
+        with pytest.raises(InexactDivisionError):
+            divide_exact(n_0, own_0)
+
+
+def test_koorn_pair_factors_give_x_differences():
+    # [z_k z_l][z_k / z_l] = x_k - x_l with x = z + 1/z, the Vandermonde
+    # factors of the divided difference
+    for m in (2, 3, 4):
+        x = [
+            LaurentPoly.var_power(m, k, 2) + LaurentPoly.var_power(m, k, -2)
+            for k in range(m)
+        ]
+        for k in range(m):
+            for l in range(k + 1, m):
+                assert _product(_koorn_pair_factors(m, k, l), m) == x[k] - x[l]
+
+
+def test_koorn_image_vanishes_at_q_one():
+    # T_q is the identity at q = 1, so every N_i is 0: invariant or not
+    ep = ExactParams.default().replace(sq=Fraction(1))
+    for m in (1, 2, 3):
+        for f in (orbit_sum((2,), m), LaurentPoly.var_power(m, 0, 2)):
+            assert apply_koorn_mult(ep, f, m).is_zero(), m
+            assert reference_koorn_mult(ep, f, m).is_zero(), m
 
 
 def test_koorn_kills_constants():
@@ -602,8 +650,8 @@ def test_koorn_non_invariant_input_fails_structurally():
 
 
 def test_koorn_non_invariant_input_fails_structurally_at_m3():
-    # the shared S_i leaves the numerator unchanged, so a non-invariant
-    # input still leaves a nonzero remainder over D_total
+    # a non-invariant input leaves a nonzero remainder at one of the two
+    # divisions, by own_0 or by the Vandermonde in x = z + 1/z
     ep = ExactParams.default()
     bad = orbit_sum((1,), 3) + LaurentPoly.var_power(3, 1, 2, Fraction(2, 3))
     with pytest.raises(InexactDivisionError) as info:
