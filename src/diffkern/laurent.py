@@ -42,6 +42,7 @@ caller supplies a square root for every coordinate to fix branches.
 from __future__ import annotations
 
 import dataclasses
+import heapq
 import itertools
 import json
 from collections.abc import ItemsView, Iterable, Iterator, Mapping, Sequence
@@ -359,7 +360,9 @@ class LaurentPoly:
                 f"operand variable counts differ: {self.m} vs {other.m}"
             )
 
-    def __add__(self, other: "LaurentPoly | Scalar") -> "LaurentPoly":
+    def _combine(self, other: "LaurentPoly | Scalar", sign: int) -> "LaurentPoly":
+        """``self + sign * other`` for sign +-1, in one pass over the common
+        denominator."""
         if isinstance(other, (int, Fraction)):
             other = LaurentPoly.const(self.m, other)
         if not isinstance(other, LaurentPoly):
@@ -369,7 +372,7 @@ class LaurentPoly:
         # only a prime with equal powers in both denominators can divide
         # the content of the sum, so the reduction divides g = gcd(d1, d2)
         g = gcd(d1, d2)
-        s1, s2 = d2 // g, d1 // g
+        s1, s2 = d2 // g, sign * (d1 // g)
         out = {e: n * s1 for e, n in self._num.items()}
         get = out.get
         for key, n in other._num.items():
@@ -377,6 +380,9 @@ class LaurentPoly:
         out = {e: n for e, n in out.items() if n}
         exp_bound = max(self._exp_bound, other._exp_bound)
         return LaurentPoly._reduced(self.m, out, d1 * s1, g, exp_bound)
+
+    def __add__(self, other: "LaurentPoly | Scalar") -> "LaurentPoly":
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
@@ -389,9 +395,7 @@ class LaurentPoly:
         )
 
     def __sub__(self, other: "LaurentPoly | Scalar") -> "LaurentPoly":
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.const(self.m, other)
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __rsub__(self, other: Scalar) -> "LaurentPoly":
         return (-self) + other
@@ -645,6 +649,15 @@ def divide_exact(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     so stepping outside the box certifies it too; inside the box the
     strictly lex-decreasing remainder leads force termination.  The quotient
     of the primitive parts is finally scaled by the ratio of the contents.
+
+    Each step pops the remainder's lead from a max-heap of its packed keys
+    (heap-ordered division, after Monagan and Pearce, CASC 2007) instead of
+    scanning the whole remainder: a key is pushed when a step creates it,
+    and a popped key that has since cancelled is skipped.  A processed lead
+    never returns, since every key a step creates lies below it, so the
+    steps are those of the scan.  The box is checked on the packed quotient
+    key, digit by digit against biased bounds; an exponent tuple is
+    unpacked only for an error.
     """
     if g.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
@@ -663,39 +676,56 @@ def divide_exact(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     g_ranges = _digit_ranges(g._num, m)
     lo = [f_lo - g_hi for (f_lo, _), (_, g_hi) in zip(f_ranges, g_ranges)]
     hi = [f_hi - g_lo for (_, f_hi), (g_lo, _) in zip(f_ranges, g_ranges)]
+    # (shift, lo_i + 2**19, hi_i + 2**19): the box on the biased digits
+    shifts = range(_DIGIT_BITS * (m - 1), -1, -_DIGIT_BITS)
+    box = [(s, a + _HALF, b + _HALF) for s, a, b in zip(shifts, lo, hi)]
+    bias = _bias(m)
     f_content, remainder = _primitive(f._num)
     g_content, g_prim = _primitive(g._num)
     remainder = dict(remainder)
+    heap = [-key for key in remainder]
+    heapq.heapify(heap)
 
     g_lead = max(g_prim)
     g_lead_coeff = g_prim[g_lead]
     g_rest = [(e, c) for e, c in g_prim.items() if e != g_lead]
 
-    def inexact(q_exp: Exponent, why: str) -> InexactDivisionError:
+    def inexact(q_key: int, why: str) -> InexactDivisionError:
         return InexactDivisionError(
             f"{why}; division of {len(f._num)}-term by {len(g._num)}-term "
             "polynomial is not exact",
-            offending_exponent=q_exp,
+            offending_exponent=_unpack(q_key, m),
         )
 
     quotient: dict[int, int] = {}
+    get = remainder.get
+    push, pop = heapq.heappush, heapq.heappop
     while remainder:
-        r_lead = max(remainder)
+        r_lead = -pop(heap)
+        if r_lead not in remainder:
+            continue  # cancelled after it was pushed
         q_key = r_lead - g_lead
-        q_exp = _unpack(q_key, m)
-        if any(not lo[i] <= e <= hi[i] for i, e in enumerate(q_exp)):
-            raise inexact(q_exp, "quotient exponent escapes the exact-division box")
+        biased = q_key + bias
+        for shift, d_lo, d_hi in box:
+            if not d_lo <= (biased >> shift & _MASK) <= d_hi:
+                raise inexact(q_key, "quotient exponent escapes the exact-division box")
         q_coeff, rest = divmod(remainder.pop(r_lead), g_lead_coeff)
         if rest:
-            raise inexact(q_exp, "quotient coefficient is not an integer")
+            raise inexact(q_key, "quotient coefficient is not an integer")
         quotient[q_key] = q_coeff
         for e, c in g_rest:
             key = q_key + e
-            new = remainder.get(key, 0) - q_coeff * c
-            if new:
-                remainder[key] = new
+            old = get(key)
+            if old is None:
+                # q_coeff and c are nonzero, so the new term is too
+                remainder[key] = -q_coeff * c
+                push(heap, -key)
             else:
-                remainder.pop(key, None)
+                new = old - q_coeff * c
+                if new:
+                    remainder[key] = new
+                else:
+                    del remainder[key]
     # f / g = (f_content / f_den) / (g_content / g_den) * quotient, and the
     # quotient is primitive, so the reduced ratio leaves it canonical
     ratio = Fraction(f_content * g._den, f._den * g_content)

@@ -55,7 +55,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .laurent import ExactParams, LaurentPoly, divide_exact
+from .laurent import ExactParams, LaurentPoly, _pack, divide_exact
 from .sigma import (
     DomainError,
     FamilyKind,
@@ -334,54 +334,6 @@ def bc_constant(p: ParamsBC) -> complex:
     return sum(coeff_BC_zero(p, (), r) for r in range(p.fam.rho))
 
 
-def apply_E_BC_dup(p: ParamsBC, f: FnM, x: Sequence[complex]) -> complex:
-    """Duplication-rewritten form of (1/4) prod_{s<rho} [omega_s/2]^2 * E f.
-
-    Used as a cross-check of the coefficient assembly: the half-period
-    denominators collapse into [2x_i][2x_i + delta] at the cost of the
-    modified constant-term exponential K_r.
-    """
-    fam = p.fam
-    rho = fam.rho
-    m = len(x)
-    c = p.c_const
-    total = 0 + 0j
-    for i in range(m):
-        for sgn in (1, -1):
-            xi = sgn * x[i]
-            num = 1 + 0j
-            for mu_s in p.mu:
-                num *= sigma_eval(fam, xi + mu_s)
-            name = f"x_{i}" if sgn > 0 else f"-x_{i}"
-            den = sigma_eval(fam, 2 * xi) * sigma_eval(fam, 2 * xi + p.delta)
-            den = nonvanishing(den, "[2{0}][2{0} + delta]", name)
-            pair = _pair_product(fam, xi, x, p.kappa, i, name)
-            total += num / den * pair * f(_shift(x, i, sgn * p.delta))
-
-    kappa_br = nonvanishing(sigma_eval(fam, p.kappa), "[kappa]")
-    kd_br = nonvanishing(sigma_eval(fam, p.kappa - p.delta), "[kappa - delta]")
-    const = 0 + 0j
-    for r in range(rho):
-        w_r = fam.omegas[r]
-        eta_r = fam.etas[r]
-        k_factor = phase(-(w_r + (m + 1) * p.kappa - p.delta + c / 2) * eta_r)
-        num = 1 + 0j
-        base = (w_r - p.delta) / 2
-        for mu_s in p.mu:
-            num *= sigma_eval(fam, base + mu_s)
-        pair = _pair_product(fam, base, x, p.kappa, None, f"(omega_{r + 1} - delta)/2")
-        const += k_factor * num / (2 * kappa_br * kd_br) * pair
-    return total + const * f(x)
-
-
-def dup_prefactor(p: ParamsBC) -> complex:
-    """(1/4) prod_{s=1}^{rho-1} [omega_s/2]^2, the left factor of the rewrite."""
-    out = 0.25 + 0j
-    for s in range(p.fam.rho - 1):
-        out *= sigma_eval(p.fam, p.fam.omegas[s] / 2) ** 2
-    return out
-
-
 # ======================================================================
 # exact multiplicative operators
 # ======================================================================
@@ -389,12 +341,21 @@ def dup_prefactor(p: ParamsBC) -> complex:
 
 def _two_term(m: int, entries: dict[int, int], root: Fraction) -> LaurentPoly:
     """root * z^(e/2) - (1/root) * z^(-e/2) for the monomial described by
-    entries {var: doubled exponent}."""
+    entries {var: doubled exponent}.
+
+    With root = n/d in lowest terms and s = sign(n) this is
+    (s n^2 z^(e/2) - s d^2 z^(-e/2)) / (s n d), already canonical since
+    gcd(n^2, d^2) = 1, so it is built from integers.
+    """
     up = [0] * m
     for var, e2 in entries.items():
         up[var] = e2
-    down = [-e for e in up]
-    return LaurentPoly(m, {tuple(up): root, tuple(down): -1 / root})
+    n, d = root.numerator, root.denominator
+    s = 1 if n > 0 else -1
+    key = _pack(up)
+    return LaurentPoly._from_parts(
+        m, {key: s * n * n, -key: -s * d * d}, s * n * d, max(map(abs, up))
+    )
 
 
 def _koorn_own_factors(m: int, i: int, sq: Fraction) -> list[LaurentPoly]:
@@ -499,8 +460,11 @@ def apply_koorn_mult(ep: ExactParams, f: LaurentPoly, m: int) -> LaurentPoly:
     for i in range(m):
         perm = _swap_with_0(m, i)
         term = quotient(f.permute(perm)).permute(perm)
-        rest = _product([fac for (k, l), fac in pair.items() if i not in (k, l)], m)
-        numerator = numerator - rest * term if i % 2 else numerator + rest * term
+        # at m = 2 every pair holds i and the cofactor is one
+        rest = [fac for (k, l), fac in pair.items() if i not in (k, l)]
+        if rest:
+            term = _product(rest, m) * term
+        numerator = numerator - term if i % 2 else numerator + term
     return divide_exact(numerator, _product(list(pair.values()), m))
 
 

@@ -354,6 +354,179 @@ def test_inexact_division_reports_a_tuple_exponent():
 # ----------------------------------------------------------------------
 
 
+def reference_divide_exact(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
+    """``divide_exact`` as a textbook long division: each step finds the
+    remainder's lead by a ``max`` over the whole remainder and unpacks the
+    quotient exponent for the box check.  Same steps, same errors."""
+    if g.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    if f.is_zero():
+        return LaurentPoly.zero(f.m)
+    if f.m != g.m:
+        raise VariableCountMismatch(f"operand variable counts differ: {f.m} vs {g.m}")
+    m = f.m
+    laurent._check_bound(f._exp_bound + 3 * g._exp_bound)
+    f_ranges = laurent._digit_ranges(f._num, m)
+    g_ranges = laurent._digit_ranges(g._num, m)
+    lo = [f_lo - g_hi for (f_lo, _), (_, g_hi) in zip(f_ranges, g_ranges)]
+    hi = [f_hi - g_lo for (_, f_hi), (g_lo, _) in zip(f_ranges, g_ranges)]
+    f_content, remainder = laurent._primitive(f._num)
+    g_content, g_prim = laurent._primitive(g._num)
+    remainder = dict(remainder)
+    g_lead = max(g_prim)
+    g_lead_coeff = g_prim[g_lead]
+    g_rest = [(e, c) for e, c in g_prim.items() if e != g_lead]
+
+    def inexact(q_exp, why):
+        return InexactDivisionError(
+            f"{why}; division of {len(f._num)}-term by {len(g._num)}-term "
+            "polynomial is not exact",
+            offending_exponent=q_exp,
+        )
+
+    quotient = {}
+    while remainder:
+        r_lead = max(remainder)
+        q_key = r_lead - g_lead
+        q_exp = laurent._unpack(q_key, m)
+        if any(not lo[i] <= e <= hi[i] for i, e in enumerate(q_exp)):
+            raise inexact(q_exp, "quotient exponent escapes the exact-division box")
+        q_coeff, rest = divmod(remainder.pop(r_lead), g_lead_coeff)
+        if rest:
+            raise inexact(q_exp, "quotient coefficient is not an integer")
+        quotient[q_key] = q_coeff
+        for e, c in g_rest:
+            key = q_key + e
+            new = remainder.get(key, 0) - q_coeff * c
+            if new:
+                remainder[key] = new
+            else:
+                remainder.pop(key, None)
+    ratio = Fraction(f_content * g._den, f._den * g_content)
+    quotient = {e: n * ratio.numerator for e, n in quotient.items()}
+    q_bound = max(map(abs, lo + hi), default=0)
+    return LaurentPoly._from_parts(m, quotient, ratio.denominator, q_bound)
+
+
+def division_outcome(divide, f: LaurentPoly, g: LaurentPoly):
+    """The quotient's stored fields, its keys in the order the steps made
+    them, or the error's class, message and offending exponent."""
+    try:
+        q = divide(f, g)
+    except ArithmeticError as exc:
+        return type(exc), str(exc), getattr(exc, "offending_exponent", None)
+    return q.m, list(q._num.items()), q._den, q._exp_bound
+
+
+def assert_division_matches_reference(f: LaurentPoly, g: LaurentPoly):
+    got = division_outcome(divide_exact, f, g)
+    assert got == division_outcome(reference_divide_exact, f, g)
+    return got
+
+
+def polys_in(sizes: tuple[int, ...], coeffs=small_fraction):
+    """A tuple of polynomials in one common number of variables, one to
+    three, with at most ``sizes[k]`` terms in the k-th."""
+    return st.integers(min_value=1, max_value=3).flatmap(
+        lambda m: st.tuples(*(polys(m=m, max_terms=n, coeffs=coeffs) for n in sizes))
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(polys_in((4, 4), coeffs=wide_fraction))
+def test_exact_division_matches_the_reference(pair):
+    a, b = pair
+    if b.is_zero():
+        return
+    f = a * b
+    got = assert_division_matches_reference(f, b)
+    assert divide_exact(f, b) == a, got
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys_in((4, 4, 2)))
+def test_inexact_division_matches_the_reference(triple):
+    # a product plus a small perturbation: exact when the perturbation is
+    # zero or a multiple of b, else an error at some step of the division;
+    # the same class, message and offending exponent as the reference
+    a, b, r = triple
+    if b.is_zero():
+        return
+    assert_division_matches_reference(a * b + r, b)
+    assert_division_matches_reference(a + r, b)
+
+
+def test_division_skips_a_lead_that_cancelled_and_came_back():
+    # f = (x^2 + x + 1)(x^2 + 2x - 2) = x^4 + 3x^3 + x^2 - 2.  The first
+    # step, x^2, cancels x^2 (1 - 1); the second, 2x, creates x^2 again
+    # (-2) and creates x; the third, -2, cancels x and 1.  So x^2 is on the
+    # heap twice and x and 1 once each after they cancelled: every stale
+    # entry must be skipped.
+    x = LaurentPoly.var_power(1, 0, 2)
+    g = x * x + x + 1
+    q = x * x + 2 * x - 2
+    f = g * q
+    assert f == x**4 + 3 * x**3 + x * x - 2
+    assert divide_exact(f, g) == q
+    assert assert_division_matches_reference(f, g)[1] == [(4, 1), (2, 2), (0, -2)]
+    # the same stale entries on the way to an error: 3 is left over at
+    # x^0, and its quotient steps run out of the box
+    with pytest.raises(InexactDivisionError, match="escapes"):
+        divide_exact(f + 3, g)
+    assert_division_matches_reference(f + 3, g)
+    # and in a second variable, behind a lead in the first
+    y = LaurentPoly.var_power(2, 1, 2)
+    x2 = LaurentPoly.var_power(2, 0, 2)
+    g2 = y * y + y + 1
+    q2 = x2 * (y * y + 2 * y - 2) + 5
+    assert divide_exact(g2 * q2, g2) == q2
+    assert_division_matches_reference(g2 * q2, g2)
+    assert_division_matches_reference(g2 * q2 - y, g2)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_operator_divisions_match_the_reference(m, monkeypatch):
+    # the exact Koornwinder operator's own dividends and divisors: own_0
+    # (4 terms) and the Vandermonde in x = z + 1/z (4 terms at m = 2, 24
+    # at m = 3), on an eigenpolynomial and on inputs that are not
+    # W-invariant, some of which fail at a division
+    from diffkern import koornwinder, operators
+
+    seen = []
+
+    def spy(f, g):
+        seen.append((f, g))
+        return divide_exact(f, g)
+
+    monkeypatch.setattr(operators, "divide_exact", spy)
+    ep = ExactParams.default()
+    z = [LaurentPoly.var_power(m, k, 2) for k in range(m)]
+    inputs = [
+        koornwinder.koornwinder_poly((2, 1), ep, m) * Fraction(-7, 3),
+        z[0],
+        sum((zk * zk for zk in z), LaurentPoly.zero(m)),
+        z[0] + LaurentPoly.var_power(m, m - 1, -4, Fraction(3, 5)),
+        z[0] * z[0] + z[0].invert_all() * z[0].invert_all(),
+    ]
+    for f in inputs:
+        try:
+            operators.apply_koorn_mult(ep, f, m)
+        except InexactDivisionError:
+            pass
+    own_0 = operators._product(operators._koorn_own_factors(m, 0, ep.sq), m)
+    x = [zk + zk.invert_all() for zk in z]
+    vandermonde = LaurentPoly.one(m)
+    for k in range(m):
+        for l in range(k + 1, m):
+            vandermonde = vandermonde * (x[k] - x[l])
+    divisors = {g for _, g in seen}
+    assert divisors == {own_0, vandermonde}
+    assert len(vandermonde.terms) == {2: 4, 3: 24}[m]
+    outcomes = [assert_division_matches_reference(f, g) for f, g in seen]
+    assert any(o[0] is InexactDivisionError for o in outcomes)
+    assert any(o[0] == m for o in outcomes)
+
+
 @settings(max_examples=50, deadline=None)
 @given(polys(m=2, max_terms=3), polys(m=2, max_terms=3))
 def test_division_recovers_factor(f, g):

@@ -26,15 +26,15 @@ from diffkern.operators import (
     apply_A_higher,
     apply_D_BC,
     apply_E_BC,
-    apply_E_BC_dup,
     apply_koorn_mult,
     apply_macdonald_mult,
     bc_constant,
     coeff_BC,
     coeff_BC_zero,
-    dup_prefactor,
 )
 from diffkern.sigma import DomainError, FamilyKind, PoleError, SigmaFamily, sigma_eval
+
+from bc_duplication import apply_E_BC_dup, dup_prefactor
 
 RNG_SEED = 7041
 
@@ -570,6 +570,29 @@ def test_koorn_pair_factors_give_x_differences():
         for k in range(m):
             for l in range(k + 1, m):
                 assert _product(_koorn_pair_factors(m, k, l), m) == x[k] - x[l]
+
+
+def test_two_term_is_the_fraction_built_polynomial():
+    # the integer-built root z^(e/2) - root^-1 z^(-e/2) against the same
+    # polynomial built from Fraction coefficients, for positive, negative
+    # and unit roots and every root of the parameter sets
+    roots = {
+        Fraction(s * n, d)
+        for s in (1, -1)
+        for n, d in ((1, 1), (5, 3), (3, 10), (7, 1), (1, 9))
+    }
+    for ep in KOORN_PARAMS.values():
+        roots.update((ep.sa, ep.sb, ep.sc, ep.sd, ep.sq, ep.st))
+    for m in (1, 2, 3):
+        for entries in ({0: 1}, {0: 2}, {m - 1: -2}, {0: 1, m - 1: 1}, {0: 1, m - 1: -1}):
+            up = [0] * m
+            for var, e2 in entries.items():
+                up[var] = e2
+            for root in roots:
+                want = LaurentPoly(m, {tuple(up): root, tuple(-e for e in up): -1 / root})
+                got = _two_term(m, entries, root)
+                assert got == want, (m, entries, root)
+                assert got._exp_bound == want._exp_bound, (m, entries, root)
 
 
 def test_koorn_image_vanishes_at_q_one():

@@ -17,7 +17,6 @@ from diffkern.operators import (
     ParamsBC,
     apply_A,
     apply_D_BC,
-    apply_E_BC_dup,
     coeff_BC,
     coeff_BC_zero,
 )
@@ -48,6 +47,8 @@ from diffkern.verify import (
     sample_point,
     solve_balancing,
 )
+
+from bc_duplication import apply_E_BC_dup
 
 
 @pytest.fixture(scope="module")
