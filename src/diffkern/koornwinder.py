@@ -50,6 +50,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .kernels import kern_psi_mult
 from .laurent import (
+    _POLY_CACHE_SIZE,
     ExactParams,
     LaurentPoly,
     Partition,
@@ -258,14 +259,6 @@ def macdonald_eigenvalue(lam, q, t, m: int) -> Fraction:
 # ======================================================================
 # triangular eigen-solve
 # ======================================================================
-
-# Capacity of the parameter-keyed polynomial caches.  Unbounded, they would
-# keep every polynomial solved for as long as the process lives, so a
-# caller sweeping parameters would grow without limit.  64 polynomials hold
-# the whole 3 x 3 box for m = 1..3 at one parameter set (34 labels).  The
-# solve frames (:func:`_solve_frame`), keyed by basis and not by
-# parameters, share the bound.
-_POLY_CACHE_SIZE = 64
 
 # Point streams drawn for one solve before it gives up.  A stream is
 # abandoned only when the interpolation matrix of its points is singular or

@@ -963,6 +963,15 @@ def orbit_expansion(
 # Askey-Wilson parameter bundle
 # ======================================================================
 
+# Capacity of the parameter-keyed caches: the polynomials solved for in
+# ``koornwinder`` and the exact Koornwinder operator's factors in
+# ``operators``.  Unbounded, they would keep every entry for as long as the
+# process lives, so a caller sweeping parameters would grow without limit.
+# 64 polynomials hold the whole 3 x 3 box for m = 1..3 at one parameter set
+# (34 labels).  The solve frames (``koornwinder._solve_frame``), keyed by
+# basis and not by parameters, share the bound.
+_POLY_CACHE_SIZE = 64
+
 
 @dataclass(frozen=True)
 class ExactParams:

@@ -55,7 +55,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .laurent import ExactParams, LaurentPoly, _pack, divide_exact
+from .laurent import _POLY_CACHE_SIZE, ExactParams, LaurentPoly, _pack, divide_exact
 from .sigma import (
     DomainError,
     FamilyKind,
@@ -380,11 +380,27 @@ def _product(factors: Sequence[LaurentPoly], m: int) -> LaurentPoly:
     return functools.reduce(operator.mul, factors) if factors else LaurentPoly.one(m)
 
 
-def _swap_with_0(m: int, i: int) -> list[int]:
-    """sigma_i as a permutation: z_0 and z_i exchanged (identity for i = 0)."""
-    perm = list(range(m))
-    perm[0], perm[i] = i, 0
-    return perm
+@functools.lru_cache(maxsize=_POLY_CACHE_SIZE)
+def _koorn_factors(
+    ep: ExactParams, m: int
+) -> tuple[LaurentPoly, LaurentPoly, LaurentPoly | None, LaurentPoly | None]:
+    """The operator's factors that depend on (ep, m) only: n_0^+ [q z_0^-2],
+    own_0, c_0 = prod_{1<=k<l} (x_k - x_l) (None at m <= 2) and V (None at
+    m = 1).  Polynomials are immutable, so calls share them safely."""
+    own = _koorn_own_factors(m, 0, ep.sq)
+    n_q = _product(
+        [_two_term(m, {0: 1}, root) for root in (ep.sa, ep.sb, ep.sc, ep.sd)]
+        + [_two_term(m, {0: 1, j: e}, ep.st) for j in range(1, m) for e in (1, -1)]
+        + [own[2]],  # [q z_0^-2]
+        m,
+    )
+    pair = {
+        kl: _product(_koorn_pair_factors(m, *kl), m)
+        for kl in itertools.combinations(range(m), 2)
+    }
+    c_0 = _product([fac for (k, _), fac in pair.items() if k], m) if m > 2 else None
+    vandermonde = _product(list(pair.values()), m) if m > 1 else None
+    return n_q, _product(own, m), c_0, vandermonde
 
 
 def apply_koorn_mult(ep: ExactParams, f: LaurentPoly, m: int) -> LaurentPoly:
@@ -409,16 +425,19 @@ def apply_koorn_mult(ep: ExactParams, f: LaurentPoly, m: int) -> LaurentPoly:
     n_0^- (T_0^-1 g - g) [q z_0^2] is the inversion iota of every variable
     applied to n_0^+ (T_0 h - h) [q z_0^-2] at h = iota g.  The operator is
     invariant under signed permutations, so M_i = sigma_i(M_0(sigma_i f)),
-    sigma_i the transposition of z_0 and z_i, and over the Vandermonde
-    V = prod_{k<l} (x_k - x_l)
+    sigma_i the transposition of z_0 and z_i.  Over the Vandermonde
+    V = prod_{k<l} (x_k - x_l) the numerator is sum_i (-1)^i M_i c_i with
+    c_i = prod_{k<l, i not in (k, l)} (x_k - x_l) = (-1)^(i-1) sigma_i(c_0)
+    for i >= 1, so with K(g) = c_0 M_0(g)
 
-        D f = sum_i (-1)^i M_i prod_{k<l, i not in (k, l)} (x_k - x_l) / V,
+        D f = (K(f) - sum_{i>=1} sigma_i(K(sigma_i f))) / V,
 
-    one exact division (none at m = 1, where D f = M_0(f)).  Within one call
-    M_0 and the shift term are memoised by their input polynomial
-    (``LaurentPoly`` is hashable and its ``==`` structural), so a W-invariant
-    f costs one shift term and one division by own_0; nothing is kept
-    between calls.  For q != 1, own_i is squarefree and prime to every
+    one exact division (none at m = 1, where D f = M_0(f)).  n_0^+ [q z_0^-2],
+    own_0, c_0 and V come from a cache of _POLY_CACHE_SIZE (ep, m) entries.
+    Within one call K and the shift term are memoised by their input
+    polynomial (``LaurentPoly`` is hashable and its ``==`` structural), so a
+    W-invariant f costs one shift term, one division by own_0 and (m >= 3)
+    one product by c_0.  For q != 1, own_i is squarefree and prime to every
     x_k - x_l and only term i has poles on it, so both divisions are exact
     precisely on inputs the operator maps to Laurent polynomials
     (W-invariant f in particular); any other input raises
@@ -429,43 +448,27 @@ def apply_koorn_mult(ep: ExactParams, f: LaurentPoly, m: int) -> LaurentPoly:
     if m < 1:
         raise ValueError("need at least one variable")
     sq = ep.sq
-    # numerator brackets of A_0^+
-    n_plus = _product(
-        [_two_term(m, {0: 1}, root) for root in (ep.sa, ep.sb, ep.sc, ep.sd)]
-        + [_two_term(m, {0: 1, j: e}, ep.st) for j in range(1, m) for e in (1, -1)],
-        m,
-    )
-    own = _koorn_own_factors(m, 0, sq)
-    q_down = own[2]  # [q z_0^-2]
-    own_0 = _product(own, m)
+    n_q, own_0, c_0, vandermonde = _koorn_factors(ep, m)
 
     # memoised for this call only: the closures die with it
     @functools.cache
     def shift_term(g: LaurentPoly) -> LaurentPoly:
-        return n_plus * ((g.substitute(0, sqrt_scale=sq) - g) * q_down)
+        return (g.substitute(0, sqrt_scale=sq) - g) * n_q
 
     @functools.cache
-    def quotient(g: LaurentPoly) -> LaurentPoly:
+    def cofactor_term(g: LaurentPoly) -> LaurentPoly:
         back = shift_term(g.invert_all()).invert_all()
-        return divide_exact(shift_term(g) - back, own_0)
+        quotient = divide_exact(shift_term(g) - back, own_0)
+        return quotient if c_0 is None else c_0 * quotient
 
-    if m == 1:
-        return quotient(f)
-    pair = {
-        (k, l): _product(_koorn_pair_factors(m, k, l), m)
-        for k in range(m)
-        for l in range(k + 1, m)
-    }
-    numerator = LaurentPoly.zero(m)
-    for i in range(m):
-        perm = _swap_with_0(m, i)
-        term = quotient(f.permute(perm)).permute(perm)
-        # at m = 2 every pair holds i and the cofactor is one
-        rest = [fac for (k, l), fac in pair.items() if i not in (k, l)]
-        if rest:
-            term = _product(rest, m) * term
-        numerator = numerator - term if i % 2 else numerator + term
-    return divide_exact(numerator, _product(list(pair.values()), m))
+    numerator = cofactor_term(f)
+    if vandermonde is None:
+        return numerator
+    for i in range(1, m):
+        perm = list(range(m))
+        perm[0], perm[i] = i, 0  # sigma_i
+        numerator = numerator - cofactor_term(f.permute(perm)).permute(perm)
+    return divide_exact(numerator, vandermonde)
 
 
 def _linear_factor(m: int, i: int, j: int, scale: Fraction) -> LaurentPoly:

@@ -18,6 +18,7 @@ from diffkern.laurent import (
 from diffkern.operators import (
     ParamsA,
     ParamsBC,
+    _koorn_factors,
     _koorn_own_factors,
     _koorn_pair_factors,
     _product,
@@ -491,34 +492,158 @@ def _off_memo_inputs(m):
         + LaurentPoly.var_power(m, 0, -4),
         "z_0 + (3/5) z_(m-1)^-2": LaurentPoly.var_power(m, 0, 2)
         + LaurentPoly.var_power(m, m - 1, -4, Fraction(3, 5)),
+        "x_(m-1)": LaurentPoly.var_power(m, m - 1, 2)
+        + LaurentPoly.var_power(m, m - 1, -2),
     }
 
 
-@pytest.mark.parametrize("name", sorted(KOORN_PARAMS))
-@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize(
+    "m, name",
+    # m = 4 is the first size where the cofactor c_0 holds several pairs
+    [(m, name) for m in (1, 2, 3) for name in sorted(KOORN_PARAMS)] + [(4, "EP")],
+)
 def test_koorn_matches_reference_off_the_memo(name, m):
     # the same image, or the same exception class
     ep = KOORN_PARAMS[name]
     for what, f in _off_memo_inputs(m).items():
+        if (m, what) == (4, "inversion-invariant, not symmetric"):
+            # every M_i is exact, and the reference's remainder over D_total
+            # fails only after about a minute; x_(m-1) also reaches V here, and
+            # test_koorn_numerator_from_one_cofactor_is_the_formula checks
+            # this input's numerator and its division by V
+            continue
         want = outcome(reference_koorn_mult, ep, f, m)
         assert outcome(apply_koorn_mult, ep, f, m) == want, what
 
 
-def own_0_numerator(ep, f, m):
-    """own_0 and N_0 = n_0^+ (T_0 f - f) [q z_0^-2] - n_0^- (T_0^-1 f - f)
-    [q z_0^2], assembled as the formulas read."""
+def own_numerator(ep, f, m, i=0):
+    """own_i and N_i = n_i^+ (T_i f - f) [q z_i^-2] - n_i^- (T_i^-1 f - f)
+    [q z_i^2], assembled as the formulas read."""
     sq = ep.sq
     n_plus = LaurentPoly.one(m)
     for root in (ep.sa, ep.sb, ep.sc, ep.sd):
-        n_plus = n_plus * _two_term(m, {0: 1}, root)
-    for j in range(1, m):
-        n_plus = n_plus * _two_term(m, {0: 1, j: 1}, ep.st)
-        n_plus = n_plus * _two_term(m, {0: 1, j: -1}, ep.st)
-    own = _koorn_own_factors(m, 0, sq)
+        n_plus = n_plus * _two_term(m, {i: 1}, root)
+    for j in range(m):
+        if j != i:
+            n_plus = n_plus * _two_term(m, {i: 1, j: 1}, ep.st)
+            n_plus = n_plus * _two_term(m, {i: 1, j: -1}, ep.st)
+    own = _koorn_own_factors(m, i, sq)
     _, q_up, q_down = own
-    up = (f.substitute(0, sqrt_scale=sq) - f) * q_down
-    down = (f.substitute(0, sqrt_scale=1 / sq) - f) * q_up
+    up = (f.substitute(i, sqrt_scale=sq) - f) * q_down
+    down = (f.substitute(i, sqrt_scale=1 / sq) - f) * q_up
     return _product(own, m), n_plus * up - n_plus.invert_all() * down
+
+
+def x_cofactor(m, i):
+    """c_i = prod_{k<l, i not in (k, l)} (x_k - x_l), x = z + 1/z, as the
+    formula reads (i = None: the whole Vandermonde)."""
+    x = [LaurentPoly.var_power(m, k, 2) + LaurentPoly.var_power(m, k, -2) for k in range(m)]
+    c = LaurentPoly.one(m)
+    for k in range(m):
+        for l in range(k + 1, m):
+            if i not in (k, l):
+                c = c * (x[k] - x[l])
+    return c
+
+
+def swap_with_0(m, i):
+    perm = list(range(m))
+    perm[0], perm[i] = i, 0
+    return perm
+
+
+def test_koorn_factors_are_the_formulas():
+    # n_0^+ [q z_0^-2], own_0, c_0 and V against their definitions, and the
+    # sign identity sigma_i(c_0) = (-1)^(i-1) c_i for every i >= 1
+    for ep in KOORN_PARAMS.values():
+        for m in (1, 2, 3, 4):
+            n_q, own_0, c_0, vandermonde = _koorn_factors(ep, m)
+            f = LaurentPoly.var_power(m, 0, 2)
+            up, down = ((g.substitute(0, sqrt_scale=ep.sq) - g) * n_q for g in (f, f.invert_all()))
+            want_own, want_n = own_numerator(ep, f, m)
+            assert own_0 == want_own, m
+            assert up - down.invert_all() == want_n, m
+            assert c_0 == (x_cofactor(m, 0) if m > 2 else None), m
+            assert vandermonde == (x_cofactor(m, None) if m > 1 else None), m
+            for i in range(1, m):
+                sigma_c_0 = LaurentPoly.one(m) if c_0 is None else c_0.permute(swap_with_0(m, i))
+                assert sigma_c_0 == x_cofactor(m, i) * (-1) ** (i - 1), (m, i)
+
+
+def formula_numerators(ep, f, m):
+    """sum_i (-1)^i M_i c_i with M_i = N_i / own_i built for each variable as
+    the formula reads, and K(f) - sum_{i>=1} sigma_i(K(sigma_i f)) with
+    K(g) = c_0 M_0(g); an inexact M_i gives InexactDivisionError instead."""
+
+    def quotient(g, i=0):
+        own_i, n_i = own_numerator(ep, g, m, i)
+        try:
+            return divide_exact(n_i, own_i)
+        except InexactDivisionError:
+            return InexactDivisionError
+
+    spread = [quotient(f, i) for i in range(m)]
+    moved = [quotient(f.permute(swap_with_0(m, i))) for i in range(m)]
+    if InexactDivisionError in spread or InexactDivisionError in moved:
+        return spread.count(InexactDivisionError), moved.count(InexactDivisionError)
+    by_formula = LaurentPoly.zero(m)
+    for i, m_i in enumerate(spread):
+        by_formula = by_formula + m_i * x_cofactor(m, i) * (-1) ** i
+    c_0 = x_cofactor(m, 0)
+    by_cofactor = c_0 * moved[0]
+    for i in range(1, m):
+        perm = swap_with_0(m, i)
+        by_cofactor = by_cofactor - (c_0 * moved[i]).permute(perm)
+    return by_formula, by_cofactor
+
+
+def exact_outcome(divide, *args):
+    """The result, or the error's class, message and offending exponent."""
+    try:
+        return divide(*args)
+    except InexactDivisionError as exc:
+        return type(exc), str(exc), exc.offending_exponent
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_koorn_numerator_from_one_cofactor_is_the_formula(m):
+    # K(f) - sum_{i>=1} sigma_i(K(sigma_i f)) = sum_i (-1)^i M_i c_i, on
+    # eigenpolynomials and off the memo, and the operator's image or error
+    # is that of the formula's numerator over V; where some M_i is not a
+    # Laurent polynomial, exactly as many M_0(sigma_i f) are not either
+    ep = KOORN_PARAMS["NEG"]
+    inputs = dict(_off_memo_inputs(m))
+    for lam in ((1,), (1, 1)):
+        inputs[lam] = koornwinder_poly(lam, ep, m)
+    exact = 0
+    for what, f in inputs.items():
+        by_formula, by_cofactor = formula_numerators(ep, f, m)
+        assert by_formula == by_cofactor, what
+        if isinstance(by_formula, LaurentPoly):
+            exact += 1
+            want = exact_outcome(divide_exact, by_formula, x_cofactor(m, None))
+            assert exact_outcome(apply_koorn_mult, ep, f, m) == want, what
+    assert exact == 4, exact
+
+
+def test_koorn_factor_cache_is_shared_and_bounded():
+    # equal parameters built apart share one entry, a sweep of fresh sq
+    # stays within the bound, and cleared factors give the same images
+    base = ExactParams.default()
+    twin = ExactParams(base.sa, base.sb, base.sc, base.sd, base.sq, base.st)
+    f = koornwinder_poly((1, 1), base, 3)
+    before = apply_koorn_mult(base, f, 3)
+    hits = _koorn_factors.cache_info().hits
+    assert apply_koorn_mult(twin, f, 3) == before
+    assert _koorn_factors.cache_info().hits == hits + 1
+    for k in range(_koorn_factors.cache_info().maxsize + 6):
+        ep = base.replace(sq=Fraction(101 + k, 7))
+        apply_koorn_mult(ep, LaurentPoly.one(2), 2)
+        info = _koorn_factors.cache_info()
+        assert info.currsize <= info.maxsize, k
+    _koorn_factors.cache_clear()
+    assert _koorn_factors.cache_info().currsize == 0
+    assert apply_koorn_mult(base, f, 3) == before
 
 
 def test_koorn_own_divides_the_numerator_of_eigenpolynomials():
@@ -530,7 +655,7 @@ def test_koorn_own_divides_the_numerator_of_eigenpolynomials():
     for ep in params:
         for lam, m in (((2,), 1), ((2, 1), 2), ((1,), 3), ((1,), 4)):
             f = koornwinder_poly(lam, ep, m)
-            own_0, n_0 = own_0_numerator(ep, f, m)
+            own_0, n_0 = own_numerator(ep, f, m)
             assert not n_0.is_zero(), (ep, lam, m)
             assert divide_exact(n_0, own_0) * own_0 == n_0, (ep, lam, m)
 
@@ -550,7 +675,7 @@ def test_koorn_own_division_refuses_a_non_invariant_input(monkeypatch):
     ep = ExactParams.default()
     for m in (1, 2, 3):
         f = LaurentPoly.var_power(m, 0, 2)
-        own_0, n_0 = own_0_numerator(ep, f, m)
+        own_0, n_0 = own_numerator(ep, f, m)
         divisors.clear()
         with pytest.raises(InexactDivisionError):
             apply_koorn_mult(ep, f, m)
