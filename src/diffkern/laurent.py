@@ -165,6 +165,75 @@ def _gcd_with(g: int, values: Iterable[int]) -> int:
     return g
 
 
+def _convolve(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """The integer numerators of the product of two numerator dicts, zero
+    terms dropped, with no gcd: the caller owns the scale."""
+    if len(a) > len(b):
+        a, b = b, a
+    large = list(b.items())
+    out: dict[int, int] = {}
+    get = out.get
+    for k1, c1 in a.items():
+        for k2, c2 in large:
+            key = k1 + k2
+            out[key] = get(key, 0) + c1 * c2
+    return {key: n for key, n in out.items() if n}
+
+
+def _digit_moves(m: int, perm: Sequence[int]) -> list[tuple[int, int]]:
+    """(shift_i, 2**shift_perm[i] - 2**shift_i) for each digit ``perm``
+    moves: a key relabelled by ``perm`` is ``key`` plus, for each move, the
+    biased digit ``(key + _bias(m)) >> shift_i & _MASK`` times the weight.
+    The biased digits exceed e_i by 2**19 each and the weights sum to zero,
+    so biased digits shift a key as the signed ones do."""
+    shifts = [_DIGIT_BITS * (m - 1 - i) for i in range(m)]
+    return [
+        (shifts[i], (1 << shifts[p]) - (1 << shifts[i]))
+        for i, p in enumerate(perm)
+        if p != i
+    ]
+
+
+def _moved_items(
+    num: dict[int, int], m: int, moves: list[tuple[int, int]]
+) -> Iterator[tuple[int, int]]:
+    """(relabelled key, numerator) for each term of ``num``, the keys moved
+    by ``moves`` from ``_digit_moves``."""
+    bias = _bias(m)
+    for key, n in num.items():
+        biased = key + bias
+        for shift, weight in moves:
+            key += (biased >> shift & _MASK) * weight
+        yield key, n
+
+
+def _shift_factors(
+    num: dict[int, int], m: int, i: int, s: Fraction
+) -> tuple[list[int], int, list[int], int]:
+    """How ``z_i -> s**2 z_i`` scales the terms of ``num`` (nonempty).
+
+    Returns digit i of each key, in ``num``'s order, their minimum ``lo``,
+    a table and an integer Q: the term with digit e is multiplied by
+    ``table[e - lo] / Q``.  With s = p/q and digits lo..hi, s**e is
+    (p**lo / q**hi) * p**(e - lo) * q**(hi - e), so with P/Q = p**lo / q**hi
+    in lowest terms ``table[e - lo] = P * p**(e - lo) * q**(hi - e)``.
+    """
+    shift = _DIGIT_BITS * (m - 1 - i)
+    bias = _bias(m)
+    digits = [((key + bias) >> shift & _MASK) - _HALF for key in num]
+    lo = min(digits)
+    hi = max(digits)
+    p, q = s.numerator, s.denominator
+    scale = Fraction(p) ** lo / Fraction(q) ** hi
+    p_pow = [scale.numerator]
+    q_pow = [1]
+    for _ in range(hi - lo):
+        p_pow.append(p_pow[-1] * p)
+        q_pow.append(q_pow[-1] * q)
+    table = [a * b for a, b in zip(p_pow, reversed(q_pow))]
+    return digits, lo, table, scale.denominator
+
+
 class _Terms(Mapping):
     """Read-only view of a polynomial's coefficients as ``Fraction``s.
 
@@ -285,6 +354,20 @@ class LaurentPoly:
             num = {e: n // g for e, n in num.items()}
             den //= g
         return cls._from_parts(m, num, den, exp_bound)
+
+    @classmethod
+    def _from_scaled(
+        cls, m: int, num: dict[int, int], scale: Fraction, exp_bound: int
+    ) -> "LaurentPoly":
+        """Canonical polynomial ``scale * num`` from nonzero integer numerators
+        (none give zero); ``exp_bound`` bounds every |exponent|."""
+        a, b = scale.numerator, scale.denominator
+        # gcd(a, b) = 1, so b shares with the content of a * num only
+        # gcd(content, b): one gcd pass, then one pass to scale
+        g = _gcd_with(b, num.values())
+        if g != 1 or a != 1:
+            num = {key: n // g * a for key, n in num.items()}
+        return cls._from_parts(m, num, b // g, exp_bound)
 
     # -- constructors ---------------------------------------------------
 
@@ -437,17 +520,7 @@ class LaurentPoly:
         if g_b != 1:
             b = {e: n // g_b for e, n in b.items()}
         den = (self._den // g_b) * (other._den // g_a)
-        if len(a) > len(b):
-            a, b = b, a
-        large = list(b.items())
-        out: dict[int, int] = {}
-        get = out.get
-        for k1, c1 in a.items():
-            for k2, c2 in large:
-                key = k1 + k2
-                out[key] = get(key, 0) + c1 * c2
-        num = {key: n for key, n in out.items() if n}
-        return LaurentPoly._from_parts(self.m, num, den, exp_bound)
+        return LaurentPoly._from_parts(self.m, _convolve(a, b), den, exp_bound)
 
     __rmul__ = __mul__
 
@@ -488,25 +561,13 @@ class LaurentPoly:
             raise ValueError("substitution scale must be nonzero")
         if not self._num:
             return self
-        p, q = s.numerator, s.denominator
-        # digit i of each key, read by shift and mask
-        shift = _DIGIT_BITS * (self.m - 1 - i)
-        bias = _bias(self.m)
-        digits = [((key + bias) >> shift & _MASK) - _HALF for key in self._num]
-        lo = min(digits)
-        hi = max(digits)
-        scale = Fraction(p) ** lo / Fraction(q) ** hi
-        p_pow = [scale.numerator]
-        q_pow = [1]
-        for _ in range(hi - lo):
-            p_pow.append(p_pow[-1] * p)
-            q_pow.append(q_pow[-1] * q)
+        digits, lo, table, big_q = _shift_factors(self._num, self.m, i, s)
         out: dict[int, int] = {}
         # e -> e and e -> -e are both one-to-one, so no two terms collide
-        unit = -2 << shift if invert else 0
+        unit = -2 << _DIGIT_BITS * (self.m - 1 - i) if invert else 0
         for (key, n), e in zip(self._num.items(), digits):
-            out[key + e * unit] = n * p_pow[e - lo] * q_pow[hi - e]
-        den = self._den * scale.denominator
+            out[key + e * unit] = n * table[e - lo]
+        den = self._den * big_q
         return LaurentPoly._reduced(self.m, out, den, den, self._exp_bound)
 
     def invert_all(self) -> "LaurentPoly":
@@ -529,23 +590,10 @@ class LaurentPoly:
         m = self.m
         if sorted(perm) != list(range(m)):
             raise ValueError(f"not a permutation of 0..{m - 1}: {perm}")
-        shifts = [_DIGIT_BITS * (m - 1 - i) for i in range(m)]
-        moves = [
-            (shifts[i], (1 << shifts[p]) - (1 << shifts[i]))
-            for i, p in enumerate(perm)
-            if p != i
-        ]
+        moves = _digit_moves(m, perm)
         if not moves:
             return self
-        # the biased digits exceed e_i by 2**19 each, and the moved weights
-        # sum to zero, so biased digits shift a key as the signed ones do
-        bias = _bias(m)
-        out: dict[int, int] = {}
-        for key, n in self._num.items():
-            biased = key + bias
-            for shift, weight in moves:
-                key += (biased >> shift & _MASK) * weight
-            out[key] = n
+        out = dict(_moved_items(self._num, m, moves))
         return LaurentPoly._from_parts(m, out, self._den, self._exp_bound)
 
     # -- numeric evaluation ---------------------------------------------
@@ -637,27 +685,11 @@ def _digit_ranges(num: dict[int, int], m: int) -> list[tuple[int, int]]:
 def divide_exact(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     """Exact quotient ``f / g``; raises ``InexactDivisionError`` otherwise.
 
-    Lex leading-term cancellation on the primitive integer parts of f and g.
-    By Gauss's lemma an exact quotient of primitive integer polynomials has
-    integer coefficients, so each step is one ``divmod`` by g's leading
-    integer, and a nonzero remainder certifies that the division is not
-    exact.  Every quotient exponent of an exact division also lies in the
-    per-coordinate box
-
-        min_i(f) - max_i(g) <= e_i <= max_i(f) - min_i(g),
-
-    so stepping outside the box certifies it too; inside the box the
-    strictly lex-decreasing remainder leads force termination.  The quotient
-    of the primitive parts is finally scaled by the ratio of the contents.
-
-    Each step pops the remainder's lead from a max-heap of its packed keys
-    (heap-ordered division, after Monagan and Pearce, CASC 2007) instead of
-    scanning the whole remainder: a key is pushed when a step creates it,
-    and a popped key that has since cancelled is skipped.  A processed lead
-    never returns, since every key a step creates lies below it, so the
-    steps are those of the scan.  The box is checked on the packed quotient
-    key, digit by digit against biased bounds; an exponent tuple is
-    unpacked only for an error.
+    Only the divisor is made primitive: with g = (content_g / den_g) * g_prim,
+    ``_divide_integers`` divides f's integer numerators by g_prim, and the
+    quotient is scaled once by den_g / (den_f * content_g) and reduced by one
+    gcd.  By Gauss's lemma an exact quotient of an integer polynomial by a
+    primitive one has integer coefficients, so f needs no content pass.
     """
     if g.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
@@ -667,74 +699,119 @@ def divide_exact(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
         raise VariableCountMismatch(
             f"operand variable counts differ: {f.m} vs {g.m}"
         )
-    m = f.m
-    # a quotient exponent inside the box is at most bound_f + bound_g, a
-    # remainder exponent bound_f + 2 bound_g and their difference with g's
-    # lead bound_f + 3 bound_g: below 2**19, every key below stays exact
-    _check_bound(f._exp_bound + 3 * g._exp_bound)
-    f_ranges = _digit_ranges(f._num, m)
-    g_ranges = _digit_ranges(g._num, m)
+    g_content, g_prim = _primitive(g._num)
+    quotient, q_bound = _divide_integers(
+        f._num, f._exp_bound, g_prim, g._exp_bound, f.m
+    )
+    return LaurentPoly._from_scaled(
+        f.m, quotient, Fraction(g._den, f._den * g_content), q_bound
+    )
+
+
+def _divide_integers(
+    num: dict[int, int], num_bound: int, g_prim: dict[int, int], g_bound: int, m: int
+) -> tuple[dict[int, int], int]:
+    """Integer quotient of the numerators ``num`` by the primitive ``g_prim``,
+    and a bound on its |exponents|; raises ``InexactDivisionError`` when the
+    division is not exact.  Neither dict is changed.
+
+    Lex leading-term cancellation.  By Gauss's lemma an exact quotient of an
+    integer polynomial by a primitive one has integer coefficients, so each
+    step is one ``divmod`` by g's leading integer, and a nonzero remainder
+    certifies that the division is not exact.  Every quotient exponent of an
+    exact division also lies in the per-coordinate box
+
+        min_i(f) - max_i(g) <= e_i <= max_i(f) - min_i(g),
+
+    so stepping outside the box certifies it too; inside the box the
+    strictly lex-decreasing remainder leads force termination.
+
+    Each step pops the remainder's lead from a max-heap of its packed keys
+    (heap-ordered division, after Monagan and Pearce, CASC 2007) instead of
+    scanning the whole remainder: a key is pushed when a step creates it,
+    and a popped key that has since cancelled is skipped.  A processed lead
+    never returns, since every key a step creates lies below it, so the
+    steps are those of the scan.  The box is checked on the packed quotient
+    key, digit by digit against biased bounds; an exponent tuple is
+    unpacked only for an error.
+
+    A multiple c * h of a primitive dividend h takes the same steps as h with
+    every coefficient times c, so it can pass a ``divmod`` that h fails and
+    refuse only at a later step.  A refused division is therefore run again
+    on the dividend's primitive part, and the error is always the one the
+    primitive dividend gives: it does not depend on the dividend's scale.
+    """
+    if not num:
+        return {}, 0
+    # a quotient exponent inside the box is at most num_bound + g_bound, a
+    # remainder exponent num_bound + 2 g_bound and their difference with g's
+    # lead num_bound + 3 g_bound: below 2**19, every key below stays exact
+    _check_bound(num_bound + 3 * g_bound)
+    f_ranges = _digit_ranges(num, m)
+    g_ranges = _digit_ranges(g_prim, m)
     lo = [f_lo - g_hi for (f_lo, _), (_, g_hi) in zip(f_ranges, g_ranges)]
     hi = [f_hi - g_lo for (_, f_hi), (g_lo, _) in zip(f_ranges, g_ranges)]
     # (shift, lo_i + 2**19, hi_i + 2**19): the box on the biased digits
     shifts = range(_DIGIT_BITS * (m - 1), -1, -_DIGIT_BITS)
     box = [(s, a + _HALF, b + _HALF) for s, a, b in zip(shifts, lo, hi)]
     bias = _bias(m)
-    f_content, remainder = _primitive(f._num)
-    g_content, g_prim = _primitive(g._num)
-    remainder = dict(remainder)
-    heap = [-key for key in remainder]
-    heapq.heapify(heap)
-
     g_lead = max(g_prim)
     g_lead_coeff = g_prim[g_lead]
     g_rest = [(e, c) for e, c in g_prim.items() if e != g_lead]
 
     def inexact(q_key: int, why: str) -> InexactDivisionError:
         return InexactDivisionError(
-            f"{why}; division of {len(f._num)}-term by {len(g._num)}-term "
+            f"{why}; division of {len(num)}-term by {len(g_prim)}-term "
             "polynomial is not exact",
             offending_exponent=_unpack(q_key, m),
         )
 
-    quotient: dict[int, int] = {}
-    get = remainder.get
-    push, pop = heapq.heappush, heapq.heappop
-    while remainder:
-        r_lead = -pop(heap)
-        if r_lead not in remainder:
-            continue  # cancelled after it was pushed
-        q_key = r_lead - g_lead
-        biased = q_key + bias
-        for shift, d_lo, d_hi in box:
-            if not d_lo <= (biased >> shift & _MASK) <= d_hi:
-                raise inexact(q_key, "quotient exponent escapes the exact-division box")
-        q_coeff, rest = divmod(remainder.pop(r_lead), g_lead_coeff)
-        if rest:
-            raise inexact(q_key, "quotient coefficient is not an integer")
-        quotient[q_key] = q_coeff
-        for e, c in g_rest:
-            key = q_key + e
-            old = get(key)
-            if old is None:
-                # q_coeff and c are nonzero, so the new term is too
-                remainder[key] = -q_coeff * c
-                push(heap, -key)
-            else:
-                new = old - q_coeff * c
-                if new:
-                    remainder[key] = new
+    def run(dividend: dict[int, int]) -> dict[int, int]:
+        remainder = dict(dividend)
+        heap = [-key for key in remainder]
+        heapq.heapify(heap)
+        quotient: dict[int, int] = {}
+        get = remainder.get
+        push, pop = heapq.heappush, heapq.heappop
+        while remainder:
+            r_lead = -pop(heap)
+            if r_lead not in remainder:
+                continue  # cancelled after it was pushed
+            q_key = r_lead - g_lead
+            biased = q_key + bias
+            for shift, d_lo, d_hi in box:
+                if not d_lo <= (biased >> shift & _MASK) <= d_hi:
+                    raise inexact(q_key, "quotient exponent escapes the exact-division box")
+            q_coeff, rest = divmod(remainder.pop(r_lead), g_lead_coeff)
+            if rest:
+                raise inexact(q_key, "quotient coefficient is not an integer")
+            quotient[q_key] = q_coeff
+            for e, c in g_rest:
+                key = q_key + e
+                old = get(key)
+                if old is None:
+                    # q_coeff and c are nonzero, so the new term is too
+                    remainder[key] = -q_coeff * c
+                    push(heap, -key)
                 else:
-                    del remainder[key]
-    # f / g = (f_content / f_den) / (g_content / g_den) * quotient, and the
-    # quotient is primitive, so the reduced ratio leaves it canonical
-    ratio = Fraction(f_content * g._den, f._den * g_content)
-    scale = ratio.numerator
-    if scale != 1:
-        quotient = {e: n * scale for e, n in quotient.items()}
-    # every quotient exponent passed the box check
+                    new = old - q_coeff * c
+                    if new:
+                        remainder[key] = new
+                    else:
+                        del remainder[key]
+        return quotient
+
+    # every quotient exponent passes the box check
     q_bound = max(map(abs, lo + hi), default=0)
-    return LaurentPoly._from_parts(m, quotient, ratio.denominator, q_bound)
+    try:
+        return run(num), q_bound
+    except InexactDivisionError as exc:
+        content, prim = _primitive(num)
+        if content == 1:
+            raise
+        refused = exc
+    run(prim)  # refuses too: prim / g is exact exactly when num / g is
+    raise refused
 
 
 def sqrt_fraction(x: Fraction | int) -> Fraction:

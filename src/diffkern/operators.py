@@ -53,9 +53,23 @@ import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from math import gcd, lcm
+from typing import Callable, NamedTuple, Sequence
 
-from .laurent import _POLY_CACHE_SIZE, ExactParams, LaurentPoly, _pack, divide_exact
+from .laurent import (
+    _POLY_CACHE_SIZE,
+    ExactParams,
+    LaurentPoly,
+    _check_bound,
+    _convolve,
+    _digit_moves,
+    _divide_integers,
+    _moved_items,
+    _pack,
+    _primitive,
+    _shift_factors,
+    divide_exact,
+)
 from .sigma import (
     DomainError,
     FamilyKind,
@@ -380,13 +394,30 @@ def _product(factors: Sequence[LaurentPoly], m: int) -> LaurentPoly:
     return functools.reduce(operator.mul, factors) if factors else LaurentPoly.one(m)
 
 
+class _KoornFactors(NamedTuple):
+    """The operator's factors that depend on (ep, m) only.  own_0_prim and
+    v_prim are the divisors' primitive forms (den / content, primitive
+    numerators): dividing by own_0 is dividing by its primitive numerators
+    and multiplying by den / content."""
+
+    n_q: LaurentPoly  # n_0^+ [q z_0^-2]
+    own_0: LaurentPoly
+    c_0: LaurentPoly | None  # prod_{1<=k<l} (x_k - x_l), None at m <= 2
+    vandermonde: LaurentPoly | None  # None at m = 1
+    own_0_prim: tuple[Fraction, dict[int, int]]
+    v_prim: tuple[Fraction, dict[int, int]] | None
+
+
+def _primitive_form(g: LaurentPoly) -> tuple[Fraction, dict[int, int]]:
+    content, prim = _primitive(g._num)
+    return Fraction(g._den, content), prim
+
+
 @functools.lru_cache(maxsize=_POLY_CACHE_SIZE)
-def _koorn_factors(
-    ep: ExactParams, m: int
-) -> tuple[LaurentPoly, LaurentPoly, LaurentPoly | None, LaurentPoly | None]:
-    """The operator's factors that depend on (ep, m) only: n_0^+ [q z_0^-2],
-    own_0, c_0 = prod_{1<=k<l} (x_k - x_l) (None at m <= 2) and V (None at
-    m = 1).  Polynomials are immutable, so calls share them safely."""
+def _koorn_factors(ep: ExactParams, m: int) -> _KoornFactors:
+    """The factors of ``apply_koorn_mult`` at (ep, m).  Polynomials are
+    immutable and no caller writes to the primitive numerators, so calls
+    share them safely."""
     own = _koorn_own_factors(m, 0, ep.sq)
     n_q = _product(
         [_two_term(m, {0: 1}, root) for root in (ep.sa, ep.sb, ep.sc, ep.sd)]
@@ -400,7 +431,15 @@ def _koorn_factors(
     }
     c_0 = _product([fac for (k, _), fac in pair.items() if k], m) if m > 2 else None
     vandermonde = _product(list(pair.values()), m) if m > 1 else None
-    return n_q, _product(own, m), c_0, vandermonde
+    own_0 = _product(own, m)
+    return _KoornFactors(
+        n_q,
+        own_0,
+        c_0,
+        vandermonde,
+        _primitive_form(own_0),
+        None if vandermonde is None else _primitive_form(vandermonde),
+    )
 
 
 def apply_koorn_mult(ep: ExactParams, f: LaurentPoly, m: int) -> LaurentPoly:
@@ -423,8 +462,8 @@ def apply_koorn_mult(ep: ExactParams, f: LaurentPoly, m: int) -> LaurentPoly:
     numerator brackets of A_i^+-.  Only variable 0's quotient is ever
     built, M_0(g) = N_0(g) / own_0 by one exact division, where
     n_0^- (T_0^-1 g - g) [q z_0^2] is the inversion iota of every variable
-    applied to n_0^+ (T_0 h - h) [q z_0^-2] at h = iota g.  The operator is
-    invariant under signed permutations, so M_i = sigma_i(M_0(sigma_i f)),
+    applied to S(iota g), S(h) = n_0^+ (T_0 h - h) [q z_0^-2].  The operator
+    is invariant under signed permutations, so M_i = sigma_i(M_0(sigma_i f)),
     sigma_i the transposition of z_0 and z_i.  Over the Vandermonde
     V = prod_{k<l} (x_k - x_l) the numerator is sum_i (-1)^i M_i c_i with
     c_i = prod_{k<l, i not in (k, l)} (x_k - x_l) = (-1)^(i-1) sigma_i(c_0)
@@ -433,42 +472,118 @@ def apply_koorn_mult(ep: ExactParams, f: LaurentPoly, m: int) -> LaurentPoly:
         D f = (K(f) - sum_{i>=1} sigma_i(K(sigma_i f))) / V,
 
     one exact division (none at m = 1, where D f = M_0(f)).  n_0^+ [q z_0^-2],
-    own_0, c_0 and V come from a cache of _POLY_CACHE_SIZE (ep, m) entries.
-    Within one call K and the shift term are memoised by their input
-    polynomial (``LaurentPoly`` is hashable and its ``==`` structural), so a
-    W-invariant f costs one shift term, one division by own_0 and (m >= 3)
-    one product by c_0.  For q != 1, own_i is squarefree and prime to every
-    x_k - x_l and only term i has poles on it, so both divisions are exact
-    precisely on inputs the operator maps to Laurent polynomials
-    (W-invariant f in particular); any other input raises
-    InexactDivisionError at one of them.  At q = 1 every N_i is 0.
+    own_0, c_0, V and the primitive forms of own_0 and V come from a cache
+    of _POLY_CACHE_SIZE (ep, m) entries.
+
+    Every step runs on packed-key integer numerator dicts; each intermediate
+    carries its rational scale beside it, and one canonical polynomial is
+    built at the end with one gcd.  With sqrt(q) = p/q' and z_0's digits
+    of g in lo..hi, T_0 g - g is 1/Q times the numerators of g, each times
+    the integer P p^(e-lo) q'^(hi-e) - Q of its digit e, where
+    P/Q = p^lo / q'^hi; S(g) and S(iota g) (whose digit range is
+    -hi..-lo, so its Q may differ) meet over the lcm of their Q.  Both
+    divisions divide by the divisor's primitive numerators and multiply the
+    scale by den / content: by Gauss's lemma a polynomial with integer
+    coefficients that a primitive one divides exactly has an integer
+    quotient, so the dividend needs no content pass and each ``divmod`` that
+    leaves a remainder certifies inexactness, as in ``divide_exact``, whose
+    integer core both divisions share.  f is tested for iota- and
+    sigma_i-invariance on its packed keys; an invariant f reuses S(f) and
+    K(f) (a W-invariant f costs one shift term, one division by own_0 and,
+    at m >= 3, one product by c_0), and sigma_i f and K(sigma_i f) are built
+    only where the test fails.  For q != 1, own_i is squarefree and prime
+    to every x_k - x_l and only term i has poles on it, so both divisions
+    are exact precisely on inputs the operator maps to Laurent polynomials
+    (W-invariant f in particular).  Any other input raises
+    InexactDivisionError: at the division of N_0(f) by own_0 when M_0(f)
+    is not a Laurent polynomial, else at that of some N_0(sigma_i f), else
+    at the division by V.  At q = 1 every N_i is 0.
     """
     if f.m != m:
         raise ValueError(f"f has {f.m} variables, expected {m}")
     if m < 1:
         raise ValueError("need at least one variable")
+    n_q, own_0, c_0, vandermonde, (own_scale, own_prim), v_prim = _koorn_factors(ep, m)
+    if f.is_zero():
+        return LaurentPoly.zero(m)
     sq = ep.sq
-    n_q, own_0, c_0, vandermonde = _koorn_factors(ep, m)
+    # T_0, iota and sigma_i keep f's exponent bound
+    s_bound = f._exp_bound + n_q._exp_bound
 
-    # memoised for this call only: the closures die with it
-    @functools.cache
-    def shift_term(g: LaurentPoly) -> LaurentPoly:
-        return (g.substitute(0, sqrt_scale=sq) - g) * n_q
+    def shift_term(g: dict[int, int]) -> tuple[dict[int, int], int]:
+        """Q and the numerators of Q * den(n_q) * S(g)."""
+        digits, lo, table, big_q = _shift_factors(g, m, 0, sq)
+        step = [t - big_q for t in table]
+        diff = {}
+        for (key, n), e in zip(g.items(), digits):
+            c = step[e - lo]
+            if c:  # 0 where sqrt(q)^e = 1, at e = 0 and for q = 1
+                diff[key] = n * c
+        if diff:
+            _check_bound(s_bound)
+        return _convolve(diff, n_q._num), big_q
 
-    @functools.cache
-    def cofactor_term(g: LaurentPoly) -> LaurentPoly:
-        back = shift_term(g.invert_all()).invert_all()
-        quotient = divide_exact(shift_term(g) - back, own_0)
-        return quotient if c_0 is None else c_0 * quotient
+    def cofactor_term(g: dict[int, int]) -> tuple[dict[int, int], Fraction, int]:
+        """The numerators of K(g), their scale and an exponent bound."""
+        up, q_up = shift_term(g)
+        inverted = {-key: n for key, n in g.items()}
+        down, q_down = (up, q_up) if inverted == g else shift_term(inverted)
+        # S(g) - iota S(iota g) over the common 1 / lcm(q_up, q_down)
+        common = lcm(q_up, q_down)
+        u_up, u_down = common // q_up, common // q_down
+        n_0 = {key: n * u_up for key, n in up.items()}
+        get = n_0.get
+        for key, n in down.items():
+            new = get(-key, 0) - n * u_down
+            if new:
+                n_0[-key] = new
+            else:
+                del n_0[-key]
+        quotient, bound = _divide_integers(
+            n_0, s_bound, own_prim, own_0._exp_bound, m
+        )
+        scale = own_scale / (common * n_q._den)
+        if c_0 is None or not quotient:
+            return quotient, scale, bound
+        bound = _check_bound(bound + c_0._exp_bound)
+        return _convolve(quotient, c_0._num), scale / c_0._den, bound
 
-    numerator = cofactor_term(f)
+    k_f = cofactor_term(f._num)
     if vandermonde is None:
-        return numerator
+        num, scale, bound = k_f
+        return LaurentPoly._from_scaled(m, num, scale / f._den, bound)
+    terms = [(k_f, [])]  # K(sigma_i f) and the moves of sigma_i's keys
+    get_f = f._num.get
     for i in range(1, m):
         perm = list(range(m))
         perm[0], perm[i] = i, 0  # sigma_i
-        numerator = numerator - cofactor_term(f.permute(perm)).permute(perm)
-    return divide_exact(numerator, vandermonde)
+        moves = _digit_moves(m, perm)
+        if all(get_f(key) == n for key, n in _moved_items(f._num, m, moves)):
+            terms.append((k_f, moves))
+        else:
+            terms.append((cofactor_term(dict(_moved_items(f._num, m, moves))), moves))
+    # K(f) - sum_{i>=1} sigma_i(K(sigma_i f)) over the common scale
+    common = Fraction(
+        gcd(*(s.numerator for (_, s, _), _ in terms)),
+        lcm(*(s.denominator for (_, s, _), _ in terms)),
+    )
+    acc: dict[int, int] = {}
+    get = acc.get
+    for i, ((num, scale, _), moves) in enumerate(terms):
+        u = (scale / common).numerator * (-1 if i else 1)
+        items = _moved_items(num, m, moves) if moves else num.items()
+        for key, n in items:
+            acc[key] = get(key, 0) + u * n
+    numerator = {key: n for key, n in acc.items() if n}
+    v_scale, v_num = v_prim
+    quotient, bound = _divide_integers(
+        numerator,
+        max(bound for (_, _, bound), _ in terms),
+        v_num,
+        vandermonde._exp_bound,
+        m,
+    )
+    return LaurentPoly._from_scaled(m, quotient, common * v_scale / f._den, bound)
 
 
 def _linear_factor(m: int, i: int, j: int, scale: Fraction) -> LaurentPoly:

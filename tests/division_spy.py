@@ -1,0 +1,39 @@
+"""A spy on the integer division core that the exact operators call."""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+from diffkern import laurent
+from diffkern.laurent import LaurentPoly
+
+
+def primitive_part(p: LaurentPoly) -> LaurentPoly:
+    """p times den / content: its primitive integer numerators over 1."""
+    return p * Fraction(p._den, math.gcd(*p._num.values()))
+
+
+def spy_on_integer_division(monkeypatch, module) -> list:
+    """Route ``module``'s calls of the integer division core through a spy.
+
+    Each call appends (dividend, divisor, outcome): the dividend and the
+    primitive divisor as polynomials over 1, and what the core gave: the
+    quotient's fields (m, numerators in step order, denominator 1, exponent
+    bound) or the error's class, message and offending exponent."""
+    seen = []
+    core = laurent._divide_integers
+
+    def spy(num, num_bound, g_prim, g_bound, m):
+        f = LaurentPoly._from_parts(m, dict(num), 1, num_bound)
+        g = LaurentPoly._from_parts(m, dict(g_prim), 1, g_bound)
+        try:
+            quotient, q_bound = core(num, num_bound, g_prim, g_bound, m)
+        except ArithmeticError as exc:
+            seen.append((f, g, (type(exc), str(exc), getattr(exc, "offending_exponent", None))))
+            raise
+        seen.append((f, g, (m, list(quotient.items()), 1, q_bound)))
+        return quotient, q_bound
+
+    monkeypatch.setattr(module, "_divide_integers", spy)
+    return seen

@@ -37,6 +37,8 @@ from diffkern.laurent import (
     sym_orbit_sum,
 )
 
+from division_spy import primitive_part, spy_on_integer_division
+
 # ----------------------------------------------------------------------
 # test-local helpers
 # ----------------------------------------------------------------------
@@ -484,21 +486,42 @@ def test_division_skips_a_lead_that_cancelled_and_came_back():
     assert_division_matches_reference(g2 * q2 - y, g2)
 
 
+def test_division_by_a_non_primitive_divisor_matches_the_reference():
+    # g = 3 (2z + 1): only the divisor is made primitive, and the dividends'
+    # contents share 3 with g's and 2 with its lead.  6 z^2 + 6 passes the
+    # first divmod by 2, which its primitive part z^2 + 1 fails, and would
+    # refuse one step later at z^0; the error is the primitive dividend's
+    z = LaurentPoly.var_power(1, 0, 2)
+    g = 6 * z + 3
+    with pytest.raises(InexactDivisionError, match="not an integer") as info:
+        divide_exact(6 * z * z + 6, g)
+    assert info.value.offending_exponent == (2,)
+    for f in (6 * z * z + 6, (6 * z * z + 6) * Fraction(5, 7), g * z * Fraction(-5, 3) + 9):
+        assert_division_matches_reference(f, g)
+    for q in ((z + 3) * Fraction(10, 7), (z * z - z + 5) * Fraction(9, 4), LaurentPoly.const(1, 6)):
+        assert_division_matches_reference(g * q, g)
+        assert divide_exact(g * q, g) == q
+    # two variables, a divisor with a denominator and content 15
+    w = LaurentPoly.var_power(2, 1, -2)
+    x = LaurentPoly.var_power(2, 0, 2)
+    g2 = (x * w + 2) * Fraction(15, 4)
+    q2 = (x - w * w) * Fraction(-6, 5)
+    assert divide_exact(g2 * q2, g2) == q2
+    assert_division_matches_reference(g2 * q2, g2)
+    assert_division_matches_reference(g2 * q2 + x * 3, g2)
+
+
 @pytest.mark.parametrize("m", [2, 3])
 def test_operator_divisions_match_the_reference(m, monkeypatch):
     # the exact Koornwinder operator's own dividends and divisors: own_0
     # (4 terms) and the Vandermonde in x = z + 1/z (4 terms at m = 2, 24
     # at m = 3), on an eigenpolynomial and on inputs that are not
-    # W-invariant, some of which fail at a division
+    # W-invariant, some of which fail at a division.  The operator divides
+    # integer numerators by the divisors' primitive parts, so each division
+    # is checked over 1 against the reference
     from diffkern import koornwinder, operators
 
-    seen = []
-
-    def spy(f, g):
-        seen.append((f, g))
-        return divide_exact(f, g)
-
-    monkeypatch.setattr(operators, "divide_exact", spy)
+    seen = spy_on_integer_division(monkeypatch, operators)
     ep = ExactParams.default()
     z = [LaurentPoly.var_power(m, k, 2) for k in range(m)]
     inputs = [
@@ -519,10 +542,13 @@ def test_operator_divisions_match_the_reference(m, monkeypatch):
     for k in range(m):
         for l in range(k + 1, m):
             vandermonde = vandermonde * (x[k] - x[l])
-    divisors = {g for _, g in seen}
-    assert divisors == {own_0, vandermonde}
+    divisors = {g for _, g, _ in seen}
+    assert divisors == {primitive_part(own_0), primitive_part(vandermonde)}
     assert len(vandermonde.terms) == {2: 4, 3: 24}[m]
-    outcomes = [assert_division_matches_reference(f, g) for f, g in seen]
+    outcomes = []
+    for f, g, got in seen:
+        assert got == division_outcome(reference_divide_exact, f, g)
+        outcomes.append(got)
     assert any(o[0] is InexactDivisionError for o in outcomes)
     assert any(o[0] == m for o in outcomes)
 

@@ -1,6 +1,7 @@
 """Tests for the difference operators, numeric and exact."""
 
 import cmath
+import math
 import random
 from fractions import Fraction
 
@@ -11,8 +12,10 @@ from diffkern.laurent import (
     ExactParams,
     InexactDivisionError,
     LaurentPoly,
+    Partition,
     divide_exact,
     orbit_sum,
+    partitions_in_box,
     sym_orbit_sum,
 )
 from diffkern.operators import (
@@ -36,6 +39,7 @@ from diffkern.operators import (
 from diffkern.sigma import DomainError, FamilyKind, PoleError, SigmaFamily, sigma_eval
 
 from bc_duplication import apply_E_BC_dup, dup_prefactor
+from division_spy import primitive_part, spy_on_integer_division
 
 RNG_SEED = 7041
 
@@ -557,7 +561,7 @@ def test_koorn_factors_are_the_formulas():
     # sign identity sigma_i(c_0) = (-1)^(i-1) c_i for every i >= 1
     for ep in KOORN_PARAMS.values():
         for m in (1, 2, 3, 4):
-            n_q, own_0, c_0, vandermonde = _koorn_factors(ep, m)
+            n_q, own_0, c_0, vandermonde, own_0_prim, v_prim = _koorn_factors(ep, m)
             f = LaurentPoly.var_power(m, 0, 2)
             up, down = ((g.substitute(0, sqrt_scale=ep.sq) - g) * n_q for g in (f, f.invert_all()))
             want_own, want_n = own_numerator(ep, f, m)
@@ -565,6 +569,14 @@ def test_koorn_factors_are_the_formulas():
             assert up - down.invert_all() == want_n, m
             assert c_0 == (x_cofactor(m, 0) if m > 2 else None), m
             assert vandermonde == (x_cofactor(m, None) if m > 1 else None), m
+            # the cached primitive forms (den / content, primitive numerators)
+            assert (v_prim is None) == (vandermonde is None), m
+            for poly, form in ((own_0, own_0_prim), (vandermonde, v_prim)):
+                if poly is not None:
+                    scale, prim = form
+                    prim_poly = LaurentPoly._from_parts(m, dict(prim), 1, poly._exp_bound)
+                    assert prim_poly == primitive_part(poly), m
+                    assert prim_poly * (1 / scale) == poly, m
             for i in range(1, m):
                 sigma_c_0 = LaurentPoly.one(m) if c_0 is None else c_0.permute(swap_with_0(m, i))
                 assert sigma_c_0 == x_cofactor(m, i) * (-1) ** (i - 1), (m, i)
@@ -662,26 +674,79 @@ def test_koorn_own_divides_the_numerator_of_eigenpolynomials():
 
 def test_koorn_own_division_refuses_a_non_invariant_input(monkeypatch):
     # negative control: z_0 is not W-invariant, and the first division, by
-    # own_0, already leaves a remainder
+    # own_0's primitive part, already leaves a remainder
     import diffkern.operators as operators
 
-    divisors = []
-
-    def spy(f, g):
-        divisors.append(g)
-        return divide_exact(f, g)
-
-    monkeypatch.setattr(operators, "divide_exact", spy)
+    seen = spy_on_integer_division(monkeypatch, operators)
     ep = ExactParams.default()
     for m in (1, 2, 3):
         f = LaurentPoly.var_power(m, 0, 2)
         own_0, n_0 = own_numerator(ep, f, m)
-        divisors.clear()
+        seen.clear()
         with pytest.raises(InexactDivisionError):
             apply_koorn_mult(ep, f, m)
-        assert divisors == [own_0], m
+        assert [g for _, g, _ in seen] == [primitive_part(own_0)], m
+        assert seen[0][2][0] is InexactDivisionError, m
         with pytest.raises(InexactDivisionError):
             divide_exact(n_0, own_0)
+
+
+def assert_canonical(image):
+    """image has the fields of the polynomial built from its coefficients:
+    a positive denominator prime to the numerators.  The exponent bound is
+    an upper bound, so it need only reach the exact one."""
+    canon = LaurentPoly(image.m, dict(image.terms))
+    assert (image.m, image._num, image._den) == (canon.m, canon._num, canon._den)
+    assert image._den > 0
+    assert math.gcd(image._den, *image._num.values()) == 1
+    assert image._exp_bound >= canon._exp_bound
+
+
+# numerators that share the primes 2, 3, 5, 7 and 11 of EP's denominators
+SHARED_PRIME_MULTIPLES = [Fraction(2310, 13), Fraction(-15, 77), Fraction(4, 9), Fraction(-49, 10)]
+
+
+def test_koorn_image_is_exact_and_canonical():
+    # P_lambda over the 3 x 3 box and at m = 4, times multiples whose
+    # numerators share primes with the parameters' denominators: every
+    # scale the integer pipeline carries meets a common factor somewhere,
+    # and the one final gcd must still leave the canonical form
+    ep = KOORN_PARAMS["EP"]
+    cases = [(lam, m) for m in (1, 2, 3) for lam in partitions_in_box(m, 3)]
+    cases += [(Partition((1,)), 4), (Partition((1, 1, 1, 1)), 4)]
+    for k, (lam, m) in enumerate(cases):
+        f = koornwinder_poly(lam, ep, m) * SHARED_PRIME_MULTIPLES[k % 4]
+        image = apply_koorn_mult(ep, f, m)
+        assert image == reference_koorn_mult(ep, f, m), (lam, m)
+        assert_canonical(image)
+
+
+def test_koorn_asymmetric_z0_range_matches_the_reference(monkeypatch):
+    # z_0's digits run over -2..4 in f and -4..2 in iota f, so S(f) and
+    # S(iota f) carry different scales (2^4 and 2^2 at EP's sqrt(q) = 1/2) and
+    # meet over their lcm: the dividend of the first division is a multiple
+    # of N_0(f), and the outcome is the reference's
+    import diffkern.operators as operators
+
+    seen = spy_on_integer_division(monkeypatch, operators)
+    for name in sorted(KOORN_PARAMS):
+        ep = KOORN_PARAMS[name]
+        for m in (1, 2, 3):
+            f = LaurentPoly.var_power(m, 0, 4, Fraction(10, 3)) + LaurentPoly.var_power(
+                m, 0, -2, Fraction(-6, 7)
+            )
+            if m > 1:
+                f = f + LaurentPoly.var_power(m, m - 1, 2, Fraction(5, 11))
+            seen.clear()
+            assert outcome(apply_koorn_mult, ep, f, m) == outcome(reference_koorn_mult, ep, f, m)
+            own_0, n_0 = own_numerator(ep, f, m)
+            dividend, _, got = seen[0]
+            assert primitive_part(dividend) in (primitive_part(n_0), -primitive_part(n_0))
+            want = exact_outcome(divide_exact, n_0, own_0)
+            if isinstance(want, LaurentPoly):
+                assert got[0] == m, (name, m)
+            else:
+                assert got == want, (name, m)
 
 
 def test_koorn_pair_factors_give_x_differences():
@@ -721,11 +786,16 @@ def test_two_term_is_the_fraction_built_polynomial():
 
 
 def test_koorn_image_vanishes_at_q_one():
-    # T_q is the identity at q = 1, so every N_i is 0: invariant or not
+    # T_q is the identity at q = 1, so every N_i is 0: invariant or not,
+    # and the image is the canonical zero
     ep = ExactParams.default().replace(sq=Fraction(1))
     for m in (1, 2, 3):
-        for f in (orbit_sum((2,), m), LaurentPoly.var_power(m, 0, 2)):
-            assert apply_koorn_mult(ep, f, m).is_zero(), m
+        inputs = [orbit_sum((2,), m), LaurentPoly.var_power(m, 0, 2)]
+        inputs += [f * Fraction(-14, 9) for f in _off_memo_inputs(m).values()]
+        for f in inputs:
+            image = apply_koorn_mult(ep, f, m)
+            assert image.is_zero(), m
+            assert_canonical(image)
             assert reference_koorn_mult(ep, f, m).is_zero(), m
 
 
