@@ -12,21 +12,11 @@ Modules:
     cli          command-line entry point
 """
 
-from .kernels import (
-    KernelKind,
-    KernelSpec,
-    kern_phi0,
-    kernel_value,
-    phi_A,
-    phi_BC,
-    psi_A,
-    psi_BC,
-)
+from .kernels import kern_phi0, phi_A, phi_BC, phi_BC_product, psi_A, psi_BC
 from .koornwinder import (
     CollisionError,
     DegenerateParameterError,
     InterpKind,
-    KoornBasis,
     TheoremKind,
     TriangularSolveError,
     askey_wilson_p,
@@ -52,7 +42,6 @@ from .laurent import (
     Partition,
     dominance_leq,
     divide_exact,
-    eval_numeric,
     is_W_invariant,
     orbit_sum,
     partitions_in_box,
@@ -84,18 +73,15 @@ from .sigma import (
 from .verify import IdentityId, Report, first_failure, run_suite
 
 __all__ = [
-    "KernelKind",
-    "KernelSpec",
     "kern_phi0",
-    "kernel_value",
     "phi_A",
     "phi_BC",
+    "phi_BC_product",
     "psi_A",
     "psi_BC",
     "CollisionError",
     "DegenerateParameterError",
     "InterpKind",
-    "KoornBasis",
     "TheoremKind",
     "TriangularSolveError",
     "askey_wilson_p",
@@ -119,7 +105,6 @@ __all__ = [
     "Partition",
     "dominance_leq",
     "divide_exact",
-    "eval_numeric",
     "is_W_invariant",
     "orbit_sum",
     "partitions_in_box",

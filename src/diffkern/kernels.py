@@ -13,17 +13,17 @@ The Cauchy-type kernels satisfy first-order systems in each variable, e.g.
                                   / [x_i +- y_l + (delta+kappa)/2]
 
 in the BC case; those shift ratios are the contract every variant here is
-tested against.
+tested against.  Each Cauchy-type kernel is a plain function of its
+parameter bundle and the two point sets: ``phi_A(ParamsA, x, y)``,
+``phi_BC(ParamsBC, x, y)`` and ``phi_BC_product(ParamsBC, x, y)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
-from .laurent import ExactParams, LaurentPoly, bracket_zw, sqrt_fraction
+from .laurent import LaurentPoly, bracket_zw, sqrt_fraction
 from .operators import ParamsA, ParamsBC
 from .sigma import (
     DEFAULT_TRUNCATION,
@@ -39,85 +39,6 @@ from .sigma import (
     sigma_eval,
 )
 
-# ======================================================================
-# kernel descriptors
-# ======================================================================
-
-
-class KernelKind(str, Enum):
-    PHI_A = "PhiA"
-    PSI_A = "PsiA"
-    PHI_BC_RATIO = "PhiBC_ratio"
-    PHI_BC_PRODUCT = "PhiBC_product"
-    PSI_BC = "PsiBC"
-    PI_MACDONALD = "PiMacdonald"
-    PHI_ZERO = "Phi0"
-    PHI_PLUS = "PhiPlus"
-    PHI_MINUS = "PhiMinus"
-    PSI_MULT = "PsiMult"
-    PHI_MINUS_K = "PhiMinusK"
-
-
-_NEEDS_A = frozenset({KernelKind.PHI_A, KernelKind.PSI_A})
-_NEEDS_BC = frozenset(
-    {KernelKind.PHI_BC_RATIO, KernelKind.PHI_BC_PRODUCT, KernelKind.PSI_BC}
-)
-_NEEDS_TRIG_AB = frozenset(
-    {
-        KernelKind.PI_MACDONALD,
-        KernelKind.PHI_ZERO,
-        KernelKind.PHI_PLUS,
-        KernelKind.PHI_MINUS,
-    }
-)
-_NEEDS_EXACT = frozenset({KernelKind.PSI_MULT, KernelKind.PHI_MINUS_K})
-
-
-@dataclass(frozen=True)
-class KernelSpec:
-    """Which kernel, in how many variables, with which parameter bundle.
-
-    ``v`` is the free translation parameter of the type-A kernels; it is
-    ignored by kinds that do not use it.  ``gamma_sign`` picks the gamma
-    function for the Cauchy-type kernels; ``None`` selects the default for
-    the family (G_minus trigonometric, G_plus elsewhere).
-    """
-
-    kind: KernelKind
-    m: int
-    n: int
-    v: complex = 0.0
-    gamma_sign: GammaSign | None = None
-    params: ParamsA | ParamsBC | ExactParams | None = None
-
-    def __post_init__(self) -> None:
-        if self.m < 0 or self.n < 0:
-            raise ValueError("variable counts must be nonnegative")
-        kind = KernelKind(self.kind)
-        object.__setattr__(self, "kind", kind)
-        if kind in _NEEDS_A and not isinstance(self.params, ParamsA):
-            raise TypeError(f"{kind.value} needs a ParamsA bundle")
-        if kind in _NEEDS_BC and not isinstance(self.params, ParamsBC):
-            raise TypeError(f"{kind.value} needs a ParamsBC bundle")
-        if kind in _NEEDS_TRIG_AB and not isinstance(
-            self.params, (ParamsA, ParamsBC)
-        ):
-            raise TypeError(f"{kind.value} needs additive (delta, kappa) data")
-        if kind in _NEEDS_EXACT and not isinstance(self.params, ExactParams):
-            raise TypeError(f"{kind.value} needs an ExactParams bundle")
-
-
-def _params_of(spec: KernelSpec, *expected: type):
-    """``spec.params``, checked against the bundle classes the caller needs."""
-    p = spec.params
-    if not isinstance(p, expected):
-        names = " or ".join(cls.__name__ for cls in expected)
-        raise TypeError(
-            f"expected a {names} bundle, got {type(p).__name__} "
-            f"(kernel kind {spec.kind.value})"
-        )
-    return p
-
 
 def default_gamma_sign(fam: SigmaFamily) -> GammaSign:
     """G_minus in the trigonometric case, G_plus otherwise."""
@@ -126,25 +47,30 @@ def default_gamma_sign(fam: SigmaFamily) -> GammaSign:
     return GammaSign.PLUS
 
 
-def _resolve_sign(spec: KernelSpec, fam: SigmaFamily) -> GammaSign:
-    return spec.gamma_sign if spec.gamma_sign is not None else default_gamma_sign(fam)
-
-
 # ======================================================================
 # Cauchy-type kernels, additive variables
 # ======================================================================
 
 
 def phi_A(
-    spec: KernelSpec, x: Sequence[complex], y: Sequence[complex]
+    p: ParamsA,
+    x: Sequence[complex],
+    y: Sequence[complex],
+    v: complex = 0.0,
+    sign: GammaSign | None = None,
 ) -> complex:
-    """prod_{j,l} G(x_j + y_l + v - kappa | delta) / G(x_j + y_l + v | delta)."""
-    p = _params_of(spec, ParamsA)
-    sign = _resolve_sign(spec, p.fam)
+    """prod_{j,l} G(x_j + y_l + v - kappa | delta) / G(x_j + y_l + v | delta).
+
+    ``v`` is the free translation parameter; ``sign`` picks the gamma
+    function, ``None`` meaning :func:`default_gamma_sign` of the family.
+    """
+    if not isinstance(p, ParamsA):
+        raise TypeError(f"phi_A needs a ParamsA bundle, got {type(p).__name__}")
+    sign = sign if sign is not None else default_gamma_sign(p.fam)
     out = 1 + 0j
     for xj in x:
         for yl in y:
-            base = xj + yl + spec.v
+            base = xj + yl + v
             out *= gamma_fn(p.fam, sign, base - p.kappa, p.delta)
             out /= gamma_fn(p.fam, sign, base, p.delta)
     return out
@@ -162,41 +88,63 @@ def psi_A(
 
 
 def phi_BC(
-    spec: KernelSpec, x: Sequence[complex], y: Sequence[complex]
+    p: ParamsBC,
+    x: Sequence[complex],
+    y: Sequence[complex],
+    sign: GammaSign | None = None,
 ) -> complex:
-    """Cauchy-type BC kernel, ratio or four-fold product form by kind.
+    """Cauchy-type BC kernel, ratio form:
 
-    ratio form    prod_{j,l} G(x_j +- y_l + (delta-kappa)/2 | delta)
-                           / G(x_j +- y_l + (delta+kappa)/2 | delta)
-    product form  prod_{j,l} prod_{e1,e2} G(e1 x_j + e2 y_l + (delta-kappa)/2)
+        prod_{j,l} G(x_j +- y_l + (delta-kappa)/2 | delta)
+                 / G(x_j +- y_l + (delta+kappa)/2 | delta)
 
-    The two differ by a factor that is delta-periodic in every variable, so
-    they satisfy the same first-order system.
+    ``sign`` picks the gamma function as in :func:`phi_A`.
     """
-    p = _params_of(spec, ParamsBC)
+    if not isinstance(p, ParamsBC):
+        raise TypeError(f"phi_BC needs a ParamsBC bundle, got {type(p).__name__}")
     fam = p.fam
-    sign = _resolve_sign(spec, fam)
+    sign = sign if sign is not None else default_gamma_sign(fam)
     half_minus = (p.delta - p.kappa) / 2
     half_plus = (p.delta + p.kappa) / 2
     out = 1 + 0j
-    if spec.kind is KernelKind.PHI_BC_RATIO:
-        for xj in x:
-            for yl in y:
-                for eps in (1, -1):
-                    u = xj + eps * yl
-                    out *= gamma_fn(fam, sign, u + half_minus, p.delta)
-                    out /= gamma_fn(fam, sign, u + half_plus, p.delta)
-        return out
-    if spec.kind is KernelKind.PHI_BC_PRODUCT:
-        for xj in x:
-            for yl in y:
-                for e1 in (1, -1):
-                    for e2 in (1, -1):
-                        out *= gamma_fn(
-                            fam, sign, e1 * xj + e2 * yl + half_minus, p.delta
-                        )
-        return out
-    raise ValueError(f"not a BC Cauchy kernel kind: {spec.kind}")
+    for xj in x:
+        for yl in y:
+            for eps in (1, -1):
+                u = xj + eps * yl
+                out *= gamma_fn(fam, sign, u + half_minus, p.delta)
+                out /= gamma_fn(fam, sign, u + half_plus, p.delta)
+    return out
+
+
+def phi_BC_product(
+    p: ParamsBC,
+    x: Sequence[complex],
+    y: Sequence[complex],
+    sign: GammaSign | None = None,
+) -> complex:
+    """Cauchy-type BC kernel, four-fold product form:
+
+        prod_{j,l} prod_{e1,e2} G(e1 x_j + e2 y_l + (delta-kappa)/2 | delta)
+
+    It differs from :func:`phi_BC` by a factor that is delta-periodic in
+    every variable, so the two satisfy the same first-order system.
+    """
+    if not isinstance(p, ParamsBC):
+        raise TypeError(
+            f"phi_BC_product needs a ParamsBC bundle, got {type(p).__name__}"
+        )
+    fam = p.fam
+    sign = sign if sign is not None else default_gamma_sign(fam)
+    half_minus = (p.delta - p.kappa) / 2
+    out = 1 + 0j
+    for xj in x:
+        for yl in y:
+            for e1 in (1, -1):
+                for e2 in (1, -1):
+                    out *= gamma_fn(
+                        fam, sign, e1 * xj + e2 * yl + half_minus, p.delta
+                    )
+    return out
 
 
 def psi_BC(
@@ -356,44 +304,3 @@ def phi_minus_k(m: int, n: int, q: Fraction, k: int) -> LaurentPoly:
                 aval = q ** (e2 // 2) if sq is None else sq**e2
                 out = out * bracket_zw(total, m + l, j, aval)
     return out
-
-
-# ======================================================================
-# dispatch
-# ======================================================================
-
-
-def kernel_value(
-    spec: KernelSpec, x: Sequence[complex], y: Sequence[complex]
-) -> complex:
-    """Evaluate a numeric kernel at additive points x, y."""
-    kind = spec.kind
-    if kind is KernelKind.PHI_A:
-        return phi_A(spec, x, y)
-    if kind is KernelKind.PSI_A:
-        p = _params_of(spec, ParamsA)
-        return psi_A(x, y, spec.v, p.fam)
-    if kind in (KernelKind.PHI_BC_RATIO, KernelKind.PHI_BC_PRODUCT):
-        return phi_BC(spec, x, y)
-    if kind is KernelKind.PSI_BC:
-        p = _params_of(spec, ParamsBC)
-        return psi_BC(x, y, p.fam)
-    if kind in (KernelKind.PHI_ZERO, KernelKind.PHI_PLUS, KernelKind.PHI_MINUS):
-        p = _params_of(spec, ParamsA, ParamsBC)
-        variant = {
-            KernelKind.PHI_ZERO: "zero",
-            KernelKind.PHI_PLUS: "plus",
-            KernelKind.PHI_MINUS: "minus",
-        }[kind]
-        return kern_phi0(
-            x, y, p.delta, p.kappa, p.fam.omega1, variant, p.fam.trunc
-        )
-    if kind is KernelKind.PI_MACDONALD:
-        p = _params_of(spec, ParamsA, ParamsBC)
-        w1 = p.fam.omega1
-        q = phase(p.delta / w1)
-        t = phase(p.kappa / w1)
-        z = [phase(v / w1) for v in x]
-        w = [phase(v / w1) for v in y]
-        return pi_macdonald(z, w, q, t, p.fam.trunc)
-    raise ValueError(f"{kind.value} is an exact kernel; evaluate the polynomial")

@@ -72,7 +72,6 @@ __all__ = [
     "DegenerateParameterError",
     "InterpKind",
     "InterpReport",
-    "KoornBasis",
     "TheoremKind",
     "TriangularSolveError",
     "askey_wilson_p",
@@ -146,22 +145,14 @@ def _as_partition(lam) -> Partition:
 # ======================================================================
 
 
-@dataclass(frozen=True)
-class KoornBasis:
+@lru_cache(maxsize=None)
+def koorn_basis(lam: Partition, m: int) -> tuple[Partition, ...]:
     """Dominance-closed orbit basis for the triangular eigen-solve.
 
-    ``mu_list`` holds every partition mu <= lam that fits in m variables,
-    with lam first; the listing order is a linear extension of dominance
-    (whenever nu < mu, mu appears before nu).
+    Every partition mu <= lam that fits in m variables, with lam first; the
+    listing order is a linear extension of dominance (whenever nu < mu, mu
+    appears before nu).
     """
-
-    lam: Partition
-    mu_list: tuple[Partition, ...]
-    m: int
-
-
-@lru_cache(maxsize=None)
-def koorn_basis(lam: Partition, m: int) -> KoornBasis:
     if m < 1:
         raise ValueError("need at least one variable")
     if len(lam) > m:
@@ -174,7 +165,7 @@ def koorn_basis(lam: Partition, m: int) -> KoornBasis:
     members.sort(key=lambda mu: (mu.size, mu.parts), reverse=True)
     if members[0] != lam:
         raise TriangularSolveError(f"basis for {lam.parts} does not start at lambda")
-    return KoornBasis(lam=lam, mu_list=tuple(members), m=m)
+    return tuple(members)
 
 
 def _eigenvalue_pairs(
@@ -763,7 +754,7 @@ def _macdonald_basis(lam: Partition, m: int) -> tuple[Partition, ...]:
 @lru_cache(maxsize=_POLY_CACHE_SIZE)
 def _koornwinder_cached(lam: Partition, ep: ExactParams, m: int) -> LaurentPoly:
     solved = _eigen_solve(
-        koorn_basis(lam, m).mu_list,
+        koorn_basis(lam, m),
         m,
         _laurent_table,
         partial(_koorn_moves, ep, const=_koorn_constants(ep, m)),

@@ -35,8 +35,9 @@ algebra in this module:
                         ``bracket_factorial_const``).
 
 All arithmetic is exact; there is no floating-point fallback anywhere in this
-module.  Numeric evaluation happens only through ``eval_numeric``, where the
-caller supplies a square root for every coordinate to fix branches.
+module.  Numeric evaluation happens only through ``LaurentPoly.eval_at``,
+where the caller supplies a square root for every coordinate to fix
+branches.
 """
 
 from __future__ import annotations
@@ -651,11 +652,6 @@ class LaurentPoly:
             table = [p**k * q ** (hi - lo - k) for k in range(hi - lo + 1)]
             values = [v * table[d - lo] for v, d in zip(values, digits)]
         return scale * sum(values)
-
-
-def eval_numeric(f: LaurentPoly, sqrt_point: Sequence[complex]) -> complex:
-    """Functional alias for :meth:`LaurentPoly.eval_at`."""
-    return f.eval_at(sqrt_point)
 
 
 # ======================================================================

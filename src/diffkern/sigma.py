@@ -232,9 +232,6 @@ class SigmaFamily:
             raise DomainError("nome is defined only for the elliptic family")
         return self._nome
 
-    def sigma(self, u: complex) -> complex:
-        return sigma_eval(self, u)
-
     def memoized(self) -> "SigmaFamily":
         """A copy of this family, equal to it, that remembers its values.
 

@@ -7,20 +7,18 @@ from fractions import Fraction
 import pytest
 
 from diffkern.kernels import (
-    KernelKind,
-    KernelSpec,
     default_gamma_sign,
     kern_phi0,
     kern_psi_mult,
-    kernel_value,
     phi_A,
     phi_BC,
+    phi_BC_product,
     phi_minus_k,
     pi_macdonald,
     psi_A,
     psi_BC,
 )
-from diffkern.laurent import ExactParams, LaurentPoly
+from diffkern.laurent import LaurentPoly
 from diffkern.operators import ParamsA, ParamsBC
 from diffkern.sigma import FamilyKind, GammaSign, SigmaFamily, qpoch, sigma_eval
 
@@ -62,42 +60,35 @@ def families():
     }
 
 
-def a_spec(fam, kind=KernelKind.PHI_A, v=V_PAR):
-    return KernelSpec(
-        kind=kind, m=2, n=2, v=v, params=ParamsA(DELTA, KAPPA, fam)
-    )
+def a_params(fam):
+    return ParamsA(DELTA, KAPPA, fam)
 
 
-def bc_spec(fam, kind=KernelKind.PHI_BC_RATIO):
-    p = ParamsBC(MU_POOL[: 2 * fam.rho], DELTA, KAPPA, fam)
-    return KernelSpec(kind=kind, m=2, n=2, params=p)
+def bc_params(fam, kappa=KAPPA):
+    return ParamsBC(MU_POOL[: 2 * fam.rho], DELTA, kappa, fam)
 
 
 # ======================================================================
-# KernelSpec validation
+# parameter bundles
 # ======================================================================
 
 
-def test_spec_rejects_mismatched_bundles(families):
+def test_kernels_reject_mismatched_bundles(families):
     fam = families["trig"]
-    pa = ParamsA(DELTA, KAPPA, fam)
-    pbc = ParamsBC(MU_POOL[:4], DELTA, KAPPA, fam)
-    with pytest.raises(TypeError):
-        KernelSpec(kind=KernelKind.PHI_A, m=1, n=1, params=pbc)
-    with pytest.raises(TypeError):
-        KernelSpec(kind=KernelKind.PHI_BC_RATIO, m=1, n=1, params=pa)
-    with pytest.raises(TypeError):
-        KernelSpec(kind=KernelKind.PSI_MULT, m=1, n=1, params=pa)
-    with pytest.raises(ValueError):
-        KernelSpec(kind=KernelKind.PHI_A, m=-1, n=1, params=pa)
+    x, y = (0.1,), (0.2,)
+    with pytest.raises(TypeError, match="ParamsA"):
+        phi_A(bc_params(fam), x, y)
+    with pytest.raises(TypeError, match="ParamsBC"):
+        phi_BC(a_params(fam), x, y)
+    with pytest.raises(TypeError, match="ParamsBC"):
+        phi_BC_product(a_params(fam), x, y)
 
 
 def test_kernel_rejects_wrong_bundle_class_with_type_error(families):
-    # a valid BC spec handed to the type-A kernel; the check must survive
+    # a valid BC bundle handed to the type-A kernel; the check must survive
     # python -O, so it is a raise, not an assert
-    spec = bc_spec(families["trig"])
     with pytest.raises(TypeError, match="ParamsA"):
-        phi_A(spec, (0.1, 0.2), (0.05, -0.1))
+        phi_A(bc_params(families["trig"]), (0.1, 0.2), (0.05, -0.1))
 
 
 def test_default_gamma_signs(families):
@@ -117,21 +108,21 @@ def test_phi_A_trivial_cases(families):
     rng = random.Random(RNG_SEED)
     for fam in families.values():
         x, y = random_point(rng, 2), random_point(rng, 2)
-        spec = a_spec(fam)
-        assert phi_A(spec, (), y) == 1
-        assert phi_A(spec, x, ()) == 1
+        p = a_params(fam)
+        assert phi_A(p, (), y, V_PAR) == 1
+        assert phi_A(p, x, (), V_PAR) == 1
 
 
 def test_phi_A_shift_ratio_system(families):
     # T_delta(x_i) Phi / Phi = prod_l [x_i + y_l + v - kappa]/[x_i + y_l + v]
     rng = random.Random(RNG_SEED + 1)
     for name, fam in families.items():
-        spec = a_spec(fam)
+        p = a_params(fam)
         tol = 1e-7 if name == "elliptic" else 1e-9
         for _ in range(3):
             x, y = random_point(rng, 2), random_point(rng, 2)
-            base = phi_A(spec, x, y)
-            shifted = phi_A(spec, (x[0] + DELTA, x[1]), y)
+            base = phi_A(p, x, y, V_PAR)
+            shifted = phi_A(p, (x[0] + DELTA, x[1]), y, V_PAR)
             want = 1 + 0j
             for yl in y:
                 want *= sigma_eval(fam, x[0] + yl + V_PAR - KAPPA)
@@ -143,17 +134,10 @@ def test_phi_A_both_gamma_signs_satisfy_system(families):
     rng = random.Random(RNG_SEED + 2)
     fam = families["trig"]
     x, y = random_point(rng, 1), random_point(rng, 2)
+    p = a_params(fam)
     for sign in (GammaSign.MINUS, GammaSign.PLUS):
-        spec = KernelSpec(
-            kind=KernelKind.PHI_A,
-            m=1,
-            n=2,
-            v=V_PAR,
-            gamma_sign=sign,
-            params=ParamsA(DELTA, KAPPA, fam),
-        )
-        base = phi_A(spec, x, y)
-        shifted = phi_A(spec, (x[0] + DELTA,), y)
+        base = phi_A(p, x, y, V_PAR, sign=sign)
+        shifted = phi_A(p, (x[0] + DELTA,), y, V_PAR, sign=sign)
         want = 1 + 0j
         for yl in y:
             want *= sigma_eval(fam, x[0] + yl + V_PAR - KAPPA)
@@ -200,28 +184,28 @@ def test_phi_BC_shift_ratio_system_both_forms(families):
     # = prod_l [x_i +- y_l + (delta-kappa)/2]/[x_i +- y_l + (delta+kappa)/2]
     rng = random.Random(RNG_SEED + 4)
     for name, fam in families.items():
-        for kind in (KernelKind.PHI_BC_RATIO, KernelKind.PHI_BC_PRODUCT):
-            spec = bc_spec(fam, kind)
+        for kernel in (phi_BC, phi_BC_product):
+            p = bc_params(fam)
             tol = 1e-6 if name == "elliptic" else 1e-9
             x, y = random_point(rng, 2, 0.2), random_point(rng, 2, 0.2)
-            base = phi_BC(spec, x, y)
-            shifted = phi_BC(spec, (x[0] + DELTA, x[1]), y)
+            base = kernel(p, x, y)
+            shifted = kernel(p, (x[0] + DELTA, x[1]), y)
             want = 1 + 0j
             for yl in y:
                 for eps in (1, -1):
                     u = x[0] + eps * yl
                     want *= sigma_eval(fam, u + (DELTA - KAPPA) / 2)
                     want /= sigma_eval(fam, u + (DELTA + KAPPA) / 2)
-            assert close(shifted / base, want, tol), (name, kind)
+            assert close(shifted / base, want, tol), (name, kernel.__name__)
 
 
 def test_phi_BC_y_shift_ratio(families):
     rng = random.Random(RNG_SEED + 5)
     fam = families["trig"]
-    spec = bc_spec(fam)
+    p = bc_params(fam)
     x, y = random_point(rng, 2, 0.2), random_point(rng, 2, 0.2)
-    base = phi_BC(spec, x, y)
-    shifted = phi_BC(spec, x, (y[0] + DELTA, y[1]))
+    base = phi_BC(p, x, y)
+    shifted = phi_BC(p, x, (y[0] + DELTA, y[1]))
     want = 1 + 0j
     for xj in x:
         for eps in (1, -1):
@@ -236,12 +220,11 @@ def test_phi_BC_forms_differ_by_delta_periodic_factor(families):
     rng = random.Random(RNG_SEED + 6)
     for name in ("trig", "elliptic"):
         fam = families[name]
-        r_spec = bc_spec(fam, KernelKind.PHI_BC_RATIO)
-        p_spec = bc_spec(fam, KernelKind.PHI_BC_PRODUCT)
+        p = bc_params(fam)
         x, y = random_point(rng, 2, 0.2), random_point(rng, 2, 0.2)
         xs = (x[0] + DELTA, x[1])
-        ratio_here = phi_BC(r_spec, x, y) / phi_BC(p_spec, x, y)
-        ratio_shift = phi_BC(r_spec, xs, y) / phi_BC(p_spec, xs, y)
+        ratio_here = phi_BC(p, x, y) / phi_BC_product(p, x, y)
+        ratio_shift = phi_BC(p, xs, y) / phi_BC_product(p, xs, y)
         tol = 1e-6 if name == "elliptic" else 1e-9
         assert close(ratio_here, ratio_shift, tol), name
 
@@ -250,10 +233,9 @@ def test_phi_BC_kappa_equals_delta_collapses(families):
     # with kappa = delta the ratio form telescopes to prod 1/[x +- y]
     rng = random.Random(RNG_SEED + 7)
     for name, fam in families.items():
-        p = ParamsBC(MU_POOL[: 2 * fam.rho], DELTA, DELTA, fam)
-        spec = KernelSpec(kind=KernelKind.PHI_BC_RATIO, m=1, n=1, params=p)
+        p = bc_params(fam, kappa=DELTA)
         x, y = random_point(rng, 1, 0.2), random_point(rng, 1, 0.2)
-        got = phi_BC(spec, x, y)
+        got = phi_BC(p, x, y)
         want = 1 / (
             sigma_eval(fam, x[0] + y[0]) * sigma_eval(fam, x[0] - y[0])
         )
@@ -262,8 +244,7 @@ def test_phi_BC_kappa_equals_delta_collapses(families):
 
 
 def test_phi_BC_empty_is_one(families):
-    spec = bc_spec(families["trig"])
-    assert phi_BC(spec, (), ()) == 1
+    assert phi_BC(bc_params(families["trig"]), (), ()) == 1
 
 
 def test_psi_BC_values_and_symmetry(families):
@@ -473,33 +454,3 @@ def test_phi_minus_k_against_direct_product():
 def test_phi_minus_k_negative_k():
     with pytest.raises(ValueError):
         phi_minus_k(1, 1, Fraction(1, 4), -1)
-
-
-# ======================================================================
-# dispatch
-# ======================================================================
-
-
-def test_kernel_value_dispatch(families):
-    rng = random.Random(RNG_SEED + 13)
-    fam = families["trig"]
-    x, y = random_point(rng, 2, 0.2), random_point(rng, 2, 0.2)
-    spec = a_spec(fam)
-    assert kernel_value(spec, x, y) == phi_A(spec, x, y)
-    spec = a_spec(fam, kind=KernelKind.PSI_A)
-    assert kernel_value(spec, x, y) == psi_A(x, y, V_PAR, fam)
-    spec = bc_spec(fam, KernelKind.PSI_BC)
-    assert kernel_value(spec, x, y) == psi_BC(x, y, fam)
-    spec = bc_spec(fam, KernelKind.PHI_BC_RATIO)
-    assert kernel_value(spec, x, y) == phi_BC(spec, x, y)
-    phi0_spec = KernelSpec(
-        kind=KernelKind.PHI_ZERO, m=2, n=2, params=ParamsA(DELTA, KAPPA, fam)
-    )
-    assert kernel_value(phi0_spec, x, y) == kern_phi0(
-        x, y, DELTA, KAPPA, fam.omega1, "zero", fam.trunc
-    )
-    exact_spec = KernelSpec(
-        kind=KernelKind.PSI_MULT, m=1, n=1, params=ExactParams.default()
-    )
-    with pytest.raises(ValueError):
-        kernel_value(exact_spec, x, y)

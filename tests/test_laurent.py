@@ -26,7 +26,6 @@ from diffkern.laurent import (
     bracket_zw,
     divide_exact,
     dominance_leq,
-    eval_numeric,
     is_W_invariant,
     orbit_sum,
     partitions_in_box,
@@ -200,7 +199,7 @@ def test_eval_matches_term_by_term(p):
         complex(c) * sqrts[0] ** e[0] * sqrts[1] ** e[1]
         for e, c in p.terms.items()
     )
-    assert abs(eval_numeric(p, sqrts) - direct) < 1e-12
+    assert abs(p.eval_at(sqrts) - direct) < 1e-12
 
 
 def test_eval_rejects_zero_coordinate():

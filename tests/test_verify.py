@@ -687,6 +687,21 @@ def test_suite_gives_each_task_a_memo_of_its_own(monkeypatch, families):
         assert (repr(fam), hash(fam)) == before
 
 
+def test_bc_kernel_is_looked_up_when_the_residual_runs(monkeypatch):
+    # perfbench's traced runs time phi_BC by replacing verify's name for it;
+    # a kernel bound when verify is imported would escape that span
+    real = verify.phi_BC
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(verify, "phi_BC", counted)
+    sampled_residual(IdentityId.THM_BCT1, SigmaFamily.trigonometric(), 1, 1, points=1)
+    assert calls
+
+
 #: sha256 of reports_to_json(run_suite(None, fam, samples=2, seed=20261018))
 #: over the default grid.  These pin the draw order of every sampler and the
 #: arithmetic of every evaluator on this CPython and libm: a reordered draw
