@@ -181,7 +181,12 @@ def _validate(data: dict) -> Config:
         raise ConfigError(f"unknown tolerance keys: {sorted(bad)}")
     tolerances = {}
     for name in _FAMILY_NAMES:
-        value = float(tol_block[name])
+        try:
+            value = float(tol_block[name])
+        except (TypeError, ValueError):
+            raise ConfigError(
+                f"tolerance for {name} is not a number: {tol_block[name]!r}"
+            )
         if not value > 0:
             raise ConfigError(f"tolerance for {name} must be positive")
         tolerances[name] = value

@@ -1100,9 +1100,8 @@ def expansion_check_E(m: int, ep: ExactParams) -> bool:
         raise ValueError("need at least one variable")
     mv = m + 1
     w = m
-    lhs = LaurentPoly.one(mv)
-    for j in range(m):
-        lhs = lhs * bracket_zw(mv, w, j)
+    # [w; z_j] = -[z_j; w], so the product is (-1)^m Psi(z; w)
+    lhs = kern_psi_mult(m, 1) * (-1) ** m
     rhs = LaurentPoly.zero(mv)
     for r in range(m + 1):
         term = _embed(poly_E(r, ep, m), mv, range(m)) * bracket_factorial_poly(

@@ -921,9 +921,7 @@ def partitions_in_box(max_length: int, max_part: int) -> list[Partition]:
             rec(prefix + [p], remaining - 1, p)
 
     rec([], max_length, max_part)
-    # dedupe (prefixes with trailing zeros trim to the same partition) and sort
-    uniq = {p.parts: p for p in results}
-    return sorted(uniq.values(), key=lambda p: (p.size, p.parts))
+    return sorted(results, key=lambda p: (p.size, p.parts))
 
 
 def partitions_of(n: int, max_length: int | None = None) -> list[Partition]:
@@ -968,9 +966,7 @@ def orbit_sum(mu: Partition | Sequence[int], m: int) -> LaurentPoly:
     W is the hyperoctahedral group (signed permutations); each distinct
     monomial appears exactly once with coefficient 1.
     """
-    part = mu if isinstance(mu, Partition) else Partition(mu)
-    terms = dict.fromkeys(_orbit_keys(part.padded(m)), 1)
-    return LaurentPoly._from_parts(m, terms, 1, _label_bound(part))
+    return orbit_expansion([mu], [1], 1, m)
 
 
 def is_W_invariant(f: LaurentPoly) -> bool:
@@ -992,9 +988,7 @@ def is_W_invariant(f: LaurentPoly) -> bool:
 
 def sym_orbit_sum(mu: Partition | Sequence[int], m: int) -> LaurentPoly:
     """Symmetric-group orbit sum (no sign flips), for the type-A theory."""
-    part = mu if isinstance(mu, Partition) else Partition(mu)
-    terms = dict.fromkeys(_sym_orbit_keys(part.padded(m)), 1)
-    return LaurentPoly._from_parts(m, terms, 1, _label_bound(part))
+    return orbit_expansion([mu], [1], 1, m, signed=False)
 
 
 def orbit_expansion(

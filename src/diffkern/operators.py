@@ -72,9 +72,10 @@ from .laurent import (
 )
 from .sigma import (
     DomainError,
-    FamilyKind,
     SigmaFamily,
     _exact_key,
+    lattice_dist,
+    lattice_unit,
     nonvanishing,
     phase,
     sigma_eval,
@@ -91,28 +92,15 @@ _LATTICE_TOL = 1e-9
 # ======================================================================
 
 
-def _in_period_lattice(fam: SigmaFamily, value: complex) -> bool:
-    """Whether value lies in the zero lattice Omega of the family (within tolerance)."""
-    v = complex(value)
-    if fam.kind is FamilyKind.RATIONAL:
-        return abs(v) < _LATTICE_TOL
-    if fam.kind is FamilyKind.TRIGONOMETRIC:
-        ratio = v / fam.omega1
-        return abs(ratio - round(ratio.real)) < _LATTICE_TOL
-    # elliptic: solve v = a*omega1 + b*omega2 over the reals
-    w1, w2 = complex(fam.omega1), complex(fam.omega2)
-    det = w1.real * w2.imag - w1.imag * w2.real
-    a = (v.real * w2.imag - v.imag * w2.real) / det
-    b = (w1.real * v.imag - w1.imag * v.real) / det
-    return abs(a - round(a)) < _LATTICE_TOL and abs(b - round(b)) < _LATTICE_TOL
-
-
 def _check_off_lattice(bundle: "ParamsA | ParamsBC") -> None:
     """Raise DomainError naming delta or kappa of the bundle when it lies in
-    the period lattice, where [delta] or [kappa] vanishes."""
+    the period lattice, where [delta] or [kappa] vanishes.  A value closer
+    to it than ``_LATTICE_TOL`` * |omega1| (absolute in the rational family,
+    which has no period) counts as in it."""
+    fam = bundle.fam
     for name in ("delta", "kappa"):
         value = getattr(bundle, name)
-        if _in_period_lattice(bundle.fam, value):
+        if lattice_dist(fam, complex(value)) < _LATTICE_TOL * lattice_unit(fam):
             raise DomainError(f"{name} = {value} lies in the period lattice")
 
 

@@ -30,6 +30,10 @@ for exactly those checks.  Gamma functions absorb the scale through the
 c^(u/delta) rule, so the difference equations above hold with the family
 bracket whatever the scale.
 
+[u] vanishes exactly on the period lattice, the integer span of the
+nonzero omega_r; :func:`lattice_dist` measures the distance of u from it,
+exactly up to a reach of 2e-2 * |omega1|, which bounds every pole guard.
+
 Truncated products (theta, q-Pochhammer, elliptic gamma) follow an explicit
 Truncation policy; elliptic double products are truncated on the triangle
 i + j <= max_terms.
@@ -161,6 +165,9 @@ class SigmaFamily:
     epsilons: tuple[int, ...] = field(init=False, default=())
     trunc: Truncation = DEFAULT_TRUNCATION
     _nome: complex | None = field(init=False, repr=False, compare=False, default=None)
+    _guard_basis: tuple[complex, complex, bool] | None = field(
+        init=False, repr=False, compare=False, default=None
+    )
     _memo: dict | None = field(init=False, repr=False, compare=False, default=None)
     _constants: dict | None = field(
         init=False, repr=False, compare=False, default=None
@@ -191,6 +198,9 @@ class SigmaFamily:
                 (-1, -1, -1, 1),
             )
             object.__setattr__(self, "_nome", phase(tau))
+            object.__setattr__(
+                self, "_guard_basis", _guard_basis(self.omega1, self.omega2)
+            )
         else:  # pragma: no cover - enum is closed
             raise ValueError(f"unknown family kind {self.kind}")
         object.__setattr__(self, "rho", tables[0])
@@ -263,6 +273,85 @@ class SigmaFamily:
         if value is None:
             value = constants[key] = build(*args)
         return value
+
+
+# ======================================================================
+# the period lattice
+# ======================================================================
+
+#: widest distance, in units of |omega1|, at which lattice_dist is exact
+_LATTICE_REACH = 2e-2
+
+
+def _reduced_basis(w1: complex, w2: complex) -> tuple[complex, complex]:
+    """A shortest basis of the lattice spanned by w1 and w2.
+
+    Lagrange-Gauss reduction (Cohen, *A Course in Computational Algebraic
+    Number Theory*, Alg. 1.3.14): subtract the nearest integer multiple of
+    the shorter vector from the longer until the longer one stays longer.
+    In a reduced basis the node nearest a point is in the 3x3 window
+    around its rounded coordinates, however skewed the given basis is.
+    """
+    long, short = (w1, w2) if abs(w1) >= abs(w2) else (w2, w1)
+    while True:
+        k = round((long * short.conjugate()).real / abs(short) ** 2)
+        long -= k * short
+        if abs(long) >= abs(short):
+            return short, long
+        long, short = short, long
+
+
+def _guard_basis(w1: complex, w2: complex) -> tuple[complex, complex, bool]:
+    """The basis :func:`lattice_dist` rounds a point's coordinates in, and
+    whether it must then search the 3x3 window around them.
+
+    The given basis needs no window when every node within the reach of a
+    point is the node its rounded coordinates name.  The coordinates of u
+    are B^-1 u, where B is the basis matrix.  A node within L of u moves
+    each coordinate by at most L*||B^-1|| (the norm from the plane to the
+    larger coordinate), which is L*max(|w1|, |w2|)/|det B|.  Below 1/2,
+    rounding the coordinates of u lands on that node, so no other node can
+    be within L.  Otherwise the reduced basis and its window are used.
+    """
+    det = w1.real * w2.imag - w1.imag * w2.real
+    limit = _LATTICE_REACH * abs(w1)
+    if limit * max(abs(w1), abs(w2)) < 0.5 * abs(det):
+        return w1, w2, False
+    return (*_reduced_basis(w1, w2), True)
+
+
+def lattice_unit(fam: SigmaFamily) -> float:
+    """|omega1|, the length lattice distances are measured in; 1 for the
+    rational family, which has no period."""
+    return abs(fam.omega1) if fam.kind is not FamilyKind.RATIONAL else 1.0
+
+
+def lattice_dist(fam: SigmaFamily, u: complex) -> float:
+    """Distance from u to the period lattice, the zero set of [u].
+
+    Exact up to ``_LATTICE_REACH`` * |omega1|; beyond it the elliptic value
+    may be the distance to a node other than the nearest, which is farther
+    still, so it only answers whether u is within the reach or farther.
+    """
+    if fam.kind is FamilyKind.RATIONAL:
+        return abs(u)
+    if fam.kind is FamilyKind.TRIGONOMETRIC:
+        w1 = fam.omega1
+        t = u / w1
+        return abs(t - round(t.real)) * abs(w1)
+    r1, r2, window = fam._guard_basis
+    det = r1.real * r2.imag - r1.imag * r2.real
+    if not window:
+        a = (u.real * r2.imag - u.imag * r2.real) / det
+        b = (r1.real * u.imag - r1.imag * u.real) / det
+        return abs(u - (round(a) * r1 + round(b) * r2))
+    a = round((u.real * r2.imag - u.imag * r2.real) / det)
+    b = round((r1.real * u.imag - r1.imag * u.real) / det)
+    best = math.inf
+    for da in (-1, 0, 1):
+        for db in (-1, 0, 1):
+            best = min(best, abs(u - ((a + da) * r1 + (b + db) * r2)))
+    return best
 
 
 # ======================================================================

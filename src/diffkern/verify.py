@@ -19,11 +19,10 @@ the family tolerances.
 from __future__ import annotations
 
 import json
-import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache, partial
+from functools import partial
 from importlib import resources
 from typing import Callable, Mapping, Sequence
 
@@ -45,6 +44,8 @@ from .sigma import (
     PoleError,
     SigmaFamily,
     duplication_residual,
+    lattice_dist,
+    lattice_unit,
     nonvanishing,
     phase,
     quasi_period_residual,
@@ -102,7 +103,8 @@ POLE_MARGIN = 1e-3
 #: Wider berth for operator-coefficient denominators.  A near-collision just
 #: above the pole floor still inflates the coefficients by orders of
 #: magnitude, and the two sides of an identity then cancel through large
-#: intermediate values, eroding the attainable absolute residual.
+#: intermediate values, eroding the attainable absolute residual.  Neither
+#: margin may exceed the reach within which sigma's lattice_dist is exact.
 _SEPARATION_MARGIN = 2e-2
 
 #: Rejected draws sample_params and sample_point take before giving up.
@@ -221,92 +223,10 @@ class _Reject(Exception):
     """Internal: the drawn configuration is too close to a pole locus."""
 
 
-def _unit(fam: SigmaFamily) -> float:
-    # The rational family has no period; distances are absolute there.
-    return abs(fam.omega1) if fam.kind is not FamilyKind.RATIONAL else 1.0
-
-
-@lru_cache(maxsize=16)
-def _rounded_node_suffices(w1: complex, w2: complex) -> bool:
-    """Whether every lattice node within the widest guard margin of a point
-    is the node its rounded lattice coordinates name.
-
-    The coordinates of u in the basis (w1, w2) are B^-1 u, where B is the
-    basis matrix.  A node within L of u moves each coordinate by at most
-    L*||B^-1|| (the norm from the plane to the larger coordinate), which is
-    L*max(|w1|, |w2|)/|det B|.  Below 1/2, rounding the coordinates of u
-    lands on that node, so no other node can be within L.
-    """
-    det = w1.real * w2.imag - w1.imag * w2.real
-    limit = _SEPARATION_MARGIN * abs(w1)
-    return limit * max(abs(w1), abs(w2)) < 0.5 * abs(det)
-
-
-@lru_cache(maxsize=16)
-def _reduced_basis(w1: complex, w2: complex) -> tuple[complex, complex]:
-    """A shortest basis of the lattice spanned by w1 and w2.
-
-    Lagrange-Gauss reduction (Cohen, *A Course in Computational Algebraic
-    Number Theory*, Alg. 1.3.14): subtract the nearest integer multiple of
-    the shorter vector from the longer until the longer one stays longer.
-    In a reduced basis the node nearest a point is in the 3x3 window
-    around its rounded coordinates, however skewed the given basis is.
-    """
-    long, short = (w1, w2) if abs(w1) >= abs(w2) else (w2, w1)
-    while True:
-        k = round((long * short.conjugate()).real / abs(short) ** 2)
-        long -= k * short
-        if abs(long) >= abs(short):
-            return short, long
-        long, short = short, long
-
-
-def _lattice_dist(fam: SigmaFamily, u: complex) -> float:
-    """Distance from u to the zero lattice of the family's sigma.
-
-    The guards only ask whether it is below a margin of at most
-    ``_SEPARATION_MARGIN`` * |omega1|.  Below that the elliptic value is
-    exact; above it, it may be the distance to a node other than the
-    nearest, which is farther still.  A lattice too skewed for its rounded
-    coordinates to find the nearby node is searched in a 3x3 window around
-    the rounded coordinates in its reduced basis.
-    """
-    if fam.kind is FamilyKind.RATIONAL:
-        return abs(u)
-    w1 = fam.omega1
-    if fam.kind is FamilyKind.TRIGONOMETRIC:
-        t = u / w1
-        return abs(t - round(t.real)) * abs(w1)
-    w2 = fam.omega2
-    # read once per task into a memoized family's constants; a plain dict
-    # read, because this runs for every guarded point and both the
-    # lru_cache hash and a SigmaFamily.constant call cost several times more
-    constants = fam._constants
-    single = None if constants is None else constants.get("rounded node")
-    if single is None:
-        single = _rounded_node_suffices(w1, w2)
-        if constants is not None:
-            constants["rounded node"] = single
-    if single:
-        det = w1.real * w2.imag - w1.imag * w2.real
-        a = (u.real * w2.imag - u.imag * w2.real) / det
-        b = (w1.real * u.imag - w1.imag * u.real) / det
-        return abs(u - (round(a) * w1 + round(b) * w2))
-    r1, r2 = _reduced_basis(w1, w2)
-    det = r1.real * r2.imag - r1.imag * r2.real
-    a = round((u.real * r2.imag - u.imag * r2.real) / det)
-    b = round((r1.real * u.imag - r1.imag * u.real) / det)
-    best = math.inf
-    for da in (-1, 0, 1):
-        for db in (-1, 0, 1):
-            best = min(best, abs(u - ((a + da) * r1 + (b + db) * r2)))
-    return best
-
-
 def _guard(fam: SigmaFamily, *args: complex, margin: float = POLE_MARGIN) -> None:
-    limit = margin * _unit(fam)
+    limit = margin * lattice_unit(fam)
     for u in args:
-        if _lattice_dist(fam, u) < limit:
+        if lattice_dist(fam, u) < limit:
             raise _Reject
 
 
@@ -319,10 +239,10 @@ def _guard_gamma_ladder(fam: SigmaFamily, delta: complex, *bases: complex) -> No
     elliptic ladders also repeat along omega2, but a shift by omega2 is a
     lattice vector and leaves the distance to the lattice unchanged.
     """
-    margin = POLE_MARGIN * _unit(fam)
+    margin = POLE_MARGIN * lattice_unit(fam)
     for base in bases:
         for k in range(-2, 5):
-            if _lattice_dist(fam, base + k * delta) < margin:
+            if lattice_dist(fam, base + k * delta) < margin:
                 raise _Reject
 
 

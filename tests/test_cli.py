@@ -6,6 +6,8 @@ import pytest
 
 from diffkern.cli import Config, ConfigError, load_config, main
 from diffkern.laurent import ExactParams
+from diffkern.sigma import SigmaFamily
+from diffkern.verify import reports_to_json, run_suite
 
 
 def write_json(tmp_path, name, payload):
@@ -180,6 +182,35 @@ def test_verify_rejects_square_rational_params(capsys, tmp_path):
     code = main(["verify", "--ids", "riemann", "--params-file", path])
     assert code == 2
     assert "square-rational" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["abc", None])
+def test_verify_non_numeric_tolerance_is_usage_error(capsys, tmp_path, value):
+    path = write_json(tmp_path, "tol.json", {"tolerances": {"trig": value}})
+    code = main(["verify", "--ids", "riemann", "--samples", "1", "--params-file", path])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "tolerance for trig" in captured.err
+    assert captured.out == ""
+
+
+def test_verify_additive_params_override_the_periods(capsys, tmp_path):
+    path = write_json(
+        tmp_path, "skewed.json", {"params": {"mode": "additive", "omega2": "2.3+0.45j"}}
+    )
+    argv = ["verify", "--family", "elliptic", "--ids", "thm-bce1", "--m", "1", "--n", "1"]
+    code, payload = run_json(
+        capsys, argv + ["--samples", "2", "--seed", "5", "--params-file", path]
+    )
+    assert code == 0
+    fam = SigmaFamily.elliptic(omega2=2.3 + 0.45j)
+    want = run_suite(["thm-bce1"], fam, size_grid=[(1, 1)], samples=2, seed=5)
+    assert payload["reports"] == json.loads(reports_to_json(want))
+    # the override changed the lattice: the default periods report otherwise
+    default = run_suite(
+        ["thm-bce1"], SigmaFamily.elliptic(), size_grid=[(1, 1)], samples=2, seed=5
+    )
+    assert payload["reports"] != json.loads(reports_to_json(default))
 
 
 def test_verify_deterministic_output(tmp_path):

@@ -121,6 +121,31 @@ def test_params_BC_rejects_lattice_points(families):
     p.negated(), p.dual_nu(), p.swapped()
 
 
+@pytest.mark.parametrize(
+    "fam",
+    [
+        SigmaFamily.trigonometric(omega1=2.0),
+        SigmaFamily.elliptic(omega1=2.0, omega2=0.62 + 2.4j),
+        SigmaFamily.elliptic(omega1=2.0, omega2=20 + 0.02j),
+    ],
+    ids=["trig", "elliptic", "degenerate"],
+)
+def test_bundles_reject_values_within_the_lattice_band(fam):
+    # the band is 1e-9 * |omega1| wide around every node, whatever the basis
+    node = -3 * fam.omega1 if fam.omega2 is None else fam.omega1 - 2 * fam.omega2
+    unit = abs(fam.omega1)
+    mu = MU_POOL[: 2 * fam.rho]
+    for turn in (1, 1j, cmath.exp(2.2j)):
+        inside = node + 0.9e-9 * unit * turn
+        with pytest.raises(DomainError, match="delta = .* lies in the period lattice"):
+            ParamsA(inside, KAPPA, fam)
+        with pytest.raises(DomainError, match="kappa = .* lies in the period lattice"):
+            ParamsBC(mu, DELTA, inside, fam)
+        outside = node + 1e-6 * unit * turn
+        ParamsA(outside, KAPPA, fam)
+        ParamsBC(mu, DELTA, outside, fam)
+
+
 def test_params_BC_requires_two_rho_parameters(families):
     for name, count in (("rational", 2), ("trig", 4), ("elliptic", 8)):
         fam = families[name]

@@ -26,9 +26,13 @@ from diffkern.sigma import (
     GammaSign,
     PoleError,
     SigmaFamily,
+    _LATTICE_REACH,
+    _reduced_basis,
     duplication_residual,
     euler_gamma,
     gamma_fn,
+    lattice_dist,
+    lattice_unit,
     phase,
 )
 from diffkern.verify import (
@@ -481,11 +485,18 @@ def scan_radius(fam, limit):
     return max(2, math.ceil(limit * max(abs(w1), abs(w2)) / det) + 1)
 
 
+def test_guard_margins_stay_within_the_lattice_reach():
+    # lattice_dist is exact only up to its reach; a wider margin could
+    # measure a farther node and let a near-pole point through
+    assert max(verify.POLE_MARGIN, verify._SEPARATION_MARGIN) <= _LATTICE_REACH
+
+
 @pytest.mark.parametrize("lattice", sorted(GUARD_LATTICES))
 def test_lattice_guard_matches_window_scan(lattice):
     omega2, single_node = GUARD_LATTICES[lattice]
     plain = SigmaFamily.elliptic(omega2=omega2)
-    assert verify._rounded_node_suffices(plain.omega1, plain.omega2) is single_node
+    window = plain._guard_basis[2]
+    assert window is not single_node
     for fam in (plain, plain.memoized()):
         rng = random.Random(f"guard|{lattice}")
         for margin in (verify.POLE_MARGIN, verify._SEPARATION_MARGIN):
@@ -495,10 +506,11 @@ def test_lattice_guard_matches_window_scan(lattice):
             # from the rounded coordinates (and a 5x5 scan misses it)
             radius = scan_radius(fam, limit)
             for u in guard_points(fam, limit, rng):
-                near = verify._lattice_dist(fam, u) < limit
+                near = lattice_dist(fam, u) < limit
                 assert near == (window_dist(fam, u, radius) < limit), (margin, u)
-    # a memoized family reads the choice once and keeps it with the task
-    assert fam._constants == {"rounded node": single_node}
+    # the family picked its basis at construction; guarding stores nothing
+    assert fam._constants == {}
+    assert fam._guard_basis[2] is window
 
 
 def oracle_guard_gamma_ladder(fam, delta, *bases):
@@ -507,11 +519,11 @@ def oracle_guard_gamma_ladder(fam, delta, *bases):
     offsets = (0.0,)
     if fam.kind is FamilyKind.ELLIPTIC:
         offsets = (-fam.omega2, 0.0, fam.omega2, 2 * fam.omega2)
-    margin = verify.POLE_MARGIN * verify._unit(fam)
+    margin = verify.POLE_MARGIN * lattice_unit(fam)
     for base in bases:
         for k in range(-2, 5):
             for off in offsets:
-                if verify._lattice_dist(fam, base + k * delta + off) < margin:
+                if lattice_dist(fam, base + k * delta + off) < margin:
                     raise verify._Reject
 
 
@@ -550,7 +562,7 @@ def test_ladder_guard_matches_the_four_offset_oracle(lattice):
 @pytest.mark.parametrize("omega2", [10 + 0.01j, 2.3 + 0.45j, -3.7 + 0.2j])
 def test_reduced_basis_is_a_short_basis_of_the_same_lattice(omega2):
     w1, w2 = 1.0 + 0j, omega2
-    r1, r2 = verify._reduced_basis(w1, w2)
+    r1, r2 = _reduced_basis(w1, w2)
     det = w1.real * w2.imag - w1.imag * w2.real
     assert math.isclose(abs(r1.real * r2.imag - r1.imag * r2.real), abs(det))
     assert abs(r1) <= abs(r2)
@@ -560,6 +572,9 @@ def test_reduced_basis_is_a_short_basis_of_the_same_lattice(omega2):
         a = (r.real * w2.imag - r.imag * w2.real) / det
         b = (w1.real * r.imag - w1.imag * r.real) / det
         assert abs(a - round(a)) < 1e-9 and abs(b - round(b)) < 1e-9
+    # a family too skewed for its given basis guards in the reduced one
+    r1_, r2_, window = SigmaFamily.elliptic(omega1=w1, omega2=w2)._guard_basis
+    assert (r1_, r2_) == ((r1, r2) if window else (w1, w2))
 
 
 # ======================================================================
