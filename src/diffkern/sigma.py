@@ -341,12 +341,10 @@ def lattice_dist(fam: SigmaFamily, u: complex) -> float:
         return abs(t - round(t.real)) * abs(w1)
     r1, r2, window = fam._guard_basis
     det = r1.real * r2.imag - r1.imag * r2.real
-    if not window:
-        a = (u.real * r2.imag - u.imag * r2.real) / det
-        b = (r1.real * u.imag - r1.imag * u.real) / det
-        return abs(u - (round(a) * r1 + round(b) * r2))
     a = round((u.real * r2.imag - u.imag * r2.real) / det)
     b = round((r1.real * u.imag - r1.imag * u.real) / det)
+    if not window:
+        return abs(u - (a * r1 + b * r2))
     best = math.inf
     for da in (-1, 0, 1):
         for db in (-1, 0, 1):
