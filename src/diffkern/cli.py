@@ -22,6 +22,7 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from math import inf
 
 from .koornwinder import (
     CollisionError,
@@ -149,6 +150,17 @@ def _validate_params_block(block) -> dict:
     return out
 
 
+def _integer(value, what: str) -> int:
+    """An integer, an integral number or an integer string; a bool or a
+    fractional number is refused rather than truncated."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+
+
 def _validate(data: dict) -> Config:
     """Check ``data``, defaults.json merged with any overlay by
     :func:`load_config`, so every default key is present."""
@@ -165,10 +177,10 @@ def _validate(data: dict) -> Config:
     bad = set(trunc_block) - _TRUNC_KEYS
     if bad:
         raise ConfigError(f"unknown truncation keys: {sorted(bad)}")
+    max_terms = _integer(trunc_block["max_terms"], "truncation.max_terms")
     try:
         truncation = Truncation(
-            max_terms=int(trunc_block["max_terms"]),
-            term_tol=float(trunc_block["term_tol"]),
+            max_terms=max_terms, term_tol=float(trunc_block["term_tol"])
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid truncation: {exc}")
@@ -187,15 +199,12 @@ def _validate(data: dict) -> Config:
             raise ConfigError(
                 f"tolerance for {name} is not a number: {tol_block[name]!r}"
             )
-        if not value > 0:
-            raise ConfigError(f"tolerance for {name} must be positive")
+        if not 0 < value < inf:
+            raise ConfigError(f"tolerance for {name} must be finite and positive")
         tolerances[name] = value
 
-    try:
-        seed = int(data["seed"])
-        samples = int(data["samples"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"seed and samples must be integers: {exc}")
+    seed = _integer(data["seed"], "seed")
+    samples = _integer(data["samples"], "samples")
     if samples < 1:
         raise ConfigError("samples must be at least 1")
 
@@ -317,6 +326,8 @@ def cmd_verify(args, cfg: Config) -> int:
     samples = args.samples if args.samples is not None else cfg.samples
     if samples < 1:
         raise ConfigError("samples must be at least 1")
+    if args.tol is not None and not 0 < args.tol < inf:
+        raise ConfigError("tol must be finite and positive")
 
     try:
         reports = run_suite(
@@ -325,8 +336,6 @@ def cmd_verify(args, cfg: Config) -> int:
     except BalancingError as exc:
         raise ConfigError(str(exc))
     if args.tol is not None:
-        if not args.tol > 0:
-            raise ConfigError("tol must be positive")
         tol = float(args.tol)
     else:
         tol = {kind: cfg.tolerances[name] for name, kind in _FAMILY_KINDS.items()}

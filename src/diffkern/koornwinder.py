@@ -329,9 +329,7 @@ def _koorn_constants(ep: ExactParams, m: int) -> _KoornConstants:
     )
 
 
-def _koorn_moves(
-    ep: ExactParams, point: Sequence[int], const: _KoornConstants | None = None
-) -> _Moves:
+def _koorn_moves(const: _KoornConstants, point: Sequence[int]) -> _Moves:
     """Koornwinder operator at a point: sum_i A_i^+ (T_i - 1) + A_i^- (T_i^-1 - 1).
 
     Returns the weight of the unshifted value and, for every shift, the
@@ -351,8 +349,6 @@ def _koorn_moves(
     constant sq_num sq_den / (sa_num sa_den ... sd_num sd_den
     (st_num st_den)^(2(m-1))).
     """
-    if const is None:
-        const = _koorn_constants(ep, len(point))
     squares, (q2n, q2d), (t2n, t2d), const_num, const_den = const
     zs = [s * s for s in point]
     # per variable, [num, den] of the up shift (z_i) and the down shift
@@ -460,142 +456,123 @@ def _orbit_values(
     return values.__getitem__
 
 
-class _PointFrame(NamedTuple):
-    """The parameter-free part of the rows at one point: each variable's
-    base scale, variable 0's base values, and per label the orbit values
-    that its row entry takes the dot product of with the mixture entries
-    at the label's :attr:`_SolveFrame.index`."""
-
-    scales: tuple[int, ...]
-    base: tuple[int, ...]
-    values: tuple[tuple[int, ...], ...]
+_Table = Callable[[int, int, int], tuple[list[int], int]]
+# per point: each variable's base scale, variable 0's base values, and per
+# label the orbit values its row entry takes the dot product of with the
+# mixture entries at the label's index
+_PointValues = tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]
 
 
-class _SolveFrame(NamedTuple):
-    """The parameter-free part of a basis's rows: the split table, the
-    points each stream has given so far, and the :class:`_PointFrame` of
-    each point a solve has reached."""
+class _SolveFrame:
+    """The parameter-free part of one basis's rows, kept per (padded
+    labels, top, table) across parameters by :func:`_solve_frame`: the
+    split table, per label the mixture entries of its splits, the points
+    each stream has given so far and the values at each point a row was
+    built at.  Streams and points fill in as solves reach them.  It takes
+    no lock: solves of one basis in several threads at once may each
+    extend a stream, which can change the points later solves meet but not
+    the polynomial they return."""
 
-    splits: _SplitTable
-    index: tuple[tuple[int, ...], ...]
-    streams: dict[int, list[tuple[int, ...]]]
-    points: dict[tuple[int, ...], _PointFrame]
+    def __init__(self, labels: tuple[tuple[int, ...], ...], top: int, table: _Table):
+        self.labels = labels
+        self.top = top
+        self.table = table
+        self.splits = _split_table(labels)
+        # per label, the mixture entry of each split (v, rest) along variable
+        # i, at i (top + 1) + v, in the order of _point_values's values
+        width = top + 1
+        self.index = tuple(
+            tuple(
+                at + v
+                for at in range(0, len(label) * width, width)
+                for v, _ in self.splits[label]
+            )
+            for label in labels
+        )
+        self.streams: dict[int, list[tuple[int, ...]]] = {}
+        self.points: dict[tuple[int, ...], _PointValues] = {}
 
-    def stream(
-        self, lam: Partition, m: int, count: int, attempt: int
-    ) -> Iterator[tuple[int, ...]]:
-        """:func:`_point_stream`, drawn only past the points kept so far."""
+    def stream(self, attempt: int) -> Iterator[tuple[int, ...]]:
+        """:func:`_point_stream` of the basis, drawn only past the points
+        kept so far."""
+        head = self.labels[0]
         drawn = self.streams.setdefault(attempt, [])
         yield from drawn
-        for point in islice(_point_stream(lam, m, count, attempt), len(drawn), None):
+        fresh = _point_stream(Partition(head), len(head), len(self.labels), attempt)
+        for point in islice(fresh, len(drawn), None):
             drawn.append(point)
             yield point
 
+    def _point_values(self, point: tuple[int, ...]) -> _PointValues:
+        """Expand every orbit sum along each variable i in turn: m_label is
+        sum_(v, rest) phi_v(z_i) * (orbit sum of rest over the other
+        variables), so its values are those orbit sums, variable by variable
+        and split by split.  Built the first time a row reaches the point."""
+        got = self.points.get(point)
+        if got is None:
+            splits = self.splits
+            base = [self.table(s * s, 1, self.top) for s in point]
+            tables = [values for values, _ in base]
+            others = [
+                _orbit_values(tables[:i] + tables[i + 1 :], splits)
+                for i in range(len(point))
+            ]
+            got = self.points[point] = (
+                tuple(scale for _, scale in base),
+                tuple(tables[0]),
+                tuple(
+                    tuple([other(r) for other in others for _, r in splits[label]])
+                    for label in self.labels
+                ),
+            )
+        return got
 
-@lru_cache(maxsize=_POLY_CACHE_SIZE)
-def _solve_frame(
-    labels: tuple[tuple[int, ...], ...],
-    top: int,
-    table: Callable[[int, int, int], tuple[list[int], int]],
-) -> _SolveFrame:
-    """The frame of the padded labels of one basis, kept per (basis, m,
-    table) across parameters; its streams and points fill in as solves
-    reach them.  It takes no lock: solves of one basis in several threads
-    at once may each extend a stream, which can change the points later
-    solves meet but not the polynomial they return."""
-    splits = _split_table(labels)
-    # per label, the mixture entry of each split (v, rest) along variable
-    # i, at i (top + 1) + v, in the order of _point_frame's values
-    width = top + 1
-    index = tuple(
-        tuple(
-            at + v
-            for at in range(0, len(label) * width, width)
-            for v, _ in splits[label]
-        )
-        for label in labels
-    )
-    return _SolveFrame(splits, index, {}, {})
+    def row(
+        self,
+        point: tuple[int, ...],
+        moves: Callable[[Sequence[int]], _Moves],
+        eig: Fraction,
+    ) -> list[int]:
+        """One integer row [((D - eig) m_nu)(point) ...], scaled by a positive
+        factor and then divided by its content.
+
+        Every value is expanded along one variable i: the shifts of i change
+        only the one-variable factor, and the orbit sums over the other
+        variables are shared, the point's values of the frame.  The operator
+        weights, integer pairs with positive denominators, and -eig, folded
+        into the weight of the unshifted value, go over one positive common
+        denominator, so the row is built from integer products alone and its
+        primitive form does not depend on which common denominator was taken.
+        ``moves`` runs first, so a pole point keeps no values.
+        """
+        (id_num, id_den), moved = moves(point)
+        scales, base, orbit = self._point_values(point)
+        top, table = self.top, self.table
+        width = top + 1
+        # (offset, weight num, weight den, one-variable values), each weight
+        # already carrying the ratio of the moved variable's scale to its base
+        # scale; every den is positive
+        eig_num, eig_den = eig.numerator, eig.denominator
+        parts = [(0, id_num * eig_den - eig_num * id_den, id_den * eig_den, base)]
+        for i, (n, d), (w_num, w_den) in moved:
+            values, scale = table(n, d, top)
+            parts.append((i * width, w_num * scales[i], w_den * scale, values))
+        common = lcm(*(den for _, _, den, _ in parts))
+        mixed = [0] * (len(point) * width)
+        for at, num, den, values in parts:
+            factor = num * (common // den)
+            for v, value in enumerate(values, at):
+                mixed[v] += factor * value
+        entry = mixed.__getitem__
+        row = [
+            sum(map(mul, map(entry, index), values))
+            for index, values in zip(self.index, orbit)
+        ]
+        content = gcd(*row) or 1
+        return [e // content for e in row]
 
 
-def _point_frame(
-    labels: Sequence[tuple[int, ...]],
-    splits: _SplitTable,
-    point: tuple[int, ...],
-    top: int,
-    table: Callable[[int, int, int], tuple[list[int], int]],
-) -> _PointFrame:
-    """Expand every orbit sum along each variable i in turn: m_label is
-    sum_(v, rest) phi_v(z_i) * (orbit sum of rest over the other
-    variables), so its values are those orbit sums, variable by variable
-    and split by split.  ``splits`` is the :func:`_split_table` of
-    ``labels``, whose order :attr:`_SolveFrame.index` follows."""
-    base = [table(s * s, 1, top) for s in point]
-    tables = [values for values, _ in base]
-    others = [
-        _orbit_values(tables[:i] + tables[i + 1 :], splits) for i in range(len(point))
-    ]
-    return _PointFrame(
-        tuple(scale for _, scale in base),
-        tuple(tables[0]),
-        tuple(
-            tuple([other(rest) for other in others for _, rest in splits[label]])
-            for label in labels
-        ),
-    )
-
-
-def _interpolation_row(
-    labels: Sequence[tuple[int, ...]],
-    splits: _SplitTable,
-    point: tuple[int, ...],
-    top: int,
-    table: Callable[[int, int, int], tuple[list[int], int]],
-    moves: Callable[[Sequence[int]], _Moves],
-    eig: Fraction,
-) -> list[int]:
-    """One integer row [((D - eig) m_nu)(point) ...], scaled by a positive
-    factor and then divided by its content.
-
-    Every value is expanded along one variable i: the shifts of i change
-    only the one-variable factor, and the orbit sums over the other
-    variables are shared.  That part does not depend on the parameters;
-    it is the point's :class:`_PointFrame`, taken from the basis's
-    :func:`_solve_frame` and built from ``splits`` the first time a solve
-    reaches the point.  The operator weights, integer pairs with positive
-    denominators, and -eig, folded into the weight of the unshifted value,
-    go over one positive common denominator, so the row is built from
-    integer products alone and its primitive form does not depend on
-    which common denominator was taken.
-    """
-    (id_num, id_den), moved = moves(point)
-    solve_frame = _solve_frame(tuple(labels), top, table)
-    frame = solve_frame.points.get(point)
-    if frame is None:
-        frame = _point_frame(labels, splits, point, top, table)
-        solve_frame.points[point] = frame
-    width = top + 1
-    # (offset, weight num, weight den, one-variable values), each weight
-    # already carrying the ratio of the moved variable's scale to its base
-    # scale; every den is positive
-    eig_num, eig_den = eig.numerator, eig.denominator
-    parts = [(0, id_num * eig_den - eig_num * id_den, id_den * eig_den, frame.base)]
-    for i, (n, d), (w_num, w_den) in moved:
-        values, scale = table(n, d, top)
-        parts.append((i * width, w_num * frame.scales[i], w_den * scale, values))
-    common = lcm(*(den for _, _, den, _ in parts))
-    mixed = [0] * (len(point) * width)
-    for at, num, den, values in parts:
-        factor = num * (common // den)
-        for v, value in enumerate(values, at):
-            mixed[v] += factor * value
-    entry = mixed.__getitem__
-    row = [
-        sum(map(mul, map(entry, index), values))
-        for index, values in zip(solve_frame.index, frame.values)
-    ]
-    content = gcd(*row) or 1
-    return [e // content for e in row]
+_solve_frame = lru_cache(maxsize=_POLY_CACHE_SIZE)(_SolveFrame)
 
 
 def _bareiss_solve(rows: list[list[int]], n: int) -> tuple[int, list[int]] | None:
@@ -645,7 +622,7 @@ class _OrbitCoefficients(NamedTuple):
 def _eigen_solve(
     basis: Sequence[Partition],
     m: int,
-    table: Callable[[int, int, int], tuple[list[int], int]],
+    table: _Table,
     moves: Callable[[Sequence[int]], _Moves],
     eig: Callable[[Sequence[Partition]], list[tuple[int, int]]],
     what: str,
@@ -661,9 +638,9 @@ def _eigen_solve(
     singular everywhere, so they are reported first as a collision,
     found by comparing crosswise the integer pairs (num, den) that ``eig``
     gives for the whole basis at once.  A k-th point must satisfy the
-    eigen-equation exactly, or :class:`TriangularSolveError` is raised.  A point where the operator
-    has a pole is replaced by the next one of the stream, and a singular
-    system starts a new stream.
+    eigen-equation exactly, or :class:`TriangularSolveError` is raised.  A
+    point where the operator has a pole is replaced by the next one of the
+    stream, and a singular system starts a new stream.
 
     The back end works on integers in three steps:
 
@@ -676,16 +653,13 @@ def _eigen_solve(
        :func:`diffkern.laurent.orbit_expansion`.
 
     What depends only on the basis, m and the table is kept across solves
-    in :func:`_solve_frame`: the split table, the points each stream has
-    given, and at every point a row was built at, the base scales,
-    variable 0's base values and the orbit values of every label's splits
-    over the other variables.  The frames sit in one ``lru_cache`` of
-    _POLY_CACHE_SIZE entries, the bound of the polynomial caches, so a
-    sweep over parameters reuses one frame per basis and a sweep over
-    bases keeps at most _POLY_CACHE_SIZE of them.  Per solve, ``moves``
-    and ``eig`` take the parameters' constants once; per point, only the
-    operator weights, the moved one-variable tables, their mixture and one
-    integer dot product per label are built.
+    in its :class:`_SolveFrame`, looked up once per solve.  The frames sit
+    in one ``lru_cache`` of _POLY_CACHE_SIZE entries, the bound of the
+    polynomial caches, so a sweep over parameters reuses one frame per
+    basis and a sweep over bases keeps at most _POLY_CACHE_SIZE of them.
+    Per solve, ``moves`` and ``eig`` take the parameters' constants once;
+    per point, only the operator weights, the moved one-variable tables,
+    their mixture and one integer dot product per label are built.
     """
     lam = basis[0]
     (lam_num, lam_den), *others = eig(basis)
@@ -705,13 +679,9 @@ def _eigen_solve(
         # a point where a coefficient has a pole is replaced by the next
         # one; an attempt that meets more poles than it needs points fails
         rows = []
-        for point in islice(frame.stream(lam, m, k, attempt), 2 * k):
+        for point in islice(frame.stream(attempt), 2 * k):
             try:
-                rows.append(
-                    _interpolation_row(
-                        labels, frame.splits, point, top, table, moves, d_lam
-                    )
-                )
+                rows.append(frame.row(point, moves, d_lam))
             except _Pole:
                 continue
             if len(rows) == k:
@@ -757,7 +727,7 @@ def _koornwinder_cached(lam: Partition, ep: ExactParams, m: int) -> LaurentPoly:
         koorn_basis(lam, m),
         m,
         _laurent_table,
-        partial(_koorn_moves, ep, const=_koorn_constants(ep, m)),
+        partial(_koorn_moves, _koorn_constants(ep, m)),
         partial(_eigenvalue_pairs, ep=ep, m=m),
         "koornwinder",
     )

@@ -484,24 +484,14 @@ class LaurentPoly:
     def __rsub__(self, other: Scalar) -> "LaurentPoly":
         return (-self) + other
 
-    def _scaled(self, c: Fraction) -> "LaurentPoly":
-        """``c * self`` for a nonzero rational ``c``."""
-        p, q = c.numerator, c.denominator
-        # gcd(content * p, den * q) = gcd(content, q) * gcd(p, den)
-        g_q = _gcd_with(q, self._num.values())
-        g_p = gcd(p, self._den)
-        scale = p // g_p
-        num = {key: n // g_q * scale for key, n in self._num.items()}
-        return LaurentPoly._from_parts(
-            self.m, num, self._den // g_p * (q // g_q), self._exp_bound
-        )
-
     def __mul__(self, other: "LaurentPoly | Scalar") -> "LaurentPoly":
         if isinstance(other, (int, Fraction)):
             c = _as_fraction(other)
             if not c:
                 return LaurentPoly.zero(self.m)
-            return self._scaled(c)
+            return LaurentPoly._from_scaled(
+                self.m, self._num, c / self._den, self._exp_bound
+            )
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._check_m(other)

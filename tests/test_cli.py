@@ -194,6 +194,56 @@ def test_verify_non_numeric_tolerance_is_usage_error(capsys, tmp_path, value):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "overlay,flags",
+    [
+        ('{"tolerances": {"rational": "inf"}}', []),
+        ('{"tolerances": {"rational": 1e999}}', []),
+        (None, ["--tol", "inf"]),
+    ],
+    ids=["string", "number", "flag"],
+)
+def test_verify_infinite_tolerance_is_usage_error(capsys, tmp_path, overlay, flags):
+    # an infinite tolerance would pass every finite residual
+    argv = ["verify", "--family", "rational", "--ids", "riemann", "--samples", "2"]
+    if overlay is not None:
+        path = tmp_path / "tol.json"
+        path.write_text(overlay)  # 1e999 is a JSON number that parses to inf
+        argv += ["--params-file", str(path)]
+    assert main(argv + flags) == 2
+    captured = capsys.readouterr()
+    assert "finite and positive" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "overlay,what",
+    [
+        ({"samples": 2.9}, "samples"),
+        ({"seed": 7.5}, "seed"),
+        ({"samples": True}, "samples"),
+        ({"seed": False}, "seed"),
+        ({"truncation": {"max_terms": 8.7}}, "max_terms"),
+        ({"truncation": {"max_terms": True}}, "max_terms"),
+        ({"samples": "2.5"}, "samples"),
+    ],
+)
+def test_verify_non_integral_count_is_usage_error(capsys, tmp_path, overlay, what):
+    # a count is an integer or refused, never truncated
+    path = write_json(tmp_path, "count.json", overlay)
+    code = main(["verify", "--ids", "riemann", "--params-file", path])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert what in captured.err and "must be an integer" in captured.err
+    assert captured.out == ""
+
+
+def test_integral_counts_still_load(tmp_path):
+    overlay = {"samples": 2.0, "seed": "7", "truncation": {"max_terms": "8"}}
+    cfg = load_config(write_json(tmp_path, "count.json", overlay))
+    assert (cfg.samples, cfg.seed, cfg.truncation.max_terms) == (2, 7, 8)
+
+
 def test_verify_additive_params_override_the_periods(capsys, tmp_path):
     path = write_json(
         tmp_path, "skewed.json", {"params": {"mode": "additive", "omega2": "2.3+0.45j"}}

@@ -222,8 +222,8 @@ def test_corrupted_operator_weight_fails_the_check_point(monkeypatch):
     # a wrong weight makes the image leave the span of the basis
     real = kw._koorn_moves
 
-    def moves(ep, point, const=None):
-        identity, moved = real(ep, point, const)
+    def moves(const, point):
+        identity, moved = real(const, point)
         (i, shift, (num, den)), *rest = moved
         return identity, [(i, shift, (num * 1001, den * 1000)), *rest]
 
@@ -249,16 +249,14 @@ def fresh_frames():
 def _assert_rows_match_the_operator(basis, m, table, moves, eig, image):
     """Each interpolation row is a positive multiple of the values of
     (D - eig) m_mu at its point, with D the symbolic operator ``image``."""
-    labels = [mu.padded(m) for mu in basis]
-    splits = kw._split_table(labels)
+    labels = tuple(mu.padded(m) for mu in basis)
+    frame = kw._SolveFrame(labels, basis[0].part(0), table)
     images = [image(mu) for mu in basis]
     checked = 0
     stream = kw._point_stream(basis[0], m, len(basis), 0)
     for point in itertools.islice(stream, 2 * len(basis)):
         try:
-            row = kw._interpolation_row(
-                labels, splits, point, basis[0].part(0), table, moves, eig
-            )
+            row = frame.row(point, moves, eig)
         except kw._Pole:
             continue
         exact = [f.eval_exact(point) for f in images]
@@ -279,7 +277,7 @@ def test_interpolated_columns_match_the_operator(lam, m):
         basis,
         m,
         kw._laurent_table,
-        partial(kw._koorn_moves, EP_ALT),
+        partial(kw._koorn_moves, kw._koorn_constants(EP_ALT, m)),
         d,
         lambda mu: apply_koorn_mult(EP_ALT, orbit_sum(mu, m), m)
         - orbit_sum(mu, m) * d,
@@ -457,7 +455,7 @@ def test_integer_weights_and_rows_match_the_fraction_reference(name, m):
         (
             koorn_basis(Partition(koorn_lam), m),
             kw._laurent_table,
-            partial(kw._koorn_moves, ep),
+            partial(kw._koorn_moves, kw._koorn_constants(ep, m)),
             partial(reference_koorn_moves, ep),
             partial(eigenvalue_d, ep=ep, m=m),
         ),
@@ -471,17 +469,18 @@ def test_integer_weights_and_rows_match_the_fraction_reference(name, m):
     ]
     rows = 0
     for basis, table, moves, ref_moves, eig in cases:
-        labels = [mu.padded(m) for mu in basis]
+        labels = tuple(mu.padded(m) for mu in basis)
         splits = kw._split_table(labels)
         top = basis[0].part(0)
+        frame = kw._SolveFrame(labels, top, table)
         d = eig(basis[0])
         for point in _solve_points(basis, m):
             _assert_weights_match(
                 _outcome_or_pole(moves, point), _outcome_or_pole(ref_moves, point)
             )
-            args = (labels, splits, point, top, table)
-            got = _outcome_or_pole(kw._interpolation_row, *args, moves, d)
-            want = _outcome_or_pole(reference_interpolation_row, *args, ref_moves, d)
+            got = _outcome_or_pole(frame.row, point, moves, d)
+            args = (labels, splits, point, top, table, ref_moves, d)
+            want = _outcome_or_pole(reference_interpolation_row, *args)
             assert got == want, point
             rows += got != "pole"
     assert rows >= 2 * len(cases)
@@ -522,18 +521,18 @@ def test_eigenvalues_match_the_fraction_reference():
 def _recorded_points(monkeypatch):
     """Log every point a solve evaluates, with whether it hit a pole."""
     log = []
-    real = kw._interpolation_row
+    real = kw._SolveFrame.row
 
-    def row(labels, splits, point, *rest):
+    def row(frame, point, *rest):
         try:
-            out = real(labels, splits, point, *rest)
+            out = real(frame, point, *rest)
         except kw._Pole:
             log.append((point, "pole"))
             raise
         log.append((point, "ok"))
         return out
 
-    monkeypatch.setattr(kw, "_interpolation_row", row)
+    monkeypatch.setattr(kw._SolveFrame, "row", row)
     return log
 
 
@@ -624,7 +623,7 @@ def test_missing_basis_label_fails_the_check_point():
             basis[:-1],
             1,
             kw._laurent_table,
-            partial(kw._koorn_moves, EP),
+            partial(kw._koorn_moves, kw._koorn_constants(EP, 1)),
             partial(kw._eigenvalue_pairs, ep=EP, m=1),
             "koornwinder",
         )
@@ -633,14 +632,14 @@ def test_missing_basis_label_fails_the_check_point():
 def _recorded_rows(monkeypatch):
     """Log the arguments and the result of every row a solve builds."""
     log = []
-    real = kw._interpolation_row
+    real = kw._SolveFrame.row
 
     def row(*args):
         out = real(*args)
         log.append((args, out))
         return out
 
-    monkeypatch.setattr(kw, "_interpolation_row", row)
+    monkeypatch.setattr(kw._SolveFrame, "row", row)
     return log
 
 
@@ -652,8 +651,9 @@ def _assert_cold_and_warm_solves_agree(solve, ref_moves, log):
     for _ in range(2):
         log.clear()
         poly = solve()
-        for (*args, _moves, eig), out in log:
-            assert out == reference_interpolation_row(*args, ref_moves, eig), args[2]
+        for (frame, point, _moves, eig), out in log:
+            args = (frame.labels, frame.splits, point, frame.top, frame.table)
+            assert out == reference_interpolation_row(*args, ref_moves, eig), point
         runs.append((poly_dumps(poly), [out for _, out in log]))
     assert runs[0] == runs[1]
 
@@ -676,6 +676,21 @@ def test_cold_and_warm_frames_give_the_same_solves(monkeypatch, fresh_frames, na
             partial(reference_macdonald_moves, q, t),
             log,
         )
+
+
+def test_a_solve_looks_its_frame_up_once(monkeypatch, fresh_frames):
+    # cold, then warm: one cache lookup per solve, however many rows it builds
+    log = _recorded_points(monkeypatch)
+    for lookup in ("misses", "hits"):
+        for lam, m in ((Partition((2, 2)), 2), (Partition((1,)), 3)):
+            before = kw._solve_frame.cache_info()
+            log.clear()
+            kw._koornwinder_cached.__wrapped__(lam, EP, m)
+            after = kw._solve_frame.cache_info()
+            assert len(log) > 1
+            lookups = after.hits + after.misses - before.hits - before.misses
+            assert lookups == 1
+            assert getattr(after, lookup) - getattr(before, lookup) == 1
 
 
 def test_koornwinder_and_macdonald_solves_keep_apart_frames(fresh_frames):

@@ -147,6 +147,16 @@ def test_integral_lattice_closed_under_product(p, q):
     assert integral_lattice(doubled_p * doubled_q)
 
 
+@settings(max_examples=60, deadline=None)
+@given(polys(m=3, max_terms=5, coeffs=wide_fraction), wide_fraction)
+def test_scalar_product_matches_term_by_term(p, c):
+    want = LaurentPoly(3, {e: c * v for e, v in p.terms.items()})
+    for got in (c * p, p * c):
+        assert got == want
+        assert got._den > 0
+    assert (0 * p).is_zero() and (p * 0).is_zero()
+
+
 def test_substitute_scale_and_invert():
     # z -> 4 z (sqrt scale 2): z + 1/z -> 4z + 1/(4z)
     p = LaurentPoly(1, {(2,): Fraction(1), (-2,): Fraction(1)})
