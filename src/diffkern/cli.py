@@ -20,7 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import inf
 
@@ -61,20 +61,7 @@ class ConfigError(ValueError):
 # configuration
 # ======================================================================
 
-_TOP_KEYS = {
-    "family",
-    "omega1",
-    "omega2",
-    "scale",
-    "truncation",
-    "tolerances",
-    "seed",
-    "samples",
-    "params",
-}
-_TRUNC_KEYS = {"max_terms", "term_tol"}
 _ADDITIVE_KEYS = {"omega1", "omega2", "scale"}
-_SQUARE_KEYS = {"sa", "sb", "sc", "sd", "sq", "st"}
 # Family names key the config's family and tolerances and the --family flag.
 _FAMILY_KINDS = {kind.value: kind for kind in FamilyKind}
 _FAMILY_NAMES = tuple(_FAMILY_KINDS)
@@ -93,6 +80,11 @@ class Config:
     seed: int
     samples: int
     params: dict | None
+
+
+_TOP_KEYS = {f.name for f in fields(Config)}
+_TRUNC_KEYS = {f.name for f in fields(Truncation)}
+_SQUARE_KEYS = {f.name for f in fields(ExactParams)}
 
 
 def _parse_complex(value, key: str) -> complex:

@@ -295,9 +295,14 @@ class LaurentPoly:
     any key could leave that range, and ``ExponentOverflowError`` is raised
     instead.  The form is canonical: ``_den > 0`` and the gcd of ``_den``
     with every numerator is 1, so equal polynomials have equal fields and
-    ``==`` and ``hash`` compare them directly.  Instances are immutable:
-    every operation returns a new polynomial, and ``terms`` is a read-only
-    view keyed by exponent tuples.
+    ``==`` and ``hash`` compare them directly.  ``_from_scaled`` is the one
+    canonicaliser for integer numerators under a rational scale;
+    ``_from_parts`` only wraps numerators this module has already proven
+    canonical: after a negation, an inversion or a permutation of a
+    canonical polynomial, in a product whose operands were cross-cancelled,
+    or in an orbit expansion.  No other module packs keys or wraps
+    numerators.  Instances are immutable: every operation returns a new
+    polynomial, and ``terms`` is a read-only view keyed by exponent tuples.
     """
 
     __slots__ = ("m", "_num", "_den", "_exp_bound")
@@ -342,26 +347,12 @@ class LaurentPoly:
         return res
 
     @classmethod
-    def _reduced(
-        cls, m: int, num: dict[int, int], den: int, bound: int, exp_bound: int
-    ) -> "LaurentPoly":
-        """Canonical polynomial num/den from nonzero numerators and ``den > 0``.
-
-        ``bound`` is a multiple of gcd(content, den) that divides ``den``;
-        ``den`` itself always qualifies, a smaller one saves gcd work.
-        """
-        g = _gcd_with(bound, num.values())
-        if g != 1:
-            num = {e: n // g for e, n in num.items()}
-            den //= g
-        return cls._from_parts(m, num, den, exp_bound)
-
-    @classmethod
     def _from_scaled(
         cls, m: int, num: dict[int, int], scale: Fraction, exp_bound: int
     ) -> "LaurentPoly":
-        """Canonical polynomial ``scale * num`` from nonzero integer numerators
-        (none give zero); ``exp_bound`` bounds every |exponent|."""
+        """Canonical polynomial ``scale * num`` from nonzero integer
+        numerators and a nonzero ``scale``; ``exp_bound`` bounds every
+        |exponent|.  An empty ``num`` gives the zero polynomial, over 1."""
         a, b = scale.numerator, scale.denominator
         # gcd(a, b) = 1, so b shares with the content of a * num only
         # gcd(content, b): one gcd pass, then one pass to scale
@@ -453,8 +444,6 @@ class LaurentPoly:
             return NotImplemented
         self._check_m(other)
         d1, d2 = self._den, other._den
-        # only a prime with equal powers in both denominators can divide
-        # the content of the sum, so the reduction divides g = gcd(d1, d2)
         g = gcd(d1, d2)
         s1, s2 = d2 // g, sign * (d1 // g)
         out = {e: n * s1 for e, n in self._num.items()}
@@ -463,7 +452,7 @@ class LaurentPoly:
             out[key] = get(key, 0) + n * s2
         out = {e: n for e, n in out.items() if n}
         exp_bound = max(self._exp_bound, other._exp_bound)
-        return LaurentPoly._reduced(self.m, out, d1 * s1, g, exp_bound)
+        return LaurentPoly._from_scaled(self.m, out, Fraction(1, d1 * s1), exp_bound)
 
     def __add__(self, other: "LaurentPoly | Scalar") -> "LaurentPoly":
         return self._combine(other, 1)
@@ -558,8 +547,9 @@ class LaurentPoly:
         unit = -2 << _DIGIT_BITS * (self.m - 1 - i) if invert else 0
         for (key, n), e in zip(self._num.items(), digits):
             out[key + e * unit] = n * table[e - lo]
-        den = self._den * big_q
-        return LaurentPoly._reduced(self.m, out, den, den, self._exp_bound)
+        return LaurentPoly._from_scaled(
+            self.m, out, Fraction(1, self._den * big_q), self._exp_bound
+        )
 
     def invert_all(self) -> "LaurentPoly":
         """``z_i -> 1/z_i`` for every variable simultaneously."""
@@ -589,6 +579,12 @@ class LaurentPoly:
 
     # -- numeric evaluation ---------------------------------------------
 
+    def _check_point(self, point: Sequence) -> None:
+        if len(point) != self.m:
+            raise VariableCountMismatch(
+                f"point has {len(point)} coordinates, expected {self.m}"
+            )
+
     def eval_at(self, sqrt_point: Sequence[complex]) -> complex:
         """Evaluate at ``z_i = sqrt_point[i]**2``.
 
@@ -596,10 +592,7 @@ class LaurentPoly:
         doubled exponent ``e`` evaluates to ``prod s_i**e_i``, which fixes all
         square-root branches explicitly.
         """
-        if len(sqrt_point) != self.m:
-            raise VariableCountMismatch(
-                f"point has {len(sqrt_point)} coordinates, expected {self.m}"
-            )
+        self._check_point(sqrt_point)
         for s in sqrt_point:
             if s == 0:
                 raise ZeroDivisionError("zero coordinate in Laurent evaluation")
@@ -624,6 +617,7 @@ class LaurentPoly:
         table per coordinate; the sum is scaled once by
         ``prod_i p_i**lo_i / q_i**hi_i`` over the polynomial's denominator.
         """
+        self._check_point(sqrt_point)
         if not self._num:
             return Fraction(0)
         bias = _bias(self.m)
@@ -657,6 +651,13 @@ def _primitive(num: dict[int, int]) -> tuple[int, dict[int, int]]:
     return c, {e: n // c for e, n in num.items()}
 
 
+def _primitive_form(g: LaurentPoly) -> tuple[Fraction, dict[int, int]]:
+    """(den / content, primitive numerators) of a nonzero ``g``: dividing by
+    g divides by the primitive numerators and multiplies by the scale."""
+    content, prim = _primitive(g._num)
+    return Fraction(g._den, content), prim
+
+
 def _digit_ranges(num: dict[int, int], m: int) -> list[tuple[int, int]]:
     """(min, max) of each exponent coordinate, read by shift and mask."""
     bias = _bias(m)
@@ -685,13 +686,11 @@ def divide_exact(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
         raise VariableCountMismatch(
             f"operand variable counts differ: {f.m} vs {g.m}"
         )
-    g_content, g_prim = _primitive(g._num)
+    g_scale, g_prim = _primitive_form(g)
     quotient, q_bound = _divide_integers(
         f._num, f._exp_bound, g_prim, g._exp_bound, f.m
     )
-    return LaurentPoly._from_scaled(
-        f.m, quotient, Fraction(g._den, f._den * g_content), q_bound
-    )
+    return LaurentPoly._from_scaled(f.m, quotient, g_scale / f._den, q_bound)
 
 
 def _divide_integers(
@@ -1145,6 +1144,20 @@ def bracket_zw(m: int, i: int, j: int, c: Scalar = 1) -> LaurentPoly:
             _unit(m, j, 2): -c,
             _unit(m, j, -2): -1 / c,
         },
+    )
+
+
+def _two_term(m: int, entries: dict[int, int], root: Fraction) -> LaurentPoly:
+    """root * z^(e/2) - (1/root) * z^(-e/2) for the monomial described by
+    entries {var: doubled exponent}, such as [a z_i] or [t z_i / z_j]: with
+    root = n/d, the integers n^2 and -d^2 over n d."""
+    up = [0] * m
+    for var, e2 in entries.items():
+        up[var] = e2
+    n, d = root.numerator, root.denominator
+    key = _pack(up)
+    return LaurentPoly._from_scaled(
+        m, {key: n * n, -key: -d * d}, Fraction(1, n * d), max(map(abs, up))
     )
 
 

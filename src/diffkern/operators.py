@@ -65,9 +65,10 @@ from .laurent import (
     _digit_moves,
     _divide_integers,
     _moved_items,
-    _pack,
-    _primitive,
+    _primitive_form,
     _shift_factors,
+    _two_term,
+    bracket_zw,
     divide_exact,
 )
 from .sigma import (
@@ -341,25 +342,6 @@ def bc_constant(p: ParamsBC) -> complex:
 # ======================================================================
 
 
-def _two_term(m: int, entries: dict[int, int], root: Fraction) -> LaurentPoly:
-    """root * z^(e/2) - (1/root) * z^(-e/2) for the monomial described by
-    entries {var: doubled exponent}.
-
-    With root = n/d in lowest terms and s = sign(n) this is
-    (s n^2 z^(e/2) - s d^2 z^(-e/2)) / (s n d), already canonical since
-    gcd(n^2, d^2) = 1, so it is built from integers.
-    """
-    up = [0] * m
-    for var, e2 in entries.items():
-        up[var] = e2
-    n, d = root.numerator, root.denominator
-    s = 1 if n > 0 else -1
-    key = _pack(up)
-    return LaurentPoly._from_parts(
-        m, {key: s * n * n, -key: -s * d * d}, s * n * d, max(map(abs, up))
-    )
-
-
 def _koorn_own_factors(m: int, i: int, sq: Fraction) -> list[LaurentPoly]:
     """[z_i^2], [q z_i^2], [q z_i^-2] in canonical orientation."""
     return [
@@ -369,24 +351,14 @@ def _koorn_own_factors(m: int, i: int, sq: Fraction) -> list[LaurentPoly]:
     ]
 
 
-def _koorn_pair_factors(m: int, k: int, l: int) -> list[LaurentPoly]:
-    """[z_k z_l], [z_k / z_l] for k < l in canonical orientation."""
-    return [
-        _two_term(m, {k: 1, l: 1}, Fraction(1)),
-        _two_term(m, {k: 1, l: -1}, Fraction(1)),
-    ]
-
-
 def _product(factors: Sequence[LaurentPoly], m: int) -> LaurentPoly:
     """The product of ``factors``, one for none."""
     return functools.reduce(operator.mul, factors) if factors else LaurentPoly.one(m)
 
 
 class _KoornFactors(NamedTuple):
-    """The operator's factors that depend on (ep, m) only.  own_0_prim and
-    v_prim are the divisors' primitive forms (den / content, primitive
-    numerators): dividing by own_0 is dividing by its primitive numerators
-    and multiplying by den / content."""
+    """The operator's factors that depend on (ep, m) only, and the
+    ``_primitive_form`` of its two divisors own_0 and V."""
 
     n_q: LaurentPoly  # n_0^+ [q z_0^-2]
     own_0: LaurentPoly
@@ -394,11 +366,6 @@ class _KoornFactors(NamedTuple):
     vandermonde: LaurentPoly | None  # None at m = 1
     own_0_prim: tuple[Fraction, dict[int, int]]
     v_prim: tuple[Fraction, dict[int, int]] | None
-
-
-def _primitive_form(g: LaurentPoly) -> tuple[Fraction, dict[int, int]]:
-    content, prim = _primitive(g._num)
-    return Fraction(g._den, content), prim
 
 
 @functools.lru_cache(maxsize=_POLY_CACHE_SIZE)
@@ -413,10 +380,8 @@ def _koorn_factors(ep: ExactParams, m: int) -> _KoornFactors:
         + [own[2]],  # [q z_0^-2]
         m,
     )
-    pair = {
-        kl: _product(_koorn_pair_factors(m, *kl), m)
-        for kl in itertools.combinations(range(m), 2)
-    }
+    # [z_k; z_l] = x_k - x_l = [z_k z_l][z_k / z_l]
+    pair = {kl: bracket_zw(m, *kl) for kl in itertools.combinations(range(m), 2)}
     c_0 = _product([fac for (k, _), fac in pair.items() if k], m) if m > 2 else None
     vandermonde = _product(list(pair.values()), m) if m > 1 else None
     own_0 = _product(own, m)
@@ -576,11 +541,7 @@ def apply_koorn_mult(ep: ExactParams, f: LaurentPoly, m: int) -> LaurentPoly:
 
 def _linear_factor(m: int, i: int, j: int, scale: Fraction) -> LaurentPoly:
     """scale * z_i - z_j on the doubled lattice (integral exponents)."""
-    ei = [0] * m
-    ei[i] = 2
-    ej = [0] * m
-    ej[j] = 2
-    return LaurentPoly(m, {tuple(ei): scale, tuple(ej): Fraction(-1)})
+    return LaurentPoly.var_power(m, i, 2, scale) - LaurentPoly.var_power(m, j, 2)
 
 
 def apply_macdonald_mult(

@@ -623,12 +623,19 @@ def _point_e_const(spec, fam, m, n, params, rng) -> dict:
 
 
 def _pinned(fam: SigmaFamily) -> SigmaFamily:
-    """Copy of the family normalized as the factorized statements require."""
+    """Memoized copy of the family normalized as the factorized statements
+    require, built once per memoized ``fam`` and kept in its constants."""
+    return fam.constant(("pinned",), _pinned_copy, fam)
+
+
+def _pinned_copy(fam: SigmaFamily) -> SigmaFamily:
     if fam.kind is FamilyKind.TRIGONOMETRIC:
-        return SigmaFamily.trigonometric(omega1=fam.omega1, scale=2j, trunc=fam.trunc)
-    if fam.kind is FamilyKind.RATIONAL:
-        return SigmaFamily.rational(scale=1.0)
-    raise DomainError("factorized right-hand sides are stated for trig and rational only")
+        pinned = SigmaFamily.trigonometric(omega1=fam.omega1, scale=2j, trunc=fam.trunc)
+    elif fam.kind is FamilyKind.RATIONAL:
+        pinned = SigmaFamily.rational(scale=1.0)
+    else:
+        raise DomainError("factorized right-hand sides are stated for trig and rational only")
+    return pinned.memoized()
 
 
 def _res_riemann(fam, m, n, params, pt):

@@ -139,6 +139,26 @@ def test_ring_laws(p, q, r):
     assert p * (q + r) == p * q + p * r
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    polys(coeffs=st.one_of(small_fraction, wide_fraction)),
+    polys(coeffs=st.one_of(small_fraction, wide_fraction)),
+    small_fraction,
+    small_fraction.filter(bool),
+    st.integers(min_value=0, max_value=1),
+)
+def test_every_construction_path_is_canonical(p, q, c, s, i):
+    # each result, zero ones included, has the fields the constructor gives
+    # its own terms: canonical, whichever path built it
+    results = [p + q, p - q, p + (-p), c * p, p * q]
+    results += [p.substitute(i, s), p.substitute(i, invert=True)]
+    if q:
+        results.append(divide_exact(p * q, q))
+    for r in results:
+        want = LaurentPoly(r.m, dict(r.terms))
+        assert (r._num, r._den) == (want._num, want._den)
+
+
 @settings(max_examples=30, deadline=None)
 @given(polys(m=2, max_terms=3), polys(m=2, max_terms=3))
 def test_integral_lattice_closed_under_product(p, q):
@@ -243,6 +263,18 @@ def test_eval_exact_at_a_zero_coordinate():
     with pytest.raises(ZeroDivisionError):
         LaurentPoly(1, {(-2,): Fraction(1)}).eval_exact([Fraction(0)])
     assert LaurentPoly.zero(2).eval_exact([Fraction(1), Fraction(2)]) == 0
+
+
+@pytest.mark.parametrize(
+    "p", [LaurentPoly(2, {(2, 0): 1, (0, 2): 1}), LaurentPoly.zero(2)], ids=["z_0 + z_1", "zero"]
+)
+@pytest.mark.parametrize("point", [[Fraction(2)], [2, 3, 5]], ids=["short", "long"])
+def test_eval_rejects_a_point_of_the_wrong_length(p, point):
+    # a short point must not read the missing variables as z = 1, nor a long
+    # one drop its extras, and the zero polynomial checks the point too
+    for evaluate in (p.eval_exact, p.eval_at):
+        with pytest.raises(VariableCountMismatch, match=f"point has {len(point)} coordinates"):
+            evaluate(point)
 
 
 # ----------------------------------------------------------------------

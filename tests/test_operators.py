@@ -13,6 +13,7 @@ from diffkern.laurent import (
     InexactDivisionError,
     LaurentPoly,
     Partition,
+    _two_term,
     divide_exact,
     orbit_sum,
     partitions_in_box,
@@ -23,9 +24,7 @@ from diffkern.operators import (
     ParamsBC,
     _koorn_factors,
     _koorn_own_factors,
-    _koorn_pair_factors,
     _product,
-    _two_term,
     apply_A,
     apply_A_higher,
     apply_D_BC,
@@ -426,6 +425,12 @@ def numeric_koorn_apply(ep, f, sqrt_pt, m):
     return total
 
 
+def pair_factor(m, k, l):
+    """[z_k z_l][z_k / z_l] from two two-term brackets, built apart from
+    ``bracket_zw``, which the operator uses."""
+    return _two_term(m, {k: 1, l: 1}, Fraction(1)) * _two_term(m, {k: 1, l: -1}, Fraction(1))
+
+
 def reference_koorn_mult(ep, f, m):
     """The Koornwinder operator assembled variable by variable: each
     variable i builds its own shared factor S_i, both numerator bracket
@@ -435,11 +440,7 @@ def reference_koorn_mult(ep, f, m):
         raise ValueError(f"f has {f.m} variables, expected {m}")
     sq = ep.sq
     own = [_product(_koorn_own_factors(m, i, sq), m) for i in range(m)]
-    pair = {
-        (k, l): _product(_koorn_pair_factors(m, k, l), m)
-        for k in range(m)
-        for l in range(k + 1, m)
-    }
+    pair = {(k, l): pair_factor(m, k, l) for k in range(m) for l in range(k + 1, m)}
     shared = []
     for i in range(m):
         s_i = LaurentPoly.const(m, (-1) ** i)
@@ -784,7 +785,7 @@ def test_koorn_pair_factors_give_x_differences():
         ]
         for k in range(m):
             for l in range(k + 1, m):
-                assert _product(_koorn_pair_factors(m, k, l), m) == x[k] - x[l]
+                assert pair_factor(m, k, l) == x[k] - x[l]
 
 
 def test_two_term_is_the_fraction_built_polynomial():

@@ -334,6 +334,24 @@ def test_factorized_constant_is_scale_pinned(families):
     assert r_a < 1e-12
 
 
+def test_pinned_family_is_kept_in_the_task_memo(families):
+    # a memoized family builds its pinned copy once; a plain one builds a
+    # fresh memoized copy per call; an elliptic one raises and stores nothing
+    for name in ("rational", "trig"):
+        fam = families[name]
+        memo = fam.memoized()
+        pinned = verify._pinned(memo)
+        assert verify._pinned(memo) is pinned, name
+        assert pinned._memo == {} and pinned == verify._pinned_copy(fam), name
+        first, second = verify._pinned(fam), verify._pinned(fam)
+        assert first is not second and first == second == pinned, name
+        assert first._memo is not None and first._memo is not second._memo, name
+    elliptic = families["elliptic"].memoized()
+    with pytest.raises(DomainError):
+        verify._pinned(elliptic)
+    assert elliptic._constants == {}
+
+
 def test_bctd_respects_incoming_scale_via_pinning(families):
     fam = SigmaFamily.trigonometric(scale=0.7 + 0.1j)
     worst = sampled_residual(IdentityId.THM_BCTD1, fam, 2, 1)
