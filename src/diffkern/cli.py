@@ -364,6 +364,10 @@ def cmd_koornwinder(args, cfg: Config) -> int:
         raise ConfigError(f"partition {list(lam.parts)} does not fit in {m} variables")
     if args.retries < 0:
         raise ConfigError(f"--retries must be nonnegative, got {args.retries}")
+    if args.check is not None and args.r is None:
+        raise ConfigError("--check needs --r")
+    if args.r is not None and args.check is None:
+        raise ConfigError("--r needs --check")
     ep = _exact_params(cfg)
     try:
         _, used, log = compute_with_resampling(lam, ep, m, retries=args.retries)
@@ -380,8 +384,6 @@ def cmd_koornwinder(args, cfg: Config) -> int:
     payload["command"] = "koornwinder"
     payload["retry_log"] = log
     if args.check is not None:
-        if args.r is None:
-            raise ConfigError("--check needs --r")
         kind = "Column" if args.check == "column" else "Row"
         try:
             equal = theorem_equality(kind, args.r, m, used)

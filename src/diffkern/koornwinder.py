@@ -43,7 +43,7 @@ from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import islice
+from itertools import islice, takewhile
 from math import gcd, lcm
 from operator import mul
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -712,13 +712,9 @@ def _eigen_solve(
     )
 
 
-@lru_cache(maxsize=None)
 def _macdonald_basis(lam: Partition, m: int) -> tuple[Partition, ...]:
-    members = [
-        mu for mu in partitions_of(lam.size, m) if dominance_leq(mu, lam)
-    ]
-    members.sort(key=lambda mu: mu.parts, reverse=True)
-    return tuple(members)
+    """The members of :func:`koorn_basis` of lam's size, which it lists first."""
+    return tuple(takewhile(lambda mu: mu.size == lam.size, koorn_basis(lam, m)))
 
 
 @lru_cache(maxsize=_POLY_CACHE_SIZE)
@@ -762,10 +758,7 @@ def _macdonald_cached(
 
 def macdonald_poly(lam, q, t, m: int) -> LaurentPoly:
     """Macdonald polynomial P_lambda(z | q,t) on the symmetric orbit basis."""
-    part = _as_partition(lam)
-    if len(part) > m:
-        raise ValueError(f"partition {part.parts} does not fit in {m} variables")
-    return _macdonald_cached(part, Fraction(q), Fraction(t), m)
+    return _macdonald_cached(_as_partition(lam), Fraction(q), Fraction(t), m)
 
 
 # ----------------------------------------------------------------------

@@ -10,8 +10,10 @@ algebra in this module:
                         of Geddes, Czapor and Labahn, *Algorithms for
                         Computer Algebra*, ch. 2), so products and sums run
                         on plain integers and pay one content gcd each.
-                        ``terms`` reads the coefficients back as
-                        ``fractions.Fraction``.  Exponents live on a DOUBLED
+                        Each ``terms`` call builds a fresh read-only
+                        mapping of the coefficients as
+                        ``fractions.Fraction``; there is no view class.
+                        Exponents live on a DOUBLED
                         lattice: the integer vector ``e`` represents the
                         monomial ``prod_i z_i**(e_i/2)``, so half-integer
                         powers such as z**(1/2) - z**(-1/2) are exact
@@ -46,10 +48,11 @@ import dataclasses
 import heapq
 import itertools
 import json
-from collections.abc import ItemsView, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import gcd, lcm
+from types import MappingProxyType
 
 Exponent = tuple[int, ...]
 Scalar = Fraction | int
@@ -235,52 +238,6 @@ def _shift_factors(
     return digits, lo, table, scale.denominator
 
 
-class _Terms(Mapping):
-    """Read-only view of a polynomial's coefficients as ``Fraction``s.
-
-    Keys are exponent tuples, unpacked from the stored keys as they are
-    read.  A coefficient is built only when it is read, so ``len`` costs
-    no rational arithmetic.
-    """
-
-    __slots__ = ("_num", "_den", "_m")
-
-    def __init__(self, num: dict[int, int], den: int, m: int):
-        self._num = num
-        self._den = den
-        self._m = m
-
-    def __getitem__(self, exp: Exponent) -> Fraction:
-        key = _key_of(exp, self._m)
-        if key not in self._num:
-            raise KeyError(exp)
-        return Fraction(self._num[key], self._den)
-
-    def __iter__(self) -> Iterator[Exponent]:
-        return _unpack_all(self._num, self._m)
-
-    def __len__(self) -> int:
-        return len(self._num)
-
-    def items(self) -> "_TermItems":
-        return _TermItems(self)
-
-
-class _TermItems(ItemsView):
-    """(exponent, coefficient) pairs that unpack each stored key once,
-    instead of packing it again for a second lookup."""
-
-    __slots__ = ()
-
-    def __iter__(self) -> Iterator[tuple[Exponent, Fraction]]:
-        terms = self._mapping
-        den = terms._den
-        return zip(
-            _unpack_all(terms._num, terms._m),
-            (Fraction(n, den) for n in terms._num.values()),
-        )
-
-
 class LaurentPoly:
     """Sparse exact Laurent polynomial in ``m`` variables (doubled lattice).
 
@@ -302,7 +259,9 @@ class LaurentPoly:
     canonical polynomial, in a product whose operands were cross-cancelled,
     or in an orbit expansion.  No other module packs keys or wraps
     numerators.  Instances are immutable: every operation returns a new
-    polynomial, and ``terms`` is a read-only view keyed by exponent tuples.
+    polynomial.  Each ``terms`` call builds a fresh read-only mapping keyed
+    by exponent tuples, a ``MappingProxyType`` over a new dict; there is no
+    view class.
     """
 
     __slots__ = ("m", "_num", "_den", "_exp_bound")
@@ -389,8 +348,11 @@ class LaurentPoly:
 
     @property
     def terms(self) -> Mapping[Exponent, Fraction]:
-        """Read-only mapping from (doubled) exponent to ``Fraction`` coefficient."""
-        return _Terms(self._num, self._den, self.m)
+        """Read-only mapping from (doubled) exponent to ``Fraction`` coefficient,
+        built afresh on each call by unpacking every stored key once."""
+        den = self._den
+        coeffs = (Fraction(n, den) for n in self._num.values())
+        return MappingProxyType(dict(zip(_unpack_all(self._num, self.m), coeffs)))
 
     def is_zero(self) -> bool:
         return not self._num
@@ -610,32 +572,23 @@ class LaurentPoly:
     def eval_exact(self, sqrt_point: Sequence[Scalar]) -> Fraction:
         """Exact value at ``z_i = sqrt_point[i]**2`` for rational ``sqrt_point``.
 
-        Runs on integers over one common denominator.  With ``s_i = p_i/q_i``
-        and digit i of the stored exponents ranging over ``lo_i..hi_i``, the
-        term at ``e`` is its numerator times the integer
-        ``prod_i p_i**(e_i - lo_i) * q_i**(hi_i - e_i)``, read from one power
-        table per coordinate; the sum is scaled once by
-        ``prod_i p_i**lo_i / q_i**hi_i`` over the polynomial's denominator.
+        Runs on integers over one common denominator.  ``_shift_factors``
+        gives each coordinate's digits, power table and Q, so the term at
+        ``e`` is its numerator times ``prod_i table_i[e_i - lo_i]`` and the
+        sum is divided once by the polynomial's denominator times
+        ``prod_i Q_i``.  A zero coordinate raises ``ZeroDivisionError`` where
+        its variable has a negative power.
         """
         self._check_point(sqrt_point)
         if not self._num:
             return Fraction(0)
-        bias = _bias(self.m)
-        biased = [key + bias for key in self._num]
         values = list(self._num.values())
-        scale = Fraction(1, self._den)
-        shifts = range(_DIGIT_BITS * (self.m - 1), -1, -_DIGIT_BITS)
-        for shift, s in zip(shifts, sqrt_point):
-            digits = [b >> shift & _MASK for b in biased]  # e_i + 2**19
-            lo, hi = min(digits), max(digits)
-            if lo == hi == _HALF:
-                continue  # z_i does not occur
-            s = Fraction(s)
-            p, q = s.numerator, s.denominator
-            scale *= Fraction(p) ** (lo - _HALF) / Fraction(q) ** (hi - _HALF)
-            table = [p**k * q ** (hi - lo - k) for k in range(hi - lo + 1)]
-            values = [v * table[d - lo] for v, d in zip(values, digits)]
-        return scale * sum(values)
+        den = self._den
+        for i, s in enumerate(sqrt_point):
+            digits, lo, table, big_q = _shift_factors(self._num, self.m, i, Fraction(s))
+            values = [v * table[e - lo] for v, e in zip(values, digits)]
+            den *= big_q
+        return Fraction(sum(values), den)
 
 
 # ======================================================================
@@ -682,10 +635,7 @@ def divide_exact(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
         raise ZeroDivisionError("division by the zero polynomial")
     if f.is_zero():
         return LaurentPoly.zero(f.m)
-    if f.m != g.m:
-        raise VariableCountMismatch(
-            f"operand variable counts differ: {f.m} vs {g.m}"
-        )
+    f._check_m(g)
     g_scale, g_prim = _primitive_form(g)
     quotient, q_bound = _divide_integers(
         f._num, f._exp_bound, g_prim, g._exp_bound, f.m
@@ -825,7 +775,7 @@ class Partition:
     def __init__(self, parts: Iterable[int] = ()):
         cleaned = list(parts)
         for p in cleaned:
-            if not isinstance(p, int) or p < 0:
+            if not isinstance(p, int) or isinstance(p, bool) or p < 0:
                 raise ValueError(f"partition parts must be nonnegative integers: {cleaned}")
         if any(cleaned[i] < cleaned[i + 1] for i in range(len(cleaned) - 1)):
             raise ValueError(f"parts must be weakly decreasing: {cleaned}")
@@ -1050,6 +1000,12 @@ class ExactParams:
     def __post_init__(self) -> None:
         for root in fields(self):
             value = getattr(self, root.name)
+            if isinstance(value, (bool, float)):
+                # Fraction(0.1) is the binary float, not 1/10
+                raise TypeError(
+                    f"square root {root.name} must be an int, a Fraction or a "
+                    f"rational string, not {type(value).__name__}: {value!r}"
+                )
             if not isinstance(value, Fraction):
                 value = Fraction(value)
                 object.__setattr__(self, root.name, value)

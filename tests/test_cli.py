@@ -342,6 +342,14 @@ def test_koornwinder_check_needs_r(capsys):
     assert code == 2
 
 
+def test_koornwinder_r_needs_check(capsys):
+    code = main(["koornwinder", "--lambda", "1", "--m", "1", "--r", "3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "--r needs --check" in captured.err
+
+
 def test_koornwinder_surfaces_collision_retries(capsys, tmp_path):
     colliding = {
         "mode": "square-rational",

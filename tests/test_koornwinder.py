@@ -142,6 +142,24 @@ def test_basis_rejects_too_long_partition():
         koorn_basis(Partition((1, 1, 1)), 2)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_macdonald_basis_is_the_dominated_partitions_of_lams_size(m):
+    for lam in partitions_in_box(m, 4):
+        brute = sorted(
+            (mu for mu in partitions_of(lam.size, m) if dominance_leq(mu, lam)),
+            key=lambda mu: mu.parts,
+            reverse=True,
+        )
+        assert kw._macdonald_basis(lam, m) == tuple(brute), lam.parts
+
+
+def test_macdonald_poly_needs_a_variable():
+    with pytest.raises(ValueError, match="need at least one variable"):
+        macdonald_poly((), Fraction(1, 3), Fraction(2, 7), 0)
+    with pytest.raises(ValueError, match=r"\(1, 1, 1\) does not fit in 2 variables"):
+        macdonald_poly((1, 1, 1), Fraction(1, 3), Fraction(2, 7), 2)
+
+
 def test_eigenvalue_of_empty_partition_is_zero():
     for m in (1, 2, 3):
         assert eigenvalue_d((), EP, m) == 0

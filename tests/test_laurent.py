@@ -658,6 +658,13 @@ def test_partition_validation_and_trim():
         Partition([-1])
 
 
+@pytest.mark.parametrize("parts", [(True,), (2, False), (1.0,)], ids=["True", "False", "float"])
+def test_partition_refuses_parts_that_are_not_plain_integers(parts):
+    # a bool is an int subclass, but a part of True is a mistake, not a 1
+    with pytest.raises(ValueError, match="nonnegative integers"):
+        Partition(parts)
+
+
 def test_partition_conjugate():
     assert Partition([3, 1]).conjugate() == Partition([2, 1, 1])
     assert Partition([2, 2, 1]).conjugate() == Partition([3, 2])
@@ -827,12 +834,21 @@ def test_exact_params_replace():
     assert ep.q == Fraction(1, 9)
     assert ep.sa == Fraction(2, 3)
     assert ExactParams.default().replace(st="1/2").st == Fraction(1, 2)
+    assert type(ExactParams.default().replace(sb=2).sb) is Fraction
     with pytest.raises(ValueError, match="sd"):
         ep.replace(sd=0)
     with pytest.raises(ValueError, match="sa"):
         ep.replace(sa="0")
     with pytest.raises(TypeError):
         ep.replace(sz=Fraction(1))
+
+
+@pytest.mark.parametrize("bad", [0.1, 0.5, True], ids=["0.1", "0.5", "True"])
+@pytest.mark.parametrize("name", ["sa", "st"])
+def test_exact_params_refuses_float_and_bool_roots(name, bad):
+    # Fraction(0.1) would silently keep the binary float's 55-bit fraction
+    with pytest.raises(TypeError, match=name):
+        ExactParams.default().replace(**{name: bad})
 
 
 def test_exact_params_as_dict_keeps_root_order():
