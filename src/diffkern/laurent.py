@@ -35,6 +35,8 @@ algebra in this module:
                         forms [c] = c**(1/2) - c**(-1/2), [x;y] and
                         [a]_{t,l} (``bracket_const``, ``bracket_pair_const``,
                         ``bracket_factorial_const``).
+  * ``block_product``   f(z) g(w) in disjoint variables, as the expansion
+                        checks in ``koornwinder`` pair them.
 
 All arithmetic is exact; there is no floating-point fallback anywhere in this
 module.  Numeric evaluation happens only through ``LaurentPoly.eval_at``,
@@ -140,8 +142,14 @@ def _key_of(exp: Sequence[int], m: int) -> int | None:
     return _pack(exp)
 
 
+def _check_var(m: int, i: int) -> None:
+    if not 0 <= i < m:
+        raise IndexError(f"variable index {i} out of range for m={m}")
+
+
 def _unit(m: int, i: int, e2: int) -> Exponent:
     """The (doubled) exponent of z_i**(e2/2) in m variables."""
+    _check_var(m, i)
     exps = [0] * m
     exps[i] = e2
     return tuple(exps)
@@ -498,6 +506,7 @@ class LaurentPoly:
         the one rational ``p**lo / q**hi``; a single content gcd then makes
         the result canonical.
         """
+        _check_var(self.m, i)
         s = _as_fraction(sqrt_scale)
         if not s:
             raise ValueError("substitution scale must be nonzero")
@@ -577,18 +586,35 @@ class LaurentPoly:
         ``e`` is its numerator times ``prod_i table_i[e_i - lo_i]`` and the
         sum is divided once by the polynomial's denominator times
         ``prod_i Q_i``.  A zero coordinate raises ``ZeroDivisionError`` where
-        its variable has a negative power.
+        its variable has a negative power, and one neither an int nor a
+        ``Fraction`` raises ``TypeError``.
         """
         self._check_point(sqrt_point)
+        point = [_as_fraction(s) for s in sqrt_point]
         if not self._num:
             return Fraction(0)
         values = list(self._num.values())
         den = self._den
-        for i, s in enumerate(sqrt_point):
-            digits, lo, table, big_q = _shift_factors(self._num, self.m, i, Fraction(s))
+        for i, s in enumerate(point):
+            digits, lo, table, big_q = _shift_factors(self._num, self.m, i, s)
             values = [v * table[e - lo] for v, e in zip(values, digits)]
             den *= big_q
         return Fraction(sum(values), den)
+
+
+def block_product(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
+    """f(z) g(w) in f.m + g.m variables, z first: the key of a term is f's
+    key shifted past g's m digits plus g's key, so no term is unpacked."""
+    if not f or not g:
+        return LaurentPoly.zero(f.m + g.m)
+    shift = _DIGIT_BITS * g.m
+    num = {
+        (kf << shift) + kg: nf * ng
+        for kf, nf in f._num.items()
+        for kg, ng in g._num.items()
+    }
+    bound = max(f._exp_bound, g._exp_bound)
+    return LaurentPoly._from_scaled(f.m + g.m, num, Fraction(1, f._den * g._den), bound)
 
 
 # ======================================================================
@@ -802,7 +828,7 @@ class Partition:
 
     def padded(self, m: int) -> tuple[int, ...]:
         if len(self.parts) > m:
-            raise ValueError(f"partition {self.parts} longer than m={m}")
+            raise ValueError(f"partition {self.parts} does not fit in {m} variables")
         return self.parts + (0,) * (m - len(self.parts))
 
     def conjugate(self) -> "Partition":
@@ -974,8 +1000,8 @@ def orbit_expansion(
 # ``operators``.  Unbounded, they would keep every entry for as long as the
 # process lives, so a caller sweeping parameters would grow without limit.
 # 64 polynomials hold the whole 3 x 3 box for m = 1..3 at one parameter set
-# (34 labels).  The solve frames (``koornwinder._solve_frame``), keyed by
-# basis and not by parameters, share the bound.
+# (34 labels).  The bases and solve frames (``koornwinder.koorn_basis`` and
+# ``_solve_frame``), keyed by basis and not by parameters, share the bound.
 _POLY_CACHE_SIZE = 64
 
 

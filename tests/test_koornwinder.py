@@ -93,6 +93,25 @@ def bruteforce_E(r, ep, m):
     return out
 
 
+def bruteforce_H(l, ep, m):
+    """Composition-sum definition: each composition (nu_1, ..., nu_m) of l
+    contributes prod_j [t]_{q,nu_j} / [q]_{q,nu_j}
+    * [z_j; t^(j-1) q^(nu_1+...+nu_(j-1)) a]_{q,nu_j}."""
+    out = LaurentPoly.zero(m)
+    for nu in itertools.product(range(l + 1), repeat=m):
+        if sum(nu) != l:
+            continue
+        piece = LaurentPoly.one(m)
+        for j, part in enumerate(nu):
+            coeff = bracket_factorial_const(ep.st, ep.sq, part) / bracket_factorial_const(
+                ep.sq, ep.sq, part
+            )
+            ref = ep.t**j * ep.q ** sum(nu[:j]) * ep.a
+            piece = piece * bracket_factorial_poly(ref, ep.q, part, m, j) * coeff
+        out = out + piece
+    return out
+
+
 def h_by_last_variable_split(l, ep, m):
     """Split off z_m: the tail contributes a single bracket factorial."""
     if m == 1:
@@ -1010,6 +1029,13 @@ def test_H_matches_last_variable_split(l):
     assert poly_H(l, EP, 2) == h_by_last_variable_split(l, EP, 2)
 
 
+@pytest.mark.parametrize("ep", [EP, EP_ALT, EP_NEG], ids=["EP", "EP_ALT", "NEG"])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_H_recurrence_matches_composition_sum(ep, m):
+    for l in range(5):
+        assert poly_H(l, ep, m) == bruteforce_H(l, ep, m), l
+
+
 def test_H_leading_coefficient():
     # coefficient of the dominant monomial z_1^l is [t]_{q,l} / [q]_{q,l}
     for l in (1, 2, 3):
@@ -1141,6 +1167,16 @@ def test_interpolation_row_H(m):
     assert report.points_checked > 0
 
 
+@pytest.mark.parametrize("kind,builder", [("ColumnE", "poly_E"), ("RowH", "poly_H")])
+def test_interpolation_catches_a_shifted_polynomial(monkeypatch, kind, builder):
+    # negative control: the true polynomial plus 1 vanishes nowhere
+    true = getattr(kw, builder)
+    monkeypatch.setattr(kw, builder, lambda order, ep, m: true(order, ep, m) + 1)
+    report = interpolation_checks(kind, 2, EP)
+    assert report.vanishing_ok is False
+    assert report.passed is False
+
+
 def test_interpolation_report_serializes():
     report = interpolation_checks("RowH", 1, EP)
     blob = report.to_json_dict()
@@ -1235,6 +1271,14 @@ def test_solve_caches_stay_within_their_bounds(fresh_frames):
     for n in range(140):
         macdonald_poly((n,), Fraction(1, 3), Fraction(2, 7), 1)
     assert kw._solve_frame.cache_info().currsize == kw._POLY_CACHE_SIZE
+
+
+def test_basis_cache_is_bounded():
+    # the 4^4 box has 70 partitions, more than the bound
+    for lam in partitions_in_box(4, 4):
+        koorn_basis(lam, 4)
+    assert koorn_basis.cache_info().maxsize == kw._POLY_CACHE_SIZE
+    assert koorn_basis.cache_info().currsize <= 64
 
 
 def test_equal_params_built_apart_share_a_hash_and_a_cache_entry():

@@ -8,7 +8,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diffkern import laurent
@@ -24,6 +24,7 @@ from diffkern.laurent import (
     bracket_factorial_poly,
     bracket_za,
     bracket_zw,
+    block_product,
     divide_exact,
     dominance_leq,
     is_W_invariant,
@@ -192,6 +193,19 @@ def test_substitute_scale_and_invert():
     assert h.substitute(0, sqrt_scale=3) == LaurentPoly(1, {(1,): Fraction(3)})
 
 
+@pytest.mark.parametrize("i", [-1, 2])
+def test_variable_index_outside_the_ring_is_refused(i):
+    # a negative index used to wrap to the last variable, and a shift
+    # past the last digit to divide by 2**524288 or fail on a negative shift
+    p = LaurentPoly(2, {(2, 0): 1, (0, -2): 3})
+    with pytest.raises(IndexError, match=f"variable index {i} out of range for m=2"):
+        p.substitute(i, 2)
+    with pytest.raises(IndexError, match=f"variable index {i} out of range for m=2"):
+        LaurentPoly.var_power(2, i, 2)
+    with pytest.raises(IndexError, match=f"variable index {i} out of range for m=2"):
+        bracket_za(2, i, Fraction(3))
+
+
 def test_permute_relabels_variables():
     p = LaurentPoly(2, {(2, 4): Fraction(1)})
     assert p.permute([1, 0]) == LaurentPoly(2, {(4, 2): Fraction(1)})
@@ -265,6 +279,16 @@ def test_eval_exact_at_a_zero_coordinate():
     assert LaurentPoly.zero(2).eval_exact([Fraction(1), Fraction(2)]) == 0
 
 
+@pytest.mark.parametrize("point", [[0.1], ["1/3"], [Fraction(1, 3), 0.5]])
+def test_eval_exact_refuses_inexact_coordinates(point):
+    # Fraction(0.1) is the binary float, and a string would parse
+    p = LaurentPoly(len(point), {(2,) * len(point): 1})
+    with pytest.raises(TypeError, match="exact scalar expected"):
+        p.eval_exact(point)
+    assert LaurentPoly(1, {(2,): 1}).eval_exact([3]) == 9
+    assert LaurentPoly(1, {(2,): 1}).eval_exact([Fraction(1, 10)]) == Fraction(1, 100)
+
+
 @pytest.mark.parametrize(
     "p", [LaurentPoly(2, {(2, 0): 1, (0, 2): 1}), LaurentPoly.zero(2)], ids=["z_0 + z_1", "zero"]
 )
@@ -275,6 +299,30 @@ def test_eval_rejects_a_point_of_the_wrong_length(p, point):
     for evaluate in (p.eval_exact, p.eval_at):
         with pytest.raises(VariableCountMismatch, match=f"point has {len(point)} coordinates"):
             evaluate(point)
+
+
+# 0 to 3 variables, zero included
+any_width_poly = st.integers(min_value=0, max_value=3).flatmap(
+    lambda m: polys(m=m, max_terms=4, coeffs=wide_fraction)
+)
+
+
+@settings(max_examples=80, deadline=None)
+@example(LaurentPoly.zero(2), LaurentPoly(1, {(2,): 3}))
+@example(LaurentPoly(1, {(2,): 3}), LaurentPoly.zero(0))
+@example(LaurentPoly(0, {(): Fraction(5, 3)}), LaurentPoly(2, {(1, -1): Fraction(2, 9)}))
+@example(LaurentPoly(2, {(3, 0): Fraction(2, 9)}), LaurentPoly(0, {(): Fraction(3, 4)}))
+@given(any_width_poly, any_width_poly)
+def test_block_product_matches_the_tuple_product(f, g):
+    got = block_product(f, g)
+    want = LaurentPoly(
+        f.m + g.m,
+        {ef + eg: cf * cg for ef, cf in f.terms.items() for eg, cg in g.terms.items()},
+    )
+    assert got.m == want.m
+    assert got._num == want._num
+    assert got._den == want._den
+    assert got._exp_bound == want._exp_bound
 
 
 # ----------------------------------------------------------------------
