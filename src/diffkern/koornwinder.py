@@ -66,6 +66,7 @@ from .laurent import (
     partitions_in_box,
     partitions_of,
     poly_to_json,
+    truncate_degree,
 )
 
 __all__ = [
@@ -1223,11 +1224,6 @@ def _qpoch_ratio_coeff(t: Fraction, q: Fraction, k: int) -> Fraction:
     return num / den
 
 
-def _truncate_z_degree(f: LaurentPoly, m: int, cap: int) -> LaurentPoly:
-    kept = {e: c for e, c in f.terms.items() if sum(e[:m]) <= 2 * cap}
-    return LaurentPoly(f.m, kept)
-
-
 def cauchy_series(m: int, n: int, q, t, degree_cap: int) -> LaurentPoly:
     """Exact truncation of prod_{j,l} (t z_j w_l; q)_inf / (z_j w_l; q)_inf.
 
@@ -1249,7 +1245,7 @@ def cauchy_series(m: int, n: int, q, t, degree_cap: int) -> LaurentPoly:
                 key[j] = 2 * k
                 key[m + l] = 2 * k
                 factor[tuple(key)] = _qpoch_ratio_coeff(t, q, k)
-            out = _truncate_z_degree(out * LaurentPoly(mv, factor), m, degree_cap)
+            out = truncate_degree(out * LaurentPoly(mv, factor), m, degree_cap)
     return out
 
 

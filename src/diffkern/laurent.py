@@ -36,7 +36,8 @@ algebra in this module:
                         [a]_{t,l} (``bracket_const``, ``bracket_pair_const``,
                         ``bracket_factorial_const``).
   * ``block_product``   f(z) g(w) in disjoint variables, as the expansion
-                        checks in ``koornwinder`` pair them.
+                        checks in ``koornwinder`` pair them, and
+                        ``truncate_degree``, f cut to a degree in z_0..z_(k-1).
 
 All arithmetic is exact; there is no floating-point fallback anywhere in this
 module.  Numeric evaluation happens only through ``LaurentPoly.eval_at``,
@@ -617,6 +618,18 @@ def block_product(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     return LaurentPoly._from_scaled(f.m + g.m, num, Fraction(1, f._den * g._den), bound)
 
 
+def truncate_degree(f: LaurentPoly, k: int, cap: int) -> LaurentPoly:
+    """The terms of f of total degree at most ``cap`` in z_0 .. z_(k-1), read
+    off the biased digits (e_i + 2**19) of the packed keys; a subset of
+    canonical numerators need not be canonical, so ``_from_scaled`` rebuilds."""
+    bias, top = _bias(f.m), 2 * cap + k * _HALF
+    shifts = [_DIGIT_BITS * (f.m - 1 - i) for i in range(k)]
+    kept = {
+        key: n for key, n in f._num.items() if sum(key + bias >> s & _MASK for s in shifts) <= top
+    }
+    return LaurentPoly._from_scaled(f.m, kept, Fraction(1, f._den), f._exp_bound)
+
+
 # ======================================================================
 # exact division
 # ======================================================================
@@ -773,6 +786,81 @@ def _divide_integers(
         refused = exc
     run(prim)  # refuses too: prim / g is exact exactly when num / g is
     raise refused
+
+
+def _divide_binomials(
+    num: dict[int, int], num_bound: int, factors: Sequence[dict[int, int]],
+    g_prim: dict[int, int], g_bound: int, m: int,
+) -> tuple[dict[int, int], int]:
+    """``_divide_integers(num, num_bound, g_prim, g_bound, m)`` for g_prim the
+    product of the primitive two-term ``factors``: the same quotient and
+    bound, or the same error.  Neither dict is changed.
+
+    For each factor a X^u + b X^v in turn, u > v as keys, each line of the
+    dividend along d = u - v is walked from its top: the remainder n at key
+    k gives the quotient term n / a at k - u, whose b-term falls on the next
+    key k - d, until a remainder cancels.  That is one ``divmod`` (none for
+    a = 1) and one multiply-subtract (an add for b = -1) per term, and no
+    heap; by Gauss's lemma each exact step has an integer quotient.  A
+    ``divmod`` remainder refuses, and so does a walk before its quotient key
+    leaves the box of ``_divide_integers`` (taken on the previous step's
+    box), so no key it reads has a digit outside its range, whichever digit
+    d leads with.  A refusal reruns the original dividend in
+    ``_divide_integers``, which raises ``divide_exact``'s error.
+    """
+    if not num:
+        return {}, 0
+    _check_bound(num_bound + 3 * g_bound)
+
+    def refuse() -> None:
+        _divide_integers(num, num_bound, g_prim, g_bound, m)
+        raise RuntimeError("an exact division refused a binomial step")
+
+    bias = _bias(m)
+    shifts = range(_DIGIT_BITS * (m - 1), -1, -_DIGIT_BITS)
+    ranges = _digit_ranges(num, m)
+    dividend = dict(num)
+    for factor in factors:
+        (u, a), (v, b) = sorted(factor.items(), reverse=True)
+        d = u - v
+        box, moving = [], []  # moving: (shift, step, the box's biased end)
+        for s, (lo, hi) in zip(shifts, ranges):
+            e_u, e_v = (u + bias >> s & _MASK) - _HALF, (v + bias >> s & _MASK) - _HALF
+            box.append((lo - max(e_u, e_v), hi - min(e_u, e_v)))
+            if e_u != e_v:  # a walk moves this digit down to lo or up to hi
+                moving.append((s, e_u - e_v, box[-1][e_u < e_v] + _HALF))
+        ranges = box
+        (s_0, step_0, end_0), *more = moving
+        pop = dividend.pop
+        quotient: dict[int, int] = {}
+        for key in sorted(dividend, reverse=True):
+            n = pop(key, 0)
+            if not n:
+                continue  # a walk from above took it
+            # a walk's first quotient key lies in the box, so its next read
+            # is in range; if the walk goes on, the floor keeps every later
+            # quotient key in the box
+            top, floor = key, key - d
+            while True:
+                if a != 1:
+                    n, r = divmod(n, a)
+                    if r:
+                        refuse()
+                quotient[key - u] = n
+                key -= d
+                if key < floor:
+                    biased = top - u + bias
+                    steps = ((biased >> s_0 & _MASK) - end_0) // step_0
+                    for s, step, end in more:
+                        steps = min(steps, ((biased >> s & _MASK) - end) // step)
+                    floor = top - steps * d
+                    if key < floor:
+                        refuse()
+                n = pop(key, 0) + n if b == -1 else pop(key, 0) - n * b
+                if not n:
+                    break
+        dividend = quotient
+    return dividend, max(map(abs, itertools.chain.from_iterable(ranges)))
 
 
 def sqrt_fraction(x: Fraction | int) -> Fraction:

@@ -39,11 +39,15 @@ sum_i [alpha t^(m-i) q^(lambda_i); alpha t^(m-i)]) and the Macdonald
 operators of order r.  Both end in exact multivariate division; a nonzero
 remainder (possible only on non-invariant input) surfaces as
 InexactDivisionError.  The Koornwinder operator is a divided difference in
-x_i = z_i + 1/z_i: variable 0's shift terms, both directions, are divided
-by their own brackets [z_0^2][q z_0^2][q z_0^-2]; the hyperoctahedral group
-W carries that quotient to every other variable, and one division by the
-Vandermonde in x ends it.  The Macdonald operators are divided by the
-Vandermonde in z.
+x_i = z_i + 1/z_i, and every division in it is by two-term factors.  With
+R(g) = n_0^+ ((T_0 g - g) / [q z_0^2]), variable 0's quotient is
+(R(g) - iota R(iota g)) / [z_0^2], iota the inversion of every variable;
+where [q z_0^2] does not divide T_0 g - g it divides n_0^+ (T_0 g - g),
+since a numerator bracket may hold the root it misses.  The hyperoctahedral
+group W carries that quotient to every other variable, and the Vandermonde
+in x, one factor [z_k z_l] or [z_k / z_l] at a time, ends it; the first
+division that refuses raises ``divide_exact``'s error.  The Macdonald
+operators are divided by the Vandermonde in z.
 """
 
 from __future__ import annotations
@@ -59,11 +63,12 @@ from typing import Callable, NamedTuple, Sequence
 from .laurent import (
     _POLY_CACHE_SIZE,
     ExactParams,
+    InexactDivisionError,
     LaurentPoly,
     _check_bound,
     _convolve,
     _digit_moves,
-    _divide_integers,
+    _divide_binomials,
     _moved_items,
     _primitive_form,
     _shift_factors,
@@ -356,16 +361,31 @@ def _product(factors: Sequence[LaurentPoly], m: int) -> LaurentPoly:
     return functools.reduce(operator.mul, factors) if factors else LaurentPoly.one(m)
 
 
-class _KoornFactors(NamedTuple):
-    """The operator's factors that depend on (ep, m) only, and the
-    ``_primitive_form`` of its two divisors own_0 and V."""
+class _Divisor(NamedTuple):
+    """A product of primitive two-term factors, as ``_divide_binomials``
+    takes it, with the product's den / content."""
 
-    n_q: LaurentPoly  # n_0^+ [q z_0^-2]
-    own_0: LaurentPoly
+    factors: tuple[dict[int, int], ...]
+    prim: dict[int, int]  # the product's primitive numerators
+    bound: int  # and its exponent bound
+    scale: Fraction
+
+
+def _divisor(factors: Sequence[LaurentPoly], m: int) -> _Divisor:
+    product = _product(factors, m)
+    scale, prim = _primitive_form(product)
+    prims = tuple(_primitive_form(g)[1] for g in factors)
+    return _Divisor(prims, prim, product._exp_bound, scale)
+
+
+class _KoornFactors(NamedTuple):
+    """The operator's factors that depend on (ep, m) only."""
+
+    n_plus: LaurentPoly  # n_0^+
     c_0: LaurentPoly | None  # prod_{1<=k<l} (x_k - x_l), None at m <= 2
-    vandermonde: LaurentPoly | None  # None at m = 1
-    own_0_prim: tuple[Fraction, dict[int, int]]
-    v_prim: tuple[Fraction, dict[int, int]] | None
+    q_z0_sq: _Divisor  # [q z_0^2]
+    z0_sq: _Divisor  # [z_0^2]
+    vandermonde: _Divisor | None  # prod_{k<l} [z_k z_l][z_k / z_l], None at m = 1
 
 
 @functools.lru_cache(maxsize=_POLY_CACHE_SIZE)
@@ -373,25 +393,23 @@ def _koorn_factors(ep: ExactParams, m: int) -> _KoornFactors:
     """The factors of ``apply_koorn_mult`` at (ep, m).  Polynomials are
     immutable and no caller writes to the primitive numerators, so calls
     share them safely."""
-    own = _koorn_own_factors(m, 0, ep.sq)
-    n_q = _product(
+    z0_sq, q_z0_sq, _ = _koorn_own_factors(m, 0, ep.sq)
+    n_plus = _product(
         [_two_term(m, {0: 1}, root) for root in (ep.sa, ep.sb, ep.sc, ep.sd)]
-        + [_two_term(m, {0: 1, j: e}, ep.st) for j in range(1, m) for e in (1, -1)]
-        + [own[2]],  # [q z_0^-2]
+        + [_two_term(m, {0: 1, j: e}, ep.st) for j in range(1, m) for e in (1, -1)],
         m,
     )
-    # [z_k; z_l] = x_k - x_l = [z_k z_l][z_k / z_l]
-    pair = {kl: bracket_zw(m, *kl) for kl in itertools.combinations(range(m), 2)}
-    c_0 = _product([fac for (k, _), fac in pair.items() if k], m) if m > 2 else None
-    vandermonde = _product(list(pair.values()), m) if m > 1 else None
-    own_0 = _product(own, m)
+    pairs = list(itertools.combinations(range(m), 2))
+    c_0 = _product([bracket_zw(m, k, l) for k, l in pairs if k], m) if m > 2 else None
+    # x_k - x_l = [z_k z_l][z_k / z_l]; every [z_k z_l] first, which at m = 3
+    # shrinks the later dividends the most
+    v_factors = [_two_term(m, {k: 1, l: e}, Fraction(1)) for e in (1, -1) for k, l in pairs]
     return _KoornFactors(
-        n_q,
-        own_0,
+        n_plus,
         c_0,
-        vandermonde,
-        _primitive_form(own_0),
-        None if vandermonde is None else _primitive_form(vandermonde),
+        _divisor([q_z0_sq], m),
+        _divisor([z0_sq], m),
+        _divisor(v_factors, m) if m > 1 else None,
     )
 
 
@@ -412,59 +430,70 @@ def apply_koorn_mult(ep: ExactParams, f: LaurentPoly, m: int) -> LaurentPoly:
         N_i = n_i^+ (T_i f - f) [q z_i^-2] - n_i^- (T_i^-1 f - f) [q z_i^2],
 
     with own_i = [z_i^2][q z_i^2][q z_i^-2], T_i = T_{q,z_i} and n_i^+- the
-    numerator brackets of A_i^+-.  Only variable 0's quotient is ever
-    built, M_0(g) = N_0(g) / own_0 by one exact division, where
-    n_0^- (T_0^-1 g - g) [q z_0^2] is the inversion iota of every variable
-    applied to S(iota g), S(h) = n_0^+ (T_0 h - h) [q z_0^-2].  The operator
-    is invariant under signed permutations, so M_i = sigma_i(M_0(sigma_i f)),
-    sigma_i the transposition of z_0 and z_i.  Over the Vandermonde
-    V = prod_{k<l} (x_k - x_l) the numerator is sum_i (-1)^i M_i c_i with
-    c_i = prod_{k<l, i not in (k, l)} (x_k - x_l) = (-1)^(i-1) sigma_i(c_0)
-    for i >= 1, so with K(g) = c_0 M_0(g)
+    numerator brackets of A_i^+-.  Only variable 0's quotient M_0 = N_0 /
+    own_0 is built, and N_0 never is: n_0^- (T_0^-1 g - g) [q z_0^2] is the
+    inversion iota of every variable applied to n_0^+ (T_0 h - h) [q z_0^-2]
+    at h = iota g, so with R(g) = n_0^+ ((T_0 g - g) / [q z_0^2])
+
+        N_0(g) = [q z_0^-2][q z_0^2] (R(g) - iota R(iota g)),
+        M_0(g) = (R(g) - iota R(iota g)) / [z_0^2].
+
+    Where g is invariant under z_0 -> 1/z_0, T_0 g - g vanishes at
+    q z_0^2 = 1 and [q z_0^2] divides it.  Where that division refuses,
+    R(g) = (n_0^+ (T_0 g - g)) / [q z_0^2] instead, as n_0^+ may share a
+    root with [q z_0^2] ([a z_0] does at a^2 = q); for q != 1, [q z_0^2] is
+    prime to [q z_0^-2], so this is exact exactly when own_0 divides
+    N_0(g).  The operator is invariant under signed permutations, so
+    M_i = sigma_i(M_0(sigma_i f)), sigma_i the transposition of z_0 and z_i.
+    Over the Vandermonde V = prod_{k<l} (x_k - x_l) the numerator is
+    sum_i (-1)^i M_i c_i with c_i = prod_{k<l, i not in (k, l)} (x_k - x_l)
+    = (-1)^(i-1) sigma_i(c_0) for i >= 1, so with K(g) = c_0 M_0(g)
 
         D f = (K(f) - sum_{i>=1} sigma_i(K(sigma_i f))) / V,
 
-    one exact division (none at m = 1, where D f = M_0(f)).  n_0^+ [q z_0^-2],
-    own_0, c_0, V and the primitive forms of own_0 and V come from a cache
-    of _POLY_CACHE_SIZE (ep, m) entries.
+    one exact division (none at m = 1, where D f = M_0(f)).  n_0^+, c_0 and
+    the divisors [q z_0^2], [z_0^2] and V, with their primitive forms, come
+    from a cache of _POLY_CACHE_SIZE (ep, m) entries.
 
     Every step runs on packed-key integer numerator dicts; each intermediate
     carries its rational scale beside it, and one canonical polynomial is
     built at the end with one gcd.  With sqrt(q) = p/q' and z_0's digits
     of g in lo..hi, T_0 g - g is 1/Q times the numerators of g, each times
     the integer P p^(e-lo) q'^(hi-e) - Q of its digit e, where
-    P/Q = p^lo / q'^hi; S(g) and S(iota g) (whose digit range is
-    -hi..-lo, so its Q may differ) meet over the lcm of their Q.  Both
-    divisions divide by the divisor's primitive numerators and multiply the
-    scale by den / content: by Gauss's lemma a polynomial with integer
-    coefficients that a primitive one divides exactly has an integer
-    quotient, so the dividend needs no content pass and each ``divmod`` that
-    leaves a remainder certifies inexactness, as in ``divide_exact``, whose
-    integer core both divisions share.  f is tested for iota- and
-    sigma_i-invariance on its packed keys; an invariant f reuses S(f) and
-    K(f) (a W-invariant f costs one shift term, one division by own_0 and,
-    at m >= 3, one product by c_0), and sigma_i f and K(sigma_i f) are built
-    only where the test fails.  For q != 1, own_i is squarefree and prime
-    to every x_k - x_l and only term i has poles on it, so both divisions
-    are exact precisely on inputs the operator maps to Laurent polynomials
-    (W-invariant f in particular).  Any other input raises
-    InexactDivisionError: at the division of N_0(f) by own_0 when M_0(f)
-    is not a Laurent polynomial, else at that of some N_0(sigma_i f), else
-    at the division by V.  At q = 1 every N_i is 0.
+    P/Q = p^lo / q'^hi; R(g) and R(iota g) (whose digit range is
+    -hi..-lo, so its Q may differ) meet over the lcm of their Q.  Every
+    division is by two-term factors in ``_divide_binomials``, V by its
+    m(m - 1) factors [z_k z_l] and [z_k / z_l]; each divides by primitive
+    numerators and multiplies the scale by den / content, and a refusal
+    raises ``divide_exact``'s error on that dividend and the whole divisor.
+    f is tested for iota- and sigma_i-invariance on its packed keys; an
+    invariant f reuses R(f) and K(f) (a W-invariant f costs one shift
+    term, two binomial divisions and, at m >= 3, one product by c_0 before
+    V), and sigma_i f and K(sigma_i f) are built only where the test fails.
+    For q != 1, own_i is squarefree and prime to every x_k - x_l and only
+    term i has poles on it, so the divisions are exact precisely on inputs
+    the operator maps to Laurent polynomials (W-invariant f in particular).
+    Any other input raises InexactDivisionError at the first division that
+    refuses: for f, then each sigma_i f that K is built for, the division
+    of n_0^+ (T_0 g - g) by [q z_0^2] for g or iota g, or that by [z_0^2];
+    else the division by V.  At q = 1 every N_i is 0.
     """
     if f.m != m:
         raise ValueError(f"f has {f.m} variables, expected {m}")
     if m < 1:
         raise ValueError("need at least one variable")
-    n_q, own_0, c_0, vandermonde, (own_scale, own_prim), v_prim = _koorn_factors(ep, m)
+    n_plus, c_0, q_z0_sq, z0_sq, vandermonde = _koorn_factors(ep, m)
     if f.is_zero():
         return LaurentPoly.zero(m)
     sq = ep.sq
-    # T_0, iota and sigma_i keep f's exponent bound
-    s_bound = f._exp_bound + n_q._exp_bound
+    # T_0, iota and sigma_i keep f's exponent bound; R adds n_0^+'s
+    s_bound = f._exp_bound + n_plus._exp_bound
+
+    def divide(num: dict[int, int], bound: int, by: _Divisor) -> tuple[dict[int, int], int]:
+        return _divide_binomials(num, bound, by.factors, by.prim, by.bound, m)
 
     def shift_term(g: dict[int, int]) -> tuple[dict[int, int], int]:
-        """Q and the numerators of Q * den(n_q) * S(g)."""
+        """Q and the numerators of Q * den(n_0^+) / scale([q z_0^2]) * R(g)."""
         digits, lo, table, big_q = _shift_factors(g, m, 0, sq)
         step = [t - big_q for t in table]
         diff = {}
@@ -474,28 +503,29 @@ def apply_koorn_mult(ep: ExactParams, f: LaurentPoly, m: int) -> LaurentPoly:
                 diff[key] = n * c
         if diff:
             _check_bound(s_bound)
-        return _convolve(diff, n_q._num), big_q
+        try:
+            return _convolve(divide(diff, f._exp_bound, q_z0_sq)[0], n_plus._num), big_q
+        except InexactDivisionError:  # n_0^+ may hold the root it misses
+            return divide(_convolve(diff, n_plus._num), s_bound, q_z0_sq)[0], big_q
 
     def cofactor_term(g: dict[int, int]) -> tuple[dict[int, int], Fraction, int]:
         """The numerators of K(g), their scale and an exponent bound."""
         up, q_up = shift_term(g)
         inverted = {-key: n for key, n in g.items()}
         down, q_down = (up, q_up) if inverted == g else shift_term(inverted)
-        # S(g) - iota S(iota g) over the common 1 / lcm(q_up, q_down)
+        # R(g) - iota R(iota g) over the common 1 / lcm(q_up, q_down)
         common = lcm(q_up, q_down)
         u_up, u_down = common // q_up, common // q_down
-        n_0 = {key: n * u_up for key, n in up.items()}
-        get = n_0.get
+        r_diff = dict(up) if u_up == 1 else {key: n * u_up for key, n in up.items()}
+        get = r_diff.get
         for key, n in down.items():
-            new = get(-key, 0) - n * u_down
+            new = get(-key, 0) - (n if u_down == 1 else n * u_down)
             if new:
-                n_0[-key] = new
+                r_diff[-key] = new
             else:
-                del n_0[-key]
-        quotient, bound = _divide_integers(
-            n_0, s_bound, own_prim, own_0._exp_bound, m
-        )
-        scale = own_scale / (common * n_q._den)
+                del r_diff[-key]
+        quotient, bound = divide(r_diff, s_bound, z0_sq)
+        scale = q_z0_sq.scale * z0_sq.scale / (common * n_plus._den)
         if c_0 is None or not quotient:
             return quotient, scale, bound
         bound = _check_bound(bound + c_0._exp_bound)
@@ -528,15 +558,8 @@ def apply_koorn_mult(ep: ExactParams, f: LaurentPoly, m: int) -> LaurentPoly:
         for key, n in items:
             acc[key] = get(key, 0) + u * n
     numerator = {key: n for key, n in acc.items() if n}
-    v_scale, v_num = v_prim
-    quotient, bound = _divide_integers(
-        numerator,
-        max(bound for (_, _, bound), _ in terms),
-        v_num,
-        vandermonde._exp_bound,
-        m,
-    )
-    return LaurentPoly._from_scaled(m, quotient, common * v_scale / f._den, bound)
+    quotient, bound = divide(numerator, max(bound for (_, _, bound), _ in terms), vandermonde)
+    return LaurentPoly._from_scaled(m, quotient, common * vandermonde.scale / f._den, bound)
 
 
 def _linear_factor(m: int, i: int, j: int, scale: Fraction) -> LaurentPoly:

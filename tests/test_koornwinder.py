@@ -1228,6 +1228,39 @@ def test_cauchy_macdonald(m, n):
     assert cauchy_check_macdonald(m, n, Fraction(1, 4), Fraction(4, 9), 3)
 
 
+def tuple_cauchy_series(m, n, q, t, cap):
+    """``cauchy_series`` truncated after every factor through the exponent
+    tuples and the tuple-keyed constructor, as it was built before the
+    packed-key ``truncate_degree``."""
+    mv = m + n
+    out = LaurentPoly.one(mv)
+    for j in range(m):
+        for l in range(n):
+            factor = {}
+            for k in range(cap + 1):
+                key = [0] * mv
+                key[j] = key[m + l] = 2 * k
+                num, den = Fraction(1), Fraction(1)
+                for i in range(k):
+                    num *= 1 - t * q**i
+                    den *= 1 - q ** (i + 1)
+                factor[tuple(key)] = num / den
+            product = out * LaurentPoly(mv, factor)
+            out = LaurentPoly(
+                mv, {e: c for e, c in product.terms.items() if sum(e[:m]) <= 2 * cap}
+            )
+    return out
+
+
+@pytest.mark.parametrize("m,n,cap", [(1, 1, 4), (2, 2, 3), (3, 3, 4)])
+def test_cauchy_series_matches_the_tuple_truncation(m, n, cap):
+    q, t = Fraction(1, 4), Fraction(4, 9)
+    series = cauchy_series(m, n, q, t, cap)
+    want = tuple_cauchy_series(m, n, q, t, cap)
+    assert series == want
+    assert series._exp_bound >= want._exp_bound
+
+
 # ======================================================================
 # serialization
 # ======================================================================

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -35,6 +36,7 @@ from diffkern.laurent import (
     poly_from_json,
     poly_to_json,
     sym_orbit_sum,
+    truncate_degree,
 )
 
 from division_spy import primitive_part, spy_on_integer_division
@@ -600,17 +602,29 @@ def test_division_by_a_non_primitive_divisor_matches_the_reference():
     assert_division_matches_reference(g2 * q2 + x * 3, g2)
 
 
+def core_outcome_matches_the_reference(got, f, g):
+    """A spied outcome against ``reference_divide_exact`` on the same
+    dividend and divisor: the same error, or the same quotient numerators
+    and exponent bound (the binomial core takes its steps in another
+    order)."""
+    want = division_outcome(reference_divide_exact, f, g)
+    if want[0] is InexactDivisionError:
+        return got == want
+    return got[0] == want[0] and dict(got[1]) == dict(want[1]) and got[2:] == want[2:]
+
+
 @pytest.mark.parametrize("m", [2, 3])
 def test_operator_divisions_match_the_reference(m, monkeypatch):
-    # the exact Koornwinder operator's own dividends and divisors: own_0
-    # (4 terms) and the Vandermonde in x = z + 1/z (4 terms at m = 2, 24
-    # at m = 3), on an eigenpolynomial and on inputs that are not
+    # the exact Koornwinder operator's own dividends and divisors: [q z_0^2]
+    # and [z_0^2] (2 terms each) and the Vandermonde in x = z + 1/z (4 terms
+    # at m = 2, 24 at m = 3), which the operator divides out one two-term
+    # factor at a time, on an eigenpolynomial and on inputs that are not
     # W-invariant, some of which fail at a division.  The operator divides
     # integer numerators by the divisors' primitive parts, so each division
     # is checked over 1 against the reference
     from diffkern import koornwinder, operators
 
-    seen = spy_on_integer_division(monkeypatch, operators)
+    seen = spy_on_integer_division(monkeypatch, operators, "_divide_binomials")
     ep = ExactParams.default()
     z = [LaurentPoly.var_power(m, k, 2) for k in range(m)]
     inputs = [
@@ -625,21 +639,124 @@ def test_operator_divisions_match_the_reference(m, monkeypatch):
             operators.apply_koorn_mult(ep, f, m)
         except InexactDivisionError:
             pass
-    own_0 = operators._product(operators._koorn_own_factors(m, 0, ep.sq), m)
+    z_sq, q_up, _ = operators._koorn_own_factors(m, 0, ep.sq)
     x = [zk + zk.invert_all() for zk in z]
     vandermonde = LaurentPoly.one(m)
     for k in range(m):
         for l in range(k + 1, m):
             vandermonde = vandermonde * (x[k] - x[l])
     divisors = {g for _, g, _ in seen}
-    assert divisors == {primitive_part(own_0), primitive_part(vandermonde)}
+    assert divisors == {primitive_part(p) for p in (q_up, z_sq, vandermonde)}
     assert len(vandermonde.terms) == {2: 4, 3: 24}[m]
     outcomes = []
     for f, g, got in seen:
-        assert got == division_outcome(reference_divide_exact, f, g)
+        assert core_outcome_matches_the_reference(got, f, g)
         outcomes.append(got)
     assert any(o[0] is InexactDivisionError for o in outcomes)
     assert any(o[0] == m for o in outcomes)
+
+
+@settings(max_examples=80, deadline=None)
+@given(polys_in((6,)), st.integers(min_value=0, max_value=3), st.integers(-3, 4))
+def test_truncate_degree_is_the_tuple_filter(single, k, cap):
+    # a kept subset of canonical numerators need not be canonical (z_0 / 2
+    # + z_1 / 3 cut to z_1 / 3 leaves 2 over 6), so the result is compared
+    # field by field with the tuple-keyed constructor's
+    (f,) = single
+    k = min(k, f.m)
+    got = truncate_degree(f, k, cap)
+    want = LaurentPoly(f.m, {e: c for e, c in f.terms.items() if sum(e[:k]) <= 2 * cap})
+    assert (got.m, got._num, got._den) == (want.m, want._num, want._den)
+    assert got._exp_bound >= want._exp_bound
+    z_0, z_1 = LaurentPoly.var_power(2, 0, 2), LaurentPoly.var_power(2, 1, 2)
+    assert truncate_degree(z_0 * Fraction(1, 2) + z_1 * Fraction(1, 3), 1, 0)._den == 3
+
+
+def binomials(m: int):
+    """Primitive two-term integer polynomials in m variables, as numerator
+    dicts: a direction over one to three variables, either sign on either
+    coefficient."""
+    exps = st.lists(st.integers(min_value=-3, max_value=3), min_size=m, max_size=m)
+    coeff = st.integers(min_value=-9, max_value=9).filter(bool)
+
+    def build(case):
+        low, step, a, b = case
+        g = math.gcd(a, b)
+        high = [e + s for e, s in zip(low, step)]
+        return {laurent._pack(high): a // g, laurent._pack(low): b // g}
+
+    nonzero = st.integers(min_value=-3, max_value=3).filter(bool)
+    step = st.lists(st.sampled_from(range(m)), min_size=1, max_size=3).flatmap(
+        lambda used: st.tuples(*(nonzero if k in used else st.just(0) for k in range(m)))
+    )
+    return st.tuples(exps, step, coeff, coeff).map(build)
+
+
+def digit_bound(num: dict[int, int], m: int) -> int:
+    return max(map(abs, itertools.chain.from_iterable(laurent._digit_ranges(num, m))))
+
+
+def core_outcome(divide, *args):
+    try:
+        return divide(*args)
+    except InexactDivisionError as exc:
+        return type(exc), str(exc), exc.offending_exponent
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=3).flatmap(
+        lambda m: st.tuples(
+            st.just(m),
+            st.dictionaries(
+                st.lists(st.integers(-4, 4), min_size=m, max_size=m).map(laurent._pack),
+                st.integers(min_value=-(10**12), max_value=10**12).filter(bool),
+                min_size=1,
+                max_size=6,
+            ),
+            st.lists(binomials(m), min_size=1, max_size=4),
+            st.integers(min_value=0),
+            st.sampled_from([1, -1, 7]),
+        )
+    )
+)
+def test_binomial_division_matches_the_integer_core(case):
+    # Q times a product of primitive binomials comes back as Q, with the
+    # integer core's bound; one perturbed term gives the core's own error
+    m, q, factors, pick, delta = case
+    g_prim = {0: 1}
+    for factor in factors:
+        g_prim = laurent._convolve(g_prim, factor)
+    num = laurent._convolve(q, g_prim)
+    num_bound, g_bound = digit_bound(num, m), digit_bound(g_prim, m)
+    got = laurent._divide_binomials(num, num_bound, factors, g_prim, g_bound, m)
+    assert got[0] == q
+    assert got == laurent._divide_integers(num, num_bound, g_prim, g_bound, m)
+    bad = dict(num)
+    key = sorted(bad)[pick % len(bad)]
+    bad[key] += delta
+    if not bad[key]:
+        del bad[key]
+    args = (bad, num_bound, g_prim, g_bound, m)
+    want = core_outcome(laurent._divide_integers, *args)
+    assert want[0] is InexactDivisionError
+    assert core_outcome(laurent._divide_binomials, bad, num_bound, factors, *args[2:]) == want
+
+
+def test_binomial_walk_near_the_digit_limit_refuses_without_aliasing():
+    # a walk along z_1 alone, so the direction's leading digit (z_0's) is 0,
+    # from a z_1 digit 8 above -2**19: unchecked, its z_1 digit would pass
+    # -2**19, and at the ninth step its key would alias (2, 2**19 - 10),
+    # whose term would cancel the walk into a wrong quotient.  It refuses at
+    # the box instead, with the integer core's error, z_0's digit intact
+    low, high = -(2**19) + 8, 2**19 - 10
+    num = {laurent._pack((3, low)): 5, laurent._pack((2, high)): -5}
+    z_1_minus_1 = {laurent._pack((0, 2)): 1, 0: -1}
+    args = (num, 2**19 - 8, [z_1_minus_1], z_1_minus_1, 2, 2)
+    want = core_outcome(laurent._divide_integers, *args[:2], *args[3:])
+    assert want[0] is InexactDivisionError
+    assert want[2] == (3, low - 4)
+    assert core_outcome(laurent._divide_binomials, *args) == want
 
 
 @settings(max_examples=50, deadline=None)

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from diffkern.koornwinder import eigenvalue_d, koornwinder_poly
+from diffkern import laurent
 from diffkern.laurent import (
     ExactParams,
     InexactDivisionError,
@@ -582,27 +583,73 @@ def swap_with_0(m, i):
     return perm
 
 
+def bracket(m, entries, root):
+    """root z^(e/2) - root^-1 z^(-e/2) for entries {var: doubled exponent},
+    from Fraction coefficients, apart from the operator's ``_two_term``."""
+    up = [0] * m
+    for var, e2 in entries.items():
+        up[var] = e2
+    return LaurentPoly(m, {tuple(up): root, tuple(-e for e in up): -1 / root})
+
+
+def divisor_poly(divisor, m):
+    """The polynomial a cached divisor stands for, after checking that its
+    factors are primitive two-term numerators whose product is its
+    primitive form, and that its bound holds."""
+    prim = LaurentPoly._from_parts(m, dict(divisor.prim), 1, divisor.bound)
+    product = LaurentPoly.one(m)
+    for factor in divisor.factors:
+        assert len(factor) == 2 and math.gcd(*factor.values()) == 1
+        product = product * LaurentPoly(m, {laurent._unpack(k, m): n for k, n in factor.items()})
+    assert product == prim
+    assert divisor.bound >= LaurentPoly(m, dict(prim.terms))._exp_bound
+    return prim * (1 / divisor.scale)
+
+
+def n_plus_formula(ep, m):
+    """n_0^+ = [a z_0][b z_0][c z_0][d z_0] prod_{j>0} [t z_0 z_j][t z_0 / z_j]."""
+    n_plus = LaurentPoly.one(m)
+    for root in (ep.sa, ep.sb, ep.sc, ep.sd):
+        n_plus = n_plus * bracket(m, {0: 1}, root)
+    for j in range(1, m):
+        n_plus = n_plus * bracket(m, {0: 1, j: 1}, ep.st) * bracket(m, {0: 1, j: -1}, ep.st)
+    return n_plus
+
+
 def test_koorn_factors_are_the_formulas():
-    # n_0^+ [q z_0^-2], own_0, c_0 and V against their definitions, and the
-    # sign identity sigma_i(c_0) = (-1)^(i-1) c_i for every i >= 1
+    # n_0^+, c_0 and the divisors [q z_0^2], [z_0^2] and V (as its m(m - 1)
+    # two-term factors) against their definitions; the identity the
+    # operator rests on, N_0(g) = [q z_0^-2][q z_0^2] (R(g) - iota R(iota g))
+    # with R(g) = n_0^+ (T_0 g - g) / [q z_0^2], on a g invariant under
+    # z_0 -> 1/z_0 but not W-invariant; and the sign identity
+    # sigma_i(c_0) = (-1)^(i-1) c_i for every i >= 1
     for ep in KOORN_PARAMS.values():
         for m in (1, 2, 3, 4):
-            n_q, own_0, c_0, vandermonde, own_0_prim, v_prim = _koorn_factors(ep, m)
-            f = LaurentPoly.var_power(m, 0, 2)
-            up, down = ((g.substitute(0, sqrt_scale=ep.sq) - g) * n_q for g in (f, f.invert_all()))
-            want_own, want_n = own_numerator(ep, f, m)
-            assert own_0 == want_own, m
-            assert up - down.invert_all() == want_n, m
+            n_plus, c_0, q_up, z_sq, vandermonde = _koorn_factors(ep, m)
+            assert n_plus == n_plus_formula(ep, m), m
+            assert divisor_poly(q_up, m) == bracket(m, {0: 2}, ep.sq), m
+            assert divisor_poly(z_sq, m) == bracket(m, {0: 2}, Fraction(1)), m
+            assert len(q_up.factors) == len(z_sq.factors) == 1, m
             assert c_0 == (x_cofactor(m, 0) if m > 2 else None), m
-            assert vandermonde == (x_cofactor(m, None) if m > 1 else None), m
-            # the cached primitive forms (den / content, primitive numerators)
-            assert (v_prim is None) == (vandermonde is None), m
-            for poly, form in ((own_0, own_0_prim), (vandermonde, v_prim)):
-                if poly is not None:
-                    scale, prim = form
-                    prim_poly = LaurentPoly._from_parts(m, dict(prim), 1, poly._exp_bound)
-                    assert prim_poly == primitive_part(poly), m
-                    assert prim_poly * (1 / scale) == poly, m
+            if m == 1:
+                assert vandermonde is None
+            else:
+                assert divisor_poly(vandermonde, m) == x_cofactor(m, None), m
+                assert len(vandermonde.factors) == m * (m - 1), m
+            x_0 = LaurentPoly.var_power(m, 0, 2) + LaurentPoly.var_power(m, 0, -2)
+            rest = LaurentPoly.var_power(m, m - 1, -4, Fraction(3, 5)) if m > 1 else 1
+            f = x_0 * x_0 + rest
+
+            def r_of(g):
+                shifted = g.substitute(0, sqrt_scale=ep.sq) - g
+                return n_plus_formula(ep, m) * divide_exact(shifted, bracket(m, {0: 2}, ep.sq))
+
+            own_0, n_0 = own_numerator(ep, f, m)
+            difference = r_of(f) - r_of(f.invert_all()).invert_all()
+            q_pair = bracket(m, {0: 2}, ep.sq) * bracket(m, {0: -2}, ep.sq)
+            assert q_pair * difference == n_0, m
+            m_0 = divide_exact(difference, bracket(m, {0: 2}, Fraction(1)))
+            assert m_0 == divide_exact(n_0, own_0), m
             for i in range(1, m):
                 sigma_c_0 = LaurentPoly.one(m) if c_0 is None else c_0.permute(swap_with_0(m, i))
                 assert sigma_c_0 == x_cofactor(m, i) * (-1) ** (i - 1), (m, i)
@@ -698,20 +745,40 @@ def test_koorn_own_divides_the_numerator_of_eigenpolynomials():
             assert divide_exact(n_0, own_0) * own_0 == n_0, (ep, lam, m)
 
 
+def assert_first_division_is_of_the_shift_difference(seen, ep, f, m):
+    """The operator's first division, as spied: its dividend is +- the
+    primitive numerators of (T_0 - 1) f, its divisor the primitive part of
+    [q z_0^2], and a refusal is divide_exact's, on those polynomials and on
+    the formulas themselves."""
+    dividend, divisor, got = seen[0]
+    shifted = f.substitute(0, sqrt_scale=ep.sq) - f
+    q_up = bracket(m, {0: 2}, ep.sq)
+    assert primitive_part(dividend) in (primitive_part(shifted), -primitive_part(shifted))
+    assert divisor == primitive_part(q_up)
+    want = exact_outcome(divide_exact, dividend, divisor)
+    if isinstance(want, LaurentPoly):
+        assert (got[0], dict(got[1]), got[3]) == (m, want._num, want._exp_bound)
+    else:
+        assert got == want
+        assert got == exact_outcome(divide_exact, shifted, q_up)
+
+
 def test_koorn_own_division_refuses_a_non_invariant_input(monkeypatch):
-    # negative control: z_0 is not W-invariant, and the first division, by
-    # own_0's primitive part, already leaves a remainder
+    # negative control: z_0 is not invariant under z_0 -> 1/z_0, so the
+    # first division, of (T_0 - 1) z_0 by [q z_0^2], already leaves a
+    # remainder; the operator then refuses z_0 as the reference does, and
+    # own_0 does not divide N_0 either
     import diffkern.operators as operators
 
-    seen = spy_on_integer_division(monkeypatch, operators)
+    seen = spy_on_integer_division(monkeypatch, operators, "_divide_binomials")
     ep = ExactParams.default()
     for m in (1, 2, 3):
         f = LaurentPoly.var_power(m, 0, 2)
         own_0, n_0 = own_numerator(ep, f, m)
         seen.clear()
-        with pytest.raises(InexactDivisionError):
-            apply_koorn_mult(ep, f, m)
-        assert [g for _, g, _ in seen] == [primitive_part(own_0)], m
+        assert outcome(apply_koorn_mult, ep, f, m) is InexactDivisionError
+        assert outcome(reference_koorn_mult, ep, f, m) is InexactDivisionError
+        assert_first_division_is_of_the_shift_difference(seen, ep, f, m)
         assert seen[0][2][0] is InexactDivisionError, m
         with pytest.raises(InexactDivisionError):
             divide_exact(n_0, own_0)
@@ -748,13 +815,14 @@ def test_koorn_image_is_exact_and_canonical():
 
 
 def test_koorn_asymmetric_z0_range_matches_the_reference(monkeypatch):
-    # z_0's digits run over -2..4 in f and -4..2 in iota f, so S(f) and
-    # S(iota f) carry different scales (2^4 and 2^2 at EP's sqrt(q) = 1/2) and
-    # meet over their lcm: the dividend of the first division is a multiple
-    # of N_0(f), and the outcome is the reference's
+    # z_0's digits run over -2..4 in f and -4..2 in iota f, so R(f) and
+    # R(iota f) carry different scales (2^4 and 2^2 at EP's sqrt(q) = 1/2) and
+    # meet over their lcm; f is not invariant under z_0 -> 1/z_0, and the
+    # first division, of (T_0 - 1) f by [q z_0^2], gives divide_exact's
+    # outcome.  The operator's outcome is the reference's
     import diffkern.operators as operators
 
-    seen = spy_on_integer_division(monkeypatch, operators)
+    seen = spy_on_integer_division(monkeypatch, operators, "_divide_binomials")
     for name in sorted(KOORN_PARAMS):
         ep = KOORN_PARAMS[name]
         for m in (1, 2, 3):
@@ -765,14 +833,51 @@ def test_koorn_asymmetric_z0_range_matches_the_reference(monkeypatch):
                 f = f + LaurentPoly.var_power(m, m - 1, 2, Fraction(5, 11))
             seen.clear()
             assert outcome(apply_koorn_mult, ep, f, m) == outcome(reference_koorn_mult, ep, f, m)
-            own_0, n_0 = own_numerator(ep, f, m)
-            dividend, _, got = seen[0]
-            assert primitive_part(dividend) in (primitive_part(n_0), -primitive_part(n_0))
-            want = exact_outcome(divide_exact, n_0, own_0)
-            if isinstance(want, LaurentPoly):
-                assert got[0] == m, (name, m)
-            else:
-                assert got == want, (name, m)
+            assert_first_division_is_of_the_shift_difference(seen, ep, f, m)
+
+
+def test_koorn_keeps_the_domain_where_n_plus_shares_a_root_with_q_z0_squared():
+    # at sa^2 = sq (sa = 1/2, sq = 1/4), [a z_0] and [q z_0^2] both vanish
+    # at z_0 = 1/sq.  This f is not invariant under z_0 -> 1/z_0, so [q z_0^2]
+    # does not divide (T_0 - 1) f; it divides n_0^+ (T_0 - 1) f, and the
+    # operator maps f to the reference's image
+    ep = ExactParams.default().replace(sa=Fraction(1, 2), sq=Fraction(1, 4))
+    z = LaurentPoly.var_power(1, 0, 2)
+    f = z + z**2 * Fraction(262148, 1118481) - z**3 * Fraction(256, 65793)
+    f = f - z**4 * Fraction(1024, 1118481)
+    shifted = f.substitute(0, sqrt_scale=ep.sq) - f
+    with pytest.raises(InexactDivisionError):
+        divide_exact(shifted, bracket(1, {0: 2}, ep.sq))
+    image = apply_koorn_mult(ep, f, 1)
+    assert image == reference_koorn_mult(ep, f, 1)
+    assert not image.is_zero()
+    assert_canonical(image)
+
+
+@pytest.mark.parametrize("sq", [Fraction(1), Fraction(-1), Fraction(1, 2)])
+def test_koorn_half_powers_and_unit_q_keep_their_outcome(sq):
+    # z_0^(1/2) + z_0^(-1/2) and its W-symmetrisation have half-integer
+    # exponents, which T_0 at sqrt(q) = -1 negates, so q = 1 does not kill
+    # them there; orbit_sum((1,), m) does not have them.  Each input keeps
+    # the outcome the operator gave before its divisions were reordered
+    # (an image, zero at q = 1, or InexactDivisionError), which is the
+    # reference's
+    ep = ExactParams.default().replace(sq=sq)
+    for m in (1, 2, 3):
+        halves = [
+            LaurentPoly.var_power(m, k, 1) + LaurentPoly.var_power(m, k, -1) for k in range(m)
+        ]
+        inputs = {
+            "z_0^(1/2) + z_0^(-1/2)": (halves[0], sq != 1),
+            "its W-symmetrisation": (sum(halves[1:], halves[0]), sq != 1),
+            "orbit_sum((1,), m)": (orbit_sum((1,), m), False),
+        }
+        for what, (f, refused) in inputs.items():
+            got = outcome(apply_koorn_mult, ep, f, m)
+            assert (got is InexactDivisionError) == refused, (what, m)
+            assert got == outcome(reference_koorn_mult, ep, f, m), (what, m)
+            if not refused and sq in (1, -1):
+                assert got.is_zero(), (what, m)
 
 
 def test_koorn_pair_factors_give_x_differences():
