@@ -110,10 +110,6 @@ def _validate_params_block(block) -> dict:
         raise ConfigError(f"unknown params keys: {sorted(unknown)}")
     additive = set(entries) & _ADDITIVE_KEYS
     square = set(entries) & _SQUARE_KEYS
-    if additive and square:
-        raise ConfigError(
-            "params mixes additive and square-rational entries; pick one mode"
-        )
     out: dict = {"mode": mode}
     if mode == "additive":
         if square:
@@ -231,8 +227,6 @@ def load_config(path: str | None = None) -> Config:
         if not isinstance(overlay, dict):
             raise ConfigError("params file must hold a JSON object")
         for key, value in overlay.items():
-            if key not in _TOP_KEYS:
-                raise ConfigError(f"unknown config key {key!r}")
             if key in ("truncation", "tolerances") and isinstance(value, dict):
                 merged = dict(data.get(key, {}))
                 merged.update(value)

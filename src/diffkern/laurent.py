@@ -48,6 +48,7 @@ branches.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import heapq
 import itertools
 import json
@@ -222,29 +223,34 @@ def _moved_items(
 
 def _shift_factors(
     num: dict[int, int], m: int, i: int, s: Fraction
-) -> tuple[list[int], int, list[int], int]:
+) -> tuple[list[int], dict[int, int], int]:
     """How ``z_i -> s**2 z_i`` scales the terms of ``num`` (nonempty).
 
-    Returns digit i of each key, in ``num``'s order, their minimum ``lo``,
-    a table and an integer Q: the term with digit e is multiplied by
-    ``table[e - lo] / Q``.  With s = p/q and digits lo..hi, s**e is
+    Returns digit i of each key, in ``num``'s order, a dict ``factor`` and
+    an integer Q: the term with digit e is multiplied by ``factor[e] / Q``.
+    With s = p/q and digits lo..hi, s**e is
     (p**lo / q**hi) * p**(e - lo) * q**(hi - e), so with P/Q = p**lo / q**hi
-    in lowest terms ``table[e - lo] = P * p**(e - lo) * q**(hi - e)``.
+    in lowest terms ``factor[e] = P * p**(e - lo) * q**(hi - e)``.  There is
+    one entry per digit that occurs, and each power is the previous digit's
+    times the power of the gap, so a sparse span costs no table.
     """
     shift = _DIGIT_BITS * (m - 1 - i)
     bias = _bias(m)
     digits = [((key + bias) >> shift & _MASK) - _HALF for key in num]
-    lo = min(digits)
-    hi = max(digits)
+    occurring = sorted(set(digits))
+    lo, hi = occurring[0], occurring[-1]
     p, q = s.numerator, s.denominator
     scale = Fraction(p) ** lo / Fraction(q) ** hi
-    p_pow = [scale.numerator]
-    q_pow = [1]
-    for _ in range(hi - lo):
-        p_pow.append(p_pow[-1] * p)
-        q_pow.append(q_pow[-1] * q)
-    table = [a * b for a, b in zip(p_pow, reversed(q_pow))]
-    return digits, lo, table, scale.denominator
+    factor, below, power = {}, lo, scale.numerator
+    for e in occurring:  # P * p**(e - lo), from the bottom up
+        power *= p ** (e - below)
+        factor[e], below = power, e
+    above, power = hi, 1
+    for e in reversed(occurring):  # times q**(hi - e), from the top down
+        power *= q ** (above - e)
+        factor[e] *= power
+        above = e
+    return digits, factor, scale.denominator
 
 
 class LaurentPoly:
@@ -513,12 +519,12 @@ class LaurentPoly:
             raise ValueError("substitution scale must be nonzero")
         if not self._num:
             return self
-        digits, lo, table, big_q = _shift_factors(self._num, self.m, i, s)
+        digits, factor, big_q = _shift_factors(self._num, self.m, i, s)
         out: dict[int, int] = {}
         # e -> e and e -> -e are both one-to-one, so no two terms collide
         unit = -2 << _DIGIT_BITS * (self.m - 1 - i) if invert else 0
         for (key, n), e in zip(self._num.items(), digits):
-            out[key + e * unit] = n * table[e - lo]
+            out[key + e * unit] = n * factor[e]
         return LaurentPoly._from_scaled(
             self.m, out, Fraction(1, self._den * big_q), self._exp_bound
         )
@@ -583,12 +589,12 @@ class LaurentPoly:
         """Exact value at ``z_i = sqrt_point[i]**2`` for rational ``sqrt_point``.
 
         Runs on integers over one common denominator.  ``_shift_factors``
-        gives each coordinate's digits, power table and Q, so the term at
-        ``e`` is its numerator times ``prod_i table_i[e_i - lo_i]`` and the
-        sum is divided once by the polynomial's denominator times
-        ``prod_i Q_i``.  A zero coordinate raises ``ZeroDivisionError`` where
-        its variable has a negative power, and one neither an int nor a
-        ``Fraction`` raises ``TypeError``.
+        gives each coordinate's digits, factors and Q, so the term at ``e``
+        is its numerator times ``prod_i factor_i[e_i]`` and the sum is
+        divided once by the polynomial's denominator times ``prod_i Q_i``.
+        A zero coordinate raises ``ZeroDivisionError`` where its variable
+        has a negative power, and one neither an int nor a ``Fraction``
+        raises ``TypeError``.
         """
         self._check_point(sqrt_point)
         point = [_as_fraction(s) for s in sqrt_point]
@@ -597,8 +603,8 @@ class LaurentPoly:
         values = list(self._num.values())
         den = self._den
         for i, s in enumerate(point):
-            digits, lo, table, big_q = _shift_factors(self._num, self.m, i, s)
-            values = [v * table[e - lo] for v, e in zip(values, digits)]
+            digits, factor, big_q = _shift_factors(self._num, self.m, i, s)
+            values = [v * factor[e] for v, e in zip(values, digits)]
             den *= big_q
         return Fraction(sum(values), den)
 
@@ -664,11 +670,11 @@ def _digit_ranges(num: dict[int, int], m: int) -> list[tuple[int, int]]:
 def divide_exact(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     """Exact quotient ``f / g``; raises ``InexactDivisionError`` otherwise.
 
-    Only the divisor is made primitive: with g = (content_g / den_g) * g_prim,
-    ``_divide_integers`` divides f's integer numerators by g_prim, and the
-    quotient is scaled once by den_g / (den_f * content_g) and reduced by one
-    gcd.  By Gauss's lemma an exact quotient of an integer polynomial by a
-    primitive one has integer coefficients, so f needs no content pass.
+    Both operands are divided as primitive integer polynomials: with
+    g = (content_g / den_g) * g_prim, ``_divide_integers`` divides the
+    primitive part of f's integer numerators by g_prim and multiplies the
+    quotient back by their content, and the quotient is scaled once by
+    den_g / (den_f * content_g) and reduced by one gcd.
     """
     if g.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
@@ -682,12 +688,27 @@ def divide_exact(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     return LaurentPoly._from_scaled(f.m, quotient, g_scale / f._den, q_bound)
 
 
+def _inexact(q_key: int, why: str, num_len: int, g_len: int, m: int) -> InexactDivisionError:
+    """The error of a division refused at the quotient key ``q_key``."""
+    return InexactDivisionError(
+        f"{why}; division of {num_len}-term by {g_len}-term polynomial is not exact",
+        offending_exponent=_unpack(q_key, m),
+    )
+
+
 def _divide_integers(
     num: dict[int, int], num_bound: int, g_prim: dict[int, int], g_bound: int, m: int
 ) -> tuple[dict[int, int], int]:
     """Integer quotient of the numerators ``num`` by the primitive ``g_prim``,
     and a bound on its |exponents|; raises ``InexactDivisionError`` when the
     division is not exact.  Neither dict is changed.
+
+    The dividend is split as c * h, c its content and h primitive, and only
+    h is divided; each quotient coefficient is multiplied by c.  An exact
+    division takes the same steps on c * h as on h, so the quotient is c
+    times h's, while c * h can pass a ``divmod`` that h fails and refuse only
+    at a later step: dividing h makes the error independent of the
+    dividend's scale.
 
     Lex leading-term cancellation.  By Gauss's lemma an exact quotient of an
     integer polynomial by a primitive one has integer coefficients, so each
@@ -708,12 +729,6 @@ def _divide_integers(
     steps are those of the scan.  The box is checked on the packed quotient
     key, digit by digit against biased bounds; an exponent tuple is
     unpacked only for an error.
-
-    A multiple c * h of a primitive dividend h takes the same steps as h with
-    every coefficient times c, so it can pass a ``divmod`` that h fails and
-    refuse only at a later step.  A refused division is therefore run again
-    on the dividend's primitive part, and the error is always the one the
-    primitive dividend gives: it does not depend on the dividend's scale.
     """
     if not num:
         return {}, 0
@@ -732,69 +747,51 @@ def _divide_integers(
     g_lead = max(g_prim)
     g_lead_coeff = g_prim[g_lead]
     g_rest = [(e, c) for e, c in g_prim.items() if e != g_lead]
-
-    def inexact(q_key: int, why: str) -> InexactDivisionError:
-        return InexactDivisionError(
-            f"{why}; division of {len(num)}-term by {len(g_prim)}-term "
-            "polynomial is not exact",
-            offending_exponent=_unpack(q_key, m),
-        )
-
-    def run(dividend: dict[int, int]) -> dict[int, int]:
-        remainder = dict(dividend)
-        heap = [-key for key in remainder]
-        heapq.heapify(heap)
-        quotient: dict[int, int] = {}
-        get = remainder.get
-        push, pop = heapq.heappush, heapq.heappop
-        while remainder:
-            r_lead = -pop(heap)
-            if r_lead not in remainder:
-                continue  # cancelled after it was pushed
-            q_key = r_lead - g_lead
-            biased = q_key + bias
-            for shift, d_lo, d_hi in box:
-                if not d_lo <= (biased >> shift & _MASK) <= d_hi:
-                    raise inexact(q_key, "quotient exponent escapes the exact-division box")
-            q_coeff, rest = divmod(remainder.pop(r_lead), g_lead_coeff)
-            if rest:
-                raise inexact(q_key, "quotient coefficient is not an integer")
-            quotient[q_key] = q_coeff
-            for e, c in g_rest:
-                key = q_key + e
-                old = get(key)
-                if old is None:
-                    # q_coeff and c are nonzero, so the new term is too
-                    remainder[key] = -q_coeff * c
-                    push(heap, -key)
+    content, prim = _primitive(num)
+    remainder = dict(prim)
+    heap = [-key for key in remainder]
+    heapq.heapify(heap)
+    quotient: dict[int, int] = {}
+    get = remainder.get
+    push, pop = heapq.heappush, heapq.heappop
+    while remainder:
+        r_lead = -pop(heap)
+        if r_lead not in remainder:
+            continue  # cancelled after it was pushed
+        q_key = r_lead - g_lead
+        biased = q_key + bias
+        for shift, d_lo, d_hi in box:
+            if not d_lo <= (biased >> shift & _MASK) <= d_hi:
+                why = "quotient exponent escapes the exact-division box"
+                raise _inexact(q_key, why, len(num), len(g_prim), m)
+        q_coeff, rest = divmod(remainder.pop(r_lead), g_lead_coeff)
+        if rest:
+            why = "quotient coefficient is not an integer"
+            raise _inexact(q_key, why, len(num), len(g_prim), m)
+        quotient[q_key] = q_coeff * content
+        for e, c in g_rest:
+            key = q_key + e
+            old = get(key)
+            if old is None:
+                # q_coeff and c are nonzero, so the new term is too
+                remainder[key] = -q_coeff * c
+                push(heap, -key)
+            else:
+                new = old - q_coeff * c
+                if new:
+                    remainder[key] = new
                 else:
-                    new = old - q_coeff * c
-                    if new:
-                        remainder[key] = new
-                    else:
-                        del remainder[key]
-        return quotient
-
+                    del remainder[key]
     # every quotient exponent passes the box check
-    q_bound = max(map(abs, lo + hi), default=0)
-    try:
-        return run(num), q_bound
-    except InexactDivisionError as exc:
-        content, prim = _primitive(num)
-        if content == 1:
-            raise
-        refused = exc
-    run(prim)  # refuses too: prim / g is exact exactly when num / g is
-    raise refused
+    return quotient, max(map(abs, lo + hi), default=0)
 
 
 def _divide_binomials(
-    num: dict[int, int], num_bound: int, factors: Sequence[dict[int, int]],
-    g_prim: dict[int, int], g_bound: int, m: int,
+    num: dict[int, int], num_bound: int, factors: Sequence[dict[int, int]], g_bound: int, m: int
 ) -> tuple[dict[int, int], int]:
     """``_divide_integers(num, num_bound, g_prim, g_bound, m)`` for g_prim the
     product of the primitive two-term ``factors``: the same quotient and
-    bound, or the same error.  Neither dict is changed.
+    bound, or the same error.  No dict is changed.
 
     For each factor a X^u + b X^v in turn, u > v as keys, each line of the
     dividend along d = u - v is walked from its top: the remainder n at key
@@ -805,14 +802,16 @@ def _divide_binomials(
     ``divmod`` remainder refuses, and so does a walk before its quotient key
     leaves the box of ``_divide_integers`` (taken on the previous step's
     box), so no key it reads has a digit outside its range, whichever digit
-    d leads with.  A refusal reruns the original dividend in
-    ``_divide_integers``, which raises ``divide_exact``'s error.
+    d leads with.  Only a refusal builds g_prim, as the integer product of
+    the factors (primitive, by Gauss's lemma), and hands it and the original
+    dividend to ``_divide_integers``, which raises ``divide_exact``'s error.
     """
     if not num:
         return {}, 0
     _check_bound(num_bound + 3 * g_bound)
 
     def refuse() -> None:
+        g_prim = functools.reduce(_convolve, factors)
         _divide_integers(num, num_bound, g_prim, g_bound, m)
         raise RuntimeError("an exact division refused a binomial step")
 

@@ -57,7 +57,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Callable, NamedTuple, Sequence
 
 from .laurent import (
@@ -366,16 +366,17 @@ class _Divisor(NamedTuple):
     takes it, with the product's den / content."""
 
     factors: tuple[dict[int, int], ...]
-    prim: dict[int, int]  # the product's primitive numerators
-    bound: int  # and its exponent bound
+    bound: int  # the product's exponent bound
     scale: Fraction
 
 
-def _divisor(factors: Sequence[LaurentPoly], m: int) -> _Divisor:
-    product = _product(factors, m)
-    scale, prim = _primitive_form(product)
-    prims = tuple(_primitive_form(g)[1] for g in factors)
-    return _Divisor(prims, prim, product._exp_bound, scale)
+def _divisor(factors: Sequence[LaurentPoly]) -> _Divisor:
+    """The product of ``factors``, which is never built: by Gauss's lemma its
+    primitive form is the product of theirs, and its scale the product of
+    their scales."""
+    forms = [_primitive_form(g) for g in factors]
+    bound = _check_bound(sum(g._exp_bound for g in factors))
+    return _Divisor(tuple(prim for _, prim in forms), bound, prod(s for s, _ in forms))
 
 
 class _KoornFactors(NamedTuple):
@@ -407,9 +408,9 @@ def _koorn_factors(ep: ExactParams, m: int) -> _KoornFactors:
     return _KoornFactors(
         n_plus,
         c_0,
-        _divisor([q_z0_sq], m),
-        _divisor([z0_sq], m),
-        _divisor(v_factors, m) if m > 1 else None,
+        _divisor([q_z0_sq]),
+        _divisor([z0_sq]),
+        _divisor(v_factors) if m > 1 else None,
     )
 
 
@@ -452,20 +453,21 @@ def apply_koorn_mult(ep: ExactParams, f: LaurentPoly, m: int) -> LaurentPoly:
         D f = (K(f) - sum_{i>=1} sigma_i(K(sigma_i f))) / V,
 
     one exact division (none at m = 1, where D f = M_0(f)).  n_0^+, c_0 and
-    the divisors [q z_0^2], [z_0^2] and V, with their primitive forms, come
-    from a cache of _POLY_CACHE_SIZE (ep, m) entries.
+    the divisors [q z_0^2], [z_0^2] and V, as primitive two-term factors and
+    a scale, come from a cache of _POLY_CACHE_SIZE (ep, m) entries.
 
     Every step runs on packed-key integer numerator dicts; each intermediate
     carries its rational scale beside it, and one canonical polynomial is
     built at the end with one gcd.  With sqrt(q) = p/q' and z_0's digits
     of g in lo..hi, T_0 g - g is 1/Q times the numerators of g, each times
-    the integer P p^(e-lo) q'^(hi-e) - Q of its digit e, where
-    P/Q = p^lo / q'^hi; R(g) and R(iota g) (whose digit range is
-    -hi..-lo, so its Q may differ) meet over the lcm of their Q.  Every
-    division is by two-term factors in ``_divide_binomials``, V by its
-    m(m - 1) factors [z_k z_l] and [z_k / z_l]; each divides by primitive
-    numerators and multiplies the scale by den / content, and a refusal
-    raises ``divide_exact``'s error on that dividend and the whole divisor.
+    the integer P p^(e-lo) q'^(hi-e) - Q of its digit e, formed once per
+    digit that occurs, where P/Q = p^lo / q'^hi; R(g) and R(iota g) (whose
+    digit range is -hi..-lo, so its Q may differ) meet over the lcm of
+    their Q.  Every division is by two-term factors in
+    ``_divide_binomials``, V by its m(m - 1) factors [z_k z_l] and
+    [z_k / z_l]; each divides by primitive numerators and multiplies the
+    scale by den / content, and a refusal raises ``divide_exact``'s error
+    on that dividend and the whole divisor.
     f is tested for iota- and sigma_i-invariance on its packed keys; an
     invariant f reuses R(f) and K(f) (a W-invariant f costs one shift
     term, two binomial divisions and, at m >= 3, one product by c_0 before
@@ -490,15 +492,15 @@ def apply_koorn_mult(ep: ExactParams, f: LaurentPoly, m: int) -> LaurentPoly:
     s_bound = f._exp_bound + n_plus._exp_bound
 
     def divide(num: dict[int, int], bound: int, by: _Divisor) -> tuple[dict[int, int], int]:
-        return _divide_binomials(num, bound, by.factors, by.prim, by.bound, m)
+        return _divide_binomials(num, bound, by.factors, by.bound, m)
 
     def shift_term(g: dict[int, int]) -> tuple[dict[int, int], int]:
         """Q and the numerators of Q * den(n_0^+) / scale([q z_0^2]) * R(g)."""
-        digits, lo, table, big_q = _shift_factors(g, m, 0, sq)
-        step = [t - big_q for t in table]
+        digits, factor, big_q = _shift_factors(g, m, 0, sq)
+        step = {e: t - big_q for e, t in factor.items()}
         diff = {}
         for (key, n), e in zip(g.items(), digits):
-            c = step[e - lo]
+            c = step[e]
             if c:  # 0 where sqrt(q)^e = 1, at e = 0 and for q = 1
                 diff[key] = n * c
         if diff:

@@ -14,22 +14,33 @@ def primitive_part(p: LaurentPoly) -> LaurentPoly:
     return p * Fraction(p._den, math.gcd(*p._num.values()))
 
 
+def integer_product(factors, m: int) -> LaurentPoly:
+    """The product of integer numerator dicts, as a polynomial."""
+    product = LaurentPoly.one(m)
+    for factor in factors:
+        product = product * LaurentPoly(m, {laurent._unpack(k, m): n for k, n in factor.items()})
+    return product
+
+
 def spy_on_integer_division(monkeypatch, module, core: str = "_divide_integers") -> list:
     """Route ``module``'s calls of the integer division core ``core`` through
     a spy: ``_divide_integers(num, num_bound, g_prim, g_bound, m)`` or
-    ``_divide_binomials(num, num_bound, factors, g_prim, g_bound, m)``.
+    ``_divide_binomials(num, num_bound, factors, g_bound, m)``, whose
+    divisor is the product of its factors.
 
     Each call appends (dividend, divisor, outcome): the dividend and the
-    primitive divisor as polynomials over 1, and what the core gave: the
-    quotient's fields (m, numerators in step order, denominator 1, exponent
-    bound) or the error's class, message and offending exponent."""
+    whole primitive divisor as polynomials over 1, and what the core gave:
+    the quotient's fields (m, numerators in step order, denominator 1,
+    exponent bound) or the error's class, message and offending exponent."""
     seen = []
     real = getattr(laurent, core)
 
     def spy(*args):
-        num, num_bound, *_, g_prim, g_bound, m = args
+        num, num_bound, divisor, g_bound, m = args
+        if core == "_divide_binomials":
+            divisor = integer_product(divisor, m)._num
         f = LaurentPoly._from_parts(m, dict(num), 1, num_bound)
-        g = LaurentPoly._from_parts(m, dict(g_prim), 1, g_bound)
+        g = LaurentPoly._from_parts(m, dict(divisor), 1, g_bound)
         try:
             quotient, q_bound = real(*args)
         except ArithmeticError as exc:

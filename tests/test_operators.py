@@ -1,6 +1,7 @@
 """Tests for the difference operators, numeric and exact."""
 
 import cmath
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -39,7 +40,7 @@ from diffkern.operators import (
 from diffkern.sigma import DomainError, FamilyKind, PoleError, SigmaFamily, sigma_eval
 
 from bc_duplication import apply_E_BC_dup, dup_prefactor
-from division_spy import primitive_part, spy_on_integer_division
+from division_spy import integer_product, primitive_part, spy_on_integer_division
 
 RNG_SEED = 7041
 
@@ -592,18 +593,23 @@ def bracket(m, entries, root):
     return LaurentPoly(m, {tuple(up): root, tuple(-e for e in up): -1 / root})
 
 
-def divisor_poly(divisor, m):
-    """The polynomial a cached divisor stands for, after checking that its
-    factors are primitive two-term numerators whose product is its
-    primitive form, and that its bound holds."""
-    prim = LaurentPoly._from_parts(m, dict(divisor.prim), 1, divisor.bound)
-    product = LaurentPoly.one(m)
+def divisor_poly(divisor, m, formula_factors):
+    """The polynomial a cached divisor stands for, after checking it against
+    the product of ``formula_factors``, which the cache never builds: its
+    factors are primitive two-term numerators whose product is the
+    product's primitive form, and its scale and bound are the product's
+    ``_primitive_form`` scale and exponent bound (Gauss's lemma)."""
+    formula = LaurentPoly.one(m)
+    for factor in formula_factors:
+        formula = formula * factor
+    scale, prim = laurent._primitive_form(formula)
     for factor in divisor.factors:
         assert len(factor) == 2 and math.gcd(*factor.values()) == 1
-        product = product * LaurentPoly(m, {laurent._unpack(k, m): n for k, n in factor.items()})
-    assert product == prim
-    assert divisor.bound >= LaurentPoly(m, dict(prim.terms))._exp_bound
-    return prim * (1 / divisor.scale)
+    product = integer_product(divisor.factors, m)
+    assert (product._num, product._den) == (prim, 1)
+    assert divisor.scale == scale
+    assert divisor.bound == formula._exp_bound
+    return product * (1 / divisor.scale)
 
 
 def n_plus_formula(ep, m):
@@ -627,14 +633,17 @@ def test_koorn_factors_are_the_formulas():
         for m in (1, 2, 3, 4):
             n_plus, c_0, q_up, z_sq, vandermonde = _koorn_factors(ep, m)
             assert n_plus == n_plus_formula(ep, m), m
-            assert divisor_poly(q_up, m) == bracket(m, {0: 2}, ep.sq), m
-            assert divisor_poly(z_sq, m) == bracket(m, {0: 2}, Fraction(1)), m
+            for divisor, root in ((q_up, ep.sq), (z_sq, Fraction(1))):
+                bracket_0 = bracket(m, {0: 2}, root)
+                assert divisor_poly(divisor, m, [bracket_0]) == bracket_0, m
             assert len(q_up.factors) == len(z_sq.factors) == 1, m
             assert c_0 == (x_cofactor(m, 0) if m > 2 else None), m
             if m == 1:
                 assert vandermonde is None
             else:
-                assert divisor_poly(vandermonde, m) == x_cofactor(m, None), m
+                pairs = list(itertools.combinations(range(m), 2))
+                v_factors = [bracket(m, {k: 1, l: e}, Fraction(1)) for e in (1, -1) for k, l in pairs]
+                assert divisor_poly(vandermonde, m, v_factors) == x_cofactor(m, None), m
                 assert len(vandermonde.factors) == m * (m - 1), m
             x_0 = LaurentPoly.var_power(m, 0, 2) + LaurentPoly.var_power(m, 0, -2)
             rest = LaurentPoly.var_power(m, m - 1, -4, Fraction(3, 5)) if m > 1 else 1

@@ -13,13 +13,10 @@ README = ROOT / "README.md"
 
 
 def python_blocks() -> list:
-    """One ``pytest.param`` per ```python block, named by its fence's line."""
-    text = README.read_text()
-    blocks = []
-    for match in re.finditer(r"^```python\n(.*?)^```$", text, re.M | re.S):
-        line = text.count("\n", 0, match.start()) + 1
-        blocks.append(pytest.param(match.group(1), id=f"line-{line}"))
-    return blocks
+    """One ``pytest.param`` per ```python block, named by its place in file
+    order, so an edit above a block does not rename its test."""
+    matches = re.finditer(r"^```python\n(.*?)^```$", README.read_text(), re.M | re.S)
+    return [pytest.param(match.group(1), id=f"block-{n}") for n, match in enumerate(matches, 1)]
 
 
 BLOCKS = python_blocks()
