@@ -163,26 +163,6 @@ def psi_BC(
 # ======================================================================
 
 
-def pi_macdonald(
-    z: Sequence[complex],
-    w: Sequence[complex],
-    q: complex,
-    t: complex,
-    tr: Truncation | None = None,
-) -> complex:
-    """prod_{j,l} (t z_j w_l; q)_inf / (z_j w_l; q)_inf, |q| < 1."""
-    if abs(q) >= 1:
-        raise DomainError(f"need |q| < 1, got |q| = {abs(q)}")
-    tr = tr if tr is not None else DEFAULT_TRUNCATION
-    out = 1 + 0j
-    for zj in z:
-        for wl in w:
-            num = qpoch(t * zj * wl, q, tr=tr)
-            den = nonvanishing(qpoch(zj * wl, q, tr=tr), "(z w; q)_inf")
-            out *= num / den
-    return out
-
-
 def kern_phi0(
     x: Sequence[complex],
     y: Sequence[complex],

@@ -6,9 +6,10 @@ triangularly with known diagonal entries d_mu.  So P_lambda, with unit
 coefficient on m_lambda, is fixed by the eigen-equation (D - d_lambda) P = 0,
 whose left side lies in the span of the k - 1 orbit sums below lambda (k
 the size of the basis).  The solve evaluates that equation exactly at
-k - 1 integer points, where the orbit sums and the operator, with rational
-coefficients A_i^(+-) and shifts s_i -> sq^(+-1) s_i of the square-root
-coordinates, take rational values.  Each coefficient comes as an integer
+k - 1 integer points, one named by each label below lambda, where the
+orbit sums and the operator, with rational coefficients A_i^(+-) and
+shifts s_i -> sq^(+-1) s_i of the square-root coordinates, take rational
+values.  Each coefficient comes as an integer
 pair (numerator, positive denominator), and each row brings them and
 -d_lambda over one positive common denominator, so the rows are integer
 vectors built without Fraction arithmetic.  The orbit values at the
@@ -16,7 +17,7 @@ points do not depend on the parameters and are kept per basis across
 solves, so a solve at new parameters builds only the weights.  The k - 1
 unknown coefficients follow from one fraction-free solve (Bareiss 1968), as
 primitive integers over one positive denominator, and P is expanded from
-them once (:func:`diffkern.laurent.orbit_expansion`).  A k-th point
+them once (:func:`diffkern.laurent.orbit_expansion`).  Lambda's own point
 checks the eigen-equation exactly, so the solve never calls the symbolic
 operator of :mod:`diffkern.operators`, which stays an independent oracle.
 The Macdonald polynomials take the same route with the first Macdonald
@@ -39,15 +40,14 @@ instance [ab], alpha = (abcd/q)^(1/2), or (qt)^(1/2)/a) is again rational.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import islice, takewhile
+from itertools import takewhile
 from math import gcd, lcm, prod
 from operator import mul
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .kernels import kern_psi_mult
 from .laurent import (
@@ -246,40 +246,16 @@ def macdonald_eigenvalue(lam, q, t, m: int) -> Fraction:
 # triangular eigen-solve
 # ======================================================================
 
-# Point streams drawn for one solve before it gives up.  A stream is
-# abandoned only when the interpolation matrix of its points is singular or
-# when more than half its points hit a pole of the operator; either is
-# rare, so a solve that exhausts its streams points at a defect rather than
-# at bad luck.
-_POINT_DRAWS = 8
-
-
 class _Pole(Exception):
-    """Internal: an operator coefficient has a pole at a drawn point."""
+    """Internal: an operator coefficient has a pole at a solve point."""
 
 
-def _point_stream(
-    lam: Partition, m: int, count: int, attempt: int
-) -> Iterator[tuple[int, ...]]:
-    """Distinct sorted integer points 2 <= s_1 < ... < s_m, in random order.
-
-    The coordinates are the square roots s_i = z_i^(1/2).  Orbit sums are
-    invariant under permutations, so a point is a sorted set; drawing the
-    sets at random keeps them in general position, where runs of
-    neighbouring sets (which share coordinates) can make the orbit-sum
-    matrix singular.  The stream is keyed by (lam, m, attempt) alone, so
-    a solve is reproducible.  The coordinates run over 2 (m + count)
-    integers, so at most half of the points contain any one of them and
-    there are more than 2 count points to draw.
-    """
-    rng = random.Random(f"{lam.parts} {m} {attempt}")
-    coords = range(2, 2 + 2 * (m + count))
-    seen: set[tuple[int, ...]] = set()
-    while True:
-        point = tuple(sorted(rng.sample(coords, m)))
-        if point not in seen:
-            seen.add(point)
-            yield point
+def _label_point(label: tuple[int, ...], offset: int) -> tuple[int, ...]:
+    """The solve point of a padded label: s_i = label_i + (m - 1 - i) + 2 +
+    offset, distinct integers that decrease from s_1 and are at least
+    2 + offset.  The coordinates are the square roots s_i = z_i^(1/2)."""
+    m = len(label)
+    return tuple(v + m + 1 - i + offset for i, v in enumerate(label))
 
 
 def _laurent_table(n: int, d: int, top: int) -> tuple[list[int], int]:
@@ -461,12 +437,12 @@ _PointValues = tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ..
 class _SolveFrame:
     """The parameter-free part of one basis's rows, kept per (padded
     labels, top, table) across parameters by :func:`_solve_frame`: the
-    split table, per label the mixture entries of its splits, the points
-    each stream has given so far and the values at each point a row was
-    built at.  Streams and points fill in as solves reach them.  It takes
-    no lock: solves of one basis in several threads at once may each
-    extend a stream, which can change the points later solves meet but not
-    the polynomial they return."""
+    split table, per label the mixture entries of its splits and the values
+    at each point a row was built at.  The points are the labels' own
+    (:func:`_label_point`), so they fill in once per offset a solve
+    reaches.  It takes no lock: solves of one basis in several threads at
+    once may each build a point's values, and the last one kept is equal
+    to the others."""
 
     def __init__(self, labels: tuple[tuple[int, ...], ...], top: int, table: _Table):
         self.labels = labels
@@ -484,19 +460,7 @@ class _SolveFrame:
             )
             for label in labels
         )
-        self.streams: dict[int, list[tuple[int, ...]]] = {}
         self.points: dict[tuple[int, ...], _PointValues] = {}
-
-    def stream(self, attempt: int) -> Iterator[tuple[int, ...]]:
-        """:func:`_point_stream` of the basis, drawn only past the points
-        kept so far."""
-        head = self.labels[0]
-        drawn = self.streams.setdefault(attempt, [])
-        yield from drawn
-        fresh = _point_stream(Partition(head), len(head), len(self.labels), attempt)
-        for point in islice(fresh, len(drawn), None):
-            drawn.append(point)
-            yield point
 
     def _point_values(self, point: tuple[int, ...]) -> _PointValues:
         """Expand every orbit sum along each variable i in turn: m_label is
@@ -632,10 +596,40 @@ def _eigen_solve(
     the c_nu is regular; equal eigenvalues d_nu = d_lam would make it
     singular everywhere, so they are reported first as a collision,
     found by comparing crosswise the integer pairs (num, den) that ``eig``
-    gives for the whole basis at once.  A k-th point must satisfy the
-    eigen-equation exactly, or :class:`TriangularSolveError` is raised.  A
-    point where the operator has a pole is replaced by the next one of the
-    stream, and a singular system starts a new stream.
+    gives for the whole basis at once.
+
+    Each label nu is its own point, :func:`_label_point` of nu at one
+    offset o for the whole basis: the k - 1 labels below lam give the
+    solve rows and lam's point the check row, where P must satisfy the
+    eigen-equation exactly.  The offset is the smallest o >= 0 at which
+    no weight of ``moves`` has a pole.  A Koornwinder weight has one only
+    where s^4 = q or s^4 = 1/q, so at most one integer s >= 2 is bad and
+    some o <= lam_1 + m avoids it; a Macdonald weight has none, so there
+    o = 0.  No good offset, a singular system or a failed check raises
+    :class:`TriangularSolveError`.
+
+    Why the Koornwinder system is regular.  The basis is closed under
+    containment, and so are the k - 1 labels below lam.  In
+    X_i = z_i + 1/z_i the orbit sum m_nu is the symmetric monomial m_nu(X)
+    plus ones of labels inside nu, so by Schur triangularity the span of
+    the lower orbit sums is that of the Schur polynomials s_nu(X), and
+    times the Vandermonde V(X) that of the alternants a_(nu + delta),
+    delta = (m - 1, ..., 0).  Their monomials X^alpha lie in the lower
+    set A of exponents below a permuted nu + delta: sorted, an alpha with
+    distinct entries is mu + delta with mu inside some nu, hence a lower
+    label.  Put xi_j = X(s = j + 2 + o), strictly increasing in j; the
+    point of nu is (xi_(nu_i + delta_i))_i.  If f in the span vanishes at
+    every lower label's point, f V vanishes at the grid node
+    (xi_(alpha_i))_i of every alpha in A: at a permutation of a label's
+    point by antisymmetry, elsewhere because two coordinates agree.  A
+    lower set is unisolvent on its grid nodes (Newton form), so f V = 0
+    and f = 0: the lower orbit sums are independent on the points.  With
+    no collision D - d_lam is invertible on their span, so the system
+    matrix, its evaluation matrix times that map, is regular at any
+    parameters and offset.  The Macdonald basis has one size, not a lower
+    set, and the sketch does not apply: there regularity was checked by
+    computation only (every basis in the 4^m box for m = 1..3 and the 3^4
+    box), and a singular system would still raise.
 
     The back end works on integers in three steps:
 
@@ -670,41 +664,39 @@ def _eigen_solve(
     top = lam.part(0)
     labels = tuple(mu.padded(m) for mu in basis)
     frame = _solve_frame(labels, top, table)
-    for attempt in range(_POINT_DRAWS):
-        # a point where a coefficient has a pole is replaced by the next
-        # one; an attempt that meets more poles than it needs points fails
-        rows = []
-        for point in islice(frame.stream(attempt), 2 * k):
-            try:
-                rows.append(frame.row(point, moves, d_lam))
-            except _Pole:
-                continue
-            if len(rows) == k:
-                break
-        if len(rows) < k:
+    # the lower labels' points first, lam's own point, the check, last
+    for offset in range(top + m + 1):
+        points = [_label_point(label, offset) for label in labels[1:] + labels[:1]]
+        try:
+            rows = [frame.row(point, moves, d_lam) for point in points]
+        except _Pole:
             continue
-        solved = _bareiss_solve([row[1:] + [-row[0]] for row in rows[:-1]], k - 1)
-        if solved is None:
-            continue
-        det, y = solved
-        check = rows[-1]
-        if det * check[0] + sum(e * c for e, c in zip(check[1:], y)):
-            raise TriangularSolveError(
-                f"{what}: P_{lam.parts} fails the eigen-equation at the check "
-                "point; the eigenvalue is wrong or the operator image is not "
-                "in the span of the basis"
-            )
-        # c_nu = y_nu / det: over the positive denominator |det| / g
-        g = gcd(det, *y)
-        if det < 0:
-            g = -g
-        coeffs = (det // g, *(c // g for c in y))
-        return _OrbitCoefficients(tuple(basis), coeffs, coeffs[0])
-    raise TriangularSolveError(
-        f"{what}: each of {_POINT_DRAWS} point streams for {lam.parts} in "
-        f"{m} variables gave a singular interpolation matrix or more poles "
-        "than points"
-    )
+        break
+    else:
+        raise TriangularSolveError(
+            f"{what}: every offset 0..{top + m} puts a pole of the operator at "
+            f"a point of the basis of {lam.parts} in {m} variables"
+        )
+    solved = _bareiss_solve([row[1:] + [-row[0]] for row in rows[:-1]], k - 1)
+    if solved is None:
+        raise TriangularSolveError(
+            f"{what}: the interpolation system of the basis "
+            f"{[mu.parts for mu in basis]} at the points {points[:-1]} is singular"
+        )
+    det, y = solved
+    check = rows[-1]
+    if det * check[0] + sum(e * c for e, c in zip(check[1:], y)):
+        raise TriangularSolveError(
+            f"{what}: P_{lam.parts} fails the eigen-equation at the check "
+            "point; the eigenvalue is wrong or the operator image is not "
+            "in the span of the basis"
+        )
+    # c_nu = y_nu / det: over the positive denominator |det| / g
+    g = gcd(det, *y)
+    if det < 0:
+        g = -g
+    coeffs = (det // g, *(c // g for c in y))
+    return _OrbitCoefficients(tuple(basis), coeffs, coeffs[0])
 
 
 def _macdonald_basis(lam: Partition, m: int) -> tuple[Partition, ...]:

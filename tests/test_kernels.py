@@ -14,7 +14,6 @@ from diffkern.kernels import (
     phi_BC,
     phi_BC_product,
     phi_minus_k,
-    pi_macdonald,
     psi_A,
     psi_BC,
 )
@@ -285,48 +284,6 @@ def test_psi_BC_shift_ratio_system(families):
 # ======================================================================
 # multiplicative trigonometric kernels
 # ======================================================================
-
-
-def test_pi_macdonald_trivial_t():
-    z = (0.7 + 0.2j, 0.4 - 0.3j)
-    w = (0.5 + 0.1j,)
-    q = 0.2 + 0.1j
-    assert close(pi_macdonald(z, w, q, 1.0), 1.0)
-    # t = q telescopes to prod 1/(1 - z w)
-    want = 1 + 0j
-    for zj in z:
-        for wl in w:
-            want /= 1 - zj * wl
-    assert close(pi_macdonald(z, w, q, q), want, 1e-12)
-
-
-def test_pi_macdonald_against_direct_product():
-    z = (0.6 + 0.25j,)
-    w = (0.45 - 0.15j, 0.3 + 0.3j)
-    q, t = 0.15 + 0.08j, 0.35 - 0.2j
-    want = 1 + 0j
-    for zj in z:
-        for wl in w:
-            num = den = 1 + 0j
-            for i in range(300):
-                num *= 1 - t * zj * wl * q**i
-                den *= 1 - zj * wl * q**i
-            want *= num / den
-    assert close(pi_macdonald(z, w, q, t), want, 1e-12)
-
-
-def test_pi_macdonald_exchange_symmetry():
-    z = (0.6 + 0.25j, 0.2 - 0.4j)
-    w = (0.45 - 0.15j,)
-    q, t = 0.15 + 0.08j, 0.35 - 0.2j
-    assert close(pi_macdonald(z, w, q, t), pi_macdonald(w, z, q, t), 1e-12)
-
-
-def test_pi_macdonald_rejects_large_q():
-    from diffkern.sigma import DomainError
-
-    with pytest.raises(DomainError):
-        pi_macdonald((0.5,), (0.5,), 1.2, 0.3)
 
 
 @pytest.mark.parametrize("variant", ["zero", "plus", "minus"])

@@ -276,8 +276,8 @@ def test_corrupted_operator_weight_fails_the_check_point(monkeypatch):
 @pytest.fixture
 def fresh_frames():
     """Clear the solve frames before and after the test: a warm frame
-    replays the points it keeps instead of drawing from a patched stream,
-    and points a patched stream gave must not reach later solves."""
+    keeps the values of the points it has met, and values built under a
+    patch must not reach later solves."""
     kw._solve_frame.cache_clear()
     yield
     kw._solve_frame.cache_clear()
@@ -290,8 +290,7 @@ def _assert_rows_match_the_operator(basis, m, table, moves, eig, image):
     frame = kw._SolveFrame(labels, basis[0].part(0), table)
     images = [image(mu) for mu in basis]
     checked = 0
-    stream = kw._point_stream(basis[0], m, len(basis), 0)
-    for point in itertools.islice(stream, 2 * len(basis)):
+    for point in _solve_points(basis, m):
         try:
             row = frame.row(point, moves, eig)
         except kw._Pole:
@@ -443,8 +442,8 @@ EP_NEG_ALT = EP_ALT.replace(sq=Fraction(-1, 3), sd=Fraction(-6, 7))
 # negative square roots make some bracket denominators negative
 ORACLE_PARAMS = {"EP": EP, "EP_ALT": EP_ALT, "NEG": EP_NEG, "NEG_ALT": EP_NEG_ALT}
 
-# per m, the Koornwinder and the Macdonald label whose solve streams give
-# the points below
+# per m, the Koornwinder and the Macdonald label whose basis points the
+# oracle tests evaluate
 _ORACLE_LABELS = {
     1: ((3,), (2,)),
     2: ((2, 2), (3, 1)),
@@ -454,11 +453,10 @@ _ORACLE_LABELS = {
 
 
 def _solve_points(basis, m):
-    """The points of the first two streams a solve of ``basis`` draws."""
-    for attempt in range(2):
-        yield from itertools.islice(
-            kw._point_stream(basis[0], m, len(basis), attempt), 2 * len(basis)
-        )
+    """The label points of ``basis`` at the offsets 0 and 1."""
+    for offset in range(2):
+        for mu in basis:
+            yield kw._label_point(mu.padded(m), offset)
 
 
 def _outcome_or_pole(call, *args):
@@ -574,9 +572,11 @@ def _recorded_points(monkeypatch):
 
 
 def test_pole_point_is_replaced_deterministically(monkeypatch, fresh_frames):
-    # sq = 1/4 puts a pole of [q z^2] at s = 2: such points are skipped
+    # sq = 1/4 puts a pole of [q z^2] at s = 2, which every label ending in
+    # 0 meets at offset 0: the solve moves on to offset 1
     ep = EP.replace(sq=Fraction(1, 4))
     lam = Partition((1, 1))
+    labels = tuple(mu.padded(2) for mu in koorn_basis(lam, 2))
     log = _recorded_points(monkeypatch)
     # the first solve builds the frame, the second replays it
     first = kw._koornwinder_cached.__wrapped__(lam, ep, 2)
@@ -585,69 +585,90 @@ def test_pole_point_is_replaced_deterministically(monkeypatch, fresh_frames):
     assert kw._koornwinder_cached.__wrapped__(lam, ep, 2) == first
     runs.append(list(log))
     assert runs[0] == runs[1]
-    assert [p for p, what in runs[0] if what == "pole"]
-    assert all((2 in p) == (what == "pole") for p, what in runs[0])
-    k = len(koorn_basis(lam, 2))
-    assert sum(what == "ok" for _, what in runs[0]) == k
-    # a pole point is kept in its stream but gets no point frame
-    labels = tuple(mu.padded(2) for mu in koorn_basis(lam, 2))
+    poles = [p for p, what in runs[0] if what == "pole"]
+    assert poles and all(2 in p for p in poles)
+    # offset 1: the lower labels, then lam's own point (1, 1) + (1, 0) + 2 + 1
+    ok = [p for p, what in runs[0] if what == "ok"]
+    assert ok == [kw._label_point(label, 1) for label in labels[1:] + labels[:1]]
+    assert ok[-1] == (5, 4)
+    # a pole point gets no point frame
     frame = kw._solve_frame(labels, 1, kw._laurent_table)
-    assert set(frame.points) == {p for p, what in runs[0] if what == "ok"}
+    assert set(frame.points) == set(ok)
     assert apply_koorn_mult(ep, first, 2) == first * eigenvalue_d(lam, ep, 2)
 
 
-def test_warm_stream_draws_past_its_kept_points(monkeypatch, fresh_frames):
-    # a solve without poles keeps k points of the first stream; one with
-    # poles then needs more of it, and must meet the same points as a
-    # solve on a cleared frame
-    lam = Partition((1, 1))
-    ep = EP.replace(sq=Fraction(1, 4))
-    log = _recorded_points(monkeypatch)
-    cold = kw._koornwinder_cached.__wrapped__(lam, ep, 2)
-    cold_points = list(log)
-    kw._solve_frame.cache_clear()
-    kw._koornwinder_cached.__wrapped__(lam, EP, 2)
-    labels = tuple(mu.padded(2) for mu in koorn_basis(lam, 2))
-    kept = list(kw._solve_frame(labels, 1, kw._laurent_table).streams[0])
-    assert len(kept) < len(cold_points)
-    log.clear()
-    assert kw._koornwinder_cached.__wrapped__(lam, ep, 2) == cold
-    assert log == cold_points
-
-
-def test_singular_interpolation_matrix_draws_a_new_stream(monkeypatch, fresh_frames):
-    attempts = []
-    real = kw._point_stream
-
-    def stream(lam, m, count, attempt):
-        attempts.append(attempt)
-        if attempt == 0:
-            # one point over and over: equal rows, so M is singular
-            return itertools.repeat(next(real(lam, m, count, attempt)))
-        return real(lam, m, count, attempt)
-
-    monkeypatch.setattr(kw, "_point_stream", stream)
-    got = kw._koornwinder_cached.__wrapped__(Partition((2, 1)), EP, 2)
-    assert attempts == [0, 1]
-    assert poly_dumps(got) == poly_dumps(koornwinder_poly((2, 1), EP, 2))
+@pytest.mark.parametrize("m,n", [(1, 4), (2, 4), (3, 4), (4, 3)])
+def test_every_basis_in_the_box_is_regular_at_its_label_points(m, n):
+    # the regularity the solve relies on, for both operators over a box;
+    # any singular system would raise TriangularSolveError
+    q, t = EP.q, EP.t
+    for lam in partitions_in_box(m, n):
+        for basis, table, moves, eig in (
+            (
+                koorn_basis(lam, m),
+                kw._laurent_table,
+                partial(kw._koorn_moves, kw._koorn_constants(EP, m)),
+                partial(kw._eigenvalue_pairs, ep=EP, m=m),
+            ),
+            (
+                kw._macdonald_basis(lam, m),
+                kw._power_table,
+                partial(kw._macdonald_moves, q, t),
+                partial(kw._macdonald_eigenvalue_pairs, q=q, t=t, m=m),
+            ),
+        ):
+            solved = kw._eigen_solve(basis, m, table, moves, eig, "box")
+            assert solved.den > 0
 
 
 @pytest.mark.parametrize("cause", ["singular", "poles"])
-def test_exhausted_point_streams_raise_typed_error(monkeypatch, fresh_frames, cause):
+def test_unsolvable_points_raise_typed_error(monkeypatch, fresh_frames, cause):
     # the give-up must survive python -O, so it cannot be an assert
-    attempts = []
-    ep = EP.replace(sq=Fraction(1, 4))
+    lam = Partition((2, 1))
+    if cause == "singular":
+        # one point for every label: equal rows, so the system is singular
+        monkeypatch.setattr(kw, "_label_point", lambda label, offset: (5, 3))
+        match = r"basis \[\(2, 1\), .*\] at the points \[\(5, 3\), .* is singular"
+        moves = partial(kw._koorn_moves, kw._koorn_constants(EP, 2))
+    else:
+        met = []
 
-    def stream(lam, m, count, attempt):
-        attempts.append(attempt)
-        if cause == "singular":
-            return itertools.repeat((3, 5))
-        return ((2, s) for s in itertools.count(3))  # every point has s = 2
+        def moves(point):
+            met.append(point)
+            raise kw._Pole
 
-    monkeypatch.setattr(kw, "_point_stream", stream)
-    with pytest.raises(TriangularSolveError, match="point streams"):
-        kw._koornwinder_cached.__wrapped__(Partition((2, 1)), ep, 2)
-    assert attempts == list(range(kw._POINT_DRAWS))
+        match = r"every offset 0\.\.4 puts a pole"
+    with pytest.raises(TriangularSolveError, match=match):
+        kw._eigen_solve(
+            koorn_basis(lam, 2),
+            2,
+            kw._laurent_table,
+            moves,
+            partial(kw._eigenvalue_pairs, ep=EP, m=2),
+            "koornwinder",
+        )
+    if cause == "poles":
+        # lam_1 + m + 1 offsets, each given up at its first point
+        first = koorn_basis(lam, 2)[1].padded(2)
+        assert met == [kw._label_point(first, o) for o in range(5)]
+
+
+def test_singular_interpolation_matrix_raises_without_a_retry(
+    monkeypatch, fresh_frames
+):
+    # only a pole moves the solve to the next offset: a singular system
+    # met through the cached entry raises at once, after the k points of
+    # offset 0
+    offsets = []
+
+    def label_point(label, offset):
+        offsets.append(offset)
+        return (5, 3)  # one point for every label: equal rows
+
+    monkeypatch.setattr(kw, "_label_point", label_point)
+    with pytest.raises(TriangularSolveError, match="is singular"):
+        kw._koornwinder_cached.__wrapped__(Partition((2, 1)), EP, 2)
+    assert offsets == [0] * len(koorn_basis(Partition((2, 1)), 2))
 
 
 def test_missing_basis_label_fails_the_check_point():

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import diffkern.verify as verify
-from diffkern.kernels import kern_phi0, kern_psi_mult, pi_macdonald, psi_BC
+from diffkern.kernels import kern_phi0, kern_psi_mult, psi_BC
 from diffkern.operators import (
     ParamsA,
     ParamsBC,
@@ -423,9 +423,6 @@ _POLE_SITES = {
         lambda: apply_A(
             ParamsA(0.3 + 0.1j, 0.2 + 0.05j, _TRIG), lambda x: 1, (0.2j, 0.2j)
         ),
-    ),
-    "pi_macdonald": (
-        "(z w; q)_inf", lambda: pi_macdonald((2.0,), (0.5,), 0.3, 0.7)
     ),
     "kern_phi0-zero": (
         "(q^(1/2) t^(-1/2) z w; q)_inf",
